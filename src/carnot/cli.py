@@ -12,30 +12,13 @@ import json
 import sys
 
 from . import estimates, laplacians
-from .liealg import (LieAlgebraError, StratifiedLieAlgebra, cartan_group,
-                     free_nilpotent)
+from .liealg import LieAlgebraError, cartan_group, load_group
 from .rumin import RuminComplex
-from .verify import load_golden, run_verify
+from .verify import load_golden, regenerate_golden, run_verify
 
 
 class UsageError(Exception):
     pass
-
-
-def load_group(spec: str, max_dim: int = 64) -> StratifiedLieAlgebra:
-    if spec == "builtin:cartan":
-        return cartan_group()
-    if spec.startswith("free:"):
-        try:
-            m1, step = (int(x) for x in spec.split(":", 1)[1].split(","))
-        except ValueError:
-            raise UsageError(f"bad free group spec {spec!r}; use free:m,k")
-        return free_nilpotent(m1, step, max_dim=max_dim)
-    try:
-        with open(spec) as fh:
-            return StratifiedLieAlgebra.from_json(fh.read())
-    except FileNotFoundError:
-        raise UsageError(f"no such group file: {spec}")
 
 
 def _aligned(cx, m, row_degree: int, col_degree: int, paper_basis: bool):
@@ -189,11 +172,7 @@ def cmd_tensors(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.update_golden:
-        from .liealg import cartan_group
-        from .rumin import RuminComplex as _RC
-        from .verify import regenerate_golden
-
-        data = regenerate_golden(_RC(cartan_group()))
+        data = regenerate_golden(RuminComplex(cartan_group()))
         with open(args.update_golden, "w") as fh:
             json.dump(data, fh, indent=2, sort_keys=True)
         print(f"wrote regenerated reference data to {args.update_golden}")
@@ -201,7 +180,7 @@ def cmd_verify(args) -> int:
               "review any diff before adopting it")
         return 0
     report = run_verify(args.group, golden_path=args.golden, seed=args.seed,
-                        fast=args.fast)
+                        fast=args.fast, max_dim=args.max_dim)
     if args.format == "json":
         print(json.dumps(report.to_json(), sort_keys=True, default=str))
     else:

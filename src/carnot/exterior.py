@@ -329,11 +329,6 @@ class OperatorForm:
         return OperatorForm(self.algebra, self.degree, self.slots,
                             {k: u.scale(coeff) for k, u in self.terms.items()})
 
-    def compose(self, op: EnvElement) -> "OperatorForm":
-        """Left-compose every coefficient with `op`."""
-        return OperatorForm(self.algebra, self.degree, self.slots,
-                            {k: op * u for k, u in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, OperatorForm):
             return NotImplemented

@@ -17,6 +17,16 @@ degrees):
 
 The recipes are specific to the five-dimensional step-3 group; other
 groups are rejected.
+
+Each Laplacian is built once per complex and cached on it by (family, h);
+the group, family and degree are checked on every call, cached or not.
+Every recipe at degree h is a sum of powers of the blocks delta d and
+d delta of that degree (or the A sandwich), so the block powers are
+memoized too, P^p as P^(p-1) @ P, and the families share them: G and R
+have the same recipes at h=2,3, A equals R away from h=2,3, and G1's
+(d delta)^6 passes through R1's (d delta)^3.  No recipe uses a block of
+another degree, so the power memo holds only the degree requested last;
+keeping every degree's powers would raise the peak memory for no reuse.
 """
 
 from __future__ import annotations
@@ -58,6 +68,31 @@ def a_delta(cx: RuminComplex, h: int) -> OperatorMatrix:
     return OperatorMatrix(alg, entries, w, w)
 
 
+# Each recipe is a sum of block powers (kind, p) at its degree h: "dd" is
+# delta_{h+1} d_h, "ddl" is d_{h-1} delta_h, and "dAd" is the sandwich with
+# the auxiliary operator, delta A d at h=2 and d A delta at h=3.
+RECIPES = {
+    "G": ((("dd", 6),),
+          (("ddl", 6), ("dd", 2)),
+          (("ddl", 2), ("dd", 3)),
+          (("ddl", 3), ("dd", 2)),
+          (("dd", 6), ("ddl", 2)),
+          (("ddl", 6),)),
+    "R": ((("ddl", 3), ("dd", 1)),
+          (("ddl", 3), ("dd", 1)),
+          (("ddl", 2), ("dd", 3)),
+          (("ddl", 3), ("dd", 2)),
+          (("ddl", 1), ("dd", 3)),
+          (("ddl", 1), ("dd", 3))),
+    "A": ((("ddl", 3), ("dd", 1)),
+          (("ddl", 3), ("dd", 1)),
+          (("ddl", 1), ("dAd", 1)),
+          (("dAd", 1), ("dd", 1)),
+          (("ddl", 1), ("dd", 3)),
+          (("ddl", 1), ("dd", 3))),
+}
+
+
 def laplacian(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
     """Fully expanded, PBW-normalized Laplacian matrix of the family at h."""
     _require_cartan(cx)
@@ -65,53 +100,61 @@ def laplacian(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
         raise ValueError(f"unknown family {family!r}")
     if not 0 <= h <= 5:
         raise ValueError(f"degree {h} out of range")
-    alg = cx.algebra
-    d = cx.dc_matrix
-    dl = cx.deltac_matrix
+    key = (family, h)
+    if key not in cx._laplacians:
+        cx._laplacians[key] = _build(cx, family, h)
+    return cx._laplacians[key]
 
-    def sq_zero(k):
-        n = len(cx.E0(k))
-        w = cx.E0(k).weights
-        return OperatorMatrix.zeros(alg, n, n, w, w)
 
-    def dd(k):   # delta_{k+1} d_k : E0^k -> E0^k; zero past the top degree
-        if k >= alg.n:
-            return sq_zero(k)
-        return dl(k + 1) @ d(k)
+def _build(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
+    terms = [_block_power(cx, h, kind, p) for kind, p in RECIPES[family][h]]
+    return sum(terms[1:], terms[0])
 
-    def ddl(k):  # d_{k-1} delta_k : E0^k -> E0^k; zero on functions
-        if k <= 0:
-            return sq_zero(k)
-        return d(k - 1) @ dl(k)
 
-    if family == "G":
-        recipes = {
-            0: lambda: dd(0).power(6),
-            1: lambda: ddl(1).power(6) + dd(1).power(2),
-            2: lambda: ddl(2).power(2) + dd(2).power(3),
-            3: lambda: ddl(3).power(3) + dd(3).power(2),
-            4: lambda: dd(4).power(6) + ddl(4).power(2),
-            5: lambda: ddl(5).power(6),
-        }
-    elif family == "R":
-        recipes = {
-            0: lambda: ddl(0).power(3) + dd(0),
-            1: lambda: ddl(1).power(3) + dd(1),
-            2: lambda: ddl(2).power(2) + dd(2).power(3),
-            3: lambda: ddl(3).power(3) + dd(3).power(2),
-            4: lambda: ddl(4) + dd(4).power(3),
-            5: lambda: ddl(5) + dd(5).power(3),
-        }
-    else:
-        recipes = {
-            0: lambda: ddl(0).power(3) + dd(0),
-            1: lambda: ddl(1).power(3) + dd(1),
-            2: lambda: ddl(2) + dl(3) @ a_delta(cx, 3) @ d(2),
-            3: lambda: d(2) @ a_delta(cx, 2) @ dl(3) + dd(3),
-            4: lambda: ddl(4) + dd(4).power(3),
-            5: lambda: ddl(5) + dd(5).power(3),
-        }
-    return recipes[h]()
+def _block_power(cx: RuminComplex, h: int, kind: str, p: int):
+    """P^p = P^(p-1) @ P for the block P of that kind, memoized at degree h.
+
+    The memo holds the degree asked for last and is dropped on a change of
+    degree: no recipe uses a block of another degree.
+    """
+    degree, memo = cx._block_powers
+    if degree != h:
+        memo = {}
+        cx._block_powers = (h, memo)
+    key = (kind, p)
+    if key not in memo:
+        memo[key] = (_block_power(cx, h, kind, p - 1)
+                     @ _block_power(cx, h, kind, 1)
+                     if p > 1 else _block(cx, h, kind))
+    return memo[key]
+
+
+def _block(cx: RuminComplex, h: int, kind: str) -> OperatorMatrix:
+    d, dl = cx.dc_matrix, cx.deltac_matrix
+    if kind == "dAd":
+        if h == 2:
+            return dl(3) @ a_delta(cx, 3) @ d(2)
+        return d(2) @ a_delta(cx, 2) @ dl(3)
+    if kind == "dd" and h < cx.algebra.n:
+        return dl(h + 1) @ d(h)
+    if kind == "ddl" and h > 0:
+        return d(h - 1) @ dl(h)
+    # delta d past the top degree and d delta on functions are zero
+    w = cx.E0(h).weights
+    return OperatorMatrix.zeros(cx.algebra, len(w), len(w), w, w)
+
+
+def laplacian_table(cx: RuminComplex) -> dict:
+    """Every family's Laplacians as {family: [degree 0..5]}.
+
+    Built degree by degree, so each degree's block powers are computed once
+    and shared by the three families.
+    """
+    laps = {fam: [None] * 6 for fam in FAMILIES}
+    for h in range(6):
+        for fam in FAMILIES:
+            laps[fam][h] = laplacian(cx, fam, h)
+    return laps
 
 
 def order_table(cx: RuminComplex, family: str):

@@ -358,3 +358,20 @@ def free_nilpotent(m1: int, step: int, max_dim: int = 64,
 
     names = tuple(f"X{i}" for i in range(1, len(trees) + 1))
     return StratifiedLieAlgebra(layer_dims, brackets, field=field, labels=names)
+
+
+def load_group(spec: str, max_dim: int = 64) -> StratifiedLieAlgebra:
+    """A group from its spec: builtin:cartan, free:m,k or a JSON file path."""
+    if spec == "builtin:cartan":
+        return cartan_group()
+    if spec.startswith("free:"):
+        try:
+            m1, step = (int(x) for x in spec.split(":", 1)[1].split(","))
+        except ValueError:
+            raise ValueError(f"bad free group spec {spec!r}; use free:m,k")
+        return free_nilpotent(m1, step, max_dim=max_dim)
+    try:
+        with open(spec) as fh:
+            return StratifiedLieAlgebra.from_json(fh.read())
+    except FileNotFoundError:
+        raise ValueError(f"no such group file: {spec}")

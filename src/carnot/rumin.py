@@ -1,4 +1,4 @@
-"""The intrinsic complex of a stratified group: spaces, projections, matrices.
+r"""The intrinsic complex of a stratified group: spaces, projections, matrices.
 
 For each degree h the intrinsic space E0^h = ker d0 /\ ker delta0 is computed
 exactly, one weight block at a time, as the nullspace of d0 stacked on the
@@ -145,16 +145,6 @@ class OperatorMatrix:
         return OperatorMatrix(self.algebra, out,
                               self.row_weights, other.col_weights, cols=n)
 
-    def power(self, k: int):
-        m, n = self.shape
-        assert m == n
-        out = OperatorMatrix.from_scalar_matrix(
-            self.algebra, linalg.identity(self.algebra.field, n))
-        base = self
-        for _ in range(k):
-            out = out @ base
-        return out
-
     def transpose_adjoint(self):
         m, n = self.shape
         return OperatorMatrix(
@@ -235,11 +225,14 @@ class RuminComplex:
     def __init__(self, algebra):
         self.algebra = algebra
         self._E0: dict = {}
-        self._d0_maps: dict = {}
         self._pinv_maps: dict = {}
         self._dc: dict = {}
         self._deltac: dict = {}
         self._star: dict = {}
+        # filled by carnot.laplacians: the Laplacians by (family, h), and
+        # the block powers of the degree built last, as (h, {(kind, p): P^p})
+        self._laplacians: dict = {}
+        self._block_powers: tuple = (None, {})
 
     # -- graded pieces ---------------------------------------------------
 

@@ -22,7 +22,7 @@ from . import estimates, laplacians, linalg
 from .coords import Polynomial, coordinate_apply
 from .env import EnvElement
 from .exterior import Form, covectors
-from .liealg import cartan_group, free_nilpotent
+from .liealg import free_nilpotent, load_group
 from .rumin import OperatorMatrix, RuminComplex
 
 
@@ -69,14 +69,6 @@ class Report:
 
     def to_json(self):
         return {"ok": self.ok, "checks": self.checks}
-
-
-def _scalar_matrix_to_int(rows):
-    out = []
-    for row in rows:
-        out.append([c.as_rational() if hasattr(c, "as_rational") else c
-                    for c in row])
-    return out
 
 
 def verify_group(cx: RuminComplex, report: Report, seed: int = 0):
@@ -308,9 +300,7 @@ def verify_cartan(cx: RuminComplex, report: Report, golden: dict,
                 equal=computed == printed)
 
     # Laplacian families
-    laps = {}
-    for fam in laplacians.FAMILIES:
-        laps[fam] = [laplacians.laplacian(cx, fam, h) for h in range(6)]
+    laps = laplacians.laplacian_table(cx)
 
     ok = True
     got = {}
@@ -459,10 +449,8 @@ def regenerate_golden(cx: RuminComplex) -> dict:
     for h in (1, 2, 3, 4):
         out["star"][str(h)] = [[int(c.as_rational()) for c in row]
                                for row in cx.star_matrix(h)]
-    for fam in laplacians.FAMILIES:
-        out["laplacian_orders"][fam] = [
-            laplacians.laplacian(cx, fam, h).homogeneous_order()
-            for h in range(6)]
+    for fam, mats in laplacians.laplacian_table(cx).items():
+        out["laplacian_orders"][fam] = [m.homogeneous_order() for m in mats]
     for h in (1, 2, 3):
         prof = {}
         for w in sorted(cx._weight_blocks(h + 1)):
@@ -475,18 +463,10 @@ def regenerate_golden(cx: RuminComplex) -> dict:
 
 
 def run_verify(group="builtin:cartan", golden_path=None, seed: int = 0,
-               fast: bool = False) -> Report:
+               fast: bool = False, max_dim: int = 64) -> Report:
     report = Report()
     t0 = time.time()
-    if group == "builtin:cartan":
-        alg = cartan_group()
-    elif group.startswith("free:"):
-        m1, step = (int(x) for x in group.split(":", 1)[1].split(","))
-        alg = free_nilpotent(m1, step)
-    else:
-        from .liealg import StratifiedLieAlgebra
-        with open(group) as fh:
-            alg = StratifiedLieAlgebra.from_json(fh.read())
+    alg = load_group(group, max_dim)
     cx = RuminComplex(alg)
     verify_group(cx, report, seed=seed)
     if alg.is_cartan_table() and alg.realization is not None:

@@ -115,6 +115,19 @@ def test_verify_golden_tampering_exit_1(capsys, tmp_path):
     assert "golden-dc-matrices" in out
 
 
+def test_verify_honours_max_dim(capsys):
+    code, _, err = run(capsys, "verify", "--group", "free:2,3",
+                       "--max-dim", "2")
+    assert code == 2
+    assert "ResourceLimit(5,2)" in err
+
+
+def test_verify_bad_group_spec_exit_2(capsys):
+    code, _, err = run(capsys, "verify", "--group", "free:2")
+    assert code == 2
+    assert "bad free group spec" in err
+
+
 def test_verify_degenerate_group(capsys):
     code, out, _ = run(capsys, "verify", "--group", "free:2,1")
     assert code == 0

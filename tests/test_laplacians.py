@@ -72,6 +72,7 @@ def test_families_agree_away_from_middle(cx, laps):
         assert laps["A"][h] == laps["R"][h]
     for h in (2, 3):
         assert laps["A"][h] != laps["R"][h]
+        assert laps["G"][h] == laps["R"][h]
 
 
 def test_star_duality_signs(cx):
@@ -97,3 +98,75 @@ def test_unsupported_group(cx):
 
 def test_order_table_helper(cx):
     assert order_table(cx, "A") == (2, 6, 6, 6, 6, 2)
+
+
+# -- the per-complex cache -------------------------------------------------
+
+def test_cached_matrix_is_returned_again(cx):
+    for fam in ("A", "R", "G"):
+        for h in range(6):
+            assert laplacian(cx, fam, h) is laplacian(cx, fam, h)
+
+
+def test_cached_matrices_match_explicit_recipes():
+    fresh = RuminComplex(cartan_group())
+    d, dl = fresh.dc_matrix, fresh.deltac_matrix
+    ddl1, dd1 = d(0) @ dl(1), dl(2) @ d(1)
+    g1 = (ddl1 @ ddl1 @ ddl1 @ ddl1 @ ddl1 @ ddl1) + (dd1 @ dd1)
+    ddl2, dd2 = d(1) @ dl(2), dl(3) @ d(2)
+    r2 = (ddl2 @ ddl2) + (dd2 @ dd2 @ dd2)
+    a3 = (d(2) @ a_delta(fresh, 2) @ dl(3)) + (dl(4) @ d(3))
+    for got, want in ((laplacian(fresh, "G", 1), g1),
+                      (laplacian(fresh, "R", 2), r2),
+                      (laplacian(fresh, "A", 3), a3)):
+        assert got.shape == want.shape
+        rows, cols = want.shape
+        for i in range(rows):
+            for j in range(cols):
+                assert got.entries[i][j] == want.entries[i][j], (i, j)
+
+
+def test_single_query_builds_one_matrix_and_one_degree():
+    fresh = RuminComplex(cartan_group())
+    laplacian(fresh, "G", 1)
+    assert set(fresh._laplacians) == {("G", 1)}
+    degree, memo = fresh._block_powers
+    assert degree == 1
+    assert set(memo) == {("ddl", p) for p in range(1, 7)} \
+        | {("dd", 1), ("dd", 2)}
+    laplacian(fresh, "R", 4)
+    assert fresh._block_powers[0] == 4
+
+
+def test_verify_builds_each_laplacian_once(monkeypatch):
+    from collections import Counter
+
+    from carnot import laplacians
+    from carnot.verify import Report, load_golden, verify_cartan
+
+    builds = Counter()
+    build = laplacians._build
+
+    def counting(cx, family, h):
+        builds[(family, h)] += 1
+        return build(cx, family, h)
+
+    monkeypatch.setattr(laplacians, "_build", counting)
+    fresh = RuminComplex(cartan_group())
+    report = Report()
+    verify_cartan(fresh, report, load_golden(), fast=True)
+    assert report.ok
+    assert len(builds) == 18 and set(builds.values()) == {1}
+    before = Counter(builds)
+    for fam in ("A", "R", "G"):
+        for h in range(6):
+            assert star_duality_sign(fresh, fam, h) == 1
+    assert builds == before
+
+
+def test_validation_runs_on_cached_calls(cx, laps):
+    with pytest.raises(ValueError):
+        laplacian(cx, "X", 1)
+    for h in (-1, 6):
+        with pytest.raises(ValueError):
+            laplacian(cx, "G", h)
