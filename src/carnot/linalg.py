@@ -28,16 +28,16 @@ def transpose(a):
 
 
 def mat_mul(field, a, b):
+    """Row-by-row product that skips zero entries of both factors."""
     if not a or not b:
         return zeros(field, len(a), len(b[0]) if b else 0)
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(field, n, m)
-    for i in range(n):
-        for j in range(m):
-            s = field.zero()
-            for t in range(k):
-                s = s + a[i][t] * b[t][j]
-            out[i][j] = s
+    out = zeros(field, len(a), len(b[0]))
+    for row, out_row in zip(a, out):
+        for t, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[t]):
+                    if y:
+                        out_row[j] = out_row[j] + x * y
     return out
 
 
@@ -46,7 +46,8 @@ def mat_vec(field, a, v):
     for row in a:
         s = field.zero()
         for c, x in zip(row, v):
-            s = s + c * x
+            if c and x:
+                s = s + c * x
         out.append(s)
     return out
 

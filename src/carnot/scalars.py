@@ -3,10 +3,15 @@
 A :class:`ScalarField` holds an ordered list of square-free integer radicands
 ``r_1, ..., r_m``.  A :class:`Scalar` is a rational linear combination of the
 products ``sqrt(r_i1)*...*sqrt(r_ik)`` over subsets of the radicands, stored
-as a map from the subset bitmask to a ``Fraction``.  The representation is
-canonical, so equality is plain dictionary comparison and all arithmetic is
-exact.  The tower grows on demand when a square root of a new square-free
-integer is requested; the Cartan-group workflow only ever needs sqrt(2).
+as a map from the subset bitmask to a nonzero rational coefficient.  A
+coefficient is an ``int`` when it is integral and a ``Fraction`` only
+otherwise: almost every scalar the Rumin complex produces is an integer, and
+``int`` arithmetic is several times faster than ``Fraction`` arithmetic.  No
+coefficient is ever a ``float``.  The representation is canonical (an ``int``
+and the equal ``Fraction`` also compare and hash equal), so equality is plain
+dictionary comparison and all arithmetic is exact.  The tower grows on demand
+when a square root of a new square-free integer is requested; the
+Cartan-group workflow only ever needs sqrt(2).
 
 Scalars are immutable values.  A field mutates only by appending radicands,
 which never invalidates existing scalars.
@@ -20,6 +25,16 @@ from math import isqrt
 
 class TowerInsufficient(ValueError):
     """A required square root is not expressible in the extension tower."""
+
+
+def _q(c):
+    """The canonical coefficient: ``c`` as an ``int`` when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _is_nonzero_rational(terms: dict) -> bool:
+    """True for a nonzero rational: its only term is the mask-0 one."""
+    return len(terms) == 1 and 0 in terms
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
@@ -46,7 +61,7 @@ class ScalarField:
         self.radicands: list[int] = []
         self.max_radicands = max_radicands
         self._zero = Scalar(self, {})
-        self._one = Scalar(self, {0: Fraction(1)})
+        self._one = Scalar(self, {0: 1})
         for r in radicands:
             self._ensure_radicand(int(r))
 
@@ -59,7 +74,7 @@ class ScalarField:
         return self._one
 
     def from_rational(self, value) -> "Scalar":
-        q = Fraction(value)
+        q = value if type(value) is int else _q(Fraction(value))
         if q == 0:
             return self._zero
         return Scalar(self, {0: q})
@@ -113,9 +128,9 @@ class ScalarField:
         s, r = _square_free_split(q.numerator * q.denominator)
         coeff = Fraction(s, q.denominator)
         if r == 1:
-            return Scalar(self, {0: coeff})
+            return Scalar(self, {0: _q(coeff)})
         mask, mult = self._ensure_radicand(r)
-        return Scalar(self, {mask: coeff * mult})
+        return Scalar(self, {mask: _q(coeff * mult)})
 
     def sqrt2(self) -> "Scalar":
         return self.sqrt(2)
@@ -158,7 +173,7 @@ class Scalar:
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.terms.get(0, Fraction(0))
+        return Fraction(self.terms.get(0, 0))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -171,13 +186,21 @@ class Scalar:
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
+        a, b = self.terms, other.terms
+        if not b:
+            return self
+        if not a:
+            return other
+        if _is_nonzero_rational(a) and _is_nonzero_rational(b):
+            s = a[0] + b[0]
+            return Scalar(self.field, {0: _q(s)}) if s else self.field._zero
+        terms = dict(a)
+        for m, c in b.items():
             s = terms.get(m, 0) + c
             if s:
-                terms[m] = s
+                terms[m] = _q(s)
             else:
-                terms.pop(m, None)
+                del terms[m]
         return Scalar(self.field, terms)
 
     __radd__ = __add__
@@ -192,13 +215,22 @@ class Scalar:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if not self.terms or not other.terms:
+        x, y = self, self._coerce(other)
+        if not x.terms or not y.terms:
             return self.field._zero
+        if _is_nonzero_rational(x.terms):
+            x, y = y, x
+        if _is_nonzero_rational(y.terms):
+            # a rational factor scales each term; the product has no zero term
+            c = y.terms[0]
+            if c == 1:
+                return x
+            return Scalar(self.field,
+                          {m: _q(v * c) for m, v in x.terms.items()})
         terms: dict = {}
         rad = self.field.radicands
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in x.terms.items():
+            for m2, c2 in y.terms.items():
                 common = m1 & m2
                 c = c1 * c2
                 if common:
@@ -214,8 +246,8 @@ class Scalar:
                 if s:
                     terms[m] = s
                 else:
-                    terms.pop(m, None)
-        return Scalar(self.field, terms)
+                    del terms[m]
+        return Scalar(self.field, {m: _q(c) for m, c in terms.items()})
 
     __rmul__ = __mul__
 
@@ -223,7 +255,7 @@ class Scalar:
         if not self.terms:
             raise ZeroDivisionError("scalar division by zero")
         if self.is_rational():
-            return Scalar(self.field, {0: 1 / self.terms[0]})
+            return Scalar(self.field, {0: _q(Fraction(1) / self.terms[0])})
         # Solve x * y = 1 in the subfield generated by the masks of x.
         union = 0
         for m in self.terms:
@@ -255,7 +287,7 @@ class Scalar:
         rhs = [Fraction(0)] * n
         rhs[index[0]] = Fraction(1)
         sol = _solve_fraction_system(cols, rhs)
-        terms = {basis[j]: sol[j] for j in range(n) if sol[j]}
+        terms = {basis[j]: _q(sol[j]) for j in range(n) if sol[j]}
         return Scalar(self.field, terms)
 
     def __truediv__(self, other):

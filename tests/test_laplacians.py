@@ -170,3 +170,33 @@ def test_validation_runs_on_cached_calls(cx, laps):
     for h in (-1, 6):
         with pytest.raises(ValueError):
             laplacian(cx, "G", h)
+
+
+def test_verify_checks_each_distinct_laplacian_once(monkeypatch, cx, laps):
+    from carnot import laplacians
+    from carnot.verify import Report, load_golden, verify_cartan
+
+    checked = []
+    flagged = laps["R"][2]
+    real = laplacians.verify_self_adjoint
+
+    def flagging(m):
+        checked.append(m)
+        if m == flagged:
+            return {"applicable": True, "self_adjoint": False}
+        return real(m)
+
+    monkeypatch.setattr(laplacians, "verify_self_adjoint", flagging)
+    report = Report()
+    verify_cartan(cx, report, load_golden(), fast=True)
+    # 18 matrices, 10 distinct: G = R at h=2,3, A = R at h=0,1,4,5, and
+    # the 1x1 matrices of G and R at h=5 equal those at h=0
+    assert len(checked) == 10
+    assert all(a != b for i, a in enumerate(checked)
+               for b in checked[:i])
+    check = next(c for c in report.checks
+                 if c["name"] == "laplacian-self-adjoint")
+    # every family sharing the flagged matrix is reported, as if each
+    # matrix had been checked on its own
+    assert check["status"] == "fail"
+    assert check["bad"] == [("G", 2), ("R", 2)]
