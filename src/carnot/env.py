@@ -7,8 +7,32 @@ Products are renormalized with the rewriting rule
     X_j X_i  ->  X_i X_j + [X_j, X_i]        (j > i)
 
 which terminates because brackets strictly raise the grading and the algebra
-is nilpotent.  The normal form of every word is cached on the algebra, so
-repeated matrix algebra over the same group stays cheap.
+is nilpotent.
+
+Every product runs through one kernel that works on raw coefficients, not on
+:class:`Scalar` objects, because building and copying scalars, not the
+algebra, is what costs time in products of order up to 12:
+
+* **Cache layout.**  The normal form of every word (``alg._nf_cache``, keyed
+  by the word) and of every product of two monomials (``alg._prod_cache``,
+  keyed by the pair of exponent vectors) is cached on the algebra as a flat
+  map ``{(exponent, mask): coeff}``.  ``coeff`` is the plain ``int`` or
+  ``Fraction`` coefficient of the tower basis element ``mask``, in the
+  canonical form of ``Scalar.terms``.  The rewriting step adds
+  ``c1 * c2 * (product of the radicands in m1 & m2)`` at mask ``m1 ^ m2``
+  directly, so filling the caches builds no scalar.
+* **Fused accumulation.**  ``_mul_into`` adds a product ``a*b`` into one
+  flat accumulator dict in place, and ``_from_acc`` turns the accumulator
+  into an EnvElement once, dropping the zeros.  A sum of products therefore
+  costs one pass over its terms instead of one copy of the partial sum per
+  term.
+* **Common denominator.**  ``OperatorMatrix.__matmul__`` and
+  ``formal_adjoint`` scale their operands exactly to integer coefficients by
+  the lcm of their denominators (``_integral``), accumulate in ``int``
+  arithmetic and divide by the denominator once per output coefficient:
+  ``Fraction`` arithmetic costs several times more than ``int`` arithmetic.
+  Normal-form coefficients may still be fractions or irrational when the
+  structure constants are; the same code handles them.
 
 ``formal_adjoint`` implements the L2-formal adjoint determined by
 X_i* = -X_i together with product reversal.
@@ -17,10 +41,11 @@ X_i* = -X_i together with product reversal.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import _expr
 from .liealg import StratifiedLieAlgebra
-from .scalars import Scalar
+from .scalars import Scalar, _mask_product, _q
 
 
 class AlgebraMismatch(ValueError):
@@ -51,8 +76,36 @@ class Mixed:
         return f"Mixed{{{', '.join(map(str, sorted(self.degrees)))}}}"
 
 
+def _add_into(rad, acc: dict, nf: dict, c, m: int):
+    """Add (c * basis[m]) * nf into the flat accumulator ``acc`` in place.
+
+    ``nf`` is a flat {(exponent, mask): coeff} map and ``c * basis[m]`` one
+    raw scalar term.  Sums that cancel stay in ``acc`` as zeros.
+    """
+    get = acc.get
+    if not m:
+        if c == 1:
+            for key, v in nf.items():
+                old = get(key)
+                acc[key] = v if old is None else old + v
+        else:
+            for key, v in nf.items():
+                x = c * v
+                old = get(key)
+                acc[key] = x if old is None else old + x
+        return
+    for (exp, mk), v in nf.items():
+        x = c * v
+        common = mk & m
+        if common:
+            x *= _mask_product(rad, common)
+        key = (exp, mk ^ m)
+        old = get(key)
+        acc[key] = x if old is None else old + x
+
+
 def _normalize_word(alg: StratifiedLieAlgebra, word: tuple) -> dict:
-    """Normal form of X_{w1} ... X_{wk} as {exponent vector: Scalar}."""
+    """Normal form of X_{w1} ... X_{wk} as a flat {(exponent, mask): coeff}."""
     cache = alg._nf_cache
     hit = cache.get(word)
     if hit is not None:
@@ -63,23 +116,94 @@ def _normalize_word(alg: StratifiedLieAlgebra, word: tuple) -> dict:
         exp = [0] * alg.n
         for i in word:
             exp[i - 1] += 1
-        result = {tuple(exp): alg.field.one()}
-        cache[word] = result
-        return result
-    t = descent
-    a, b = word[t], word[t + 1]
-    out = dict(_normalize_word(alg, word[:t] + (b, a) + word[t + 2:]))
-    # [X_a, X_b] with a > b equals minus the stored bracket of (b, a)
-    for k, c in alg.bracket_basis(b, a).items():
-        sub = _normalize_word(alg, word[:t] + (k,) + word[t + 2:])
-        for exp, cc in sub.items():
-            s = out.get(exp, alg.field.zero()) - c * cc
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-    cache[word] = out
-    return out
+        result = {(tuple(exp), 0): 1}
+    else:
+        t = descent
+        a, b = word[t], word[t + 1]
+        out = dict(_normalize_word(alg, word[:t] + (b, a) + word[t + 2:]))
+        rad = alg.field.radicands
+        # [X_a, X_b] with a > b equals minus the stored bracket of (b, a)
+        for k, c in alg.bracket_basis(b, a).items():
+            sub = _normalize_word(alg, word[:t] + (k,) + word[t + 2:])
+            for m, v in c.terms.items():
+                _add_into(rad, out, sub, -v, m)
+        result = {key: _q(v) for key, v in out.items() if v}
+    cache[word] = result
+    return result
+
+
+def _product(alg: StratifiedLieAlgebra, i_exp: tuple, j_exp: tuple) -> dict:
+    """Normal form of X^i_exp X^j_exp, flat as in ``_normalize_word``."""
+    key = (i_exp, j_exp)
+    prod = alg._prod_cache.get(key)
+    if prod is None:
+        last = next((k for k in range(alg.n - 1, -1, -1) if i_exp[k]), None)
+        first = next((k for k in range(alg.n) if j_exp[k]), None)
+        if last is None or first is None or last <= first:
+            prod = {(tuple(a + b for a, b in zip(i_exp, j_exp)), 0): 1}
+        else:
+            prod = _normalize_word(alg, _word_of(i_exp) + _word_of(j_exp))
+        alg._prod_cache[key] = prod
+    return prod
+
+
+def _mul_into(alg: StratifiedLieAlgebra, acc: dict, a: dict, b: dict):
+    """Add the product of two EnvElement term maps into ``acc`` in place."""
+    cache = alg._prod_cache
+    rad = alg.field.radicands
+    for ea, sa in a.items():
+        for eb, sb in b.items():
+            prod = cache.get((ea, eb))
+            if prod is None:
+                prod = _product(alg, ea, eb)
+            for ma, ca in sa.terms.items():
+                for mb, cb in sb.terms.items():
+                    c = ca * cb
+                    common = ma & mb
+                    if common:
+                        c *= _mask_product(rad, common)
+                    _add_into(rad, acc, prod, c, ma ^ mb)
+
+
+def _from_acc(alg: StratifiedLieAlgebra, acc: dict, d=1) -> "EnvElement":
+    """The EnvElement of a flat accumulator, every coefficient divided by d."""
+    field = alg.field
+    terms: dict = {}
+    for (exp, m), v in acc.items():
+        if not v:
+            continue
+        if d != 1:
+            v = _q(Fraction(v, d))
+        elif type(v) is not int:
+            v = _q(v)
+        s = terms.get(exp)
+        if s is None:
+            terms[exp] = Scalar(field, {m: v})
+        else:
+            s.terms[m] = v      # a Scalar still under construction
+    return EnvElement(alg, terms)
+
+
+def _integral(e: "EnvElement", d: int) -> "EnvElement":
+    """``d * e`` with ``int`` coefficients; ``d`` clears every denominator."""
+    if d == 1:
+        return e
+    field = e.algebra.field
+    return EnvElement(e.algebra, {
+        exp: Scalar(field, {m: c.numerator * (d // c.denominator)
+                            for m, c in s.terms.items()})
+        for exp, s in e.terms.items()})
+
+
+def _common_denominator(elements) -> int:
+    """The lcm of the coefficient denominators of the given EnvElements."""
+    d = 1
+    for e in elements:
+        for s in e.terms.values():
+            for c in s.terms.values():
+                if type(c) is not int:
+                    d = lcm(d, c.denominator)
+    return d
 
 
 def _word_of(exp: tuple) -> tuple:
@@ -122,15 +246,11 @@ class EnvElement:
     @classmethod
     def from_word(cls, alg, word, coeff=1) -> "EnvElement":
         """Normal form of a product of generators given by basis indices."""
-        c = alg.field(coeff)
-        if not c:
-            return cls(alg, {})
-        terms = {}
-        for exp, cc in _normalize_word(alg, tuple(word)).items():
-            v = c * cc
-            if v:
-                terms[exp] = v
-        return cls(alg, terms)
+        nf = _normalize_word(alg, tuple(word))
+        acc: dict = {}
+        for m, c in alg.field(coeff).terms.items():
+            _add_into(alg.field.radicands, acc, nf, c, m)
+        return _from_acc(alg, acc)
 
     # -- ring structure ---------------------------------------------------
 
@@ -173,32 +293,9 @@ class EnvElement:
         if not isinstance(other, EnvElement):
             return NotImplemented
         self._check(other)
-        alg = self.algebra
-        cache = alg._prod_cache
-        out: dict = {}
-        for i_exp, ci in self.terms.items():
-            for j_exp, cj in other.terms.items():
-                key = (i_exp, j_exp)
-                prod = cache.get(key)
-                if prod is None:
-                    last = next((k for k in range(alg.n - 1, -1, -1)
-                                 if i_exp[k]), None)
-                    first = next((k for k in range(alg.n) if j_exp[k]), None)
-                    if last is None or first is None or last <= first:
-                        prod = {tuple(a + b for a, b in zip(i_exp, j_exp)):
-                                alg.field.one()}
-                    else:
-                        prod = _normalize_word(alg, _word_of(i_exp) + _word_of(j_exp))
-                    cache[key] = prod
-                c = ci * cj
-                for exp, cc in prod.items():
-                    s = out.get(exp)
-                    s = c * cc if s is None else s + c * cc
-                    if s:
-                        out[exp] = s
-                    else:
-                        out.pop(exp, None)
-        return EnvElement(self.algebra, out)
+        acc: dict = {}
+        _mul_into(self.algebra, acc, self.terms, other.terms)
+        return _from_acc(self.algebra, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -256,12 +353,15 @@ class EnvElement:
     def formal_adjoint(self) -> "EnvElement":
         """Anti-homomorphism with X_i -> -X_i and product reversal."""
         alg = self.algebra
-        out = EnvElement.zero(alg)
-        for exp, c in self.terms.items():
+        d = _common_denominator((self,))
+        acc: dict = {}
+        for exp, s in _integral(self, d).terms.items():
             word = _word_of(exp)
-            sign = -c if len(word) % 2 else c
-            out = out + EnvElement.from_word(alg, tuple(reversed(word)), sign)
-        return out
+            nf = _normalize_word(alg, word[::-1])
+            odd = len(word) % 2
+            for m, c in s.terms.items():
+                _add_into(alg.field.radicands, acc, nf, -c if odd else c, m)
+        return _from_acc(alg, acc, d)
 
     # -- text ----------------------------------------------------------
 

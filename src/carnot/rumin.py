@@ -25,7 +25,8 @@ from __future__ import annotations
 import json
 
 from . import linalg
-from .env import EnvElement, Mixed, ZeroElement
+from .env import (EnvElement, Mixed, ZeroElement, _common_denominator,
+                  _from_acc, _integral, _mul_into)
 from .exterior import (CovectorMap, Form, OperatorForm, covectors,
                        tuple_weight)
 
@@ -127,20 +128,32 @@ class OperatorMatrix:
                               cols=self._cols)
 
     def __matmul__(self, other):
-        m, k = self.shape
+        """Matrix product over a common denominator per factor.
+
+        Each factor is scaled exactly to integer coefficients by the lcm of
+        its denominators.  Every output entry is then accumulated in one
+        flat dict, in ``int`` arithmetic whenever the group's normal forms
+        are integral, and divided by the product of the two denominators
+        once.
+        """
+        k = self.shape[1]
         k2, n = other.shape
         assert k == k2, f"shape mismatch {self.shape} @ {other.shape}"
-        zero = EnvElement.zero(self.algebra)
+        alg = self.algebra
+        da = _common_denominator(e for row in self.entries for e in row)
+        db = _common_denominator(e for row in other.entries for e in row)
+        a = [[_integral(e, da).terms for e in row] for row in self.entries]
+        b = [[_integral(e, db).terms for e in row] for row in other.entries]
         out = []
-        for i in range(m):
+        for a_row in a:
             row = []
             for j in range(n):
-                s = zero
-                for t in range(k):
-                    a, b = self.entries[i][t], other.entries[t][j]
-                    if a and b:
-                        s = s + a * b
-                row.append(s)
+                acc: dict = {}
+                for x, b_row in zip(a_row, b):
+                    y = b_row[j]
+                    if x and y:
+                        _mul_into(alg, acc, x, y)
+                row.append(_from_acc(alg, acc, da * db))
             out.append(row)
         return OperatorMatrix(self.algebra, out,
                               self.row_weights, other.col_weights, cols=n)
@@ -155,18 +168,6 @@ class OperatorMatrix:
 
     def is_zero(self):
         return all(not e for row in self.entries for e in row)
-
-    def apply_rows(self, row_coeffs):
-        """Left-multiply by a row vector of EnvElements."""
-        m, n = self.shape
-        out = []
-        for j in range(n):
-            s = EnvElement.zero(self.algebra)
-            for i in range(m):
-                if row_coeffs[i] and self.entries[i][j]:
-                    s = s + row_coeffs[i] * self.entries[i][j]
-            out.append(s)
-        return out
 
     def orders(self):
         """Set of homogeneity degrees over the nonzero entries."""

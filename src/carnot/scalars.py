@@ -32,6 +32,18 @@ def _q(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _mask_product(radicands, mask: int) -> int:
+    """The product of the radicands whose bits are set in ``mask``."""
+    p = 1
+    i = 0
+    while mask:
+        if mask & 1:
+            p *= radicands[i]
+        mask >>= 1
+        i += 1
+    return p
+
+
 def _is_nonzero_rational(terms: dict) -> bool:
     """True for a nonzero rational: its only term is the mask-0 one."""
     return len(terms) == 1 and 0 in terms
@@ -88,13 +100,6 @@ class ScalarField:
             return self.parse(value)
         return self.from_rational(value)
 
-    def _mask_product(self, mask: int) -> int:
-        p = 1
-        for i, r in enumerate(self.radicands):
-            if mask >> i & 1:
-                p *= r
-        return p
-
     def _ensure_radicand(self, r: int):
         """Locate sqrt(r) in the tower, extending it if necessary.
 
@@ -103,11 +108,11 @@ class ScalarField:
         """
         m = len(self.radicands)
         for mask in range(1 << m):
-            t = r * self._mask_product(mask)
+            t = r * _mask_product(self.radicands, mask)
             s = isqrt(t)
             if s * s == t:
                 # sqrt(r) = s / prod * basis[mask]
-                return mask, Fraction(s, self._mask_product(mask))
+                return mask, Fraction(s, _mask_product(self.radicands, mask))
         if m >= self.max_radicands:
             raise TowerInsufficient(
                 f"tower extension cap ({self.max_radicands}) reached for sqrt({r})")
@@ -209,7 +214,23 @@ class Scalar:
         return Scalar(self.field, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        a, b = self.terms, other.terms
+        if not b:
+            return self
+        if not a:
+            return -other
+        if _is_nonzero_rational(a) and _is_nonzero_rational(b):
+            s = a[0] - b[0]
+            return Scalar(self.field, {0: _q(s)}) if s else self.field._zero
+        terms = dict(a)
+        for m, c in b.items():
+            s = terms.get(m, 0) - c
+            if s:
+                terms[m] = _q(s)
+            else:
+                del terms[m]
+        return Scalar(self.field, terms)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -234,13 +255,7 @@ class Scalar:
                 common = m1 & m2
                 c = c1 * c2
                 if common:
-                    f = 1
-                    i = 0
-                    while common >> i:
-                        if common >> i & 1:
-                            f *= rad[i]
-                        i += 1
-                    c *= f
+                    c *= _mask_product(rad, common)
                 m = m1 ^ m2
                 s = terms.get(m, 0) + c
                 if s:
@@ -275,14 +290,8 @@ class Scalar:
         for bj in basis:
             col = [Fraction(0)] * n
             for m1, c1 in self.terms.items():
-                common = m1 & bj
-                f = Fraction(1)
-                i = 0
-                while common >> i:
-                    if common >> i & 1:
-                        f *= self.field.radicands[i]
-                    i += 1
-                col[index[m1 ^ bj]] += c1 * f
+                col[index[m1 ^ bj]] += c1 * _mask_product(
+                    self.field.radicands, m1 & bj)
             cols.append(col)
         rhs = [Fraction(0)] * n
         rhs[index[0]] = Fraction(1)
@@ -319,7 +328,7 @@ class Scalar:
             if m == 0:
                 parts.append((c, None))
             else:
-                parts.append((c, self.field._mask_product(m)))
+                parts.append((c, _mask_product(self.field.radicands, m)))
         out = []
         for i, (c, rad) in enumerate(parts):
             sign = "-" if c < 0 else "+"

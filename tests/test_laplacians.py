@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from carnot.env import EnvElement
@@ -25,6 +28,19 @@ def test_sub_laplacian_at_degree_zero(cx, laps):
     expected = [[EnvElement.parse(g, "-X1^2 - X2^2")]]
     assert laps["A"][0].entries == expected
     assert laps["R"][0].entries == expected
+
+
+# sha256 of the entries of all 18 Laplacians, recorded before the PBW
+# product kernel worked on raw coefficients; the golden file holds only
+# their orders
+LAPLACIAN_DIGEST = \
+    "83a4de2668d97a3a2c22c8f5b212e484a1c255e9404f7ad5eb436dd34a653029"
+
+
+def test_laplacian_entries_digest(laps):
+    listing = {fam: [m.to_json() for m in laps[fam]] for fam in "GRA"}
+    text = json.dumps(listing, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == LAPLACIAN_DIGEST
 
 
 def test_order_tables(cx, laps):
