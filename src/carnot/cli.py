@@ -12,12 +12,12 @@ import json
 import sys
 
 from . import estimates, laplacians
-from .liealg import LieAlgebraError, cartan_group, load_group
+from .liealg import cartan_group, load_group
 from .rumin import RuminComplex
 from .verify import load_golden, regenerate_golden, run_verify
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -92,10 +92,7 @@ def cmd_deltac(args) -> int:
 def cmd_laplacian(args) -> int:
     alg = load_group(args.group, args.max_dim)
     cx = RuminComplex(alg)
-    try:
-        m = laplacians.laplacian(cx, args.family, args.degree)
-    except (laplacians.UnsupportedGroup, ValueError) as exc:
-        raise UsageError(str(exc))
+    m = laplacians.laplacian(cx, args.family, args.degree)
     if args.format == "json":
         rep = laplacians.verify_self_adjoint(m)
         print(json.dumps({
@@ -127,10 +124,7 @@ def cmd_pi_e(args) -> int:
 def cmd_exponents(args) -> int:
     alg = load_group(args.group, args.max_dim)
     cx = RuminComplex(alg)
-    try:
-        rows = estimates.theorem_table(cx, args.theorem)
-    except estimates.UnsupportedGroup as exc:
-        raise UsageError(str(exc))
+    rows = estimates.theorem_table(cx, args.theorem)
     if args.format == "json":
         payload = {"theorem": args.theorem,
                    "rows": [r.to_json() for r in rows]}
@@ -153,10 +147,7 @@ def cmd_exponents(args) -> int:
 def cmd_tensors(args) -> int:
     alg = load_group(args.group, args.max_dim)
     cx = RuminComplex(alg)
-    try:
-        findings = estimates.tensor_findings(cx, args.convention)
-    except estimates.UnsupportedGroup as exc:
-        raise UsageError(str(exc))
+    findings = estimates.tensor_findings(cx, args.convention)
     if args.format == "json":
         print(json.dumps({"convention": args.convention,
                           "findings": findings}, sort_keys=True))
@@ -269,12 +260,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LieAlgebraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,6 +33,7 @@ from fractions import Fraction
 from . import linalg
 from .env import EnvElement, Mixed
 from .exterior import OperatorForm, multivector
+from .laplacians import EXPECTED_ORDERS, UnsupportedGroup
 from .rumin import OperatorMatrix, RuminComplex
 
 
@@ -41,10 +42,6 @@ class OutOfRange(ValueError):
 
 
 class DegreeMismatch(ValueError):
-    pass
-
-
-class UnsupportedGroup(ValueError):
     pass
 
 
@@ -173,12 +170,6 @@ def theorem_table(cx: RuminComplex, tag: str) -> list:
     def dl_ord(k):     # delta_c on E0^k
         return d_ord[k - 1]
 
-    lap_order = {
-        "A": (2, 6, 6, 6, 6, 2),
-        "R": (2, 6, 12, 12, 6, 2),
-        "G": (12, 12, 12, 12, 12, 12),
-    }
-
     def resolve(token):
         kind = token[0]
         if kind == "d":
@@ -197,7 +188,7 @@ def theorem_table(cx: RuminComplex, tag: str) -> list:
         uses_grad = any(lbl == "grad" for lbl, _ in chain)
         total = sum(o for _, o in chain)
         c = total - (1 if uses_grad else 0)
-        a = lap_order[family][h]
+        a = EXPECTED_ORDERS[family][h]
         kernel = differentiate_type(kernel_type_of_inverse(a, Q), total)
         derived = sobolev_dual_exponent(a, c, Q)
         paper = _exp(Q, paper_k)
@@ -710,8 +701,7 @@ def proof_tensor(cx: RuminComplex, h: int,
 def derived_row(cx: RuminComplex, h: int) -> list:
     """The engine's own vanishing row: the Cartan pairing of the lifted
     symbolic basis form against the degree-h probe multivector."""
-    form = cx.pi_E(cx.symbolic_basis_form(h))
-    return cartan_pairing(cx, form, _PAIRING_FIELDS[h])
+    return cartan_pairing(cx, cx.lift(h), _PAIRING_FIELDS[h])
 
 
 def _rows_equal(a, b) -> bool:

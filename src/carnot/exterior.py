@@ -91,6 +91,16 @@ def _dtheta(alg: StratifiedLieAlgebra):
     return alg._dtheta_cache
 
 
+def accumulate(terms: dict, key, value):
+    """terms[key] += value, dropping the key when the sum is zero."""
+    s = terms.get(key)
+    s = value if s is None else s + value
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
 def d0_covector(alg, j: tuple) -> dict:
     """d0(theta_J) as {covector: Scalar}, by the graded Leibniz rule."""
     table = _dtheta(alg)
@@ -102,12 +112,7 @@ def d0_covector(alg, j: tuple) -> dict:
             s, merged = merge_wedge((a, b), rest)
             if not s:
                 continue
-            coeff = c * (sign_t * s)
-            acc = out.get(merged, alg.field.zero()) + coeff
-            if acc:
-                out[merged] = acc
-            else:
-                out.pop(merged, None)
+            accumulate(out, merged, c * (sign_t * s))
     return out
 
 
@@ -137,12 +142,7 @@ class Form:
     def __add__(self, other):
         terms = dict(self.terms)
         for t, c in other.terms.items():
-            s = terms.get(t)
-            s = c if s is None else s + c
-            if s:
-                terms[t] = s
-            else:
-                terms.pop(t, None)
+            accumulate(terms, t, c)
         return Form(self.algebra, self.degree, terms)
 
     def __neg__(self):
@@ -183,12 +183,7 @@ class Form:
                 s, merged = merge_wedge(t1, t2)
                 if not s:
                     continue
-                c = c1 * c2 * s
-                acc = out.get(merged, self.algebra.field.zero()) + c
-                if acc:
-                    out[merged] = acc
-                else:
-                    out.pop(merged, None)
+                accumulate(out, merged, c1 * c2 * s)
         return Form(self.algebra, self.degree + other.degree, out)
 
     def inner(self, other: "Form") -> Scalar:
@@ -223,11 +218,11 @@ class Form:
 
     def d0(self) -> "Form":
         alg = self.algebra
-        out = Form.zero(alg, self.degree + 1)
+        out: dict = {}
         for t, c in self.terms.items():
             for merged, coeff in d0_covector(alg, t).items():
-                out = out + Form(alg, self.degree + 1, {merged: c * coeff})
-        return out
+                accumulate(out, merged, c * coeff)
+        return Form(alg, self.degree + 1, out)
 
     def delta0(self) -> "Form":
         """Adjoint of d0 in the orthonormal monomial bases."""
@@ -295,26 +290,17 @@ class OperatorForm:
         self.terms = {k: u for k, u in terms.items() if u}
 
     @classmethod
-    def zero(cls, alg, degree, slots=1):
-        return cls(alg, degree, slots, {})
-
-    @classmethod
-    def from_form(cls, form: Form, slots: int = 1, slot: int = 0):
-        """c theta_J  ->  (c alpha_slot) theta_J."""
+    def from_form(cls, form: Form):
+        """c theta_J  ->  (c alpha) theta_J, with one slot alpha."""
         alg = form.algebra
-        terms = {(t, slot): EnvElement.one(alg).scale(c)
+        terms = {(t, 0): EnvElement.one(alg).scale(c)
                  for t, c in form.terms.items()}
-        return cls(alg, form.degree, slots, terms)
+        return cls(alg, form.degree, 1, terms)
 
     def __add__(self, other):
         terms = dict(self.terms)
         for k, u in other.terms.items():
-            s = terms.get(k)
-            s = u if s is None else s + u
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
+            accumulate(terms, k, u)
         return OperatorForm(self.algebra, self.degree,
                             max(self.slots, other.slots), terms)
 
@@ -350,14 +336,7 @@ class OperatorForm:
         out: dict = {}
         for (t, slot), u in self.terms.items():
             for merged, coeff in d0_covector(alg, t).items():
-                key = (merged, slot)
-                add = u.scale(coeff)
-                s = out.get(key)
-                s = add if s is None else s + add
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                accumulate(out, (merged, slot), u.scale(coeff))
         return OperatorForm(alg, self.degree + 1, self.slots, out)
 
     def d_layer(self, layer: int) -> "OperatorForm":
@@ -371,14 +350,8 @@ class OperatorForm:
                 s, merged = merge_wedge((m,), t)
                 if not s:
                     continue
-                add = (EnvElement.generator(alg, m) * u).scale(s)
-                key = (merged, slot)
-                acc = out.get(key)
-                acc = add if acc is None else acc + add
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+                accumulate(out, (merged, slot),
+                           (EnvElement.generator(alg, m) * u).scale(s))
         return OperatorForm(alg, self.degree + 1, self.slots, out)
 
     def d_full(self) -> "OperatorForm":
@@ -433,30 +406,17 @@ class CovectorMap:
         self.columns = columns  # {J_in: {J_out: Scalar}}
 
     def apply_form(self, form: Form) -> Form:
-        out = Form.zero(self.algebra, self.degree_out)
+        out: dict = {}
         for t, c in form.terms.items():
-            col = self.columns.get(t)
-            if not col:
-                continue
-            out = out + Form(self.algebra, self.degree_out,
-                             {jo: c * v for jo, v in col.items()})
-        return out
+            for jo, v in self.columns.get(t, {}).items():
+                accumulate(out, jo, c * v)
+        return Form(self.algebra, self.degree_out, out)
 
     def apply_opform(self, form: OperatorForm) -> OperatorForm:
         out: dict = {}
         for (t, slot), u in form.terms.items():
-            col = self.columns.get(t)
-            if not col:
-                continue
-            for jo, v in col.items():
-                key = (jo, slot)
-                add = u.scale(v)
-                s = out.get(key)
-                s = add if s is None else s + add
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+            for jo, v in self.columns.get(t, {}).items():
+                accumulate(out, (jo, slot), u.scale(v))
         return OperatorForm(self.algebra, self.degree_out, form.slots, out)
 
     def apply(self, form):
@@ -477,10 +437,5 @@ def multivector(alg, indices_with_coeffs) -> dict:
         sign, t = sort_sign(seq)
         if not sign:
             continue
-        c = alg.field(coeff) * sign
-        s = out.get(t, alg.field.zero()) + c
-        if s:
-            out[t] = s
-        else:
-            out.pop(t, None)
+        accumulate(out, t, alg.field(coeff) * sign)
     return out

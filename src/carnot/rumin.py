@@ -14,10 +14,14 @@ weight-ascending recursion
     (Pi_E a)_{p+k+1} = -d0^{-1} ( sum_{1<=l<=k+1} d_l (Pi_E a)_{p+k+1-l} )
 
 where d0^{-1} is the exact Moore-Penrose pseudoinverse of d0 per weight
-block.  The intrinsic differential in the chosen bases is the operator matrix
-d_c = Pi_{E0} d Pi_E, and the codifferential is obtained from the star
-formula delta_c = (-1)^{n(h+1)+1} * d_c * (and cross-checked against the
-entrywise formal-adjoint transpose).
+block.  Each degree's lift, Pi_E applied to the symbolic basis form
+sum_i alpha_i xi_i with one function slot per basis element, is computed
+once and cached on the complex.  The intrinsic differential in the chosen
+bases is the operator matrix d_c = Pi_{E0} d Pi_E, read off that lift: the
+projection of d(lift) onto E0^{h+1} has one row per basis element of
+E0^{h+1} and one entry per slot.  The codifferential is obtained from the
+star formula delta_c = (-1)^{n(h+1)+1} * d_c * (and cross-checked against
+the entrywise formal-adjoint transpose).
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import json
 from . import linalg
 from .env import (EnvElement, Mixed, ZeroElement, _common_denominator,
                   _from_acc, _integral, _mul_into)
-from .exterior import (CovectorMap, Form, OperatorForm, covectors,
-                       tuple_weight)
+from .exterior import (CovectorMap, Form, OperatorForm, accumulate,
+                       covectors, d0_covector, tuple_weight)
 
 
 class SpanMismatch(ValueError):
@@ -225,7 +229,9 @@ class RuminComplex:
 
     def __init__(self, algebra):
         self.algebra = algebra
+        self._blocks: dict = {}
         self._E0: dict = {}
+        self._lifts: dict = {}
         self._pinv_maps: dict = {}
         self._dc: dict = {}
         self._deltac: dict = {}
@@ -238,10 +244,13 @@ class RuminComplex:
     # -- graded pieces ---------------------------------------------------
 
     def _weight_blocks(self, h: int) -> dict:
-        out: dict = {}
-        for j in covectors(self.algebra, h):
-            out.setdefault(tuple_weight(self.algebra, j), []).append(j)
-        return dict(sorted(out.items()))
+        """Degree-h covectors grouped by weight, in ascending weight."""
+        if h not in self._blocks:
+            out: dict = {}
+            for j in covectors(self.algebra, h):
+                out.setdefault(tuple_weight(self.algebra, j), []).append(j)
+            self._blocks[h] = dict(sorted(out.items()))
+        return self._blocks[h]
 
     def d0_matrix_block(self, h: int, weight: int):
         """Matrix of d0 on the weight block of degree h, plus its bases."""
@@ -250,7 +259,6 @@ class RuminComplex:
         cod = self._weight_blocks(h + 1).get(weight, [])
         pos = {j: i for i, j in enumerate(cod)}
         cols = []
-        from .exterior import d0_covector
         for j in dom:
             col = [alg.field.zero()] * len(cod)
             for out_j, c in d0_covector(alg, j).items():
@@ -329,24 +337,26 @@ class RuminComplex:
         top = weights[-1]
         # d0^{-1} in the recursion maps (h+1)-forms back to h-forms
         pinv = self.d0_pinv_map(h)
-        result = dict(form.weight_split())
-        out = form
+        result = form.weight_split()
         min_w = min(result)
         for w in range(min_w + 1, top + 1):
-            acc = OperatorForm.zero(alg, h + 1, form.slots)
+            acc: dict = {}
             for ell in range(1, min(alg.kappa, w - min_w) + 1):
                 prev = result.get(w - ell)
-                if prev is not None and not prev.is_zero():
-                    acc = acc + prev.d_layer(ell)
-            if acc.is_zero():
+                if prev is not None:
+                    for k, u in prev.d_layer(ell).terms.items():
+                        accumulate(acc, k, u)
+            if not acc:
                 continue
-            corr = pinv.apply_opform(acc)
+            corr = -pinv.apply_opform(
+                OperatorForm(alg, h + 1, form.slots, acc))
             if corr.is_zero():
                 continue
-            corr = -corr
-            result[w] = result.get(w, OperatorForm.zero(alg, h, form.slots)) + corr
-            out = out + corr
-        return out
+            result[w] = result[w] + corr if w in result else corr
+        # the weight components have disjoint terms, so they join by union
+        return OperatorForm(alg, h, form.slots,
+                            {k: u for w in sorted(result)
+                             for k, u in result[w].terms.items()})
 
     def pi_E0(self, form, h: int | None = None):
         """Orthogonal projection coefficients over the E0 basis.
@@ -372,7 +382,14 @@ class RuminComplex:
 
     # -- intrinsic differential ----------------------------------------------
 
+    def lift(self, h: int) -> OperatorForm:
+        """Pi_E of the symbolic basis form of degree h, cached per degree."""
+        if h not in self._lifts:
+            self._lifts[h] = self.pi_E(self.symbolic_basis_form(h))
+        return self._lifts[h]
+
     def dc_matrix(self, h: int) -> OperatorMatrix:
+        """Pi_{E0} d of the degree-h lift: row i, slot j is entry (i, j)."""
         if h in self._dc:
             return self._dc[h]
         alg = self.algebra
@@ -380,15 +397,9 @@ class RuminComplex:
         if h >= alg.n:
             out = OperatorMatrix.zeros(alg, 0, len(src), (), src.weights)
         else:
-            dst = self.E0(h + 1)
-            cols = []
-            for xi in src:
-                lifted = self.pi_E(OperatorForm.from_form(xi))
-                rows = self.pi_E0(lifted.d_full(), h + 1)
-                cols.append([r[0] for r in rows])
-            entries = [[cols[j][i] for j in range(len(src))]
-                       for i in range(len(dst))]
-            out = OperatorMatrix(alg, entries, dst.weights, src.weights)
+            out = OperatorMatrix(alg, self.pi_E0(self.lift(h).d_full(), h + 1),
+                                 self.E0(h + 1).weights, src.weights,
+                                 cols=len(src))
             self._check_homogeneity(out)
         self._dc[h] = out
         return out
@@ -492,25 +503,21 @@ class RuminComplex:
     def symbolic_basis_form(self, h: int) -> OperatorForm:
         """sum_i alpha_i xi_i^h with one slot per basis element."""
         basis = self.E0(h)
-        out = OperatorForm.zero(self.algebra, h, len(basis))
-        for i, xi in enumerate(basis):
-            out = out + OperatorForm.from_form(xi, slots=len(basis), slot=i)
-        return out
+        one = EnvElement.one(self.algebra)
+        return OperatorForm(self.algebra, h, len(basis),
+                            {(t, i): one.scale(c)
+                             for i, xi in enumerate(basis)
+                             for t, c in xi.terms.items()})
 
     def opform_from_rows(self, rows, h: int, slots: int) -> OperatorForm:
         """sum_i (rows[i] applied to slots) xi_i^h."""
-        basis = self.E0(h)
-        out = OperatorForm.zero(self.algebra, h, slots)
-        for i, xi in enumerate(basis):
+        terms: dict = {}
+        for row, xi in zip(rows, self.E0(h)):
             for t, c in xi.terms.items():
                 for slot in range(slots):
-                    u = rows[i][slot]
-                    if not u:
-                        continue
-                    add = OperatorForm(self.algebra, h, slots,
-                                       {(t, slot): u.scale(c)})
-                    out = out + add
-        return out
+                    if row[slot]:
+                        accumulate(terms, (t, slot), row[slot].scale(c))
+        return OperatorForm(self.algebra, h, slots, terms)
 
     def dc_orders(self):
         out = []
@@ -520,37 +527,3 @@ class RuminComplex:
             out.append(None if not degs else
                        (degs.pop() if len(degs) == 1 else Mixed(degs)))
         return tuple(out)
-
-    def verify_complex(self) -> dict:
-        """Exact structural checks of the assembled complex.
-
-        (a) d_c composed with d_c vanishes in every degree;
-        (b) the projected lift is a chain map: d(Pi_E a) = Pi_E(d_c a) on
-            symbolic intrinsic forms;
-        (c) the homogeneity orders of the differential per degree;
-        (d) the star maps each intrinsic basis span onto the complementary
-            one (built into star_matrix, which raises on failure).
-        """
-        n = self.algebra.n
-        report = {"dims": list(self.dims())}
-        report["dc_squared_zero"] = all(
-            (self.dc_matrix(h + 1) @ self.dc_matrix(h)).is_zero()
-            for h in range(n))
-        chain = True
-        for h in range(n):
-            sym = self.symbolic_basis_form(h)
-            rhs = self.pi_E(self.opform_from_rows(
-                self.dc_matrix(h).entries, h + 1, sym.slots))
-            if self.pi_E(sym).d_full() != rhs:
-                chain = False
-        report["chain_map"] = chain
-        report["dc_orders"] = list(self.dc_orders())
-        star_closed = True
-        try:
-            for h in range(n + 1):
-                self.star_matrix(h)
-        except SpanMismatch:
-            star_closed = False
-        report["star_duality_of_bases"] = star_closed
-        report["ok"] = (report["dc_squared_zero"] and chain and star_closed)
-        return report

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from carnot.cli import main
 
 
@@ -89,6 +91,19 @@ def test_exponents_unsupported_group(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("laplacian", "--family", "G", "--degree", "1"),
+     "the Laplacian families are defined for the Cartan group only"),
+    (("exponents", "--theorem", "H2"), "exponent tables are Cartan-specific"),
+    (("tensors",), "stored tensors are Cartan-specific"),
+])
+def test_cartan_only_commands_reject_other_groups(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--group", "free:2,2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_tensors_json(capsys):
     code, out, _ = run(capsys, "tensors", "--format", "json")
     assert code == 0
@@ -113,6 +128,29 @@ def test_verify_golden_tampering_exit_1(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--fast", "--golden", str(path))
     assert code == 1
     assert "golden-dc-matrices" in out
+
+
+def test_verify_unaligned_golden_basis_named(capsys, tmp_path):
+    from carnot.verify import load_golden
+
+    golden = load_golden()
+    golden["bases"]["2"][0] = [["1", [1, 2]]]   # theta1^theta2 is not in E0^2
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(golden))
+    code, out, _ = run(capsys, "verify", "--fast", "--format", "json",
+                       "--golden", str(path))
+    assert code == 1
+    failed = {c["name"]: c for c in json.loads(out)["checks"]
+              if c["status"] == "fail"}
+    assert set(failed) == {"golden-basis-span-match", "golden-dc-matrices",
+                           "golden-deltac-matrices"}
+    assert failed["golden-basis-span-match"]["detail"]["2"] \
+        == "element 0 is outside the computed span"
+    reason = "no aligned basis in degree 2"
+    assert failed["golden-dc-matrices"]["bad_entries"] \
+        == [["dc", 1, reason], ["dc", 2, reason]]
+    assert failed["golden-deltac-matrices"]["bad_entries"] \
+        == [["deltac", 2, reason], ["deltac", 3, reason]]
 
 
 def test_verify_honours_max_dim(capsys):

@@ -107,9 +107,14 @@ def test_G0_is_sixth_power_of_sub_laplacian(cx, laps):
 
 
 def test_unsupported_group(cx):
+    from carnot import estimates
+
     other = RuminComplex(free_nilpotent(2, 2))
     with pytest.raises(UnsupportedGroup):
         laplacian(other, "A", 0)
+    assert estimates.UnsupportedGroup is UnsupportedGroup
+    with pytest.raises(UnsupportedGroup):
+        estimates.theorem_table(other, "H2")
 
 
 def test_order_table_helper(cx):

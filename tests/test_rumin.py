@@ -2,7 +2,7 @@ import pytest
 
 from carnot.env import EnvElement
 from carnot.exterior import Form, OperatorForm
-from carnot.liealg import StratifiedLieAlgebra, cartan_group
+from carnot.liealg import StratifiedLieAlgebra, cartan_group, free_nilpotent
 from carnot.rumin import RuminComplex, SpanMismatch
 
 
@@ -197,3 +197,31 @@ def test_operator_matrix_render_round_trip(cx):
     parsed = [[EnvElement.parse(g, cell) for cell in row]
               for row in blob["entries"]]
     assert parsed == m.entries
+
+
+def _dc_per_basis_element(cx, h):
+    """d_c built column by column: lift one basis element at a time."""
+    cols = []
+    for xi in cx.E0(h):
+        lifted = cx.pi_E(OperatorForm.from_form(xi))
+        cols.append([r[0] for r in cx.pi_E0(lifted.d_full(), h + 1)])
+    return [[col[i] for col in cols] for i in range(len(cx.E0(h + 1)))]
+
+
+def _heisenberg(n):
+    return StratifiedLieAlgebra((2 * n, 1),
+                                {(i, i + n): {2 * n + 1: 1}
+                                 for i in range(1, n + 1)})
+
+
+@pytest.mark.parametrize("make", [cartan_group,
+                                  lambda: free_nilpotent(3, 2),
+                                  lambda: free_nilpotent(2, 4),
+                                  lambda: _heisenberg(3)],
+                         ids=["cartan", "free-3-2", "free-2-4", "H3"])
+def test_dc_matrix_equals_per_basis_element_construction(make):
+    cx = RuminComplex(make())
+    for h in range(cx.algebra.n):
+        m = cx.dc_matrix(h)
+        assert m.shape == (len(cx.E0(h + 1)), len(cx.E0(h)))
+        assert m.entries == _dc_per_basis_element(cx, h)

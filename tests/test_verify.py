@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -53,21 +54,54 @@ def test_regenerated_golden_parse_equals_committed(cx):
         assert a == b
 
 
-def test_verify_complex_report(cx):
-    rep = cx.verify_complex()
-    assert rep["ok"]
-    assert rep["dims"] == [1, 2, 3, 3, 2, 1]
-    assert rep["dc_orders"] == [1, 3, 2, 3, 1]
-    assert rep["dc_squared_zero"] and rep["chain_map"]
-    assert rep["star_duality_of_bases"]
+def _statuses(rep):
+    return {c["name"]: c["status"] for c in rep.checks}
 
 
-def test_verify_complex_on_general_group():
+def test_structural_checks_report(cx):
+    rep = run_verify(fast=True)
+    assert rep.ok
+    status = _statuses(rep)
+    assert status["dc-squared-zero"] == "pass"
+    assert status["chain-map-d-piE-equals-piE-dc"] == "pass"
+    assert list(cx.dims()) == [1, 2, 3, 3, 2, 1]
+    assert list(cx.dc_orders()) == [1, 3, 2, 3, 1]
+    # star_matrix raises SpanMismatch when the star leaves the span
+    for h in range(cx.algebra.n + 1):
+        cx.star_matrix(h)
+
+
+def test_structural_checks_on_general_group():
     # Heisenberg-type free(2,2): middle intrinsic spaces drop to dimension 2
-    rep = RuminComplex(free_nilpotent(2, 2)).verify_complex()
-    assert rep["ok"]
-    assert rep["dims"] == [1, 2, 2, 1]
-    assert rep["dc_orders"] == [1, 2, 1]
+    rep = run_verify("free:2,2")
+    assert rep.ok
+    assert "chain-map-d-piE-equals-piE-dc" in _statuses(rep)
+    cx = RuminComplex(free_nilpotent(2, 2))
+    assert list(cx.dims()) == [1, 2, 2, 1]
+    assert list(cx.dc_orders()) == [1, 2, 1]
+    for h in range(cx.algebra.n + 1):
+        cx.star_matrix(h)
+
+
+def test_verify_lifts_each_degree_once(monkeypatch):
+    """Every check reads the one cached Pi_E lift of each degree."""
+    made, lifts = [], Counter()
+    symbolic, pi_e = RuminComplex.symbolic_basis_form, RuminComplex.pi_E
+
+    def counting_symbolic(self, h):
+        form = symbolic(self, h)
+        made.append(form)
+        return form
+
+    def counting_pi_e(self, form):
+        if any(form is m for m in made):
+            lifts[form.degree] += 1
+        return pi_e(self, form)
+
+    monkeypatch.setattr(RuminComplex, "symbolic_basis_form", counting_symbolic)
+    monkeypatch.setattr(RuminComplex, "pi_E", counting_pi_e)
+    assert run_verify(fast=True).ok
+    assert lifts == {h: 1 for h in range(6)}
 
 
 def test_report_helper():
