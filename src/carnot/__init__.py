@@ -16,8 +16,8 @@ from .liealg import (DimensionMismatch, GradingViolation, JacobiViolation,
 from .env import AlgebraMismatch, EnvElement, Mixed, ZeroElement
 from .coords import (CoordinateRealization, NoRealization, Polynomial,
                      cartan_realization, coordinate_apply)
-from .exterior import (BasisCovector, CovectorMap, DegreeOverflow, Form,
-                       OperatorForm, covectors)
+from .exterior import (CovectorMap, DegreeOverflow, Form, OperatorForm,
+                       covectors)
 from .rumin import (OperatorMatrix, RuminBasis, RuminComplex, SpanMismatch,
                     StarAdjointMismatch)
 from .laplacians import (EXPECTED_ORDERS, FAMILIES, UnsupportedGroup,
@@ -44,7 +44,7 @@ __all__ = [
     "EnvElement", "Mixed", "ZeroElement", "AlgebraMismatch",
     "Polynomial", "CoordinateRealization", "cartan_realization",
     "coordinate_apply", "NoRealization",
-    "Form", "OperatorForm", "BasisCovector", "CovectorMap", "covectors",
+    "Form", "OperatorForm", "CovectorMap", "covectors",
     "DegreeOverflow",
     "RuminComplex", "RuminBasis", "OperatorMatrix", "SpanMismatch",
     "StarAdjointMismatch",

@@ -25,11 +25,12 @@ algebra, is what costs time in products of order up to 12:
   flat accumulator dict in place, and ``_from_acc`` turns the accumulator
   into an EnvElement once, dropping the zeros.  A sum of products therefore
   costs one pass over its terms instead of one copy of the partial sum per
-  term.
-* **Common denominator.**  ``OperatorMatrix.__matmul__`` and
-  ``formal_adjoint`` scale their operands exactly to integer coefficients by
-  the lcm of their denominators (``_integral``), accumulate in ``int``
-  arithmetic and divide by the denominator once per output coefficient:
+  term.  ``_scale_into`` adds a scalar multiple the same way; the exterior
+  builders and the products with a constant factor sum through it.
+* **Common denominator.**  ``OperatorMatrix.__matmul__``, the exterior
+  derivative and ``formal_adjoint`` scale their operands exactly to integer
+  coefficients by the lcm of their denominators (``_integral``), accumulate
+  in ``int`` arithmetic and divide by the denominator once per coefficient:
   ``Fraction`` arithmetic costs several times more than ``int`` arithmetic.
   Normal-form coefficients may still be fractions or irrational when the
   structure constants are; the same code handles them.
@@ -102,6 +103,14 @@ def _add_into(rad, acc: dict, nf: dict, c, m: int):
         key = (exp, mk ^ m)
         old = get(key)
         acc[key] = x if old is None else old + x
+
+
+def _scale_into(rad, acc: dict, terms: dict, c: dict):
+    """Add c * u into ``acc`` in place; ``terms`` is u's {exponent: Scalar}
+    map and ``c`` the raw {mask: coeff} terms of a scalar."""
+    nf = {(exp, m): v for exp, s in terms.items() for m, v in s.terms.items()}
+    for m, v in c.items():
+        _add_into(rad, acc, nf, v, m)
 
 
 def _normalize_word(alg: StratifiedLieAlgebra, word: tuple) -> dict:
@@ -282,10 +291,16 @@ class EnvElement:
 
     def scale(self, coeff) -> "EnvElement":
         c = self.algebra.field(coeff)
-        if not c:
-            return EnvElement.zero(self.algebra)
-        return EnvElement(self.algebra,
-                          {e: c * v for e, v in self.terms.items()})
+        q = c.terms.get(0) if len(c.terms) == 1 else None
+        if q is None:   # zero or irrational
+            return EnvElement(self.algebra, {e: c * v for e, v in
+                                             self.terms.items()} if c else {})
+        if q == 1 or q == -1:
+            return self if q == 1 else -self
+        # a rational factor scales the raw coefficients; no term vanishes
+        return EnvElement(self.algebra, {
+            e: Scalar(c.field, {m: _q(v * q) for m, v in s.terms.items()})
+            for e, s in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -344,11 +359,6 @@ class EnvElement:
         if len(degrees) == 1:
             return degrees.pop()
         return Mixed(degrees)
-
-    def differential_order(self) -> int:
-        if not self.terms:
-            raise ZeroElement("order of the zero operator is undefined")
-        return max(sum(e) for e in self.terms)
 
     def formal_adjoint(self) -> "EnvElement":
         """Anti-homomorphism with X_i -> -X_i and product reversal."""

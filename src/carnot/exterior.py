@@ -17,22 +17,24 @@ The exterior differential splits as d = d0 + d1 + ... + d_kappa, where d0
 is the purely algebraic Maurer-Cartan part (dtheta_k = -sum c^k_ij
 theta_i ^ theta_j, weight preserving) and d_l adds one derivative along
 the l-th layer, raising the weight by l.
+
+The OperatorForm builders (``d_terms`` behind ``d0``, ``d_layer`` and
+``d_full``, ``pair_multivector`` and ``CovectorMap.apply_into``) add every
+term into one flat {(exponent, mask): coeff} accumulator per output key with
+the product kernel of :mod:`carnot.env`, and ``terms_of`` builds each output
+operator once: summing EnvElements term by term would copy the partial sum
+and build Scalars for every term.  ``d_terms`` also clears the denominators
+of its input first, so its sums run in ``int`` arithmetic.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .env import EnvElement
+from .env import (EnvElement, _common_denominator, _from_acc, _integral,
+                  _mul_into, _scale_into)
 from .liealg import StratifiedLieAlgebra
 from .scalars import Scalar
-
-
-class BasisCovector(tuple):
-    """Strictly increasing index tuple with a cached weight."""
-
-    def weight_in(self, alg) -> int:
-        return sum(alg.weight(i) for i in self)
 
 
 def covectors(alg, h: int):
@@ -274,11 +276,53 @@ class DegreeOverflow(ValueError):
     pass
 
 
+def terms_of(alg, accs: dict, d=1) -> dict:
+    """{key: EnvElement} of flat accumulators divided by d, zeros dropped."""
+    return {k: u for k, acc in accs.items()
+            if (u := _from_acc(alg, acc, d)).terms}
+
+
+def d_terms(alg, parts, sign: int = 1) -> dict:
+    """The terms of sign * (sum of d_l form over the (form, layers) parts).
+
+    d_l multiplies by each generator X_m of layer l, the sign of theta_m ^
+    theta_J folded into its coefficient; d_0 is the Maurer-Cartan part.
+    """
+    rad = alg.field.radicands
+    unit = (0,) * alg.n
+    d = _common_denominator(u for form, _ in parts
+                            for u in form.terms.values())
+    accs: dict = {}
+    for form, layers in parts:
+        gens = {m: unit[:m - 1] + (1,) + unit[m:]
+                for ell in layers if ell for m in alg.layer(ell)}
+        plans: dict = {}    # covector -> [(merged, generator map or None, c)]
+        for (t, slot), u in form.terms.items():
+            plan = plans.get(t)
+            if plan is None:
+                d0 = d0_covector(alg, t) if 0 in layers else {}
+                plan = plans[t] = [(merged, None, (c * sign).terms)
+                                   for merged, c in d0.items()]
+                for m, gen in gens.items():
+                    s, merged = merge_wedge((m,), t)
+                    if s:
+                        plan.append((merged, {gen: alg.field(s * sign)}, None))
+            terms = _integral(u, d).terms
+            for merged, gen, c in plan:
+                acc = accs.setdefault((merged, slot), {})
+                if gen is None:
+                    _scale_into(rad, acc, terms, c)
+                else:
+                    _mul_into(alg, acc, gen, terms)
+    return terms_of(alg, accs, d)
+
+
 class OperatorForm:
     """Form whose coefficients are operators applied to function slots.
 
     terms: {(covector tuple, slot index): EnvElement}; represents
-    sum_{J, j} (U_{J,j} alpha_j) theta_J with s symbolic slots.
+    sum_{J, j} (U_{J,j} alpha_j) theta_J with s symbolic slots.  No term is
+    a zero operator: the builders drop those, so the constructor trusts them.
     """
 
     __slots__ = ("algebra", "degree", "slots", "terms")
@@ -287,7 +331,7 @@ class OperatorForm:
         self.algebra = algebra
         self.degree = degree
         self.slots = slots
-        self.terms = {k: u for k, u in terms.items() if u}
+        self.terms = terms
 
     @classmethod
     def from_form(cls, form: Form):
@@ -303,17 +347,6 @@ class OperatorForm:
             accumulate(terms, k, u)
         return OperatorForm(self.algebra, self.degree,
                             max(self.slots, other.slots), terms)
-
-    def __neg__(self):
-        return OperatorForm(self.algebra, self.degree, self.slots,
-                            {k: -u for k, u in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, coeff):
-        return OperatorForm(self.algebra, self.degree, self.slots,
-                            {k: u.scale(coeff) for k, u in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, OperatorForm):
@@ -331,44 +364,31 @@ class OperatorForm:
         return {w: OperatorForm(self.algebra, self.degree, self.slots, terms)
                 for w, terms in sorted(out.items())}
 
+    def _d(self, layers) -> "OperatorForm":
+        return OperatorForm(self.algebra, self.degree + 1, self.slots,
+                            d_terms(self.algebra, [(self, layers)]))
+
     def d0(self) -> "OperatorForm":
-        alg = self.algebra
-        out: dict = {}
-        for (t, slot), u in self.terms.items():
-            for merged, coeff in d0_covector(alg, t).items():
-                accumulate(out, (merged, slot), u.scale(coeff))
-        return OperatorForm(alg, self.degree + 1, self.slots, out)
+        return self._d((0,))
 
     def d_layer(self, layer: int) -> "OperatorForm":
         """sum over X_m in V_layer of (X_m . U alpha) theta_m ^ theta_J."""
-        alg = self.algebra
-        if not 1 <= layer <= alg.kappa:
+        if not 1 <= layer <= self.algebra.kappa:
             raise ValueError(f"layer {layer} out of range")
-        out: dict = {}
-        for (t, slot), u in self.terms.items():
-            for m in alg.layer(layer):
-                s, merged = merge_wedge((m,), t)
-                if not s:
-                    continue
-                accumulate(out, (merged, slot),
-                           (EnvElement.generator(alg, m) * u).scale(s))
-        return OperatorForm(alg, self.degree + 1, self.slots, out)
+        return self._d((layer,))
 
     def d_full(self) -> "OperatorForm":
-        out = self.d0()
-        for layer in range(1, self.algebra.kappa + 1):
-            out = out + self.d_layer(layer)
-        return out
+        return self._d(range(self.algebra.kappa + 1))
 
     def pair_multivector(self, mv: dict) -> list:
         """<form, multivector> per slot; mv maps index tuples to Scalars."""
         alg = self.algebra
-        row = [EnvElement.zero(alg) for _ in range(self.slots)]
+        accs = [{} for _ in range(self.slots)]
         for (t, slot), u in self.terms.items():
             c = mv.get(t)
             if c is not None:
-                row[slot] = row[slot] + u.scale(c)
-        return row
+                _scale_into(alg.field.radicands, accs[slot], u.terms, c.terms)
+        return [_from_acc(alg, acc) for acc in accs]
 
     def render(self) -> str:
         if not self.terms:
@@ -412,12 +432,19 @@ class CovectorMap:
                 accumulate(out, jo, c * v)
         return Form(self.algebra, self.degree_out, out)
 
-    def apply_opform(self, form: OperatorForm) -> OperatorForm:
-        out: dict = {}
-        for (t, slot), u in form.terms.items():
+    def apply_into(self, accs: dict, terms: dict):
+        """Add the image of the OperatorForm terms ``terms`` into accs."""
+        rad = self.algebra.field.radicands
+        for (t, slot), u in terms.items():
             for jo, v in self.columns.get(t, {}).items():
-                accumulate(out, (jo, slot), u.scale(v))
-        return OperatorForm(self.algebra, self.degree_out, form.slots, out)
+                _scale_into(rad, accs.setdefault((jo, slot), {}), u.terms,
+                            v.terms)
+
+    def apply_opform(self, form: OperatorForm) -> OperatorForm:
+        accs: dict = {}
+        self.apply_into(accs, form.terms)
+        return OperatorForm(self.algebra, self.degree_out, form.slots,
+                            terms_of(self.algebra, accs))
 
     def apply(self, form):
         if isinstance(form, OperatorForm):

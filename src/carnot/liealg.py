@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .scalars import Scalar, ScalarField
+from .scalars import ScalarField
 
 
 class LieAlgebraError(ValueError):
@@ -124,9 +124,6 @@ class StratifiedLieAlgebra:
                     else:
                         out.pop(k, None)
         return out
-
-    def structure_constant(self, i, j, k) -> Scalar:
-        return self.bracket_basis(i, j).get(k, self.field.zero())
 
     # -- validation -------------------------------------------------------
 

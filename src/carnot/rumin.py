@@ -17,11 +17,15 @@ where d0^{-1} is the exact Moore-Penrose pseudoinverse of d0 per weight
 block.  Each degree's lift, Pi_E applied to the symbolic basis form
 sum_i alpha_i xi_i with one function slot per basis element, is computed
 once and cached on the complex.  The intrinsic differential in the chosen
-bases is the operator matrix d_c = Pi_{E0} d Pi_E, read off that lift: the
-projection of d(lift) onto E0^{h+1} has one row per basis element of
-E0^{h+1} and one entry per slot.  The codifferential is obtained from the
-star formula delta_c = (-1)^{n(h+1)+1} * d_c * (and cross-checked against
-the entrywise formal-adjoint transpose).
+bases is the operator matrix d_c = Pi_{E0} d Pi_E, read off d(lift), which
+the complex keeps for the degree asked for last: its projection onto
+E0^{h+1} has one row per basis element of E0^{h+1} and one entry per slot.
+Pi_E, Pi_{E0} and the form builders sum in the flat accumulators of
+:mod:`carnot.env`, and a product with a constant factor (a star matrix or a
+change of basis) is a sum of scaled entries, with no PBW product.  The
+codifferential is obtained from the star formula
+delta_c = (-1)^{n(h+1)+1} * d_c * (and cross-checked against the entrywise
+formal-adjoint transpose).
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ import json
 
 from . import linalg
 from .env import (EnvElement, Mixed, ZeroElement, _common_denominator,
-                  _from_acc, _integral, _mul_into)
-from .exterior import (CovectorMap, Form, OperatorForm, accumulate,
-                       covectors, d0_covector, tuple_weight)
+                  _from_acc, _integral, _mul_into, _scale_into)
+from .exterior import (CovectorMap, Form, OperatorForm, covectors,
+                       d0_covector, d_terms, terms_of, tuple_weight)
 
 
 class SpanMismatch(ValueError):
@@ -131,34 +135,56 @@ class OperatorMatrix:
                               self.row_weights, self.col_weights,
                               cols=self._cols)
 
-    def __matmul__(self, other):
-        """Matrix product over a common denominator per factor.
+    def is_constant(self) -> bool:
+        """True when every entry is zero or a multiple of the unit monomial."""
+        unit = {(0,) * self.algebra.n}
+        return all(e.terms.keys() <= unit for row in self.entries for e in row)
 
-        Each factor is scaled exactly to integer coefficients by the lcm of
-        its denominators.  Every output entry is then accumulated in one
-        flat dict, in ``int`` arithmetic whenever the group's normal forms
-        are integral, and divided by the product of the two denominators
-        once.
+    def __matmul__(self, other):
+        """Matrix product, by scaled sums or over a common denominator.
+
+        With a constant factor, each output entry sums the other factor's
+        entries scaled by the nonzero constants.  Otherwise each factor is
+        scaled exactly to integer coefficients by the lcm of its
+        denominators, every output entry is accumulated in one flat dict, in
+        ``int`` arithmetic whenever the group's normal forms are integral,
+        and divided by the product of the two denominators once.
         """
         k = self.shape[1]
         k2, n = other.shape
         assert k == k2, f"shape mismatch {self.shape} @ {other.shape}"
         alg = self.algebra
-        da = _common_denominator(e for row in self.entries for e in row)
-        db = _common_denominator(e for row in other.entries for e in row)
-        a = [[_integral(e, da).terms for e in row] for row in self.entries]
-        b = [[_integral(e, db).terms for e in row] for row in other.entries]
-        out = []
-        for a_row in a:
-            row = []
-            for j in range(n):
-                acc: dict = {}
-                for x, b_row in zip(a_row, b):
-                    y = b_row[j]
-                    if x and y:
-                        _mul_into(alg, acc, x, y)
-                row.append(_from_acc(alg, acc, da * db))
-            out.append(row)
+        m = len(self.entries)
+        accs = [[{} for _ in range(n)] for _ in range(m)]
+        d = 1
+        if self.is_constant() or other.is_constant():
+            rad = alg.field.radicands
+            if self.is_constant():
+                scaled = ((i, j, c, other.entries[t][j])
+                          for i, row in enumerate(self.entries)
+                          for t, c in enumerate(row) if c.terms
+                          for j in range(n))
+            else:
+                scaled = ((i, j, c, self.entries[i][t])
+                          for t, row in enumerate(other.entries)
+                          for j, c in enumerate(row) if c.terms
+                          for i in range(m))
+            for i, j, c, u in scaled:
+                _scale_into(rad, accs[i][j], u.terms, c.as_scalar().terms)
+        else:
+            da = _common_denominator(e for row in self.entries for e in row)
+            db = _common_denominator(e for row in other.entries for e in row)
+            a = [[_integral(e, da).terms for e in row] for row in self.entries]
+            b = [[_integral(e, db).terms for e in row]
+                 for row in other.entries]
+            for a_row, acc_row in zip(a, accs):
+                for j, acc in enumerate(acc_row):
+                    for x, b_row in zip(a_row, b):
+                        y = b_row[j]
+                        if x and y:
+                            _mul_into(alg, acc, x, y)
+            d = da * db
+        out = [[_from_acc(alg, acc, d) for acc in row] for row in accs]
         return OperatorMatrix(self.algebra, out,
                               self.row_weights, other.col_weights, cols=n)
 
@@ -232,6 +258,7 @@ class RuminComplex:
         self._blocks: dict = {}
         self._E0: dict = {}
         self._lifts: dict = {}
+        self._d_lift: tuple = (None, None)
         self._pinv_maps: dict = {}
         self._dc: dict = {}
         self._deltac: dict = {}
@@ -340,19 +367,16 @@ class RuminComplex:
         result = form.weight_split()
         min_w = min(result)
         for w in range(min_w + 1, top + 1):
-            acc: dict = {}
-            for ell in range(1, min(alg.kappa, w - min_w) + 1):
-                prev = result.get(w - ell)
-                if prev is not None:
-                    for k, u in prev.d_layer(ell).terms.items():
-                        accumulate(acc, k, u)
-            if not acc:
+            # minus the layer sum, so that d0^{-1} of it is the correction
+            neg_d = d_terms(alg, [(result[w - ell], (ell,)) for ell in range(
+                1, min(alg.kappa, w - min_w) + 1) if w - ell in result], -1)
+            if not neg_d:
                 continue
-            corr = -pinv.apply_opform(
-                OperatorForm(alg, h + 1, form.slots, acc))
-            if corr.is_zero():
-                continue
-            result[w] = result[w] + corr if w in result else corr
+            old = result[w].terms if w in result else {}
+            accs = {k: {(e, m): v for e, s in u.terms.items()
+                        for m, v in s.terms.items()} for k, u in old.items()}
+            pinv.apply_into(accs, neg_d)
+            result[w] = OperatorForm(alg, h, form.slots, terms_of(alg, accs))
         # the weight components have disjoint terms, so they join by union
         return OperatorForm(alg, h, form.slots,
                             {k: u for w in sorted(result)
@@ -369,15 +393,7 @@ class RuminComplex:
             h = form.degree
         basis = self.E0(h)
         if isinstance(form, OperatorForm):
-            out = []
-            for xi in basis:
-                row = [EnvElement.zero(self.algebra)] * form.slots
-                for (t, slot), u in form.terms.items():
-                    c = xi.terms.get(t)
-                    if c is not None:
-                        row[slot] = row[slot] + u.scale(c)
-                out.append(row)
-            return out
+            return [form.pair_multivector(xi.terms) for xi in basis]
         return [xi.inner(form) for xi in basis]
 
     # -- intrinsic differential ----------------------------------------------
@@ -388,8 +404,14 @@ class RuminComplex:
             self._lifts[h] = self.pi_E(self.symbolic_basis_form(h))
         return self._lifts[h]
 
+    def d_lift(self, h: int) -> OperatorForm:
+        """d of the degree-h lift; only the degree asked for last is kept."""
+        if self._d_lift[0] != h:
+            self._d_lift = (h, self.lift(h).d_full())
+        return self._d_lift[1]
+
     def dc_matrix(self, h: int) -> OperatorMatrix:
-        """Pi_{E0} d of the degree-h lift: row i, slot j is entry (i, j)."""
+        """Pi_{E0} of the degree-h d_lift: row i, slot j is entry (i, j)."""
         if h in self._dc:
             return self._dc[h]
         alg = self.algebra
@@ -397,7 +419,7 @@ class RuminComplex:
         if h >= alg.n:
             out = OperatorMatrix.zeros(alg, 0, len(src), (), src.weights)
         else:
-            out = OperatorMatrix(alg, self.pi_E0(self.lift(h).d_full(), h + 1),
+            out = OperatorMatrix(alg, self.pi_E0(self.d_lift(h), h + 1),
                                  self.E0(h + 1).weights, src.weights,
                                  cols=len(src))
             self._check_homogeneity(out)
@@ -511,13 +533,15 @@ class RuminComplex:
 
     def opform_from_rows(self, rows, h: int, slots: int) -> OperatorForm:
         """sum_i (rows[i] applied to slots) xi_i^h."""
-        terms: dict = {}
+        alg = self.algebra
+        rad = alg.field.radicands
+        accs: dict = {}
         for row, xi in zip(rows, self.E0(h)):
-            for t, c in xi.terms.items():
-                for slot in range(slots):
-                    if row[slot]:
-                        accumulate(terms, (t, slot), row[slot].scale(c))
-        return OperatorForm(self.algebra, h, slots, terms)
+            for slot, u in enumerate(row[:slots]):
+                for t, c in xi.terms.items():
+                    acc = accs.setdefault((t, slot), {})
+                    _scale_into(rad, acc, u.terms, c.terms)
+        return OperatorForm(alg, h, slots, terms_of(alg, accs))
 
     def dc_orders(self):
         out = []

@@ -1,22 +1,28 @@
-"""Property tests of the PBW product kernel.
+"""Property tests of the PBW product kernel and the builders on top of it.
 
 The products of ``EnvElement`` and ``OperatorMatrix`` accumulate raw
 coefficients over a common denominator; these tests check them against
 references that do not share that kernel: the coordinate realization of the
 Cartan group, entrywise sums of single products, associativity and the
 anti-homomorphism law of the formal adjoint on a group whose brackets are
-fractional and irrational.
+fractional and irrational.  The exterior builders (d, d0^{-1}, Pi_E, Pi_E0,
+the pairings and the row expansion) and products with a constant factor
+accumulate in flat dicts as well; they are checked against references
+written here with plain EnvElement ``*``, ``.scale`` and ``+``.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnot.coords import Polynomial, coordinate_apply
 from carnot.env import EnvElement
-from carnot.liealg import StratifiedLieAlgebra, cartan_group
-from carnot.rumin import OperatorMatrix
+from carnot.exterior import (OperatorForm, covectors, d0_covector, d_terms,
+                             merge_wedge, tuple_weight)
+from carnot.liealg import StratifiedLieAlgebra, cartan_group, free_nilpotent
+from carnot.rumin import OperatorMatrix, RuminComplex
 from carnot.scalars import ScalarField
 
 PROPERTY = settings(max_examples=40, derandomize=True, database=None,
@@ -111,3 +117,228 @@ def test_irrational_bracket_normal_form():
     comm = x1 * x2 - x2 * x1
     assert comm * comm == EnvElement.parse(SKEW, "1/2*X3^2")
     assert_canonical(SKEW, comm * comm)
+
+
+# -- exterior builders and constant factors ---------------------------------
+
+BUILDERS = settings(PROPERTY, max_examples=12)
+
+H3 = StratifiedLieAlgebra((6, 1), {(i, i + 3): {7: 1} for i in range(1, 4)})
+COMPLEXES = {"cartan": RuminComplex(CARTAN),
+             "free-3-2": RuminComplex(free_nilpotent(3, 2)),
+             "H3": RuminComplex(H3), "skew": RuminComplex(SKEW)}
+
+
+def operators(alg, max_terms=2):
+    """Nonzero elements of order <= 2, coefficients q + r*sqrt(2)."""
+    exps = st.lists(st.integers(0, alg.n - 1), max_size=2).map(
+        lambda gens: tuple(gens.count(i) for i in range(alg.n)))
+    def build(terms):
+        out = EnvElement.zero(alg)
+        for exp, q, r in terms:
+            c = alg.field(q) + alg.field(r) * alg.field.sqrt(2)
+            out = out + EnvElement.monomial(alg, exp, c)
+        return out
+    return st.lists(st.tuples(exps, rationals, rationals), min_size=1,
+                    max_size=max_terms).map(build).filter(bool)
+
+
+def scalars(alg):
+    """0, +-1, rationals and q + r*sqrt(2)."""
+    return st.one_of(st.sampled_from([0, 1, -1]).map(alg.field),
+                     rationals.map(alg.field),
+                     st.tuples(rationals, rationals).map(
+                         lambda qr: alg.field(qr[0])
+                         + alg.field(qr[1]) * alg.field.sqrt(2)))
+
+
+def draw_opform(data, alg, h, slots=2):
+    keys = st.tuples(st.sampled_from(covectors(alg, h)),
+                     st.integers(0, slots - 1))
+    terms = data.draw(st.dictionaries(keys, operators(alg), max_size=4))
+    return OperatorForm(alg, h, slots, terms)
+
+
+def ref_add(terms, key, u):
+    s = terms.get(key)
+    s = u if s is None else s + u
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
+def ref_d_layer(alg, terms, layer):
+    """d_layer of OperatorForm terms; layer 0 is the Maurer-Cartan part d0."""
+    out: dict = {}
+    for (t, slot), u in terms.items():
+        if layer == 0:
+            for merged, c in d0_covector(alg, t).items():
+                ref_add(out, (merged, slot), u.scale(c))
+            continue
+        for m in alg.layer(layer):
+            s, merged = merge_wedge((m,), t)
+            if s:
+                ref_add(out, (merged, slot),
+                        (EnvElement.generator(alg, m) * u).scale(s))
+    return out
+
+
+def ref_apply(cmap, terms):
+    out: dict = {}
+    for (t, slot), u in terms.items():
+        for jo, v in cmap.columns.get(t, {}).items():
+            ref_add(out, (jo, slot), u.scale(v))
+    return out
+
+
+def ref_pair(alg, terms, mv, slots):
+    row = [EnvElement.zero(alg)] * slots
+    for (t, slot), u in terms.items():
+        if t in mv:
+            row[slot] = row[slot] + u.scale(mv[t])
+    return row
+
+
+def ref_pi_E(cx, form):
+    """The weight-ascending recursion, summed term by term."""
+    alg, h = cx.algebra, form.degree
+    result: dict = {}
+    for (t, slot), u in form.terms.items():
+        result.setdefault(tuple_weight(alg, t), {})[(t, slot)] = u
+    if not result:
+        return {}
+    min_w = min(result)
+    for w in range(min_w + 1, max(cx._weight_blocks(h)) + 1):
+        acc: dict = {}
+        for ell in range(1, min(alg.kappa, w - min_w) + 1):
+            for k, u in ref_d_layer(alg, result.get(w - ell, {}),
+                                    ell).items():
+                ref_add(acc, k, u)
+        for k, u in ref_apply(cx.d0_pinv_map(h), acc).items():
+            ref_add(result.setdefault(w, {}), k, -u)
+    return {k: u for part in result.values() for k, u in part.items()}
+
+
+def canonical(alg, form_or_rows):
+    """Canonical coefficients; an OperatorForm also holds no zero operator."""
+    if isinstance(form_or_rows, OperatorForm):
+        assert all(form_or_rows.terms.values())
+        elems = form_or_rows.terms.values()
+    else:
+        elems = [u for row in form_or_rows for u in row]
+    assert_canonical(alg, *elems)
+
+
+@pytest.mark.parametrize("name", COMPLEXES)
+@BUILDERS
+@given(st.data())
+def test_exterior_derivatives_match_reference(name, data):
+    alg = COMPLEXES[name].algebra
+    form = draw_opform(data, alg, data.draw(st.integers(0, alg.n - 1)))
+    full: dict = {}
+    for layer in range(alg.kappa + 1):
+        part = form.d0() if layer == 0 else form.d_layer(layer)
+        assert part.terms == ref_d_layer(alg, form.terms, layer)
+        for k, u in part.terms.items():
+            ref_add(full, k, u)
+    d = form.d_full()
+    assert (d.degree, d.slots) == (form.degree + 1, form.slots)
+    assert d.terms == full
+    canonical(alg, d)
+    # two forms over one common denominator, negated, as Pi_E sums them
+    other = draw_opform(data, alg, form.degree)
+    want = {k: -u for k, u in full.items()}
+    for k, u in ref_d_layer(alg, other.terms, alg.kappa).items():
+        ref_add(want, k, -u)
+    assert d_terms(alg, [(form, range(alg.kappa + 1)),
+                         (other, (alg.kappa,))], -1) == want
+
+
+@pytest.mark.parametrize("name", COMPLEXES)
+@BUILDERS
+@given(st.data())
+def test_pseudoinverse_and_pairings_match_reference(name, data):
+    cx = COMPLEXES[name]
+    alg = cx.algebra
+    h = data.draw(st.integers(0, alg.n - 1))
+    form = draw_opform(data, alg, h + 1)
+    pinv = cx.d0_pinv_map(h)
+    image = pinv.apply_opform(form)
+    assert image.terms == ref_apply(pinv, form.terms)
+    canonical(alg, image)
+    rows = cx.pi_E0(form, h + 1)
+    assert rows == [ref_pair(alg, form.terms, xi.terms, form.slots)
+                    for xi in cx.E0(h + 1)]
+    canonical(alg, rows)
+    mv = data.draw(st.dictionaries(st.sampled_from(covectors(alg, h + 1)),
+                                   scalars(alg).filter(bool), max_size=4))
+    row = form.pair_multivector(mv)
+    assert row == ref_pair(alg, form.terms, mv, form.slots)
+    canonical(alg, [row])
+
+
+@pytest.mark.parametrize("name", COMPLEXES)
+@BUILDERS
+@given(st.data())
+def test_row_expansion_and_projection_match_reference(name, data):
+    cx = COMPLEXES[name]
+    alg = cx.algebra
+    h = data.draw(st.integers(0, alg.n - 1))
+    zero = EnvElement.zero(alg)
+    cell = st.one_of(st.just(zero), operators(alg, 1))
+    rows = data.draw(st.lists(st.lists(cell, min_size=2, max_size=2),
+                              min_size=len(cx.E0(h)),
+                              max_size=len(cx.E0(h))))
+    form = cx.opform_from_rows(rows, h, 2)
+    want: dict = {}
+    for row, xi in zip(rows, cx.E0(h)):
+        for t, c in xi.terms.items():
+            for slot, u in enumerate(row):
+                ref_add(want, (t, slot), u.scale(c))
+    assert form.terms == want
+    canonical(alg, form)
+    lifted = cx.pi_E(form)
+    assert lifted.terms == ref_pi_E(cx, form)
+    canonical(alg, lifted)
+
+
+def constants(alg):
+    unit = (0,) * alg.n
+    return scalars(alg).map(lambda c: EnvElement.monomial(alg, unit, c))
+
+
+@pytest.mark.parametrize("alg", [CARTAN, SKEW], ids=["cartan", "skew"])
+@BUILDERS
+@given(st.data())
+def test_constant_factor_products(alg, data):
+    def matrix(cells, rows, cols):
+        flat = data.draw(st.lists(cells, min_size=rows * cols,
+                                  max_size=rows * cols))
+        return OperatorMatrix(alg, [flat[i * cols:(i + 1) * cols]
+                                    for i in range(rows)], cols=cols)
+    ops = st.one_of(st.just(EnvElement.zero(alg)), elements(alg, 2))
+    for a, b in ((matrix(constants(alg), 2, 3), matrix(ops, 3, 2)),
+                 (matrix(ops, 2, 3), matrix(constants(alg), 3, 2)),
+                 (matrix(constants(alg), 2, 3),
+                  matrix(constants(alg), 3, 2))):
+        c = a @ b
+        assert c.shape == (2, 2)
+        for i in range(2):
+            for j in range(2):
+                want = EnvElement.zero(alg)
+                for t in range(3):
+                    want = want + a.entries[i][t] * b.entries[t][j]
+                assert c.entries[i][j] == want
+        assert_canonical(alg, *c.entries[0], *c.entries[1])
+
+
+@PROPERTY
+@given(st.data())
+def test_scale_matches_termwise_product(data):
+    u = data.draw(elements(SKEW))
+    c = data.draw(scalars(SKEW))
+    want = {e: c * v for e, v in u.terms.items() if c * v}
+    assert u.scale(c) == EnvElement(SKEW, want)
+    assert u.scale(c) == u * c
+    assert_canonical(SKEW, u.scale(c))

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from carnot.env import EnvElement
@@ -225,3 +228,27 @@ def test_dc_matrix_equals_per_basis_element_construction(make):
         m = cx.dc_matrix(h)
         assert m.shape == (len(cx.E0(h + 1)), len(cx.E0(h)))
         assert m.entries == _dc_per_basis_element(cx, h)
+
+
+# sha256 of the JSON listings of every d_c and delta_c matrix, recorded before
+# the exterior builders accumulated in flat dicts; only Cartan has golden files
+DC_DELTAC_DIGESTS = {
+    "free-3-2":
+        "908ff4a55948ec8bd99395fb214d9750371bf486e3de669150ec5b97ec2a61bc",
+    "free-2-4":
+        "74b22e4d1fa0fa4d0fea7faaaad7931022d5751822adc231df7e0223aeef0d2b",
+    "H3": "7e84f12469cb72c39a29d20edfcb02d56140ed1a782207403e7fe08680dd13b5",
+}
+
+
+@pytest.mark.parametrize("name, make",
+                         [("free-3-2", lambda: free_nilpotent(3, 2)),
+                          ("free-2-4", lambda: free_nilpotent(2, 4)),
+                          ("H3", lambda: _heisenberg(3))])
+def test_dc_deltac_entries_digest(name, make):
+    cx = RuminComplex(make())
+    degrees = range(cx.algebra.n + 1)
+    listing = {"dc": [cx.dc_matrix(h).to_json() for h in degrees],
+               "deltac": [cx.deltac_matrix(h).to_json() for h in degrees]}
+    text = json.dumps(listing, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DC_DELTAC_DIGESTS[name]

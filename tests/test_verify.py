@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from carnot.exterior import OperatorForm
 from carnot.liealg import cartan_group, free_nilpotent
 from carnot.rumin import RuminComplex
 from carnot.verify import (Report, golden_form, golden_matrix, load_golden,
@@ -102,6 +103,27 @@ def test_verify_lifts_each_degree_once(monkeypatch):
     monkeypatch.setattr(RuminComplex, "pi_E", counting_pi_e)
     assert run_verify(fast=True).ok
     assert lifts == {h: 1 for h in range(6)}
+
+
+def test_verify_derives_each_lift_once(monkeypatch):
+    """d_c and the chain-map check read one cached d(lift) per degree."""
+    lifts, derived = [], Counter()
+    lift, d_full = RuminComplex.lift, OperatorForm.d_full
+
+    def recording_lift(self, h):
+        form = lift(self, h)
+        lifts.append(form)
+        return form
+
+    def counting_d_full(self):
+        if any(self is f for f in lifts):
+            derived[self.degree] += 1
+        return d_full(self)
+
+    monkeypatch.setattr(RuminComplex, "lift", recording_lift)
+    monkeypatch.setattr(OperatorForm, "d_full", counting_d_full)
+    assert run_verify("free:3,2").ok
+    assert derived == {h: 1 for h in range(6)}
 
 
 def test_report_helper():
