@@ -3,8 +3,10 @@
 The package builds stratified Lie algebras from exact structure constants,
 normal-orders left-invariant differential operators, constructs the
 intrinsic complex with its differential and codifferential matrices, the
-hypoelliptic Hodge-Laplacian families of the five-dimensional step-3 group,
-and the kernel-type/limiting-exponent bookkeeping attached to them.
+hypoelliptic Hodge-Laplacian families G, R and A (derived from the orders
+of d_c, on every group where d_c is homogeneous in each degree, such as the
+five-dimensional step-3 group and the Heisenberg groups), and the
+kernel-type/limiting-exponent bookkeeping attached to them.
 Everything is computed over an exact scalar tower; there is no floating
 point anywhere.
 """
@@ -20,8 +22,8 @@ from .exterior import (CovectorMap, DegreeOverflow, Form, OperatorForm,
                        covectors)
 from .rumin import (OperatorMatrix, RuminBasis, RuminComplex, SpanMismatch,
                     StarAdjointMismatch)
-from .laplacians import (EXPECTED_ORDERS, FAMILIES, UnsupportedGroup,
-                         a_delta, hodge_conjugate, laplacian, order_table,
+from .laplacians import (FAMILIES, UnsupportedGroup, a_delta,
+                         hodge_conjugate, laplacian, order_table,
                          star_duality_sign, verify_homogeneous_order,
                          verify_self_adjoint)
 from .estimates import (DegreeMismatch, ExponentRecord, HorizontalTensor,
@@ -50,7 +52,7 @@ __all__ = [
     "StarAdjointMismatch",
     "laplacian", "a_delta", "order_table", "hodge_conjugate",
     "verify_self_adjoint", "verify_homogeneous_order", "star_duality_sign",
-    "FAMILIES", "EXPECTED_ORDERS", "UnsupportedGroup",
+    "FAMILIES", "UnsupportedGroup",
     "KernelType", "ExponentRecord", "HorizontalTensor", "OutOfRange",
     "DegreeMismatch", "kernel_type_of_inverse", "differentiate_type",
     "folland_map", "sobolev_dual_exponent", "theorem_table",

@@ -8,6 +8,7 @@ Output is deterministic for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -185,6 +186,7 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--group", default="builtin:cartan",

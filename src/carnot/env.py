@@ -77,6 +77,16 @@ class Mixed:
         return f"Mixed{{{', '.join(map(str, sorted(self.degrees)))}}}"
 
 
+def homogeneity_degrees(elements) -> set:
+    """Set of homogeneity degrees over the nonzero elements."""
+    degs = set()
+    for e in elements:
+        if e:
+            d = e.homogeneity()
+            degs |= d.degrees if isinstance(d, Mixed) else {d}
+    return degs
+
+
 def _add_into(rad, acc: dict, nf: dict, c, m: int):
     """Add (c * basis[m]) * nf into the flat accumulator ``acc`` in place.
 

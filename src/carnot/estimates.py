@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .env import EnvElement, Mixed
+from .env import EnvElement, homogeneity_degrees
 from .exterior import OperatorForm, multivector
-from .laplacians import EXPECTED_ORDERS, UnsupportedGroup
+from .laplacians import UnsupportedGroup, homogeneous_dc_orders, target_order
 from .rumin import OperatorMatrix, RuminComplex
 
 
@@ -146,18 +146,6 @@ def _exp(Q: int, k: int) -> Fraction:
     return Fraction(Q, Q - k)
 
 
-def _orders(cx: RuminComplex) -> dict:
-    """Homogeneity orders of d_c per degree, from the computed matrices."""
-    out = {}
-    for h in range(cx.algebra.n):
-        degs = cx.dc_matrix(h).orders()
-        if len(degs) != 1:
-            raise UnsupportedGroup(
-                f"d_c at degree {h} is not globally homogeneous: {sorted(degs)}")
-        out[h] = degs.pop()
-    return out
-
-
 def theorem_table(cx: RuminComplex, tag: str) -> list:
     """Exponent records for one of the tables H2, C2, H2cor, H2sum."""
     if not cx.algebra.is_cartan_table():
@@ -165,7 +153,7 @@ def theorem_table(cx: RuminComplex, tag: str) -> list:
     if tag not in ("H2", "C2", "H2cor", "H2sum"):
         raise ValueError(f"unknown table {tag!r}")
     Q = cx.algebra.homogeneous_dimension
-    d_ord = _orders(cx)
+    d_ord = homogeneous_dc_orders(cx)
 
     def dl_ord(k):     # delta_c on E0^k
         return d_ord[k - 1]
@@ -188,7 +176,7 @@ def theorem_table(cx: RuminComplex, tag: str) -> list:
         uses_grad = any(lbl == "grad" for lbl, _ in chain)
         total = sum(o for _, o in chain)
         c = total - (1 if uses_grad else 0)
-        a = EXPECTED_ORDERS[family][h]
+        a = target_order(d_ord, family, h)
         kernel = differentiate_type(kernel_type_of_inverse(a, Q), total)
         derived = sobolev_dual_exponent(a, c, Q)
         paper = _exp(Q, paper_k)
@@ -471,11 +459,7 @@ def check_row_membership(row, dcm: OperatorMatrix,
     nrows, ncols = dcm.shape
     if len(row) != ncols:
         raise DegreeMismatch(f"row has {len(row)} slots, dc has {ncols}")
-    degs = set()
-    for e in row:
-        if e:
-            d = e.homogeneity()
-            degs |= d.degrees if isinstance(d, Mixed) else {d}
+    degs = homogeneity_degrees(row)
     if not degs:
         zero = EnvElement.zero(alg)
         return [zero] * nrows
@@ -485,11 +469,7 @@ def check_row_membership(row, dcm: OperatorMatrix,
 
     unknowns = []   # (dc row index, exponent vector)
     for i in range(nrows):
-        rdegs = set()
-        for e in dcm.entries[i]:
-            if e:
-                d = e.homogeneity()
-                rdegs |= d.degrees if isinstance(d, Mixed) else {d}
+        rdegs = homogeneity_degrees(dcm.entries[i])
         if not rdegs:
             continue
         if len(rdegs) > 1:
@@ -664,7 +644,7 @@ def paper_tensor(cx: RuminComplex, h: int) -> HorizontalTensor:
     if h not in _DISPLAY_COMPONENTS:
         raise DegreeMismatch(f"no stored tensor for degree {h}")
     tensor = _parse_components(cx.algebra, _DISPLAY_COMPONENTS[h])
-    expected_order = _orders(cx)[h]
+    expected_order = homogeneous_dc_orders(cx)[h]
     if tensor.order != expected_order:
         raise DegreeMismatch(
             f"stored tensor order {tensor.order} != d_c order {expected_order}")

@@ -1,35 +1,32 @@
-"""Hodge-Laplacian families on the intrinsic complex of the Cartan group.
+"""Hodge-Laplacian families on the intrinsic complex, derived from d_c.
 
-Three families act on E0^h, written with the intrinsic differential d = d_c
-and codifferential delta = delta_c (both zero maps past the boundary
-degrees):
+The families act on E0^h, written with d = d_c and delta = delta_c, on any
+group where d_c has one homogeneous order a_h in each degree h < n.  At
+degree h the blocks are d delta, of order 2 a_{h-1} (h > 0), and delta d,
+of order 2 a_h (h < n); each family sums them, brought to a target order:
 
-* ``G``: (delta d)^6 at h=0, (d delta)^6+(delta d)^2 at h=1,
-  (d delta)^2+(delta d)^3 at h=2, the mirrored recipes above, all of
-  homogeneous order 12;
-* ``R``: (d delta)^3 + delta d at h=0,1 (so minus the sub-Laplacian on
-  functions), (d delta)^2+(delta d)^3 at h=2 and mirrored, of orders
-  (2, 6, 12, 12, 6, 2);
-* ``A``: like ``R`` except at h=2,3 where the auxiliary diagonal operator
-  A = -(X1^2+X2^2) I_3 is inserted to flatten the order to 6:
-  d delta + delta A d at h=2 and d A delta + delta d at h=3, giving
-  orders (2, 6, 6, 6, 6, 2).
+* ``R``: the lcm of the degree's block orders;
+* ``G``: the lcm of the block orders over all degrees;
+* ``A``: the largest block order of the degree.
 
-The recipes are specific to the five-dimensional step-3 group; other
-groups are rejected.
+A block whose order divides the target is raised to the quotient power;
+otherwise A = -(sum_{X_i in V1} X_i^2) I is inserted k = (target - order)/2
+times in its middle, as delta A^k d or d A^k delta.  On the Heisenberg
+group H_m this makes R Rumin's Laplacian.  A group whose d_c mixes orders
+in some degree raises UnsupportedGroup.
 
 Each Laplacian is built once per complex and cached on it by (family, h);
-the group, family and degree are checked on every call, cached or not.
-Every recipe at degree h is a sum of powers of the blocks delta d and
-d delta of that degree (or the A sandwich), so the block powers are
-memoized too, P^p as P^(p-1) @ P, and the families share them: G and R
-have the same recipes at h=2,3, A equals R away from h=2,3, and G1's
-(d delta)^6 passes through R1's (d delta)^3.  No recipe uses a block of
-another degree, so the power memo holds only the degree requested last;
-keeping every degree's powers would raise the peak memory for no reuse.
+the family and degree are checked on every call, cached or not.  The block
+powers are memoized too, P^p as P^(p-1) @ P, and the families share them:
+G's powers pass through R's where the orders divide.  No recipe uses a
+block of another degree, so the power memo holds only the degree requested
+last; keeping every degree's powers would raise the peak memory for no
+reuse.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .env import EnvElement
 from .rumin import OperatorMatrix, RuminComplex
@@ -41,26 +38,53 @@ class UnsupportedGroup(ValueError):
 
 FAMILIES = ("G", "R", "A")
 
-EXPECTED_ORDERS = {
-    "G": (12, 12, 12, 12, 12, 12),
-    "R": (2, 6, 12, 12, 6, 2),
-    "A": (2, 6, 6, 6, 6, 2),
-}
+
+def homogeneous_dc_orders(cx: RuminComplex) -> tuple:
+    """The order a_h of d_c on E0^h for each h < n, if each is one order."""
+    orders = cx.dc_orders()
+    for h, a in enumerate(orders):
+        if not isinstance(a, int):    # Mixed, or None for a zero matrix
+            raise UnsupportedGroup(
+                f"d_c at degree {h} is not globally homogeneous: "
+                f"{sorted(getattr(a, 'degrees', ()))}")
+    return orders
 
 
-def _require_cartan(cx: RuminComplex):
-    if not cx.algebra.is_cartan_table():
-        raise UnsupportedGroup(
-            "the Laplacian families are defined for the Cartan group only")
+def _block_orders(orders, h: int) -> dict:
+    """Orders of the blocks at degree h: "ddl" is d delta, "dd" delta d."""
+    out = {}
+    if h > 0:
+        out["ddl"] = 2 * orders[h - 1]
+    if h < len(orders):
+        out["dd"] = 2 * orders[h]
+    return out
+
+
+def target_order(orders, family: str, h: int) -> int:
+    """Homogeneous order of the family's Laplacian at degree h."""
+    if family == "G":
+        return 2 * lcm(*orders)
+    blocks = _block_orders(orders, h).values()
+    return lcm(*blocks) if family == "R" else max(blocks)
+
+
+def recipe(orders, family: str, h: int) -> list:
+    """The terms (kind, p, k) at degree h: a block to the power p, or the
+    block padded in its middle by A^k."""
+    target = target_order(orders, family, h)
+    return [(kind, target // o, 0) if target % o == 0
+            else (kind, 1, (target - o) // 2)
+            for kind, o in _block_orders(orders, h).items()]
 
 
 def a_delta(cx: RuminComplex, h: int) -> OperatorMatrix:
-    """The auxiliary operator -(X1^2 + X2^2) I_3 acting on E0^h, h in {2,3}."""
-    _require_cartan(cx)
-    if h not in (2, 3):
-        raise ValueError("the auxiliary diagonal operator acts on 2- and 3-forms")
+    """The auxiliary operator -(sum of X_i^2 over V1) I acting on E0^h."""
     alg = cx.algebra
-    sub = EnvElement.parse(alg, "-X1^2 - X2^2")
+    if not 0 <= h <= alg.n:
+        raise ValueError(f"degree {h} out of range")
+    sub = EnvElement.zero(alg)
+    for i in alg.layer(1):
+        sub = sub + EnvElement.from_word(alg, (i, i), -1)
     zero = EnvElement.zero(alg)
     n = len(cx.E0(h))
     entries = [[sub if i == j else zero for j in range(n)] for i in range(n)]
@@ -68,37 +92,11 @@ def a_delta(cx: RuminComplex, h: int) -> OperatorMatrix:
     return OperatorMatrix(alg, entries, w, w)
 
 
-# Each recipe is a sum of block powers (kind, p) at its degree h: "dd" is
-# delta_{h+1} d_h, "ddl" is d_{h-1} delta_h, and "dAd" is the sandwich with
-# the auxiliary operator, delta A d at h=2 and d A delta at h=3.
-RECIPES = {
-    "G": ((("dd", 6),),
-          (("ddl", 6), ("dd", 2)),
-          (("ddl", 2), ("dd", 3)),
-          (("ddl", 3), ("dd", 2)),
-          (("dd", 6), ("ddl", 2)),
-          (("ddl", 6),)),
-    "R": ((("ddl", 3), ("dd", 1)),
-          (("ddl", 3), ("dd", 1)),
-          (("ddl", 2), ("dd", 3)),
-          (("ddl", 3), ("dd", 2)),
-          (("ddl", 1), ("dd", 3)),
-          (("ddl", 1), ("dd", 3))),
-    "A": ((("ddl", 3), ("dd", 1)),
-          (("ddl", 3), ("dd", 1)),
-          (("ddl", 1), ("dAd", 1)),
-          (("dAd", 1), ("dd", 1)),
-          (("ddl", 1), ("dd", 3)),
-          (("ddl", 1), ("dd", 3))),
-}
-
-
 def laplacian(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
     """Fully expanded, PBW-normalized Laplacian matrix of the family at h."""
-    _require_cartan(cx)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if not 0 <= h <= 5:
+    if not 0 <= h <= cx.algebra.n:
         raise ValueError(f"degree {h} out of range")
     key = (family, h)
     if key not in cx._laplacians:
@@ -107,7 +105,8 @@ def laplacian(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
 
 
 def _build(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
-    terms = [_block_power(cx, h, kind, p) for kind, p in RECIPES[family][h]]
+    terms = [_block(cx, h, kind, k) if k else _block_power(cx, h, kind, p)
+             for kind, p, k in recipe(homogeneous_dc_orders(cx), family, h)]
     return sum(terms[1:], terms[0])
 
 
@@ -129,29 +128,25 @@ def _block_power(cx: RuminComplex, h: int, kind: str, p: int):
     return memo[key]
 
 
-def _block(cx: RuminComplex, h: int, kind: str) -> OperatorMatrix:
+def _block(cx: RuminComplex, h: int, kind: str, k: int = 0) -> OperatorMatrix:
+    """delta A^k d (kind "dd") or d A^k delta (kind "ddl") at degree h."""
     d, dl = cx.dc_matrix, cx.deltac_matrix
-    if kind == "dAd":
-        if h == 2:
-            return dl(3) @ a_delta(cx, 3) @ d(2)
-        return d(2) @ a_delta(cx, 2) @ dl(3)
-    if kind == "dd" and h < cx.algebra.n:
-        return dl(h + 1) @ d(h)
-    if kind == "ddl" and h > 0:
-        return d(h - 1) @ dl(h)
-    # delta d past the top degree and d delta on functions are zero
-    w = cx.E0(h).weights
-    return OperatorMatrix.zeros(cx.algebra, len(w), len(w), w, w)
+    outer, inner, mid = ((dl(h + 1), d(h), h + 1) if kind == "dd"
+                         else (d(h - 1), dl(h), h - 1))
+    for _ in range(k):
+        outer = outer @ a_delta(cx, mid)
+    return outer @ inner
 
 
 def laplacian_table(cx: RuminComplex) -> dict:
-    """Every family's Laplacians as {family: [degree 0..5]}.
+    """Every family's Laplacians as {family: [degree 0..n]}.
 
     Built degree by degree, so each degree's block powers are computed once
     and shared by the three families.
     """
-    laps = {fam: [None] * 6 for fam in FAMILIES}
-    for h in range(6):
+    degrees = range(cx.algebra.n + 1)
+    laps = {fam: [None] * len(degrees) for fam in FAMILIES}
+    for h in degrees:
         for fam in FAMILIES:
             laps[fam][h] = laplacian(cx, fam, h)
     return laps
@@ -159,7 +154,7 @@ def laplacian_table(cx: RuminComplex) -> dict:
 
 def order_table(cx: RuminComplex, family: str):
     return tuple(laplacian(cx, family, h).homogeneous_order()
-                 for h in range(6))
+                 for h in range(cx.algebra.n + 1))
 
 
 def verify_self_adjoint(m: OperatorMatrix) -> dict:

@@ -34,7 +34,8 @@ import json
 
 from . import linalg
 from .env import (EnvElement, Mixed, ZeroElement, _common_denominator,
-                  _from_acc, _integral, _mul_into, _scale_into)
+                  _from_acc, _integral, _mul_into, _scale_into,
+                  homogeneity_degrees)
 from .exterior import (CovectorMap, Form, OperatorForm, covectors,
                        d0_covector, d_terms, terms_of, tuple_weight)
 
@@ -201,13 +202,7 @@ class OperatorMatrix:
 
     def orders(self):
         """Set of homogeneity degrees over the nonzero entries."""
-        degs = set()
-        for row in self.entries:
-            for e in row:
-                if e:
-                    d = e.homogeneity()
-                    degs |= d.degrees if isinstance(d, Mixed) else {d}
-        return degs
+        return homogeneity_degrees(e for row in self.entries for e in row)
 
     def homogeneous_order(self):
         degs = self.orders()

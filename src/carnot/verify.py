@@ -265,8 +265,7 @@ def verify_cartan(cx: RuminComplex, report: Report, golden: dict,
     for h_str, rows in golden["star"].items():
         h = int(h_str)
         computed = cx.star_matrix(h)
-        as_fracs = [[c.as_rational() for c in row] for row in computed]
-        if [[int(x) for x in row] for row in as_fracs] != rows:
+        if [[c.as_rational() for c in row] for row in computed] != rows:
             ok = False
     report.add("golden-star-matrices", ok)
 
@@ -330,7 +329,7 @@ def verify_cartan(cx: RuminComplex, report: Report, golden: dict,
     signs = {}
     for fam in laplacians.FAMILIES:
         fam_signs = []
-        for h in range(6):
+        for h in range(alg.n + 1):
             s = laplacians.star_duality_sign(cx, fam, h)
             fam_signs.append(s)
             if s is None:
@@ -445,8 +444,10 @@ def regenerate_golden(cx: RuminComplex) -> dict:
         out["deltac"][str(h)] = [[e.render() for e in row]
                                  for row in cx.deltac_matrix(h).entries]
     for h in (1, 2, 3, 4):
-        out["star"][str(h)] = [[int(c.as_rational()) for c in row]
-                               for row in cx.star_matrix(h)]
+        star = [[c.as_rational() for c in row] for row in cx.star_matrix(h)]
+        if any(q.denominator != 1 for row in star for q in row):
+            raise ValueError(f"star matrix {h} has a non-integral entry")
+        out["star"][str(h)] = [[int(q) for q in row] for row in star]
     for fam, mats in laplacians.laplacian_table(cx).items():
         out["laplacian_orders"][fam] = [m.homogeneous_order() for m in mats]
     for h in (1, 2, 3):

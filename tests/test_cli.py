@@ -92,16 +92,45 @@ def test_exponents_unsupported_group(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("laplacian", "--family", "G", "--degree", "1"),
-     "the Laplacian families are defined for the Cartan group only"),
-    (("exponents", "--theorem", "H2"), "exponent tables are Cartan-specific"),
-    (("tensors",), "stored tensors are Cartan-specific"),
+    (("laplacian", "--family", "G", "--degree", "1", "--group", "free:3,2"),
+     "d_c at degree 2 is not globally homogeneous: [1, 2]"),
+    (("exponents", "--theorem", "H2", "--group", "free:2,2"),
+     "exponent tables are Cartan-specific"),
+    (("tensors", "--group", "free:2,2"), "stored tensors are Cartan-specific"),
 ])
 def test_cartan_only_commands_reject_other_groups(capsys, argv, message):
-    code, out, err = run(capsys, *argv, "--group", "free:2,2")
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_laplacian_on_heisenberg_group_file(capsys, tmp_path):
+    h2 = tmp_path / "H2.json"
+    h2.write_text(json.dumps({
+        "layers": [4, 1],
+        "brackets": {"1,3": {"5": "1"}, "2,4": {"5": "1"}}}))
+    argv = ("laplacian", "--family", "R", "--degree", "2", "--format", "json")
+    code, out, _ = run(capsys, *argv, "--group", str(h2))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == 4
+    assert payload["self_adjoint"] is True
+    code, out, err = run(capsys, *argv, "--group", "free:3,2")
+    assert code == 2
+    assert out == ""
+    assert "d_c at degree 2 is not globally homogeneous" in err
+
+
+def test_parser_built_once(capsys):
+    from carnot import cli
+
+    cli.build_parser.cache_clear()
+    first = run(capsys, "build", "--group", "free:2,2")
+    second = run(capsys, "build", "--group", "free:2,2")
+    assert cli.build_parser.cache_info().misses == 1
+    assert first == second
+    assert first[0] == 0
 
 
 def test_tensors_json(capsys):

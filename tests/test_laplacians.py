@@ -1,15 +1,23 @@
 import hashlib
 import json
+import re
 
 import pytest
 
 from carnot.env import EnvElement
-from carnot.laplacians import (EXPECTED_ORDERS, UnsupportedGroup, a_delta,
-                               hodge_conjugate, laplacian, order_table,
-                               star_duality_sign, verify_homogeneous_order,
-                               verify_self_adjoint)
-from carnot.liealg import cartan_group, free_nilpotent
+from carnot.laplacians import (UnsupportedGroup, a_delta, hodge_conjugate,
+                               homogeneous_dc_orders, laplacian, order_table,
+                               recipe, star_duality_sign, target_order,
+                               verify_homogeneous_order, verify_self_adjoint)
+from carnot.liealg import StratifiedLieAlgebra, cartan_group, free_nilpotent
 from carnot.rumin import OperatorMatrix, RuminComplex
+
+# the orders of the three families on the Cartan group, as published
+EXPECTED_ORDERS = {
+    "G": (12, 12, 12, 12, 12, 12),
+    "R": (2, 6, 12, 12, 6, 2),
+    "A": (2, 6, 6, 6, 6, 2),
+}
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +80,10 @@ def test_a_delta_shape_and_degree(cx):
     m = a_delta(cx, 2)
     assert m.shape == (3, 3)
     assert m.homogeneous_order() == 2
-    with pytest.raises(ValueError):
-        a_delta(cx, 1)
+    assert a_delta(cx, 1).shape == (2, 2)
+    for h in (-1, 6):
+        with pytest.raises(ValueError):
+            a_delta(cx, h)
 
 
 def test_A2_A3_star_conjugacy(cx, laps):
@@ -109,8 +119,9 @@ def test_G0_is_sixth_power_of_sub_laplacian(cx, laps):
 def test_unsupported_group(cx):
     from carnot import estimates
 
-    other = RuminComplex(free_nilpotent(2, 2))
-    with pytest.raises(UnsupportedGroup):
+    other = RuminComplex(free_nilpotent(3, 2))
+    message = "d_c at degree 2 is not globally homogeneous: [1, 2]"
+    with pytest.raises(UnsupportedGroup, match=re.escape(message)):
         laplacian(other, "A", 0)
     assert estimates.UnsupportedGroup is UnsupportedGroup
     with pytest.raises(UnsupportedGroup):
@@ -119,6 +130,52 @@ def test_unsupported_group(cx):
 
 def test_order_table_helper(cx):
     assert order_table(cx, "A") == (2, 6, 6, 6, 6, 2)
+
+
+def test_derived_orders(cx):
+    orders = homogeneous_dc_orders(cx)
+    assert orders == (1, 3, 2, 3, 1)
+    for fam, expected in EXPECTED_ORDERS.items():
+        assert tuple(target_order(orders, fam, h) for h in range(6)) \
+            == expected
+    # the A family pads delta d at h=2 and d delta at h=3 with one A
+    assert recipe(orders, "A", 2) == [("ddl", 1, 0), ("dd", 1, 1)]
+    assert recipe(orders, "A", 3) == [("ddl", 1, 1), ("dd", 1, 0)]
+
+
+# -- Heisenberg groups -----------------------------------------------------
+
+def heisenberg(m):
+    """H_m from a group file: [X_i, X_{i+m}] = X_{2m+1} for i = 1..m."""
+    top = str(2 * m + 1)
+    return StratifiedLieAlgebra.from_json(json.dumps({
+        "layers": [2 * m, 1],
+        "brackets": {f"{i},{i + m}": {top: "1"} for i in range(1, m + 1)}}))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_heisenberg_R_is_rumin_laplacian(m):
+    cx = RuminComplex(heisenberg(m))
+    n = cx.algebra.n
+    d, dl = cx.dc_matrix, cx.deltac_matrix
+    for h in range(n + 1):
+        terms = []
+        if h > 0:
+            ddl = d(h - 1) @ dl(h)
+            terms.append(ddl @ ddl if h == m else ddl)
+        if h < n:
+            dd = dl(h + 1) @ d(h)
+            terms.append(dd @ dd if h == m + 1 else dd)
+        want = terms[0] + terms[1] if len(terms) == 2 else terms[0]
+        assert laplacian(cx, "R", h) == want, h
+    middle = (2,) * m + (4, 4) + (2,) * m
+    assert order_table(cx, "R") == order_table(cx, "A") == middle
+    assert order_table(cx, "G") == (4,) * (n + 1)
+    for fam in ("A", "R", "G"):
+        for h in range(n + 1):
+            rep = verify_self_adjoint(laplacian(cx, fam, h))
+            assert rep["applicable"] and rep["self_adjoint"], (fam, h)
+            assert star_duality_sign(cx, fam, h) == 1, (fam, h)
 
 
 # -- the per-complex cache -------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from carnot.exterior import OperatorForm
 from carnot.liealg import cartan_group, free_nilpotent
 from carnot.rumin import RuminComplex
 from carnot.verify import (Report, golden_form, golden_matrix, load_golden,
-                           regenerate_golden, run_verify)
+                           regenerate_golden, run_verify, verify_cartan)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,29 @@ def test_regenerated_golden_parse_equals_committed(cx):
 
 def _statuses(rep):
     return {c["name"]: c["status"] for c in rep.checks}
+
+
+def test_golden_star_compares_exact_entries(monkeypatch):
+    """A computed star entry 1/2 where the reference holds 0 is a failure,
+    and the reference file is never regenerated from it."""
+    star = RuminComplex.star_matrix
+
+    def halved(self, h):
+        rows = [list(row) for row in star(self, h)]
+        if h == 2:
+            rows[0][0] = self.algebra.field(Fraction(1, 2))
+        return rows
+
+    fresh = RuminComplex(cartan_group())
+    for h in range(1, 6):    # delta_c is built from the true star
+        fresh.deltac_matrix(h)
+    monkeypatch.setattr(RuminComplex, "star_matrix", halved)
+    assert load_golden()["star"]["2"][0][0] == 0
+    report = Report()
+    verify_cartan(fresh, report, load_golden(), fast=True)
+    assert _statuses(report)["golden-star-matrices"] == "fail"
+    with pytest.raises(ValueError, match="star matrix 2 has a non-integral"):
+        regenerate_golden(fresh)
 
 
 def test_structural_checks_report(cx):
