@@ -13,12 +13,22 @@ Every product runs through one kernel that works on raw coefficients, not on
 :class:`Scalar` objects, because building and copying scalars, not the
 algebra, is what costs time in products of order up to 12:
 
-* **Cache layout.**  The normal form of every word (``alg._nf_cache``, keyed
-  by the word) and of every product of two monomials (``alg._prod_cache``,
-  keyed by the pair of exponent vectors) is cached on the algebra as a flat
-  map ``{(exponent, mask): coeff}``.  ``coeff`` is the plain ``int`` or
-  ``Fraction`` coefficient of the tower basis element ``mask``, in the
-  canonical form of ``Scalar.terms``.  The rewriting step adds
+* **Collection by one generator.**  ``_product(alg, a, e_j)`` is the
+  normal form of ``X^a X_j``.  When the last generator ``X_k`` of ``X^a``
+  comes after ``X_j`` it is ``(X^{a-e_k} X_j) X_k`` minus the bracket
+  ``[X_j, X_k]`` multiplied in after ``X^{a-e_k}``; each part is again a
+  product of a normal monomial with one generator.  A general product
+  ``X^a X^b``, and the normal form of a word, multiply the generators of
+  the right factor in one at a time, adding into one flat accumulator.
+* **Cache layout.**  Normal forms are flat maps ``{(exponent, mask):
+  coeff}``: ``coeff`` is the plain ``int`` or ``Fraction`` coefficient of
+  the tower basis element ``mask``, in the canonical form of
+  ``Scalar.terms``.  ``alg._prod_cache`` holds every product of two normal
+  monomials computed, keyed by the pair of exponent vectors; the products
+  with one generator among them are what the collection reuses.
+  ``alg._nf_cache`` holds only the words asked for by ``from_word`` and
+  ``formal_adjoint``, keyed by the word.  Multiplying a term
+  ``c1 * basis[m1]`` by ``c2 * basis[m2]`` adds
   ``c1 * c2 * (product of the radicands in m1 & m2)`` at mask ``m1 ^ m2``
   directly, so filling the caches builds no scalar.
 * **Fused accumulation.**  ``_mul_into`` adds a product ``a*b`` into one
@@ -115,54 +125,75 @@ def _add_into(rad, acc: dict, nf: dict, c, m: int):
         acc[key] = x if old is None else old + x
 
 
+def _flat(terms: dict) -> dict:
+    """The flat {(exponent, mask): coeff} map of EnvElement terms."""
+    return {(exp, m): v for exp, s in terms.items() for m, v in s.terms.items()}
+
+
 def _scale_into(rad, acc: dict, terms: dict, c: dict):
     """Add c * u into ``acc`` in place; ``terms`` is u's {exponent: Scalar}
     map and ``c`` the raw {mask: coeff} terms of a scalar."""
-    nf = {(exp, m): v for exp, s in terms.items() for m, v in s.terms.items()}
+    nf = _flat(terms)
     for m, v in c.items():
         _add_into(rad, acc, nf, v, m)
 
 
+def _fold(alg: StratifiedLieAlgebra, acc: dict, word) -> dict:
+    """The flat accumulator ``acc`` times X_{w1} ... X_{wk}, one generator
+    at a time; sums that cancel stay in it as zeros."""
+    rad = alg.field.radicands
+    cache = alg._prod_cache
+    for g in word:
+        e = _unit(alg.n, g - 1)
+        out: dict = {}
+        for (exp, m), c in acc.items():
+            if c:
+                prod = cache.get((exp, e))
+                if prod is None:
+                    prod = _product(alg, exp, e)
+                _add_into(rad, out, prod, c, m)
+        acc = out
+    return acc
+
+
+def _stored(acc: dict) -> dict:
+    """A normal form to cache: canonical coefficients, zeros dropped."""
+    return {key: _q(v) for key, v in acc.items() if v}
+
+
 def _normalize_word(alg: StratifiedLieAlgebra, word: tuple) -> dict:
     """Normal form of X_{w1} ... X_{wk} as a flat {(exponent, mask): coeff}."""
-    cache = alg._nf_cache
-    hit = cache.get(word)
-    if hit is not None:
-        return hit
-    descent = next((t for t in range(len(word) - 1)
-                    if word[t] > word[t + 1]), None)
-    if descent is None:
-        exp = [0] * alg.n
-        for i in word:
-            exp[i - 1] += 1
-        result = {(tuple(exp), 0): 1}
-    else:
-        t = descent
-        a, b = word[t], word[t + 1]
-        out = dict(_normalize_word(alg, word[:t] + (b, a) + word[t + 2:]))
-        rad = alg.field.radicands
-        # [X_a, X_b] with a > b equals minus the stored bracket of (b, a)
-        for k, c in alg.bracket_basis(b, a).items():
-            sub = _normalize_word(alg, word[:t] + (k,) + word[t + 2:])
-            for m, v in c.terms.items():
-                _add_into(rad, out, sub, -v, m)
-        result = {key: _q(v) for key, v in out.items() if v}
-    cache[word] = result
-    return result
+    nf = alg._nf_cache.get(word)
+    if nf is None:
+        nf = alg._nf_cache[word] = _stored(
+            _fold(alg, {((0,) * alg.n, 0): 1}, word))
+    return nf
 
 
 def _product(alg: StratifiedLieAlgebra, i_exp: tuple, j_exp: tuple) -> dict:
     """Normal form of X^i_exp X^j_exp, flat as in ``_normalize_word``."""
     key = (i_exp, j_exp)
     prod = alg._prod_cache.get(key)
-    if prod is None:
-        last = next((k for k in range(alg.n - 1, -1, -1) if i_exp[k]), None)
-        first = next((k for k in range(alg.n) if j_exp[k]), None)
-        if last is None or first is None or last <= first:
-            prod = {(tuple(a + b for a, b in zip(i_exp, j_exp)), 0): 1}
-        else:
-            prod = _normalize_word(alg, _word_of(i_exp) + _word_of(j_exp))
-        alg._prod_cache[key] = prod
+    if prod is not None:
+        return prod
+    last = next((k for k in range(alg.n - 1, -1, -1) if i_exp[k]), None)
+    first = next((k for k in range(alg.n) if j_exp[k]), None)
+    if last is None or first is None or last <= first:
+        prod = {(tuple(a + b for a, b in zip(i_exp, j_exp)), 0): 1}
+    elif sum(j_exp) == 1:
+        # X^a X_j = (X^rest X_j) X_k - sum_l c_l X^rest X_l, where X_k is
+        # the last generator of X^a = X^rest X_k and c the bracket (j, k)
+        rest = i_exp[:last] + (i_exp[last] - 1,) + i_exp[last + 1:]
+        rad = alg.field.radicands
+        acc = _fold(alg, _product(alg, rest, j_exp), (last + 1,))
+        for l, c in alg.brackets.get((first + 1, last + 1), {}).items():
+            sub = _product(alg, rest, _unit(alg.n, l - 1))
+            for m, v in c.terms.items():
+                _add_into(rad, acc, sub, -v, m)
+        prod = _stored(acc)
+    else:
+        prod = _stored(_fold(alg, {(i_exp, 0): 1}, _word_of(j_exp)))
+    alg._prod_cache[key] = prod
     return prod
 
 
@@ -223,6 +254,11 @@ def _common_denominator(elements) -> int:
                 if type(c) is not int:
                     d = lcm(d, c.denominator)
     return d
+
+
+def _unit(n: int, k: int) -> tuple:
+    """The exponent vector of the generator X_{k+1}."""
+    return (0,) * k + (1,) + (0,) * (n - k - 1)
 
 
 def _word_of(exp: tuple) -> tuple:

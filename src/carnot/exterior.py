@@ -19,7 +19,7 @@ theta_i ^ theta_j, weight preserving) and d_l adds one derivative along
 the l-th layer, raising the weight by l.
 
 The OperatorForm builders (``d_terms`` behind ``d0``, ``d_layer`` and
-``d_full``, ``pair_multivector`` and ``CovectorMap.apply_into``) add every
+``d_full``, ``pair_multivectors`` and ``CovectorMap.apply_into``) add every
 term into one flat {(exponent, mask): coeff} accumulator per output key with
 the product kernel of :mod:`carnot.env`, and ``terms_of`` builds each output
 operator once: summing EnvElements term by term would copy the partial sum
@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .env import (EnvElement, _common_denominator, _from_acc, _integral,
-                  _mul_into, _scale_into)
+from .env import (EnvElement, _add_into, _common_denominator, _flat,
+                  _from_acc, _integral, _mul_into, _scale_into)
 from .liealg import StratifiedLieAlgebra
 from .scalars import Scalar
 
@@ -382,13 +382,26 @@ class OperatorForm:
 
     def pair_multivector(self, mv: dict) -> list:
         """<form, multivector> per slot; mv maps index tuples to Scalars."""
+        return self.pair_multivectors([mv])[0]
+
+    def pair_multivectors(self, mvs) -> list:
+        """``pair_multivector`` of each multivector in ``mvs``.  The terms
+        are grouped by covector and flattened once, so each multivector
+        visits only the terms of its own covectors."""
         alg = self.algebra
-        accs = [{} for _ in range(self.slots)]
+        rad = alg.field.radicands
+        by_covector: dict = {}
         for (t, slot), u in self.terms.items():
-            c = mv.get(t)
-            if c is not None:
-                _scale_into(alg.field.radicands, accs[slot], u.terms, c.terms)
-        return [_from_acc(alg, acc) for acc in accs]
+            by_covector.setdefault(t, []).append((slot, _flat(u.terms)))
+        rows = []
+        for mv in mvs:
+            accs = [{} for _ in range(self.slots)]
+            for t, c in mv.items():
+                for slot, nf in by_covector.get(t, ()):
+                    for m, v in c.terms.items():
+                        _add_into(rad, accs[slot], nf, v, m)
+            rows.append([_from_acc(alg, acc) for acc in accs])
+        return rows
 
     def render(self) -> str:
         if not self.terms:

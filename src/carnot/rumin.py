@@ -31,6 +31,7 @@ formal-adjoint transpose).
 from __future__ import annotations
 
 import json
+import re
 
 from . import linalg
 from .env import (EnvElement, Mixed, ZeroElement, _common_denominator,
@@ -114,7 +115,8 @@ class OperatorMatrix:
 
     def __add__(self, other):
         m, n = self.shape
-        assert other.shape == (m, n)
+        if other.shape != (m, n):
+            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
         return OperatorMatrix(
             self.algebra,
             [[self.entries[i][j] + other.entries[i][j] for j in range(n)]
@@ -153,7 +155,8 @@ class OperatorMatrix:
         """
         k = self.shape[1]
         k2, n = other.shape
-        assert k == k2, f"shape mismatch {self.shape} @ {other.shape}"
+        if k != k2:
+            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         alg = self.algebra
         m = len(self.entries)
         accs = [[{} for _ in range(n)] for _ in range(m)]
@@ -238,10 +241,9 @@ class OperatorMatrix:
 
 
 def _latex_env(e: EnvElement) -> str:
-    s = e.render()
-    s = s.replace("sqrt(2)", "\\sqrt{2}")
-    for i in range(9, 0, -1):
-        s = s.replace(f"X{i}", f"X_{i}")
+    s = re.sub(r"sqrt\((\d+)\)", r"\\sqrt{\1}", e.render())
+    s = re.sub(r"X(\d+)", lambda m: f"X_{m[1]}" if len(m[1]) == 1
+               else f"X_{{{m[1]}}}", s)
     return s.replace("*", " ")
 
 
@@ -388,7 +390,7 @@ class RuminComplex:
             h = form.degree
         basis = self.E0(h)
         if isinstance(form, OperatorForm):
-            return [form.pair_multivector(xi.terms) for xi in basis]
+            return form.pair_multivectors([xi.terms for xi in basis])
         return [xi.inner(form) for xi in basis]
 
     # -- intrinsic differential ----------------------------------------------

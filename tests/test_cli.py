@@ -76,6 +76,17 @@ def test_json_matrix_round_trip(capsys):
     assert parsed == cx.dc_matrix(1).entries
 
 
+def test_latex_braces_long_indices_and_every_radicand(capsys):
+    # free:4,2 has the generator X10 and the radicands 2 and 6 in d_c
+    code, out, _ = run(capsys, "dc", "--group", "free:4,2", "--degree", "1",
+                       "--format", "latex")
+    assert code == 0
+    assert "X_{10}" in out and "X_1 X_2" in out
+    assert "X_10" not in out and "X10" not in out
+    assert "\\sqrt{6}" in out and "\\sqrt{2}" in out
+    assert "sqrt(" not in out
+
+
 def test_deterministic_output(capsys):
     code1, out1, _ = run(capsys, "exponents", "--theorem", "H2sum",
                          "--format", "json")

@@ -5,7 +5,9 @@ coefficients over a common denominator; these tests check them against
 references that do not share that kernel: the coordinate realization of the
 Cartan group, entrywise sums of single products, associativity and the
 anti-homomorphism law of the formal adjoint on a group whose brackets are
-fractional and irrational.  The exterior builders (d, d0^{-1}, Pi_E, Pi_E0,
+fractional and irrational.  The one-generator collection behind every normal
+form is checked against the descent rewriting, written here without a cache
+and with Scalar arithmetic.  The exterior builders (d, d0^{-1}, Pi_E, Pi_E0,
 the pairings and the row expansion) and products with a constant factor
 accumulate in flat dicts as well; they are checked against references
 written here with plain EnvElement ``*``, ``.scale`` and ``+``.
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnot.coords import Polynomial, coordinate_apply
-from carnot.env import EnvElement
+from carnot.env import EnvElement, _normalize_word, _product, _word_of
 from carnot.exterior import (OperatorForm, covectors, d0_covector, d_terms,
                              merge_wedge, tuple_weight)
 from carnot.liealg import StratifiedLieAlgebra, cartan_group, free_nilpotent
@@ -32,10 +34,11 @@ PROPERTY = settings(max_examples=40, derandomize=True, database=None,
 CARTAN = cartan_group(ScalarField([2]))
 # a step-3 group with fractional and irrational structure constants; the
 # Jacobi identity holds for any constants on this bracket pattern
-SKEW = StratifiedLieAlgebra.from_json({
-    "layers": [2, 1, 2], "sqrt": [2],
-    "brackets": {"1,2": {"3": "1/2*sqrt(2)"}, "1,3": {"4": "2/3"},
-                 "2,3": {"5": "sqrt(2)"}}})
+SKEW_SPEC = {"layers": [2, 1, 2], "sqrt": [2],
+             "brackets": {"1,2": {"3": "1/2*sqrt(2)"}, "1,3": {"4": "2/3"},
+                          "2,3": {"5": "sqrt(2)"}}}
+SKEW = StratifiedLieAlgebra.from_json(SKEW_SPEC)
+H3_BRACKETS = {(i, i + 3): {7: 1} for i in range(1, 4)}
 POLY = "x1^3*x2^2*x3 + x1*x4*x5 + 2*x2^3*x5 - x3^2*x4 + x2*x3*x5^2"
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]))
@@ -119,11 +122,66 @@ def test_irrational_bracket_normal_form():
     assert_canonical(SKEW, comm * comm)
 
 
+# -- the normal-form kernel -------------------------------------------------
+
+KERNEL_GROUPS = {
+    "cartan": lambda: cartan_group(ScalarField([2])),
+    "free-2-4": lambda: free_nilpotent(2, 4),
+    "H3": lambda: StratifiedLieAlgebra((6, 1), H3_BRACKETS),
+    "skew": lambda: StratifiedLieAlgebra.from_json(SKEW_SPEC)}
+
+
+def ref_normal_form(alg, word):
+    """{exponent: Scalar} normal form of a word, by rewriting its first
+    descent X_a X_b = X_b X_a + [X_a, X_b] (a > b); no cache."""
+    t = next((t for t in range(len(word) - 1) if word[t] > word[t + 1]), None)
+    if t is None:
+        return {tuple(word.count(i) for i in range(1, alg.n + 1)):
+                alg.field.one()}
+    a, b = word[t], word[t + 1]
+    out = ref_normal_form(alg, word[:t] + (b, a) + word[t + 2:])
+    for k, c in alg.bracket_basis(a, b).items():
+        sub = ref_normal_form(alg, word[:t] + (k,) + word[t + 2:])
+        for exp, v in sub.items():
+            out[exp] = out.get(exp, alg.field.zero()) + c * v
+    return {exp: s for exp, s in out.items() if s}
+
+
+def flat(nf):
+    return {(exp, m): v for exp, s in nf.items() for m, v in s.terms.items()}
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+@PROPERTY
+@given(st.data())
+def test_kernel_matches_descent_rewriting(name, data):
+    alg = KERNEL_GROUPS[name]()     # empty caches: the collection runs cold
+    gens = st.integers(1, alg.n)
+    word = tuple(data.draw(st.lists(gens, max_size=6)))
+    assert _normalize_word(alg, word) == flat(ref_normal_form(alg, word))
+    exps = st.lists(gens, max_size=3).map(
+        lambda w: tuple(w.count(i) for i in range(1, alg.n + 1)))
+    a, b = data.draw(exps), data.draw(exps)
+    assert _product(alg, a, b) \
+        == flat(ref_normal_form(alg, _word_of(a) + _word_of(b)))
+    assert_canonical(alg)
+
+
+def test_nf_cache_holds_requested_words_only():
+    alg = cartan_group()
+    x = EnvElement.monomial(alg, (0, 1, 2, 0, 0))
+    y = EnvElement.monomial(alg, (2, 1, 0, 1, 0), 3)
+    assert x * y
+    assert alg._nf_cache == {}
+    EnvElement.monomial(alg, (1, 1, 1, 0, 0)).formal_adjoint()
+    assert list(alg._nf_cache) == [(3, 2, 1)]
+
+
 # -- exterior builders and constant factors ---------------------------------
 
 BUILDERS = settings(PROPERTY, max_examples=12)
 
-H3 = StratifiedLieAlgebra((6, 1), {(i, i + 3): {7: 1} for i in range(1, 4)})
+H3 = StratifiedLieAlgebra((6, 1), H3_BRACKETS)
 COMPLEXES = {"cartan": RuminComplex(CARTAN),
              "free-3-2": RuminComplex(free_nilpotent(3, 2)),
              "H3": RuminComplex(H3), "skew": RuminComplex(SKEW)}

@@ -6,7 +6,7 @@ import pytest
 from carnot.env import EnvElement
 from carnot.exterior import Form, OperatorForm
 from carnot.liealg import StratifiedLieAlgebra, cartan_group, free_nilpotent
-from carnot.rumin import RuminComplex, SpanMismatch
+from carnot.rumin import OperatorMatrix, RuminComplex, SpanMismatch
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +200,15 @@ def test_operator_matrix_render_round_trip(cx):
     parsed = [[EnvElement.parse(g, cell) for cell in row]
               for row in blob["entries"]]
     assert parsed == m.entries
+
+
+def test_operator_matrix_shape_mismatch_is_value_error(cx):
+    # raised, not asserted, so that it holds under python -O as well
+    a = OperatorMatrix.zeros(cx.algebra, 3, 2)
+    with pytest.raises(ValueError, match=r"\(3, 2\) @ \(3, 2\)"):
+        a @ a
+    with pytest.raises(ValueError, match=r"\(3, 2\) \+ \(2, 3\)"):
+        a + OperatorMatrix.zeros(cx.algebra, 2, 3)
 
 
 def _dc_per_basis_element(cx, h):
