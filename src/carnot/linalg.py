@@ -1,21 +1,25 @@
-"""Exact dense linear algebra over a ScalarField.
+"""Exact sparse linear algebra over a field of exact values.
 
-Matrices are plain lists of lists of Scalars.  Everything here is small
-(at most the size of an exterior-algebra graded piece), so the routines
-favour clarity over asymptotics: fraction-free tricks are unnecessary.
+The entries are Scalars (``Scalar.inverse`` also runs ``_rref`` on
+Fractions).  The public routines take and return lists of lists; inside, a
+row is a ``{column: value}`` dict of its nonzero entries, so the work grows
+with the nonzeros, not with the block size: a d0 weight block has up to a
+hundred or more columns and about two nonzeros per row.  Every result is
+unique (the reduced row-echelon form, the canonical nullspace, Gram-Schmidt
+of an ordered input, the Moore-Penrose inverse) and scalars are canonical,
+so the elimination order does not show in the output.  ``mat_mul`` stays
+dense: it is the independent check of the pseudoinverse identities.
 """
 
 from __future__ import annotations
 
-from .scalars import ScalarField
 
-
-def zeros(field: ScalarField, m: int, n: int):
+def zeros(field, m: int, n: int):
     z = field.zero()
     return [[z] * n for _ in range(m)]
 
 
-def identity(field: ScalarField, n: int):
+def identity(field, n: int):
     out = zeros(field, n, n)
     one = field.one()
     for i in range(n):
@@ -41,45 +45,104 @@ def mat_mul(field, a, b):
     return out
 
 
-def mat_vec(field, a, v):
-    out = []
-    for row in a:
-        s = field.zero()
-        for c, x in zip(row, v):
-            if c and x:
-                s = s + c * x
-        out.append(s)
+# -- sparse rows -------------------------------------------------------------
+
+def _sparse(a):
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def _dense(field, rows, n):
+    out = zeros(field, len(rows), n)
+    for row, out_row in zip(rows, out):
+        for j, x in row.items():
+            out_row[j] = x
     return out
 
 
+def _transpose(rows, n):
+    out = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
+def _add_into(row, f, other):
+    """row += f * other, in place, dropping entries that cancel."""
+    for j, y in other.items():
+        s = row.get(j)
+        s = f * y if s is None else s + f * y
+        if s:
+            row[j] = s
+        else:
+            del row[j]
+
+
+def _dot(u, v):
+    """Dot product of sparse vectors, over the smaller support."""
+    if len(v) < len(u):
+        u, v = v, u
+    return sum(x * v[j] for j, x in u.items() if j in v)
+
+
+def _mul(a, b):
+    """Product of sparse row lists; ``b`` has one row per column of ``a``."""
+    out = []
+    for row in a:
+        acc: dict = {}
+        for t, x in row.items():
+            _add_into(acc, x, b[t])
+        out.append(acc)
+    return out
+
+
+def _rref(rows):
+    """Gauss-Jordan on sparse rows: (pivot rows, pivot columns), by column.
+
+    Rows enter one at a time and the pivot rows stay fully reduced, so a new
+    row is cleared of each pivot column by one subtraction, and a new pivot
+    is cleared from the rows that hold its column.
+    """
+    piv: dict = {}
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in piv]:
+            _add_into(row, -row[c], piv[c])
+        if not row:
+            continue
+        c = min(row)
+        inv = 1 / row[c]
+        row = {j: x * inv for j, x in row.items()}
+        for other in piv.values():
+            f = other.get(c)
+            if f is not None:
+                _add_into(other, -f, row)
+        piv[c] = row
+    pivots = sorted(piv)
+    return [piv[c] for c in pivots], pivots
+
+
+def _inverse(field, rows, n):
+    one = field.one()
+    aug, pivots = _rref([{**row, n + i: one} for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [{j - n: x for j, x in row.items() if j >= n} for row in aug]
+
+
+# -- public routines ---------------------------------------------------------
+
 def rref(field, a):
     """Reduced row-echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in a]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    if not a:
+        return [], []
+    rows, pivots = _rref(_sparse(a))
+    rows += [{}] * (len(a) - len(rows))
+    return _dense(field, rows, len(a[0])), pivots
 
 
 def rank(field, a):
-    return len(rref(field, a)[1])
+    return len(_rref(_sparse(a))[1])
 
 
 def nullspace(field, a, ncols=None):
@@ -88,87 +151,74 @@ def nullspace(field, a, ncols=None):
         if not a:
             raise ValueError("ncols required for an empty matrix")
         ncols = len(a[0])
-    if not a:
-        return [[field.one() if j == i else field.zero() for j in range(ncols)]
-                for i in range(ncols)]
-    rows, pivots = rref(field, a)
+    rows, pivots = _rref(_sparse(a))
     pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [field.zero()] * ncols
-        v[free] = field.one()
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][free]
-        basis.append(v)
-    return basis
+    basis = {free: {free: field.one()} for free in range(ncols)
+             if free not in pivot_set}
+    for row, c in zip(rows, pivots):
+        for j, x in row.items():
+            if j != c:
+                basis[j][c] = -x
+    return _dense(field, list(basis.values()), ncols)
 
 
 def solve(field, a, b):
     """One exact solution of A x = b, or None if inconsistent."""
     if not a:
         return None if any(x for x in b) else []
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    rows, pivots = rref(field, aug)
     ncols = len(a[0])
+    rows, pivots = _rref(_sparse([row + [bv] for row, bv in zip(a, b)]))
     if ncols in pivots:
         return None
     x = [field.zero()] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][ncols]
+    for row, c in zip(rows, pivots):
+        x[c] = row.get(ncols, x[c])
     return x
 
 
 def inverse(field, a):
-    n = len(a)
-    aug = [list(row) + identity(field, n)[i] for i, row in enumerate(a)]
-    rows, pivots = rref(field, aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
+    return _dense(field, _inverse(field, _sparse(a), len(a)), len(a))
 
 
 def pseudoinverse(field, a):
-    """Moore-Penrose pseudoinverse via a full-rank factorization A = C F."""
+    """Moore-Penrose pseudoinverse via a full-rank factorization A = C F.
+
+    A^+ = F^T (F F^T)^-1 (C^T C)^-1 C^T, with C the pivot columns of A and F
+    the nonzero rows of its reduced row-echelon form.
+    """
     m = len(a)
     n = len(a[0]) if a else 0
-    if m == 0 or n == 0:
-        return zeros(field, n, m)
-    rows, pivots = rref(field, a)
+    f, pivots = _rref(_sparse(a))
     r = len(pivots)
     if r == 0:
         return zeros(field, n, m)
-    c = [[a[i][j] for j in pivots] for i in range(m)]        # m x r
-    f = [rows[i] for i in range(r)]                          # r x n
-    ct, ft = transpose(c), transpose(f)
-    left = inverse(field, mat_mul(field, ct, c))             # (C^T C)^-1
-    right = inverse(field, mat_mul(field, f, ft))            # (F F^T)^-1
-    out = mat_mul(field, ft, right)
-    out = mat_mul(field, out, left)
-    out = mat_mul(field, out, ct)                            # n x m
-    return out
-
-
-def dot(field, u, v):
-    s = field.zero()
-    for x, y in zip(u, v):
-        s = s + x * y
-    return s
+    ct = [{i: a[i][p] for i in range(m) if a[i][p]} for p in pivots]  # r x m
+    ft, c = _transpose(f, n), _transpose(ct, m)
+    middle = _mul(_inverse(field, _mul(f, ft), r),
+                  _inverse(field, _mul(ct, c), r))
+    return _dense(field, _mul(ft, _mul(middle, ct)), m)
 
 
 def gram_schmidt(field, vectors):
-    """Orthonormalize over the field; extends the scalar tower for norms."""
-    ortho = []
-    for v in vectors:
-        w = list(v)
-        for e in ortho:
-            c = dot(field, w, e)
+    """Orthonormalize over the field; extends the scalar tower for norms.
+
+    In exact arithmetic <w, e_k> = <v, e_k> for the partially reduced w, so
+    each vector is projected only onto the earlier orthonormal vectors whose
+    support meets its own.  ``field.sqrt`` is called once per kept vector,
+    in input order.
+    """
+    ortho: list = []
+    by_col: dict = {}   # column -> indices of the ortho vectors using it
+    for v in _sparse(vectors):
+        w = dict(v)
+        for k in sorted({k for j in v for k in by_col.get(j, ())}):
+            c = _dot(v, ortho[k])
             if c:
-                w = [wi - c * ei for wi, ei in zip(w, e)]
-        norm2 = dot(field, w, w)
-        if not norm2:
+                _add_into(w, -c, ortho[k])
+        if not w:
             continue
-        inv_norm = field.sqrt(norm2).inverse()
-        ortho.append([wi * inv_norm for wi in w])
-    return ortho
+        inv_norm = field.sqrt(_dot(w, w)).inverse()
+        for j in w:
+            by_col.setdefault(j, []).append(len(ortho))
+        ortho.append({j: x * inv_norm for j, x in w.items()})
+    return _dense(field, ortho, len(vectors[0]) if vectors else 0)

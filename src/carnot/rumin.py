@@ -39,6 +39,7 @@ from .env import (EnvElement, Mixed, ZeroElement, _common_denominator,
                   homogeneity_degrees)
 from .exterior import (CovectorMap, Form, OperatorForm, covectors,
                        d0_covector, d_terms, terms_of, tuple_weight)
+from .scalars import TowerInsufficient
 
 
 class SpanMismatch(ValueError):
@@ -244,6 +245,7 @@ def _latex_env(e: EnvElement) -> str:
     s = re.sub(r"sqrt\((\d+)\)", r"\\sqrt{\1}", e.render())
     s = re.sub(r"X(\d+)", lambda m: f"X_{m[1]}" if len(m[1]) == 1
                else f"X_{{{m[1]}}}", s)
+    s = re.sub(r"\^(\d{2,})", r"^{\1}", s)
     return s.replace("*", " ")
 
 
@@ -253,6 +255,7 @@ class RuminComplex:
     def __init__(self, algebra):
         self.algebra = algebra
         self._blocks: dict = {}
+        self._d0_blocks: dict = {}
         self._E0: dict = {}
         self._lifts: dict = {}
         self._d_lift: tuple = (None, None)
@@ -277,19 +280,21 @@ class RuminComplex:
         return self._blocks[h]
 
     def d0_matrix_block(self, h: int, weight: int):
-        """Matrix of d0 on the weight block of degree h, plus its bases."""
-        alg = self.algebra
-        dom = self._weight_blocks(h).get(weight, [])
-        cod = self._weight_blocks(h + 1).get(weight, [])
-        pos = {j: i for i, j in enumerate(cod)}
-        cols = []
-        for j in dom:
-            col = [alg.field.zero()] * len(cod)
-            for out_j, c in d0_covector(alg, j).items():
-                col[pos[out_j]] = c
-            cols.append(col)
-        rows = [[cols[c][r] for c in range(len(dom))] for r in range(len(cod))]
-        return rows, dom, cod
+        """Matrix of d0 on the weight block of degree h, plus its bases.
+
+        Cached per (h, weight); callers must not modify the rows.
+        """
+        if (h, weight) not in self._d0_blocks:
+            alg = self.algebra
+            dom = self._weight_blocks(h).get(weight, [])
+            cod = self._weight_blocks(h + 1).get(weight, [])
+            pos = {j: i for i, j in enumerate(cod)}
+            rows = linalg.zeros(alg.field, len(cod), len(dom))
+            for c, j in enumerate(dom):
+                for out_j, x in d0_covector(alg, j).items():
+                    rows[pos[out_j]][c] = x
+            self._d0_blocks[h, weight] = rows, dom, cod
+        return self._d0_blocks[h, weight]
 
     def E0(self, h: int) -> RuminBasis:
         if h in self._E0:
@@ -298,16 +303,20 @@ class RuminComplex:
         if not 0 <= h <= alg.n:
             raise ValueError(f"degree {h} out of range")
         elements, weights = [], []
-        for w, block in self._weight_blocks(h).items():
-            a_rows, dom, _ = self.d0_matrix_block(h, w)
-            stacked = [list(r) for r in a_rows]
+        for w in self._weight_blocks(h):
+            rows, dom, _ = self.d0_matrix_block(h, w)
             if h >= 1:
-                b_rows, b_dom, _ = self.d0_matrix_block(h - 1, w)
                 # transpose of the incoming d0: one constraint per (h-1)-covector
-                for r in range(len(b_dom)):
-                    stacked.append([b_rows[i][r] for i in range(len(dom))])
-            kernel = linalg.nullspace(alg.field, stacked, ncols=len(dom))
-            for vec in linalg.gram_schmidt(alg.field, kernel):
+                incoming = self.d0_matrix_block(h - 1, w)[0]
+                rows = rows + linalg.transpose(incoming)
+            kernel = linalg.nullspace(alg.field, rows, ncols=len(dom))
+            try:
+                ortho = linalg.gram_schmidt(alg.field, kernel)
+            except TowerInsufficient as exc:
+                exc.args = (f"{exc}, in the E0 block of degree {h}, "
+                            f"weight {w}",)
+                raise
+            for vec in ortho:
                 form = Form(alg, h, {dom[i]: vec[i]
                                      for i in range(len(dom)) if vec[i]})
                 elements.append(form)

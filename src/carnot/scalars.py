@@ -22,6 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from .linalg import _rref
+
 
 class TowerInsufficient(ValueError):
     """A required square root is not expressible in the extension tower."""
@@ -285,18 +287,16 @@ class Scalar:
             basis.append(m)
         index = {m: i for i, m in enumerate(basis)}
         n = len(basis)
-        # column j = self * basis[j], in coordinates over `basis`
-        cols = []
-        for bj in basis:
-            col = [Fraction(0)] * n
+        # row i, column j: coordinate i of self * basis[j]; column n holds
+        # the coordinates of 1, so the reduced form holds y in column n
+        rows = [{} for _ in basis]
+        for j, bj in enumerate(basis):
             for m1, c1 in self.terms.items():
-                col[index[m1 ^ bj]] += c1 * _mask_product(
-                    self.field.radicands, m1 & bj)
-            cols.append(col)
-        rhs = [Fraction(0)] * n
-        rhs[index[0]] = Fraction(1)
-        sol = _solve_fraction_system(cols, rhs)
-        terms = {basis[j]: _q(sol[j]) for j in range(n) if sol[j]}
+                rows[index[m1 ^ bj]][j] = Fraction(c1 * _mask_product(
+                    self.field.radicands, m1 & bj))
+        rows[index[0]][n] = Fraction(1)
+        aug, _ = _rref(rows)
+        terms = {basis[j]: _q(row[n]) for j, row in enumerate(aug) if n in row}
         return Scalar(self.field, terms)
 
     def __truediv__(self, other):
@@ -350,31 +350,3 @@ class Scalar:
 
     def is_multi_term(self) -> bool:
         return len(self.terms) > 1
-
-
-def _solve_fraction_system(cols, rhs):
-    """Solve A x = rhs where A is given by columns of Fractions."""
-    n = len(rhs)
-    aug = [[cols[j][i] for j in range(n)] + [rhs[i]] for i in range(n)]
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        row += 1
-    x = [Fraction(0)] * n
-    for r in range(n):
-        lead = next((c for c in range(n) if aug[r][c]), None)
-        if lead is None:
-            if aug[r][n]:
-                raise ZeroDivisionError("inconsistent inverse system")
-            continue
-        x[lead] = aug[r][n]
-    return x

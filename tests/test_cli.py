@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -85,6 +86,22 @@ def test_latex_braces_long_indices_and_every_radicand(capsys):
     assert "X_10" not in out and "X10" not in out
     assert "\\sqrt{6}" in out and "\\sqrt{2}" in out
     assert "sqrt(" not in out
+
+
+def test_latex_braces_long_exponents(capsys):
+    code, out, _ = run(capsys, "laplacian", "--family", "G", "--degree", "0",
+                       "--format", "latex")
+    assert code == 0
+    assert out.startswith("\\begin{pmatrix}\nX_1^{12} + 6 X_1^{10} X_2^2")
+    assert "X_2^{12}" in out
+    assert not re.search(r"\^\d\d", out)
+
+
+def test_tower_failure_names_its_block(capsys):
+    code, _, err = run(capsys, "build", "--group", "free:3,3")
+    assert code == 2
+    assert re.search(r"tower extension cap \(8\) reached for sqrt\(\d+\), "
+                     r"in the E0 block of degree \d+, weight \d+", err)
 
 
 def test_deterministic_output(capsys):

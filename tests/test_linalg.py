@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from carnot import linalg
 from carnot.scalars import ScalarField
 
@@ -24,7 +28,7 @@ def test_nullspace_canonical():
     assert len(ns) == 1
     v = ns[0]
     assert [str(x) for x in v] == ["-2", "1", "0"]
-    assert all(not x for x in linalg.mat_vec(f, a, v))
+    assert linalg.mat_mul(f, a, linalg.transpose([v])) == [[f.zero()]] * 2
 
 
 def test_solve_and_inverse():
@@ -32,7 +36,7 @@ def test_solve_and_inverse():
     a = _mat(f, [[2, 1], [1, 1]])
     b = [f(3), f(2)]
     x = linalg.solve(f, a, b)
-    assert linalg.mat_vec(f, a, x) == b
+    assert linalg.mat_mul(f, a, linalg.transpose([x])) == linalg.transpose([b])
     inv = linalg.inverse(f, a)
     assert linalg.mat_mul(f, a, inv) == linalg.identity(f, 2)
     # inconsistent system
@@ -63,8 +67,188 @@ def test_gram_schmidt_orthonormal_with_tower_extension():
     vecs = _mat(f, [[1, 1, 0], [1, 0, 1]])
     ortho = linalg.gram_schmidt(f, vecs)
     assert len(ortho) == 2
-    for i, u in enumerate(ortho):
-        for j, v in enumerate(ortho):
-            expected = f.one() if i == j else f.zero()
-            assert linalg.dot(f, u, v) == expected
+    gram = linalg.mat_mul(f, ortho, linalg.transpose(ortho))
+    assert gram == linalg.identity(f, 2)
     assert 2 in f.radicands  # norm sqrt(2) forced an extension
+
+
+# -- properties against the dense routines linalg had before its rows became
+# -- sparse dicts, copied here unchanged as the reference
+
+def _ref_rref(field, a):
+    rows = [list(r) for r in a]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def _ref_nullspace(field, a, ncols):
+    if not a:
+        return [[field.one() if j == i else field.zero() for j in range(ncols)]
+                for i in range(ncols)]
+    rows, pivots = _ref_rref(field, a)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [field.zero()] * ncols
+        v[free] = field.one()
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][free]
+        basis.append(v)
+    return basis
+
+
+def _ref_inverse(field, a):
+    n = len(a)
+    aug = [list(row) + linalg.identity(field, n)[i] for i, row in enumerate(a)]
+    rows, pivots = _ref_rref(field, aug)
+    assert pivots == list(range(n))
+    return [row[n:] for row in rows]
+
+
+def _ref_pseudoinverse(field, a):
+    m = len(a)
+    n = len(a[0]) if a else 0
+    if m == 0 or n == 0:
+        return linalg.zeros(field, n, m)
+    rows, pivots = _ref_rref(field, a)
+    r = len(pivots)
+    if r == 0:
+        return linalg.zeros(field, n, m)
+    c = [[a[i][j] for j in pivots] for i in range(m)]
+    f = [rows[i] for i in range(r)]
+    ct, ft = linalg.transpose(c), linalg.transpose(f)
+    left = _ref_inverse(field, linalg.mat_mul(field, ct, c))
+    right = _ref_inverse(field, linalg.mat_mul(field, f, ft))
+    out = linalg.mat_mul(field, ft, right)
+    out = linalg.mat_mul(field, out, left)
+    return linalg.mat_mul(field, out, ct)
+
+
+def _ref_dot(field, u, v):
+    s = field.zero()
+    for x, y in zip(u, v):
+        s = s + x * y
+    return s
+
+
+def _ref_gram_schmidt(field, vectors):
+    ortho = []
+    for v in vectors:
+        w = list(v)
+        for e in ortho:
+            c = _ref_dot(field, w, e)
+            if c:
+                w = [wi - c * ei for wi, ei in zip(w, e)]
+        norm2 = _ref_dot(field, w, w)
+        if not norm2:
+            continue
+        inv_norm = field.sqrt(norm2).inverse()
+        ortho.append([wi * inv_norm for wi in w])
+    return ortho
+
+
+PROPERTY = settings(max_examples=60, derandomize=True, database=None,
+                    deadline=None)
+
+_rationals = {
+    "integer": st.integers(-3, 3).map(Fraction),
+    "fraction": st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+}
+# an entry is (a, b) for a + b*sqrt(2); two entries in three are zero
+_entries = {
+    "integer": st.tuples(_rationals["integer"], st.just(Fraction(0))),
+    "fraction": st.tuples(_rationals["fraction"], st.just(Fraction(0))),
+    "sqrt2": st.tuples(_rationals["fraction"], _rationals["integer"]),
+}
+
+
+@st.composite
+def _specs(draw, kind, min_rows=0):
+    m, n = draw(st.integers(min_rows, 6)), draw(st.integers(1, 7))
+    entry = st.tuples(st.integers(0, 2), _entries[kind]).map(
+        lambda t: t[1] if t[0] == 0 else (Fraction(0), Fraction(0)))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m)), n
+
+
+def _materialize(field, spec):
+    root = field.sqrt(2)
+    return [[field(a) + field(b) * root if b else field(a) for a, b in row]
+            for row in spec]
+
+
+def _terms(rows):
+    return [[x.terms for x in row] for row in rows]
+
+
+def _outcome(fn):
+    """fn()'s result as plain terms, or the exception it raised."""
+    try:
+        return _terms(fn())
+    except Exception as exc:  # the tower cap and irrational norms alike
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", sorted(_entries))
+@PROPERTY
+@given(data=st.data())
+def test_sparse_routines_match_dense_reference(kind, data):
+    spec, n = data.draw(_specs(kind))
+    f, g = ScalarField(), ScalarField()
+    a, b = _materialize(f, spec), _materialize(g, spec)
+    rows, pivots = linalg.rref(f, a)
+    ref_rows, ref_pivots = _ref_rref(g, b)
+    assert (_terms(rows), pivots) == (_terms(ref_rows), ref_pivots)
+    assert linalg.rank(f, a) == len(ref_pivots)
+    assert _terms(linalg.nullspace(f, a, ncols=n)) == \
+        _terms(_ref_nullspace(g, b, n))
+    assert _terms(linalg.pseudoinverse(f, a)) == \
+        _terms(_ref_pseudoinverse(g, b))
+    # the same radicands, adjoined in the same order, or the same failure
+    assert _outcome(lambda: linalg.gram_schmidt(f, a)) == \
+        _outcome(lambda: _ref_gram_schmidt(g, b))
+    assert f.radicands == g.radicands
+
+
+@pytest.mark.parametrize("kind", ["integer", "fraction"])
+@PROPERTY
+@given(data=st.data())
+def test_rational_routines_match_sympy(kind, data):
+    sympy = pytest.importorskip("sympy")
+    spec, n = data.draw(_specs(kind, min_rows=1))
+    f = ScalarField()
+    a = _materialize(f, spec)
+    s = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                       for x, _ in row] for row in spec])
+
+    def rational(rows):
+        return [[x.as_rational() for x in row] for row in rows]
+
+    def from_sympy(rows):
+        return [[Fraction(int(x.p), int(x.q)) for x in row] for row in rows]
+
+    assert linalg.rank(f, a) == s.rank()
+    assert rational(linalg.nullspace(f, a)) == \
+        from_sympy([list(v) for v in s.nullspace()])
+    assert rational(linalg.pseudoinverse(f, a)) == \
+        from_sympy(s.pinv().tolist())

@@ -261,3 +261,31 @@ def test_dc_deltac_entries_digest(name, make):
                "deltac": [cx.deltac_matrix(h).to_json() for h in degrees]}
     text = json.dumps(listing, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == DC_DELTAC_DIGESTS[name]
+
+
+# sha256 of every E0 basis (covector -> coefficient) and of dims(), recorded
+# before linalg's elimination and Gram-Schmidt became sparse
+E0_DIGESTS = {
+    "free-4-2":
+        "9423fd5500f5984640a623ccc507905eb6d00882dcb78e99d464693b0a0de892",
+    "free-2-4":
+        "cec25c464cd951767d7b166af0868dd262264b369a9c31cda1fe3d90e8e9e85d",
+    "free-3-2":
+        "e7f6e2f2ebd4d0cd74ca2d45d3874112178159a6ed1d05475839dd00ea3a2f63",
+    "H3": "52cf8f0a6ea5712f19fe86bf0bf1a07672f87f7f5b9ef80bff97cd136c9650eb",
+}
+
+
+@pytest.mark.parametrize("name, make",
+                         [("free-4-2", lambda: free_nilpotent(4, 2)),
+                          ("free-2-4", lambda: free_nilpotent(2, 4)),
+                          ("free-3-2", lambda: free_nilpotent(3, 2)),
+                          ("H3", lambda: _heisenberg(3))])
+def test_E0_bases_digest(name, make):
+    cx = RuminComplex(make())
+    listing = {"dims": list(cx.dims()),
+               "E0": [[[[list(t), str(c)] for t, c in sorted(xi.terms.items())]
+                       for xi in cx.E0(h)]
+                      for h in range(cx.algebra.n + 1)]}
+    text = json.dumps(listing, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == E0_DIGESTS[name]
