@@ -12,10 +12,12 @@ import functools
 import json
 import sys
 
-from . import estimates, laplacians
+from . import estimates, laplacians, linalg
+from .exterior import OperatorForm
 from .liealg import cartan_group, load_group
 from .rumin import RuminComplex
-from .verify import load_golden, regenerate_golden, run_verify
+from .verify import (load_golden, paper_basis_change, regenerate_golden,
+                     run_verify)
 
 
 class UsageError(ValueError):
@@ -28,29 +30,14 @@ def _aligned(cx, m, row_degree: int, col_degree: int, paper_basis: bool):
         return m
     if not cx.algebra.is_cartan_table():
         raise UsageError("--paper-basis requires the built-in group")
-    from . import linalg
-    from .rumin import OperatorMatrix
-    from .verify import golden_form
-
     golden = load_golden()
-
-    def t_mat(h, transposed):
-        if str(h) not in golden["bases"]:
-            rows = linalg.identity(cx.algebra.field, len(cx.E0(h)))
-        else:
-            expected = [golden_form(cx.algebra, spec, h)
-                        for spec in golden["bases"][str(h)]]
-            rows = cx.align_basis(cx.E0(h), expected)
-            if transposed:
-                rows = linalg.transpose(rows)
-        return OperatorMatrix.from_scalar_matrix(cx.algebra, rows)
-
-    return t_mat(row_degree, True) @ m @ t_mat(col_degree, False)
+    return m.conjugate(
+        linalg.transpose(paper_basis_change(cx, row_degree, golden)),
+        paper_basis_change(cx, col_degree, golden))
 
 
-def cmd_build(args) -> int:
-    alg = load_group(args.group, args.max_dim)
-    cx = RuminComplex(alg)
+def cmd_build(cx, args) -> int:
+    alg = cx.algebra
     dims = cx.dims()
     if args.format == "json":
         print(json.dumps({
@@ -68,31 +55,27 @@ def cmd_build(args) -> int:
     return 0
 
 
-def cmd_dc(args) -> int:
-    alg = load_group(args.group, args.max_dim)
-    cx = RuminComplex(alg)
-    if not 0 <= args.degree < alg.n:
-        raise UsageError(f"dc degree must be in 0..{alg.n - 1}")
+def cmd_dc(cx, args) -> int:
+    n = cx.algebra.n
+    if not 0 <= args.degree < n:
+        raise UsageError(f"dc degree must be in 0..{n - 1}")
     m = _aligned(cx, cx.dc_matrix(args.degree), args.degree + 1, args.degree,
                  args.paper_basis)
     print(m.render(args.format))
     return 0
 
 
-def cmd_deltac(args) -> int:
-    alg = load_group(args.group, args.max_dim)
-    cx = RuminComplex(alg)
-    if not 1 <= args.degree <= alg.n:
-        raise UsageError(f"deltac degree must be in 1..{alg.n}")
+def cmd_deltac(cx, args) -> int:
+    n = cx.algebra.n
+    if not 1 <= args.degree <= n:
+        raise UsageError(f"deltac degree must be in 1..{n}")
     m = _aligned(cx, cx.deltac_matrix(args.degree), args.degree - 1,
                  args.degree, args.paper_basis)
     print(m.render(args.format))
     return 0
 
 
-def cmd_laplacian(args) -> int:
-    alg = load_group(args.group, args.max_dim)
-    cx = RuminComplex(alg)
+def cmd_laplacian(cx, args) -> int:
     m = laplacians.laplacian(cx, args.family, args.degree)
     if args.format == "json":
         rep = laplacians.verify_self_adjoint(m)
@@ -107,13 +90,10 @@ def cmd_laplacian(args) -> int:
     return 0
 
 
-def cmd_pi_e(args) -> int:
-    alg = load_group(args.group, args.max_dim)
-    cx = RuminComplex(alg)
+def cmd_pi_e(cx, args) -> int:
     basis = cx.E0(args.degree)
     if not 1 <= args.index <= len(basis):
         raise UsageError(f"index must be in 1..{len(basis)}")
-    from .exterior import OperatorForm
     lifted = cx.pi_E(OperatorForm.from_form(basis[args.index - 1]))
     if args.format == "json":
         print(json.dumps(lifted.to_json(), sort_keys=True))
@@ -122,9 +102,7 @@ def cmd_pi_e(args) -> int:
     return 0
 
 
-def cmd_exponents(args) -> int:
-    alg = load_group(args.group, args.max_dim)
-    cx = RuminComplex(alg)
+def cmd_exponents(cx, args) -> int:
     rows = estimates.theorem_table(cx, args.theorem)
     if args.format == "json":
         payload = {"theorem": args.theorem,
@@ -145,9 +123,7 @@ def cmd_exponents(args) -> int:
     return 0
 
 
-def cmd_tensors(args) -> int:
-    alg = load_group(args.group, args.max_dim)
-    cx = RuminComplex(alg)
+def cmd_tensors(cx, args) -> int:
     findings = estimates.tensor_findings(cx, args.convention)
     if args.format == "json":
         print(json.dumps({"convention": args.convention,
@@ -171,8 +147,7 @@ def cmd_verify(args) -> int:
         print("note: the committed file transcribes the published listings; "
               "review any diff before adopting it")
         return 0
-    report = run_verify(args.group, golden_path=args.golden, seed=args.seed,
-                        fast=args.fast, max_dim=args.max_dim)
+    report = run_verify(args.group, golden_path=args.golden, seed=args.seed)
     if args.format == "json":
         print(json.dumps(report.to_json(), sort_keys=True, default=str))
     else:
@@ -193,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="builtin:cartan | free:m,k | path to a JSON file")
     common.add_argument("--format", default="text",
                         choices=("text", "latex", "json"))
-    common.add_argument("--max-dim", type=int, default=64)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--paper-basis", action="store_true",
                         help="print in the published basis (the default "
@@ -237,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the full verification suite")
     p.add_argument("--golden", default=None,
                    help="override the committed reference file")
-    p.add_argument("--fast", action="store_true",
-                   help="fewer randomized oracle trials")
     p.add_argument("--update-golden", metavar="PATH", default=None,
                    help="write engine-regenerated reference data to PATH "
                         "instead of running checks")
@@ -253,15 +225,16 @@ COMMANDS = {
     "pi-e": cmd_pi_e,
     "exponents": cmd_exponents,
     "tensors": cmd_tensors,
-    "verify": cmd_verify,
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        if args.command == "verify":
+            return cmd_verify(args)
+        cx = RuminComplex(load_group(args.group))
+        return COMMANDS[args.command](cx, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -183,11 +183,8 @@ def verify_homogeneous_order(m: OperatorMatrix, expected: int) -> dict:
 
 def hodge_conjugate(cx: RuminComplex, m: OperatorMatrix, h: int) -> OperatorMatrix:
     """Conjugate an E0^h endomorphism by the star into degree n-h."""
-    alg = cx.algebra
-    n = alg.n
-    s_out = OperatorMatrix.from_scalar_matrix(alg, cx.star_matrix(h))
-    s_in = OperatorMatrix.from_scalar_matrix(alg, cx.star_matrix(n - h))
-    out = s_out @ m @ s_in
+    n = cx.algebra.n
+    out = m.conjugate(cx.star_matrix(h), cx.star_matrix(n - h))
     out.row_weights = out.col_weights = cx.E0(n - h).weights
     return out
 

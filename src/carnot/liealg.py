@@ -6,10 +6,10 @@ identities exactly (antisymmetry is structural, Jacobi and the grading are
 checked on construction, and V_1 must bracket-generate each higher layer),
 and exposes the bracket as a bilinear map on coefficient vectors.
 
-``free_nilpotent`` generates free nilpotent algebras from a Hall basis;
-``cartan_group`` is the built-in five-dimensional step-3 example with
-brackets [X1,X2]=X3, [X1,X3]=X4, [X2,X3]=X5 and an attached polynomial
-coordinate realization of the vector fields.
+``free_nilpotent`` generates free nilpotent algebras, of at most ``MAX_DIM``
+elements, from a Hall basis; ``cartan_group`` is the built-in five-dimensional
+step-3 example with brackets [X1,X2]=X3, [X1,X3]=X4, [X2,X3]=X5 and an
+attached polynomial coordinate realization of the vector fields.
 """
 
 from __future__ import annotations
@@ -48,11 +48,16 @@ class ResourceLimit(LieAlgebraError):
     pass
 
 
+# the largest free nilpotent algebra generated, counted in basis elements
+MAX_DIM = 64
+# the brackets of the built-in five-dimensional group
+CARTAN_BRACKETS = {(1, 2): {3: 1}, (1, 3): {4: 1}, (2, 3): {5: 1}}
+
+
 class StratifiedLieAlgebra:
     """Immutable after construction; basis indices are 1-based."""
 
-    def __init__(self, layer_dims, brackets, field=None, labels=None,
-                 realization=None, _validate=True):
+    def __init__(self, layer_dims, brackets, field=None):
         self.field = field if field is not None else ScalarField()
         self.layer_dims = tuple(int(m) for m in layer_dims)
         if any(m <= 0 for m in self.layer_dims):
@@ -61,8 +66,6 @@ class StratifiedLieAlgebra:
         self.kappa = len(self.layer_dims)
         self.weights = tuple(
             a + 1 for a, m in enumerate(self.layer_dims) for _ in range(m))
-        self.labels = tuple(labels) if labels else tuple(
-            f"X{i}" for i in range(1, self.n + 1))
         self.brackets = {}
         for (i, j), vec in brackets.items():
             if not (1 <= i < j <= self.n):
@@ -76,13 +79,12 @@ class StratifiedLieAlgebra:
                     clean[int(k)] = c
             if clean:
                 self.brackets[(i, j)] = clean
-        self.realization = realization
+        self.realization = None
         # caches shared by the operator algebra
         self._nf_cache = {}
         self._prod_cache = {}
         self._dtheta_cache = None
-        if _validate:
-            self._validate()
+        self._validate()
 
     # -- basic queries --------------------------------------------------
 
@@ -159,13 +161,11 @@ class StratifiedLieAlgebra:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_structure_constants(cls, layer_dims, brackets, field=None,
-                                 labels=None):
-        field = field if field is not None else ScalarField()
+    def from_structure_constants(cls, layer_dims, brackets):
         table = {}
         for (i, j), vec in brackets.items():
-            table[(int(i), int(j))] = {int(k): field(c) for k, c in vec.items()}
-        return cls(layer_dims, table, field=field, labels=labels)
+            table[(int(i), int(j))] = {int(k): c for k, c in vec.items()}
+        return cls(layer_dims, table)
 
     @classmethod
     def from_json(cls, text_or_dict):
@@ -177,8 +177,7 @@ class StratifiedLieAlgebra:
             i, j = (int(t) for t in key.split(","))
             brackets[(i, j)] = {int(k): field.parse(str(c))
                                 for k, c in vec.items()}
-        return cls(data["layers"], brackets, field=field,
-                   labels=data.get("labels"))
+        return cls(data["layers"], brackets, field=field)
 
     def to_json(self) -> dict:
         out = {"layers": list(self.layer_dims), "brackets": {}}
@@ -190,35 +189,19 @@ class StratifiedLieAlgebra:
         return out
 
     def is_cartan_table(self) -> bool:
-        if self.layer_dims != (2, 1, 2):
-            return False
-        expected = {(1, 2): {3: 1}, (1, 3): {4: 1}, (2, 3): {5: 1}}
-        seen = {k: {i: c for i, c in v.items()} for k, v in self.brackets.items()}
-        for key, vec in expected.items():
-            got = seen.pop(key, {})
-            if set(got) != set(vec):
-                return False
-            for i, c in vec.items():
-                if got[i] != c:
-                    return False
-        return not seen
+        return (self.layer_dims == (2, 1, 2)
+                and self.brackets == CARTAN_BRACKETS)
 
     def __repr__(self):
         return (f"StratifiedLieAlgebra(n={self.n}, layers={self.layer_dims}, "
                 f"Q={self.homogeneous_dimension})")
 
 
-def cartan_group(field=None) -> StratifiedLieAlgebra:
+def cartan_group() -> StratifiedLieAlgebra:
     """The free step-3 rank-2 Carnot group (dimension 5, Q = 10)."""
     from .coords import cartan_realization
 
-    field = field if field is not None else ScalarField()
-    alg = StratifiedLieAlgebra(
-        (2, 1, 2),
-        {(1, 2): {3: field.one()},
-         (1, 3): {4: field.one()},
-         (2, 3): {5: field.one()}},
-        field=field)
+    alg = StratifiedLieAlgebra((2, 1, 2), CARTAN_BRACKETS)
     alg.realization = cartan_realization(alg)
     return alg
 
@@ -242,11 +225,6 @@ class _HallTree:
             self.degree = left.degree + right.degree
             self.foliage = left.foliage + right.foliage
             self.key = (self.degree, self.foliage, (left.key, right.key))
-
-    def label(self, names):
-        if self.gen is not None:
-            return names[self.gen - 1]
-        return f"[{self.left.label(names)},{self.right.label(names)}]"
 
 
 def _hall_basis(m1: int, step: int):
@@ -295,8 +273,7 @@ def _tensor_expand(tree: _HallTree, step: int) -> dict:
     return out
 
 
-def free_nilpotent(m1: int, step: int, max_dim: int = 64,
-                   field=None) -> StratifiedLieAlgebra:
+def free_nilpotent(m1: int, step: int) -> StratifiedLieAlgebra:
     """Free nilpotent Lie algebra on m1 generators, nilpotency step `step`.
 
     Structure constants are obtained by expanding Hall trees in the tensor
@@ -306,12 +283,12 @@ def free_nilpotent(m1: int, step: int, max_dim: int = 64,
     if m1 < 2 or step < 1:
         raise DimensionMismatch(m1, step)
     trees = _hall_basis(m1, step)
-    if len(trees) > max_dim:
-        raise ResourceLimit(len(trees), max_dim)
+    if len(trees) > MAX_DIM:
+        raise ResourceLimit(len(trees), MAX_DIM)
     layer_dims = [0] * step
     for t in trees:
         layer_dims[t.degree - 1] += 1
-    field = field if field is not None else ScalarField()
+    field = ScalarField()
     tensors = [_tensor_expand(t, step) for t in trees]
     by_degree: dict = {}
     for idx, t in enumerate(trees):
@@ -353,11 +330,10 @@ def free_nilpotent(m1: int, step: int, max_dim: int = 64,
             if vec:
                 brackets[(i + 1, j + 1)] = vec
 
-    names = tuple(f"X{i}" for i in range(1, len(trees) + 1))
-    return StratifiedLieAlgebra(layer_dims, brackets, field=field, labels=names)
+    return StratifiedLieAlgebra(layer_dims, brackets, field=field)
 
 
-def load_group(spec: str, max_dim: int = 64) -> StratifiedLieAlgebra:
+def load_group(spec: str) -> StratifiedLieAlgebra:
     """A group from its spec: builtin:cartan, free:m,k or a JSON file path."""
     if spec == "builtin:cartan":
         return cartan_group()
@@ -366,7 +342,7 @@ def load_group(spec: str, max_dim: int = 64) -> StratifiedLieAlgebra:
             m1, step = (int(x) for x in spec.split(":", 1)[1].split(","))
         except ValueError:
             raise ValueError(f"bad free group spec {spec!r}; use free:m,k")
-        return free_nilpotent(m1, step, max_dim=max_dim)
+        return free_nilpotent(m1, step)
     try:
         with open(spec) as fh:
             return StratifiedLieAlgebra.from_json(fh.read())

@@ -24,8 +24,9 @@ Pi_E, Pi_{E0} and the form builders sum in the flat accumulators of
 :mod:`carnot.env`, and a product with a constant factor (a star matrix or a
 change of basis) is a sum of scaled entries, with no PBW product.  The
 codifferential is obtained from the star formula
-delta_c = (-1)^{n(h+1)+1} * d_c * (and cross-checked against the entrywise
-formal-adjoint transpose).
+delta_c = (-1)^{n(h+1)+1} * d_c *, cross-checked once per degree against the
+entrywise formal-adjoint transpose.  ``coordinates`` (coefficients over E0^h)
+and ``OperatorMatrix.conjugate`` are the one change-of-basis path.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ from . import linalg
 from .env import (EnvElement, Mixed, ZeroElement, _common_denominator,
                   _from_acc, _integral, _mul_into, _scale_into,
                   homogeneity_degrees)
-from .exterior import (CovectorMap, Form, OperatorForm, covectors,
-                       d0_covector, d_terms, terms_of, tuple_weight)
+from .exterior import (CovectorMap, Form, OperatorForm, accumulate,
+                       covectors, d0_covector, d_terms, terms_of,
+                       tuple_weight)
 from .scalars import TowerInsufficient
 
 
@@ -68,13 +70,6 @@ class RuminBasis:
 
     def __getitem__(self, i):
         return self.elements[i]
-
-    def blocks(self) -> dict:
-        """Index sets I^h_p keyed by weight."""
-        out: dict = {}
-        for i, w in enumerate(self.weights):
-            out.setdefault(w, []).append(i)
-        return out
 
     def __repr__(self):
         return f"RuminBasis(h={self.degree}, dim={len(self)}, weights={self.weights})"
@@ -138,6 +133,12 @@ class OperatorMatrix:
                               [[e.scale(c) for e in row] for row in self.entries],
                               self.row_weights, self.col_weights,
                               cols=self._cols)
+
+    def conjugate(self, left, right):
+        """left @ self @ right, for two scalar matrices given as row lists."""
+        alg = self.algebra
+        return (OperatorMatrix.from_scalar_matrix(alg, left) @ self
+                @ OperatorMatrix.from_scalar_matrix(alg, right))
 
     def is_constant(self) -> bool:
         """True when every entry is zero or a multiple of the unit monomial."""
@@ -261,7 +262,7 @@ class RuminComplex:
         self._d_lift: tuple = (None, None)
         self._pinv_maps: dict = {}
         self._dc: dict = {}
-        self._deltac: dict = {}
+        self._deltac: dict = {}  # h -> (delta_c, adjoint sign)
         self._star: dict = {}
         # filled by carnot.laplacians: the Laplacians by (family, h), and
         # the block powers of the degree built last, as (h, {(kind, p): P^p})
@@ -443,88 +444,95 @@ class RuminComplex:
                     raise AssertionError(
                         f"entry ({i},{j}) not homogeneous of degree {expected}: {e}")
 
+    def coordinates(self, h: int, forms) -> list:
+        """Exact coefficients of each form over the orthonormal E0^h.
+
+        Row k holds the coefficients of forms[k]; SpanMismatch names the
+        first form that the coefficients do not rebuild exactly.
+        """
+        basis = self.E0(h)
+        out = []
+        for k, form in enumerate(forms):
+            coeffs = self.pi_E0(form, h)
+            recon: dict = {}
+            for c, xi in zip(coeffs, basis):
+                if c:
+                    for t, v in xi.terms.items():
+                        accumulate(recon, t, c * v)
+            if recon != form.terms:
+                raise SpanMismatch(f"element {k} is outside the computed span")
+            out.append(coeffs)
+        return out
+
     def star_matrix(self, h: int):
         """Scalar matrix of the Hodge star E0^h -> E0^{n-h} (columns act)."""
-        if h in self._star:
-            return self._star[h]
-        alg = self.algebra
-        src, dst = self.E0(h), self.E0(alg.n - h)
-        cols = []
-        for xi in src:
-            starred = xi.star()
-            coeffs = [eta.inner(starred) for eta in dst]
-            # the image must lie in the span: exact residual check
-            recon = Form.zero(alg, alg.n - h)
-            for c, eta in zip(coeffs, dst):
-                recon = recon + eta.scale(c)
-            if recon != starred:
+        if h not in self._star:
+            n = self.algebra.n
+            try:
+                coords = self.coordinates(n - h,
+                                          [xi.star() for xi in self.E0(h)])
+            except SpanMismatch:
                 raise SpanMismatch(
-                    f"star of E0^{h} leaves the span of E0^{alg.n - h}")
-            cols.append(coeffs)
-        out = [[cols[j][i] for j in range(len(src))] for i in range(len(dst))]
-        self._star[h] = out
-        return out
-
-    def deltac_matrix(self, h: int, check_adjoint: bool = True) -> OperatorMatrix:
-        """Codifferential on E0^h via delta_c = (-1)^{n(h+1)+1} * d_c *."""
-        if h in self._deltac:
-            return self._deltac[h]
-        alg = self.algebra
-        n = alg.n
-        src = self.E0(h)
-        if h <= 0:
-            out = OperatorMatrix.zeros(alg, 0, len(src), (), src.weights)
-        else:
-            sign = -1 if (n * (h + 1) + 1) % 2 else 1
-            s_h = OperatorMatrix.from_scalar_matrix(alg, self.star_matrix(h))
-            s_back = OperatorMatrix.from_scalar_matrix(
-                alg, self.star_matrix(n - h + 1))
-            out = (s_back @ self.dc_matrix(n - h) @ s_h).scale(alg.field(sign))
-            out.row_weights = self.E0(h - 1).weights
-            out.col_weights = src.weights
-            if check_adjoint:
-                alt = self.dc_matrix(h - 1).transpose_adjoint()
-                if alt != out:
-                    diffs = [(i, j)
-                             for i in range(out.shape[0])
-                             for j in range(out.shape[1])
-                             if out.entries[i][j] != alt.entries[i][j]]
-                    raise StarAdjointMismatch(
-                        f"degree {h}: star formula and adjoint transpose "
-                        f"disagree at entries {diffs}")
-        self._deltac[h] = out
-        return out
+                    f"star of E0^{h} leaves the span of E0^{n - h}") from None
+            self._star[h] = linalg.transpose(coords)
+        return self._star[h]
 
     def deltac_star_adjoint_sign(self, h: int):
-        """Global sign relating the star formula and the adjoint transpose."""
-        star = self.deltac_matrix(h, check_adjoint=False)
-        alt = self.dc_matrix(h - 1).transpose_adjoint()
-        if star == alt:
-            return 1
-        if star == -alt:
-            return -1
-        return None
+        """Sign s with delta_c = s * (adjoint transpose of d_c(h-1)), or None.
+
+        delta_c comes from the star formula and is memoized with s, so the
+        comparison runs once per degree, whichever of this and deltac_matrix
+        is asked first.
+        """
+        if h not in self._deltac:
+            alg = self.algebra
+            n, src = alg.n, self.E0(h)
+            if h == 0:
+                out, s = OperatorMatrix.zeros(alg, 0, len(src), (),
+                                              src.weights), 1
+            else:
+                sign = -1 if (n * (h + 1) + 1) % 2 else 1
+                out = self.dc_matrix(n - h).conjugate(
+                    self.star_matrix(n - h + 1),
+                    self.star_matrix(h)).scale(alg.field(sign))
+                out.row_weights = self.E0(h - 1).weights
+                out.col_weights = src.weights
+                alt = self.dc_matrix(h - 1).transpose_adjoint()
+                s = 1 if out == alt else -1 if out == -alt else None
+            self._deltac[h] = (out, s)
+        return self._deltac[h][1]
+
+    def deltac_matrix(self, h: int) -> OperatorMatrix:
+        """Codifferential on E0^h via delta_c = (-1)^{n(h+1)+1} * d_c *.
+
+        Raises StarAdjointMismatch unless it equals the adjoint transpose
+        of d_c(h-1).
+        """
+        if self.deltac_star_adjoint_sign(h) != 1:
+            out = self._deltac[h][0]
+            alt = self.dc_matrix(h - 1).transpose_adjoint()
+            diffs = [(i, j)
+                     for i in range(out.shape[0])
+                     for j in range(out.shape[1])
+                     if out.entries[i][j] != alt.entries[i][j]]
+            raise StarAdjointMismatch(
+                f"degree {h}: star formula and adjoint transpose "
+                f"disagree at entries {diffs}")
+        return self._deltac[h][0]
 
     # -- basis alignment -------------------------------------------------------
 
-    def align_basis(self, computed: RuminBasis, expected) -> list:
-        """Exact orthogonal T with computed . T = expected (column j)."""
-        alg = self.algebra
-        if len(expected) != len(computed):
-            raise SpanMismatch(
-                f"{len(expected)} expected vs {len(computed)} computed")
-        t = [[xi.inner(exp) for exp in expected] for xi in computed]
-        for j, exp in enumerate(expected):
-            recon = Form.zero(alg, computed.degree)
-            for i, xi in enumerate(computed):
-                recon = recon + xi.scale(t[i][j])
-            if recon != exp:
-                raise SpanMismatch(f"element {j} is outside the computed span")
-        gram = linalg.mat_mul(alg.field, linalg.transpose(t), t)
-        ident = linalg.identity(alg.field, len(expected))
-        if gram != ident:
+    def align_basis(self, h: int, expected) -> list:
+        """Exact orthogonal T with E0(h) . T = expected (column j)."""
+        field = self.algebra.field
+        size = len(self.E0(h))
+        if len(expected) != size:
+            raise SpanMismatch(f"{len(expected)} expected vs {size} computed")
+        coords = self.coordinates(h, expected)
+        gram = linalg.mat_mul(field, coords, linalg.transpose(coords))
+        if gram != linalg.identity(field, size):
             raise SpanMismatch("change of basis is not orthogonal")
-        return t
+        return linalg.transpose(coords)
 
     # -- assembled verification -------------------------------------------------
 
@@ -550,10 +558,6 @@ class RuminComplex:
         return OperatorForm(alg, h, slots, terms_of(alg, accs))
 
     def dc_orders(self):
-        out = []
-        for h in range(self.algebra.n):
-            m = self.dc_matrix(h)
-            degs = m.orders()
-            out.append(None if not degs else
-                       (degs.pop() if len(degs) == 1 else Mixed(degs)))
-        return tuple(out)
+        """Order of d_c per degree h < n: an int, Mixed, or None if zero."""
+        return tuple(None if m.is_zero() else m.homogeneous_order()
+                     for m in map(self.dc_matrix, range(self.algebra.n)))

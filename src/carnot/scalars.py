@@ -150,9 +150,6 @@ class ScalarField:
 
         return _expr.parse_scalar(self, text)
 
-    def format(self, x: "Scalar") -> str:
-        return str(x)
-
     def __repr__(self):
         return f"ScalarField(radicands={self.radicands})"
 

@@ -50,7 +50,7 @@ def test_criterion_1_dimensions_and_bases(cx, golden):
     for h_str, basis_spec in golden["bases"].items():
         h = int(h_str)
         expected = [golden_form(cx.algebra, spec, h) for spec in basis_spec]
-        t = cx.align_basis(cx.E0(h), expected)  # raises on span mismatch
+        t = cx.align_basis(h, expected)  # raises on span mismatch
         ok = ok and len(t) == len(expected)
     elapsed = time.perf_counter() - t0
     report(1, ok and elapsed < 1.0, f"{elapsed:.3f}s")
@@ -63,7 +63,7 @@ def test_criterion_2_matrices_match_listings(cx, golden):
     for h_str, basis_spec in golden["bases"].items():
         h = int(h_str)
         expected = [golden_form(alg, spec, h) for spec in basis_spec]
-        aligns[h] = cx.align_basis(cx.E0(h), expected)
+        aligns[h] = cx.align_basis(h, expected)
     from carnot import linalg
     from carnot.rumin import OperatorMatrix
 

@@ -169,8 +169,8 @@ def test_tensors_json(capsys):
     assert "pierre-h2-tensor" in checks
 
 
-def test_verify_fast_passes(capsys):
-    code, out, _ = run(capsys, "verify", "--fast")
+def test_verify_passes(capsys):
+    code, out, _ = run(capsys, "verify")
     assert code == 0
     assert "result: ok" in out
 
@@ -182,7 +182,7 @@ def test_verify_golden_tampering_exit_1(capsys, tmp_path):
     golden["dc"]["4"] = [["-X2", "X1 + X2"]]
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(golden))
-    code, out, _ = run(capsys, "verify", "--fast", "--golden", str(path))
+    code, out, _ = run(capsys, "verify", "--golden", str(path))
     assert code == 1
     assert "golden-dc-matrices" in out
 
@@ -194,7 +194,7 @@ def test_verify_unaligned_golden_basis_named(capsys, tmp_path):
     golden["bases"]["2"][0] = [["1", [1, 2]]]   # theta1^theta2 is not in E0^2
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(golden))
-    code, out, _ = run(capsys, "verify", "--fast", "--format", "json",
+    code, out, _ = run(capsys, "verify", "--format", "json",
                        "--golden", str(path))
     assert code == 1
     failed = {c["name"]: c for c in json.loads(out)["checks"]
@@ -210,11 +210,35 @@ def test_verify_unaligned_golden_basis_named(capsys, tmp_path):
         == [["deltac", 2, reason], ["deltac", 3, reason]]
 
 
-def test_verify_honours_max_dim(capsys):
-    code, _, err = run(capsys, "verify", "--group", "free:2,3",
-                       "--max-dim", "2")
+def test_verify_resource_limit(capsys):
+    # free:2,8 has 71 Hall elements, more than the 64 any group may have
+    code, _, err = run(capsys, "verify", "--group", "free:2,8")
     assert code == 2
-    assert "ResourceLimit(5,2)" in err
+    assert err == "error: ResourceLimit(71,64)\n"
+
+
+@pytest.mark.parametrize("command, degrees", [("dc", range(5)),
+                                              ("deltac", range(1, 6))])
+def test_paper_basis_reproduces_the_listings(capsys, command, degrees):
+    from carnot.liealg import cartan_group
+    from carnot.verify import golden_matrix, load_golden
+
+    g = cartan_group()
+    golden = load_golden()[command]
+    for h in degrees:
+        code, out, _ = run(capsys, command, "--degree", str(h),
+                           "--paper-basis", "--format", "json")
+        assert code == 0
+        assert golden_matrix(g, json.loads(out)["entries"]) \
+            == golden_matrix(g, golden[str(h)])
+
+
+def test_paper_basis_requires_the_builtin_group(capsys):
+    code, out, err = run(capsys, "dc", "--degree", "0", "--paper-basis",
+                         "--group", "free:2,2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --paper-basis requires the built-in group\n"
 
 
 def test_verify_bad_group_spec_exit_2(capsys):

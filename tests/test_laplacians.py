@@ -232,7 +232,7 @@ def test_verify_builds_each_laplacian_once(monkeypatch):
     monkeypatch.setattr(laplacians, "_build", counting)
     fresh = RuminComplex(cartan_group())
     report = Report()
-    verify_cartan(fresh, report, load_golden(), fast=True)
+    verify_cartan(fresh, report, load_golden())
     assert report.ok
     assert len(builds) == 18 and set(builds.values()) == {1}
     before = Counter(builds)
@@ -266,7 +266,7 @@ def test_verify_checks_each_distinct_laplacian_once(monkeypatch, cx, laps):
 
     monkeypatch.setattr(laplacians, "verify_self_adjoint", flagging)
     report = Report()
-    verify_cartan(cx, report, load_golden(), fast=True)
+    verify_cartan(cx, report, load_golden())
     # 18 matrices, 10 distinct: G = R at h=2,3, A = R at h=0,1,4,5, and
     # the 1x1 matrices of G and R at h=5 equal those at h=0
     assert len(checked) == 10

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from carnot.liealg import (GradingViolation, JacobiViolation, NotStratified,
-                           ResourceLimit, StratifiedLieAlgebra, cartan_group,
-                           free_nilpotent)
+from carnot.liealg import (MAX_DIM, GradingViolation, JacobiViolation,
+                           NotStratified, ResourceLimit, StratifiedLieAlgebra,
+                           cartan_group, free_nilpotent)
 
 
 def test_cartan_group_structure():
@@ -102,8 +102,10 @@ def test_free_nilpotent_dimensions_match_witt(m1, step):
 
 
 def test_free_nilpotent_resource_limit():
-    with pytest.raises(ResourceLimit):
-        free_nilpotent(3, 3, max_dim=5)
+    # free:2,8 has 2+1+2+3+6+9+18+30 = 71 Hall elements
+    with pytest.raises(ResourceLimit) as err:
+        free_nilpotent(2, 8)
+    assert err.value.args == (71, MAX_DIM) == (71, 64)
 
 
 def test_json_round_trip():

@@ -25,13 +25,13 @@ from carnot.exterior import (OperatorForm, covectors, d0_covector, d_terms,
                              merge_wedge, tuple_weight)
 from carnot.liealg import StratifiedLieAlgebra, cartan_group, free_nilpotent
 from carnot.rumin import OperatorMatrix, RuminComplex
-from carnot.scalars import ScalarField
 
 PROPERTY = settings(max_examples=40, derandomize=True, database=None,
                     deadline=None)
 
-# Cartan over Q(sqrt(2)); the realization's fields live in the same tower
-CARTAN = cartan_group(ScalarField([2]))
+# Cartan; the coefficients with sqrt(2) extend its tower, which the
+# realization's fields share
+CARTAN = cartan_group()
 # a step-3 group with fractional and irrational structure constants; the
 # Jacobi identity holds for any constants on this bracket pattern
 SKEW_SPEC = {"layers": [2, 1, 2], "sqrt": [2],
@@ -125,7 +125,7 @@ def test_irrational_bracket_normal_form():
 # -- the normal-form kernel -------------------------------------------------
 
 KERNEL_GROUPS = {
-    "cartan": lambda: cartan_group(ScalarField([2])),
+    "cartan": cartan_group,
     "free-2-4": lambda: free_nilpotent(2, 4),
     "H3": lambda: StratifiedLieAlgebra((6, 1), H3_BRACKETS),
     "skew": lambda: StratifiedLieAlgebra.from_json(SKEW_SPEC)}

@@ -6,7 +6,8 @@ import pytest
 from carnot.env import EnvElement
 from carnot.exterior import Form, OperatorForm
 from carnot.liealg import StratifiedLieAlgebra, cartan_group, free_nilpotent
-from carnot.rumin import OperatorMatrix, RuminComplex, SpanMismatch
+from carnot.rumin import (OperatorMatrix, RuminComplex, SpanMismatch,
+                          StarAdjointMismatch)
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,30 @@ def test_deltac_sign_recorded(cx):
         assert cx.deltac_star_adjoint_sign(h) == 1
 
 
+def test_deltac_checked_once_whichever_is_asked_first(monkeypatch):
+    """delta_c is compared with the adjoint transpose once per degree, and
+    refused on a wrong sign even when the sign was asked for first."""
+    calls = []
+    adjoint = OperatorMatrix.transpose_adjoint
+
+    def counting(self):
+        calls.append(self.shape)
+        return adjoint(self)
+
+    monkeypatch.setattr(OperatorMatrix, "transpose_adjoint", counting)
+    fresh = RuminComplex(cartan_group())
+    fresh.deltac_matrix(1)
+    assert fresh.deltac_star_adjoint_sign(1) == 1
+    assert fresh.deltac_star_adjoint_sign(3) == 1
+    fresh.deltac_matrix(3)
+    assert len(calls) == 2
+    fresh._star[2] = [[-c for c in row] for row in fresh.star_matrix(2)]
+    assert fresh.deltac_star_adjoint_sign(2) == -1
+    with pytest.raises(StarAdjointMismatch, match="degree 2: star formula "
+                       "and adjoint transpose disagree at entries"):
+        fresh.deltac_matrix(2)
+
+
 def test_dc_squared_zero_and_orders(cx):
     for h in range(5):
         assert (cx.dc_matrix(h + 1) @ cx.dc_matrix(h)).is_zero()
@@ -147,15 +172,15 @@ def test_block_homogeneity(cx):
 def test_align_basis(cx):
     g = cx.algebra
     f = g.field
-    ident = cx.align_basis(cx.E0(1), [th(cx, 1), th(cx, 2)])
+    ident = cx.align_basis(1, [th(cx, 1), th(cx, 2)])
     assert ident == [[f(1), f(0)], [f(0), f(1)]]
     # signed permutation alignment
-    t = cx.align_basis(cx.E0(1), [-th(cx, 2), th(cx, 1)])
+    t = cx.align_basis(1, [-th(cx, 2), th(cx, 1)])
     assert t == [[f(0), f(1)], [f(-1), f(0)]]
     with pytest.raises(SpanMismatch):
-        cx.align_basis(cx.E0(1), [th(cx, 1), th(cx, 3)])
+        cx.align_basis(1, [th(cx, 1), th(cx, 3)])
     with pytest.raises(SpanMismatch):
-        cx.align_basis(cx.E0(1), [th(cx, 1), th(cx, 1)])
+        cx.align_basis(1, [th(cx, 1), th(cx, 1)])
 
 
 def test_star_matrices_match_published(cx):

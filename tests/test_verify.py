@@ -17,7 +17,7 @@ def cx():
 
 
 def test_full_run_passes(cx):
-    rep = run_verify(fast=True)
+    rep = run_verify()
     assert rep.ok
     names = {c["name"] for c in rep.checks}
     for required in ("dc-squared-zero", "golden-dc-matrices",
@@ -32,7 +32,7 @@ def test_full_run_passes(cx):
 
 
 def test_report_json_serializable(cx):
-    rep = run_verify(fast=True)
+    rep = run_verify()
     blob = json.dumps(rep.to_json(), sort_keys=True, default=str)
     assert json.loads(blob)["ok"] is True
 
@@ -77,14 +77,14 @@ def test_golden_star_compares_exact_entries(monkeypatch):
     monkeypatch.setattr(RuminComplex, "star_matrix", halved)
     assert load_golden()["star"]["2"][0][0] == 0
     report = Report()
-    verify_cartan(fresh, report, load_golden(), fast=True)
+    verify_cartan(fresh, report, load_golden())
     assert _statuses(report)["golden-star-matrices"] == "fail"
     with pytest.raises(ValueError, match="star matrix 2 has a non-integral"):
         regenerate_golden(fresh)
 
 
 def test_structural_checks_report(cx):
-    rep = run_verify(fast=True)
+    rep = run_verify()
     assert rep.ok
     status = _statuses(rep)
     assert status["dc-squared-zero"] == "pass"
@@ -125,7 +125,7 @@ def test_verify_lifts_each_degree_once(monkeypatch):
 
     monkeypatch.setattr(RuminComplex, "symbolic_basis_form", counting_symbolic)
     monkeypatch.setattr(RuminComplex, "pi_E", counting_pi_e)
-    assert run_verify(fast=True).ok
+    assert run_verify().ok
     assert lifts == {h: 1 for h in range(6)}
 
 
