@@ -1,4 +1,4 @@
-"""Small recursive-descent parser shared by scalar, operator and polynomial text.
+"""Text of scalars, operators and polynomials: one parser, one signed sum.
 
 Grammar (whitespace-insensitive, '*' optional, '^' for powers):
 
@@ -9,6 +9,8 @@ Grammar (whitespace-insensitive, '*' optional, '^' for powers):
 
 The caller supplies an adapter that lifts numbers, square roots and named
 variables into one value type carrying +, -, * and / (division by scalars).
+``signed`` and ``signed_sum`` write the other way: every renderer splits its
+coefficients into sign and text and joins its terms with " + " / " - ".
 """
 
 from __future__ import annotations
@@ -119,6 +121,24 @@ class _Parser:
                 return self.adapter.sqrt(int(arg))
             return self.adapter.var(text)
         raise ExprError(f"unexpected token {text!r}")
+
+
+def signed(c) -> tuple:
+    """(sign, text) of a coefficient: "-" and the text after the minus when
+    it reads negative; a Scalar of several terms is bracketed, sign "+".
+    ``c`` is an int, a Fraction or a Scalar."""
+    if not isinstance(c, (int, Fraction)) and c.is_multi_term():
+        return "+", f"({c})"
+    s = str(c)
+    return ("-", s[1:]) if s.startswith("-") else ("+", s)
+
+
+def signed_sum(terms) -> str:
+    """Join (sign, body) pairs as "a - b + c"; "0" when there are none."""
+    text = "".join(f" {sign} {body}" for sign, body in terms)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def parse(text: str, adapter):

@@ -12,28 +12,15 @@ import functools
 import json
 import sys
 
-from . import estimates, laplacians, linalg
+from . import estimates, laplacians
 from .exterior import OperatorForm
 from .liealg import cartan_group, load_group
 from .rumin import RuminComplex
-from .verify import (load_golden, paper_basis_change, regenerate_golden,
-                     run_verify)
+from .verify import regenerate_golden, run_verify
 
 
 class UsageError(ValueError):
     pass
-
-
-def _aligned(cx, m, row_degree: int, col_degree: int, paper_basis: bool):
-    """Transform a matrix into the published basis when requested."""
-    if not paper_basis:
-        return m
-    if not cx.algebra.is_cartan_table():
-        raise UsageError("--paper-basis requires the built-in group")
-    golden = load_golden()
-    return m.conjugate(
-        linalg.transpose(paper_basis_change(cx, row_degree, golden)),
-        paper_basis_change(cx, col_degree, golden))
 
 
 def cmd_build(cx, args) -> int:
@@ -59,9 +46,7 @@ def cmd_dc(cx, args) -> int:
     n = cx.algebra.n
     if not 0 <= args.degree < n:
         raise UsageError(f"dc degree must be in 0..{n - 1}")
-    m = _aligned(cx, cx.dc_matrix(args.degree), args.degree + 1, args.degree,
-                 args.paper_basis)
-    print(m.render(args.format))
+    print(cx.dc_matrix(args.degree).render(args.format))
     return 0
 
 
@@ -69,9 +54,7 @@ def cmd_deltac(cx, args) -> int:
     n = cx.algebra.n
     if not 1 <= args.degree <= n:
         raise UsageError(f"deltac degree must be in 1..{n}")
-    m = _aligned(cx, cx.deltac_matrix(args.degree), args.degree - 1,
-                 args.degree, args.paper_basis)
-    print(m.render(args.format))
+    print(cx.deltac_matrix(args.degree).render(args.format))
     return 0
 
 
@@ -168,10 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="builtin:cartan | free:m,k | path to a JSON file")
     common.add_argument("--format", default="text",
                         choices=("text", "latex", "json"))
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--paper-basis", action="store_true",
-                        help="print in the published basis (the default "
-                             "basis already matches it on the built-in group)")
 
     parser = argparse.ArgumentParser(
         prog="carnot",
@@ -209,6 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the full verification suite")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--golden", default=None,
                    help="override the committed reference file")
     p.add_argument("--update-golden", metavar="PATH", default=None,

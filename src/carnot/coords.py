@@ -139,24 +139,15 @@ class Polynomial:
         return not self.terms
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for e, c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0])):
+        def term(e, c):
             mono = "*".join(
                 f"x{k + 1}" + (f"^{d}" if d > 1 else "")
                 for k, d in enumerate(e) if d)
-            if c.is_multi_term():
-                sign, coeff = "+", f"({c})"
-            else:
-                s = str(c)
-                sign, coeff = ("-", s[1:]) if s.startswith("-") else ("+", s)
+            sign, coeff = _expr.signed(c)
             body = (mono if coeff == "1" else f"{coeff}*{mono}") if mono else coeff
-            if not pieces:
-                pieces.append(body if sign == "+" else "-" + body)
-            else:
-                pieces.append(f" {sign} {body}")
-        return "".join(pieces)
+            return sign, body
+        return _expr.signed_sum(term(e, c) for e, c in sorted(
+            self.terms.items(), key=lambda t: (sum(t[0]), t[0])))
 
     __str__ = render
 

@@ -36,7 +36,9 @@ algebra, is what costs time in products of order up to 12:
   into an EnvElement once, dropping the zeros.  A sum of products therefore
   costs one pass over its terms instead of one copy of the partial sum per
   term.  ``_scale_into`` adds a scalar multiple the same way; the exterior
-  builders and the products with a constant factor sum through it.
+  builders sum through it.  ``OperatorMatrix.conjugate``, the product with
+  constant matrices on both sides, flattens each entry once (``_flat``) and
+  adds it once per nonzero constant product (``_add_into``).
 * **Common denominator.**  ``OperatorMatrix.__matmul__``, the exterior
   derivative and ``formal_adjoint`` scale their operands exactly to integer
   coefficients by the lcm of their denominators (``_integral``), accumulate
@@ -429,31 +431,14 @@ class EnvElement:
                               tuple(-e for e in item[0])))
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exp, c in self._sorted_terms():
-            factors = []
-            for k, e in enumerate(exp):
-                if e == 1:
-                    factors.append(f"X{k + 1}")
-                elif e > 1:
-                    factors.append(f"X{k + 1}^{e}")
-            mono = "*".join(factors)
-            if c.is_multi_term():
-                sign, coeff = "+", f"({c})"
-            else:
-                s = str(c)
-                sign, coeff = ("-", s[1:]) if s.startswith("-") else ("+", s)
+        def term(exp, c):
+            mono = "*".join(f"X{k + 1}" + (f"^{e}" if e > 1 else "")
+                            for k, e in enumerate(exp) if e)
+            sign, coeff = _expr.signed(c)
             if mono:
-                body = mono if coeff == "1" else f"{coeff}*{mono}"
-            else:
-                body = coeff
-            if not pieces:
-                pieces.append(body if sign == "+" else "-" + body)
-            else:
-                pieces.append(f" {sign} {body}")
-        return "".join(pieces)
+                return sign, mono if coeff == "1" else f"{coeff}*{mono}"
+            return sign, coeff
+        return _expr.signed_sum(term(exp, c) for exp, c in self._sorted_terms())
 
     __str__ = render
 

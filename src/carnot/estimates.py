@@ -484,22 +484,14 @@ def check_row_membership(row, dcm: OperatorMatrix,
     if not unknowns:
         raise DegreeMismatch("no admissible coefficient degrees")
 
-    products = [[EnvElement.monomial(alg, exp) * dcm.entries[i][j]
-                 for j in range(ncols)] for i, exp in unknowns]
-    keys = sorted({(j, mono) for p in products for j in range(ncols)
-                   for mono in p[j].terms}
-                  | {(j, mono) for j in range(ncols) for mono in row[j].terms})
-    kpos = {k: r for r, k in enumerate(keys)}
-    a = [[alg.field.zero()] * len(unknowns) for _ in keys]
-    for col, p in enumerate(products):
-        for j in range(ncols):
-            for mono, c in p[j].terms.items():
-                a[kpos[(j, mono)]][col] = c
-    b = [alg.field.zero()] * len(keys)
-    for j in range(ncols):
-        for mono, c in row[j].terms.items():
-            b[kpos[(j, mono)]] = c
-    sol = linalg.solve(alg.field, a, b)
+    def flat(elements):
+        """{(slot, monomial): coeff} of a row of EnvElements."""
+        return {(j, mono): c for j, u in enumerate(elements)
+                for mono, c in u.terms.items()}
+
+    columns = [flat(EnvElement.monomial(alg, exp) * u for u in dcm.entries[i])
+               for i, exp in unknowns]
+    sol = linalg.solve(alg.field, columns, flat(row))
     if sol is None:
         return None
     cert = [EnvElement.zero(alg) for _ in range(nrows)]
@@ -519,24 +511,13 @@ def solve_divergence_tensor(alg, target_row, order: int,
 
     indices = list(iproduct(range(1, m1 + 1), repeat=order))
     # normal forms of the divergence words, one per index
-    words = {}
-    for idx in indices:
-        word = tuple(reversed(idx)) if convention == "cvs" else idx
-        words[idx] = EnvElement.from_word(alg, word)
+    columns = [EnvElement.from_word(
+        alg, tuple(reversed(idx)) if convention == "cvs" else idx).terms
+        for idx in indices]
     slots = len(target_row)
     components: dict = {}
     for j, target in enumerate(target_row):
-        monos = sorted({m for idx in indices for m in words[idx].terms}
-                       | set(target.terms))
-        mpos = {m: r for r, m in enumerate(monos)}
-        a = [[alg.field.zero()] * len(indices) for _ in monos]
-        for col, idx in enumerate(indices):
-            for m, c in words[idx].terms.items():
-                a[mpos[m]][col] = c
-        b = [alg.field.zero()] * len(monos)
-        for m, c in target.terms.items():
-            b[mpos[m]] = c
-        sol = linalg.solve(alg.field, a, b)
+        sol = linalg.solve(alg.field, columns, target.terms)
         if sol is None:
             return None
         for col, idx in enumerate(indices):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from . import _expr
 from .env import (EnvElement, _add_into, _common_denominator, _flat,
                   _from_acc, _integral, _mul_into, _scale_into)
 from .liealg import StratifiedLieAlgebra
@@ -243,23 +244,11 @@ class Form:
         return Form(alg, self.degree - 1, out)
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for t in sorted(self.terms):
-            c = self.terms[t]
+        def term(t):
             mono = "∧".join(f"θ{i}" for i in t) if t else "1"
-            if c.is_multi_term():
-                sign, coeff = "+", f"({c})"
-            else:
-                s = str(c)
-                sign, coeff = ("-", s[1:]) if s.startswith("-") else ("+", s)
-            body = mono if coeff == "1" else f"{coeff} {mono}"
-            if not pieces:
-                pieces.append(body if sign == "+" else "-" + body)
-            else:
-                pieces.append(f" {sign} {body}")
-        return "".join(pieces)
+            sign, coeff = _expr.signed(self.terms[t])
+            return sign, mono if coeff == "1" else f"{coeff} {mono}"
+        return _expr.signed_sum(map(term, sorted(self.terms)))
 
     __str__ = render
 

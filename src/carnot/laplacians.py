@@ -15,13 +15,13 @@ times in its middle, as delta A^k d or d A^k delta.  On the Heisenberg
 group H_m this makes R Rumin's Laplacian.  A group whose d_c mixes orders
 in some degree raises UnsupportedGroup.
 
-Each Laplacian is built once per complex and cached on it by (family, h);
-the family and degree are checked on every call, cached or not.  The block
-powers are memoized too, P^p as P^(p-1) @ P, and the families share them:
-G's powers pass through R's where the orders divide.  No recipe uses a
-block of another degree, so the power memo holds only the degree requested
-last; keeping every degree's powers would raise the peak memory for no
-reuse.
+Each Laplacian is built once per complex and kept in the complex's memo
+by (family, h); the family and degree are checked on every call, cached or
+not.  The block powers P^p = P^(p-1) @ P go to the same memo, and the
+families share them: G's powers pass through R's where the orders divide.
+No recipe uses a block of another degree, so the memo keeps the powers of
+the degree requested last only; keeping every degree's powers would raise
+the peak memory for no reuse.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 from math import lcm
 
 from .env import EnvElement
-from .rumin import OperatorMatrix, RuminComplex
+from .rumin import OperatorMatrix, RuminComplex, cached
 
 
 class UnsupportedGroup(ValueError):
@@ -98,10 +98,12 @@ def laplacian(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
         raise ValueError(f"unknown family {family!r}")
     if not 0 <= h <= cx.algebra.n:
         raise ValueError(f"degree {h} out of range")
-    key = (family, h)
-    if key not in cx._laplacians:
-        cx._laplacians[key] = _build(cx, family, h)
-    return cx._laplacians[key]
+    return _cached_build(cx, family, h)
+
+
+@cached()
+def _cached_build(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
+    return _build(cx, family, h)
 
 
 def _build(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
@@ -110,22 +112,16 @@ def _build(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
     return sum(terms[1:], terms[0])
 
 
+@cached(last_degree=True)
 def _block_power(cx: RuminComplex, h: int, kind: str, p: int):
-    """P^p = P^(p-1) @ P for the block P of that kind, memoized at degree h.
+    """P^p = P^(p-1) @ P for the block P of that kind, at degree h.
 
-    The memo holds the degree asked for last and is dropped on a change of
-    degree: no recipe uses a block of another degree.
+    Only the degree asked for last is kept: no recipe uses a block of
+    another degree.
     """
-    degree, memo = cx._block_powers
-    if degree != h:
-        memo = {}
-        cx._block_powers = (h, memo)
-    key = (kind, p)
-    if key not in memo:
-        memo[key] = (_block_power(cx, h, kind, p - 1)
-                     @ _block_power(cx, h, kind, 1)
-                     if p > 1 else _block(cx, h, kind))
-    return memo[key]
+    if p == 1:
+        return _block(cx, h, kind)
+    return _block_power(cx, h, kind, p - 1) @ _block_power(cx, h, kind, 1)
 
 
 def _block(cx: RuminComplex, h: int, kind: str, k: int = 0) -> OperatorMatrix:

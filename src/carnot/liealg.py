@@ -273,43 +273,52 @@ def _tensor_expand(tree: _HallTree, step: int) -> dict:
     return out
 
 
+def _mobius(e: int) -> int:
+    """The Moebius function: 0 unless e is squarefree, else (-1)^(#primes)."""
+    out, p = 1, 2
+    while p * p <= e:
+        if e % p == 0:
+            e //= p
+            if e % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if e > 1 else out
+
+
+def witt_dimension(m: int, d: int) -> int:
+    """Dimension of the degree-d layer of the free Lie algebra on m
+    generators, W(m, d) = (1/d) sum_{e | d} mu(e) m^(d/e) (Witt's formula):
+    the number of Hall trees of degree d."""
+    return sum(_mobius(e) * m ** (d // e)
+               for e in range(1, d + 1) if d % e == 0) // d
+
+
 def free_nilpotent(m1: int, step: int) -> StratifiedLieAlgebra:
     """Free nilpotent Lie algebra on m1 generators, nilpotency step `step`.
 
     Structure constants are obtained by expanding Hall trees in the tensor
     algebra and solving for the coordinates of each commutator in the Hall
     basis of the appropriate degree, which is exact and convention-free.
+    The layer dimensions come from Witt's formula, so a group above
+    ``MAX_DIM`` is refused before any tree is built.
     """
     if m1 < 2 or step < 1:
         raise DimensionMismatch(m1, step)
+    layer_dims = [witt_dimension(m1, d) for d in range(1, step + 1)]
+    if sum(layer_dims) > MAX_DIM:
+        raise ResourceLimit(sum(layer_dims), MAX_DIM)
     trees = _hall_basis(m1, step)
-    if len(trees) > MAX_DIM:
-        raise ResourceLimit(len(trees), MAX_DIM)
-    layer_dims = [0] * step
-    for t in trees:
-        layer_dims[t.degree - 1] += 1
     field = ScalarField()
-    tensors = [_tensor_expand(t, step) for t in trees]
-    by_degree: dict = {}
-    for idx, t in enumerate(trees):
-        by_degree.setdefault(t.degree, []).append(idx)
 
-    def express(poly: dict, degree: int) -> dict:
-        """Coordinates of a tensor-algebra Lie element over degree-d trees."""
-        if not poly:
-            return {}
-        idxs = by_degree[degree]
-        words = sorted({w for i in idxs for w in tensors[i]} | set(poly))
-        wpos = {w: r for r, w in enumerate(words)}
-        a = [[field.zero() for _ in idxs] for _ in words]
-        for c, i in enumerate(idxs):
-            for w, coeff in tensors[i].items():
-                a[wpos[w]][c] = field.from_rational(coeff)
-        b = [field.from_rational(poly.get(w, 0)) for w in words]
-        sol = linalg.solve(field, a, b)
-        if sol is None:
-            raise LieAlgebraError("hall expansion failed")  # pragma: no cover
-        return {idxs[c] + 1: sol[c] for c in range(len(idxs)) if sol[c]}
+    def expand(tree):
+        """The tree as a vector of the tensor algebra over the field."""
+        return {w: field.from_rational(c)
+                for w, c in _tensor_expand(tree, step).items()}
+
+    columns: dict = {}   # degree -> its Hall elements, expanded
+    for t in trees:
+        columns.setdefault(t.degree, []).append(expand(t))
 
     brackets = {}
     for i in range(len(trees)):
@@ -317,16 +326,12 @@ def free_nilpotent(m1: int, step: int) -> StratifiedLieAlgebra:
             d = trees[i].degree + trees[j].degree
             if d > step:
                 continue
-            prod: dict = {}
-            for u, cu in tensors[i].items():
-                for v, cv in tensors[j].items():
-                    for word, c in ((u + v, cu * cv), (v + u, -cu * cv)):
-                        s = prod.get(word, 0) + c
-                        if s:
-                            prod[word] = s
-                        else:
-                            prod.pop(word, None)
-            vec = express(prod, d)
+            sol = linalg.solve(field, columns[d], expand(
+                _HallTree(left=trees[i], right=trees[j])))
+            if sol is None:
+                raise LieAlgebraError("hall expansion failed")  # pragma: no cover
+            offset = sum(layer_dims[:d - 1]) + 1
+            vec = {offset + c: x for c, x in enumerate(sol) if x}
             if vec:
                 brackets[(i + 1, j + 1)] = vec
 

@@ -1,10 +1,11 @@
 """Exact sparse linear algebra over a field of exact values.
 
 The entries are Scalars (``Scalar.inverse`` also runs ``_rref`` on
-Fractions).  The public routines take and return lists of lists; inside, a
-row is a ``{column: value}`` dict of its nonzero entries, so the work grows
-with the nonzeros, not with the block size: a d0 weight block has up to a
-hundred or more columns and about two nonzeros per row.  Every result is
+Fractions).  The public routines take and return lists of lists, except
+``solve``, whose columns and target are ``{key: value}`` vectors over any
+keys.  Inside, a row is a ``{column: value}`` dict of its nonzero entries,
+so the work grows with the nonzeros, not with the block size: a d0 weight
+block has up to a hundred or more columns and about two nonzeros per row.  Every result is
 unique (the reduced row-echelon form, the canonical nullspace, Gram-Schmidt
 of an ordered input, the Moore-Penrose inverse) and scalars are canonical,
 so the elimination order does not show in the output.  ``mat_mul`` stays
@@ -162,17 +163,25 @@ def nullspace(field, a, ncols=None):
     return _dense(field, list(basis.values()), ncols)
 
 
-def solve(field, a, b):
-    """One exact solution of A x = b, or None if inconsistent."""
-    if not a:
-        return None if any(x for x in b) else []
-    ncols = len(a[0])
-    rows, pivots = _rref(_sparse([row + [bv] for row, bv in zip(a, b)]))
-    if ncols in pivots:
+def solve(field, columns, target):
+    """One exact x with sum_c x[c] * columns[c] = target, or None.
+
+    The columns and the target are sparse ``{key: value}`` vectors over any
+    hashable keys.  Free variables are 0; the reduced row-echelon form is
+    unique, so the solution does not depend on the order of the keys.
+    """
+    n = len(columns)
+    rows: dict = {}
+    for c, vec in enumerate(columns + [target]):
+        for key, x in vec.items():
+            if x:
+                rows.setdefault(key, {})[c] = x
+    red, pivots = _rref(rows.values())
+    if n in pivots:
         return None
-    x = [field.zero()] * ncols
-    for row, c in zip(rows, pivots):
-        x[c] = row.get(ncols, x[c])
+    x = [field.zero()] * n
+    for row, c in zip(red, pivots):
+        x[c] = row.get(n, x[c])
     return x
 
 

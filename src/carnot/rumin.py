@@ -16,28 +16,35 @@ weight-ascending recursion
 where d0^{-1} is the exact Moore-Penrose pseudoinverse of d0 per weight
 block.  Each degree's lift, Pi_E applied to the symbolic basis form
 sum_i alpha_i xi_i with one function slot per basis element, is computed
-once and cached on the complex.  The intrinsic differential in the chosen
-bases is the operator matrix d_c = Pi_{E0} d Pi_E, read off d(lift), which
-the complex keeps for the degree asked for last: its projection onto
-E0^{h+1} has one row per basis element of E0^{h+1} and one entry per slot.
-Pi_E, Pi_{E0} and the form builders sum in the flat accumulators of
-:mod:`carnot.env`, and a product with a constant factor (a star matrix or a
-change of basis) is a sum of scaled entries, with no PBW product.  The
+once.  The intrinsic differential in the chosen bases is the operator matrix
+d_c = Pi_{E0} d Pi_E, read off d(lift): its projection onto E0^{h+1} has one
+row per basis element of E0^{h+1} and one entry per slot.  Pi_E, Pi_{E0} and
+the form builders sum in the flat accumulators of :mod:`carnot.env`.  The
 codifferential is obtained from the star formula
 delta_c = (-1)^{n(h+1)+1} * d_c *, cross-checked once per degree against the
 entrywise formal-adjoint transpose.  ``coordinates`` (coefficients over E0^h)
-and ``OperatorMatrix.conjugate`` are the one change-of-basis path.
+and ``OperatorMatrix.conjugate`` are the one change-of-basis path; a product
+with constant matrices on both sides (a star or a change of basis) is a sum
+of scaled entries there, with no PBW product.
+
+Every derived object lives in one dict, ``RuminComplex.memo``, filled by the
+``cached`` decorator, which :mod:`carnot.laplacians` uses too.  Each degree
+keeps its weight blocks, d0 blocks, E0, d0^{-1}, lift, d_c, star and delta_c;
+d(lift) and the Laplacian block powers are large and read at one degree at a
+time, so only the degree asked for last keeps them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
+from collections import defaultdict
 
 from . import linalg
-from .env import (EnvElement, Mixed, ZeroElement, _common_denominator,
-                  _from_acc, _integral, _mul_into, _scale_into,
-                  homogeneity_degrees)
+from .env import (EnvElement, Mixed, ZeroElement, _add_into,
+                  _common_denominator, _flat, _from_acc, _integral, _mul_into,
+                  _scale_into, homogeneity_degrees)
 from .exterior import (CovectorMap, Form, OperatorForm, accumulate,
                        covectors, d0_covector, d_terms, terms_of,
                        tuple_weight)
@@ -98,12 +105,6 @@ class OperatorMatrix:
         return cls(alg, [[z] * cols for _ in range(rows)],
                    row_weights, col_weights, cols=cols)
 
-    @classmethod
-    def from_scalar_matrix(cls, alg, rows):
-        unit = EnvElement.one(alg)
-        return cls(alg, [[unit.scale(alg.field(c)) for c in row]
-                         for row in rows])
-
     def __eq__(self, other):
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
@@ -135,62 +136,55 @@ class OperatorMatrix:
                               cols=self._cols)
 
     def conjugate(self, left, right):
-        """left @ self @ right, for two scalar matrices given as row lists."""
-        alg = self.algebra
-        return (OperatorMatrix.from_scalar_matrix(alg, left) @ self
-                @ OperatorMatrix.from_scalar_matrix(alg, right))
+        """left @ self @ right, for two scalar matrices given as row lists.
 
-    def is_constant(self) -> bool:
-        """True when every entry is zero or a multiple of the unit monomial."""
-        unit = {(0,) * self.algebra.n}
-        return all(e.terms.keys() <= unit for row in self.entries for e in row)
+        Each nonzero entry M[s][t] is flattened once and added into output
+        entry (i, j), scaled by each nonzero left[i][s] * right[t][j]: no
+        PBW product is formed.
+        """
+        alg = self.algebra
+        rad = alg.field.radicands
+        n = len(right[0]) if right else 0
+        accs = [[{} for _ in range(n)] for _ in left]
+        for s, row in enumerate(self.entries):
+            lefts = [(acc_row, c[s]) for acc_row, c in zip(accs, left) if c[s]]
+            for t, u in enumerate(row):
+                if not u:
+                    continue
+                nf = _flat(u.terms)
+                for j, r in enumerate(right[t]):
+                    if r:
+                        for acc_row, c in lefts:
+                            for m, v in (c * r).terms.items():
+                                _add_into(rad, acc_row[j], nf, v, m)
+        return OperatorMatrix(alg, [[_from_acc(alg, acc) for acc in row]
+                                    for row in accs], cols=n)
 
     def __matmul__(self, other):
-        """Matrix product, by scaled sums or over a common denominator.
+        """Matrix product over a common denominator.
 
-        With a constant factor, each output entry sums the other factor's
-        entries scaled by the nonzero constants.  Otherwise each factor is
-        scaled exactly to integer coefficients by the lcm of its
-        denominators, every output entry is accumulated in one flat dict, in
-        ``int`` arithmetic whenever the group's normal forms are integral,
-        and divided by the product of the two denominators once.
+        Each factor is scaled exactly to integer coefficients by the lcm of
+        its denominators, every output entry is accumulated in one flat
+        dict, in ``int`` arithmetic whenever the group's normal forms are
+        integral, and divided by the product of the two denominators once.
         """
         k = self.shape[1]
         k2, n = other.shape
         if k != k2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         alg = self.algebra
-        m = len(self.entries)
-        accs = [[{} for _ in range(n)] for _ in range(m)]
-        d = 1
-        if self.is_constant() or other.is_constant():
-            rad = alg.field.radicands
-            if self.is_constant():
-                scaled = ((i, j, c, other.entries[t][j])
-                          for i, row in enumerate(self.entries)
-                          for t, c in enumerate(row) if c.terms
-                          for j in range(n))
-            else:
-                scaled = ((i, j, c, self.entries[i][t])
-                          for t, row in enumerate(other.entries)
-                          for j, c in enumerate(row) if c.terms
-                          for i in range(m))
-            for i, j, c, u in scaled:
-                _scale_into(rad, accs[i][j], u.terms, c.as_scalar().terms)
-        else:
-            da = _common_denominator(e for row in self.entries for e in row)
-            db = _common_denominator(e for row in other.entries for e in row)
-            a = [[_integral(e, da).terms for e in row] for row in self.entries]
-            b = [[_integral(e, db).terms for e in row]
-                 for row in other.entries]
-            for a_row, acc_row in zip(a, accs):
-                for j, acc in enumerate(acc_row):
-                    for x, b_row in zip(a_row, b):
-                        y = b_row[j]
-                        if x and y:
-                            _mul_into(alg, acc, x, y)
-            d = da * db
-        out = [[_from_acc(alg, acc, d) for acc in row] for row in accs]
+        da = _common_denominator(e for row in self.entries for e in row)
+        db = _common_denominator(e for row in other.entries for e in row)
+        a = [[_integral(e, da).terms for e in row] for row in self.entries]
+        b = [[_integral(e, db).terms for e in row] for row in other.entries]
+        accs = [[{} for _ in range(n)] for _ in a]
+        for a_row, acc_row in zip(a, accs):
+            for j, acc in enumerate(acc_row):
+                for x, b_row in zip(a_row, b):
+                    y = b_row[j]
+                    if x and y:
+                        _mul_into(alg, acc, x, y)
+        out = [[_from_acc(alg, acc, da * db) for acc in row] for row in accs]
         return OperatorMatrix(self.algebra, out,
                               self.row_weights, other.col_weights, cols=n)
 
@@ -250,56 +244,70 @@ def _latex_env(e: EnvElement) -> str:
     return s.replace("*", " ")
 
 
+def cached(last_degree=False):
+    """Memoize a function of a complex, called as fn(cx, *args), in cx.memo.
+
+    ``cx.memo[name]`` maps the positional arguments after ``cx`` to the
+    value, under the function's qualified name.  With ``last_degree`` the
+    first argument is a degree and only the degree asked for last is kept: a
+    call at another degree empties the table before it computes.
+    """
+    def wrap(fn):
+        name = fn.__qualname__
+
+        @functools.wraps(fn)
+        def memoized(cx, *args):
+            table = cx.memo[name]
+            if args not in table:
+                if last_degree and table and next(iter(table))[0] != args[0]:
+                    table.clear()
+                table[args] = fn(cx, *args)
+            return table[args]
+        return memoized
+    return wrap
+
+
 class RuminComplex:
-    """All per-group constructions, cached; immutable once built."""
+    """All per-group constructions, cached in ``memo``; immutable once built."""
 
     def __init__(self, algebra):
         self.algebra = algebra
-        self._blocks: dict = {}
-        self._d0_blocks: dict = {}
-        self._E0: dict = {}
-        self._lifts: dict = {}
-        self._d_lift: tuple = (None, None)
-        self._pinv_maps: dict = {}
-        self._dc: dict = {}
-        self._deltac: dict = {}  # h -> (delta_c, adjoint sign)
-        self._star: dict = {}
-        # filled by carnot.laplacians: the Laplacians by (family, h), and
-        # the block powers of the degree built last, as (h, {(kind, p): P^p})
-        self._laplacians: dict = {}
-        self._block_powers: tuple = (None, {})
+        self.memo: defaultdict = defaultdict(dict)
 
     # -- graded pieces ---------------------------------------------------
 
+    @cached()
     def _weight_blocks(self, h: int) -> dict:
         """Degree-h covectors grouped by weight, in ascending weight."""
-        if h not in self._blocks:
-            out: dict = {}
-            for j in covectors(self.algebra, h):
-                out.setdefault(tuple_weight(self.algebra, j), []).append(j)
-            self._blocks[h] = dict(sorted(out.items()))
-        return self._blocks[h]
+        out: dict = {}
+        for j in covectors(self.algebra, h):
+            out.setdefault(tuple_weight(self.algebra, j), []).append(j)
+        return dict(sorted(out.items()))
 
+    @cached()
     def d0_matrix_block(self, h: int, weight: int):
         """Matrix of d0 on the weight block of degree h, plus its bases.
 
-        Cached per (h, weight); callers must not modify the rows.
+        Callers must not modify the rows.
         """
-        if (h, weight) not in self._d0_blocks:
-            alg = self.algebra
-            dom = self._weight_blocks(h).get(weight, [])
-            cod = self._weight_blocks(h + 1).get(weight, [])
-            pos = {j: i for i, j in enumerate(cod)}
-            rows = linalg.zeros(alg.field, len(cod), len(dom))
-            for c, j in enumerate(dom):
-                for out_j, x in d0_covector(alg, j).items():
-                    rows[pos[out_j]][c] = x
-            self._d0_blocks[h, weight] = rows, dom, cod
-        return self._d0_blocks[h, weight]
+        alg = self.algebra
+        dom = self._weight_blocks(h).get(weight, [])
+        cod = self._weight_blocks(h + 1).get(weight, [])
+        pos = {j: i for i, j in enumerate(cod)}
+        rows = linalg.zeros(alg.field, len(cod), len(dom))
+        for c, j in enumerate(dom):
+            for out_j, x in d0_covector(alg, j).items():
+                rows[pos[out_j]][c] = x
+        return rows, dom, cod
 
+    def d0_blocks(self, h: int) -> dict:
+        """{weight: (rows, dom, cod)} for the nonempty d0 blocks of degree h."""
+        blocks = {w: self.d0_matrix_block(h, w)
+                  for w in self._weight_blocks(h + 1)}
+        return {w: b for w, b in blocks.items() if b[1] and b[2]}
+
+    @cached()
     def E0(self, h: int) -> RuminBasis:
-        if h in self._E0:
-            return self._E0[h]
         alg = self.algebra
         if not 0 <= h <= alg.n:
             raise ValueError(f"degree {h} out of range")
@@ -322,34 +330,26 @@ class RuminComplex:
                                      for i in range(len(dom)) if vec[i]})
                 elements.append(form)
                 weights.append(w)
-        basis = RuminBasis(h, elements, tuple(weights))
-        self._E0[h] = basis
-        return basis
+        return RuminBasis(h, elements, tuple(weights))
 
     def dims(self):
         return tuple(len(self.E0(h)) for h in range(self.algebra.n + 1))
 
     # -- d0 pseudoinverse ---------------------------------------------------
 
+    @cached()
     def d0_pinv_map(self, h: int) -> CovectorMap:
         """Moore-Penrose inverse of d0 on degree h, as a map of (h+1)-forms."""
-        if h in self._pinv_maps:
-            return self._pinv_maps[h]
         alg = self.algebra
         columns: dict = {}
-        for w in self._weight_blocks(h + 1):
-            rows, dom, cod = self.d0_matrix_block(h, w)
-            if not dom or not cod:
-                continue
+        for rows, dom, cod in self.d0_blocks(h).values():
             pinv = linalg.pseudoinverse(alg.field, rows)  # dom x cod
             for c, j_in in enumerate(cod):
                 col = {dom[r]: pinv[r][c]
                        for r in range(len(dom)) if pinv[r][c]}
                 if col:
                     columns[j_in] = col
-        out = CovectorMap(alg, h + 1, h, columns)
-        self._pinv_maps[h] = out
-        return out
+        return CovectorMap(alg, h + 1, h, columns)
 
     def d0_pinv(self, form):
         """Apply d0^{-1}; the input degree selects the block (h+1 -> h)."""
@@ -405,32 +405,27 @@ class RuminComplex:
 
     # -- intrinsic differential ----------------------------------------------
 
+    @cached()
     def lift(self, h: int) -> OperatorForm:
-        """Pi_E of the symbolic basis form of degree h, cached per degree."""
-        if h not in self._lifts:
-            self._lifts[h] = self.pi_E(self.symbolic_basis_form(h))
-        return self._lifts[h]
+        """Pi_E of the symbolic basis form of degree h, kept for every degree."""
+        return self.pi_E(self.symbolic_basis_form(h))
 
+    @cached(last_degree=True)
     def d_lift(self, h: int) -> OperatorForm:
         """d of the degree-h lift; only the degree asked for last is kept."""
-        if self._d_lift[0] != h:
-            self._d_lift = (h, self.lift(h).d_full())
-        return self._d_lift[1]
+        return self.lift(h).d_full()
 
+    @cached()
     def dc_matrix(self, h: int) -> OperatorMatrix:
         """Pi_{E0} of the degree-h d_lift: row i, slot j is entry (i, j)."""
-        if h in self._dc:
-            return self._dc[h]
         alg = self.algebra
         src = self.E0(h)
         if h >= alg.n:
-            out = OperatorMatrix.zeros(alg, 0, len(src), (), src.weights)
-        else:
-            out = OperatorMatrix(alg, self.pi_E0(self.d_lift(h), h + 1),
-                                 self.E0(h + 1).weights, src.weights,
-                                 cols=len(src))
-            self._check_homogeneity(out)
-        self._dc[h] = out
+            return OperatorMatrix.zeros(alg, 0, len(src), (), src.weights)
+        out = OperatorMatrix(alg, self.pi_E0(self.d_lift(h), h + 1),
+                             self.E0(h + 1).weights, src.weights,
+                             cols=len(src))
+        self._check_homogeneity(out)
         return out
 
     def _check_homogeneity(self, m: OperatorMatrix):
@@ -464,43 +459,40 @@ class RuminComplex:
             out.append(coeffs)
         return out
 
+    @cached()
     def star_matrix(self, h: int):
         """Scalar matrix of the Hodge star E0^h -> E0^{n-h} (columns act)."""
-        if h not in self._star:
-            n = self.algebra.n
-            try:
-                coords = self.coordinates(n - h,
-                                          [xi.star() for xi in self.E0(h)])
-            except SpanMismatch:
-                raise SpanMismatch(
-                    f"star of E0^{h} leaves the span of E0^{n - h}") from None
-            self._star[h] = linalg.transpose(coords)
-        return self._star[h]
+        n = self.algebra.n
+        try:
+            coords = self.coordinates(n - h, [xi.star() for xi in self.E0(h)])
+        except SpanMismatch:
+            raise SpanMismatch(
+                f"star of E0^{h} leaves the span of E0^{n - h}") from None
+        return linalg.transpose(coords)
+
+    @cached()
+    def _deltac(self, h: int):
+        """(delta_c from the star formula, its sign against the adjoint)."""
+        alg = self.algebra
+        n, src = alg.n, self.E0(h)
+        if h == 0:
+            return OperatorMatrix.zeros(alg, 0, len(src), (), src.weights), 1
+        sign = -1 if (n * (h + 1) + 1) % 2 else 1
+        out = self.dc_matrix(n - h).conjugate(
+            self.star_matrix(n - h + 1),
+            self.star_matrix(h)).scale(alg.field(sign))
+        out.row_weights = self.E0(h - 1).weights
+        out.col_weights = src.weights
+        alt = self.dc_matrix(h - 1).transpose_adjoint()
+        return out, 1 if out == alt else -1 if out == -alt else None
 
     def deltac_star_adjoint_sign(self, h: int):
         """Sign s with delta_c = s * (adjoint transpose of d_c(h-1)), or None.
 
-        delta_c comes from the star formula and is memoized with s, so the
-        comparison runs once per degree, whichever of this and deltac_matrix
-        is asked first.
+        delta_c and s are memoized together, so the comparison runs once per
+        degree, whichever of this and deltac_matrix is asked first.
         """
-        if h not in self._deltac:
-            alg = self.algebra
-            n, src = alg.n, self.E0(h)
-            if h == 0:
-                out, s = OperatorMatrix.zeros(alg, 0, len(src), (),
-                                              src.weights), 1
-            else:
-                sign = -1 if (n * (h + 1) + 1) % 2 else 1
-                out = self.dc_matrix(n - h).conjugate(
-                    self.star_matrix(n - h + 1),
-                    self.star_matrix(h)).scale(alg.field(sign))
-                out.row_weights = self.E0(h - 1).weights
-                out.col_weights = src.weights
-                alt = self.dc_matrix(h - 1).transpose_adjoint()
-                s = 1 if out == alt else -1 if out == -alt else None
-            self._deltac[h] = (out, s)
-        return self._deltac[h][1]
+        return self._deltac(h)[1]
 
     def deltac_matrix(self, h: int) -> OperatorMatrix:
         """Codifferential on E0^h via delta_c = (-1)^{n(h+1)+1} * d_c *.
@@ -508,8 +500,8 @@ class RuminComplex:
         Raises StarAdjointMismatch unless it equals the adjoint transpose
         of d_c(h-1).
         """
-        if self.deltac_star_adjoint_sign(h) != 1:
-            out = self._deltac[h][0]
+        out, s = self._deltac(h)
+        if s != 1:
             alt = self.dc_matrix(h - 1).transpose_adjoint()
             diffs = [(i, j)
                      for i in range(out.shape[0])
@@ -518,7 +510,7 @@ class RuminComplex:
             raise StarAdjointMismatch(
                 f"degree {h}: star formula and adjoint transpose "
                 f"disagree at entries {diffs}")
-        return self._deltac[h][0]
+        return out
 
     # -- basis alignment -------------------------------------------------------
 

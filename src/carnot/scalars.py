@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from . import _expr
 from .linalg import _rref
 
 
@@ -146,8 +147,6 @@ class ScalarField:
 
     def parse(self, text: str) -> "Scalar":
         """Parse "3/2", "0.5", "-1/2*sqrt(2)", "1 + sqrt(2)/2", etc."""
-        from . import _expr
-
         return _expr.parse_scalar(self, text)
 
     def __repr__(self):
@@ -317,30 +316,13 @@ class Scalar:
     # -- rendering ------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
+        def term(m):
+            sign, c = _expr.signed(self.terms[m])
             if m == 0:
-                parts.append((c, None))
-            else:
-                parts.append((c, _mask_product(self.field.radicands, m)))
-        out = []
-        for i, (c, rad) in enumerate(parts):
-            sign = "-" if c < 0 else "+"
-            c = abs(c)
-            if rad is None:
-                body = str(c)
-            elif c == 1:
-                body = f"sqrt({rad})"
-            else:
-                body = f"{c}*sqrt({rad})"
-            if i == 0:
-                out.append(body if sign == "+" else "-" + body)
-            else:
-                out.append(f" {sign} {body}")
-        return "".join(out)
+                return sign, c
+            rad = f"sqrt({_mask_product(self.field.radicands, m)})"
+            return sign, rad if c == "1" else f"{c}*{rad}"
+        return _expr.signed_sum(map(term, sorted(self.terms)))
 
     def __repr__(self):
         return f"Scalar({self})"

@@ -11,7 +11,8 @@ matrices, order tables).  Checks come in two kinds:
   findings.
 
 ``paper_basis_change`` is the one place that aligns the published bases with
-the computed ones; `carnot dc/deltac --paper-basis` use it too.
+the computed ones.  The suite reads the complex through its public methods
+only; every derived object it asks for is built once, in the complex's memo.
 """
 
 from __future__ import annotations
@@ -88,13 +89,9 @@ class Report:
 
 def d0_range_profile(cx: RuminComplex, h: int) -> dict:
     """Rank of d0 on degree h per weight of its range, nonzero ranks only."""
-    prof = {}
-    for w in cx._weight_blocks(h + 1):
-        rows, dom, cod = cx.d0_matrix_block(h, w)
-        r = linalg.rank(cx.algebra.field, rows) if dom and cod else 0
-        if r:
-            prof[str(w)] = r
-    return prof
+    ranks = {w: linalg.rank(cx.algebra.field, rows)
+             for w, (rows, _, _) in cx.d0_blocks(h).items()}
+    return {str(w): r for w, r in ranks.items() if r}
 
 
 def verify_group(cx: RuminComplex, report: Report, seed: int = 0):
@@ -147,13 +144,10 @@ def verify_group(cx: RuminComplex, report: Report, seed: int = 0):
     report.add("projection-piE-piE0-piE", ok)
 
     ok = True
+    f = alg.field
     for h in range(n):
-        for w in sorted(cx._weight_blocks(h)):
-            b_rows, dom, cod = cx.d0_matrix_block(h, w)
-            if not dom or not cod:
-                continue
-            p = linalg.pseudoinverse(alg.field, b_rows)
-            f = alg.field
+        for b_rows, _, _ in cx.d0_blocks(h).values():
+            p = linalg.pseudoinverse(f, b_rows)
             bp = linalg.mat_mul(f, b_rows, p)
             pb = linalg.mat_mul(f, p, b_rows)
             checks = (

@@ -211,15 +211,19 @@ def test_verify_unaligned_golden_basis_named(capsys, tmp_path):
 
 
 def test_verify_resource_limit(capsys):
-    # free:2,8 has 71 Hall elements, more than the 64 any group may have
-    code, _, err = run(capsys, "verify", "--group", "free:2,8")
-    assert code == 2
-    assert err == "error: ResourceLimit(71,64)\n"
+    # free:2,8 has 71 Hall elements, more than the 64 any group may have;
+    # free:2,30 is refused as fast, before any Hall tree is built
+    for spec, count in (("free:2,8", 71), ("free:2,30", 74248451)):
+        code, _, err = run(capsys, "verify", "--group", spec)
+        assert code == 2
+        assert err == f"error: ResourceLimit({count},64)\n"
 
 
 @pytest.mark.parametrize("command, degrees", [("dc", range(5)),
                                               ("deltac", range(1, 6))])
 def test_paper_basis_reproduces_the_listings(capsys, command, degrees):
+    """The computed basis is the published one: the listings need no
+    change of basis."""
     from carnot.liealg import cartan_group
     from carnot.verify import golden_matrix, load_golden
 
@@ -227,18 +231,19 @@ def test_paper_basis_reproduces_the_listings(capsys, command, degrees):
     golden = load_golden()[command]
     for h in degrees:
         code, out, _ = run(capsys, command, "--degree", str(h),
-                           "--paper-basis", "--format", "json")
+                           "--format", "json")
         assert code == 0
         assert golden_matrix(g, json.loads(out)["entries"]) \
             == golden_matrix(g, golden[str(h)])
 
 
-def test_paper_basis_requires_the_builtin_group(capsys):
-    code, out, err = run(capsys, "dc", "--degree", "0", "--paper-basis",
-                         "--group", "free:2,2")
-    assert code == 2
-    assert out == ""
-    assert err == "error: --paper-basis requires the built-in group\n"
+@pytest.mark.parametrize("argv", [("dc", "--degree", "0", "--paper-basis"),
+                                  ("build", "--seed", "1")])
+def test_options_only_where_they_act(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_bad_group_spec_exit_2(capsys):

@@ -4,7 +4,8 @@ import pytest
 
 from carnot.liealg import (MAX_DIM, GradingViolation, JacobiViolation,
                            NotStratified, ResourceLimit, StratifiedLieAlgebra,
-                           cartan_group, free_nilpotent)
+                           _hall_basis, cartan_group, free_nilpotent,
+                           witt_dimension)
 
 
 def test_cartan_group_structure():
@@ -102,10 +103,21 @@ def test_free_nilpotent_dimensions_match_witt(m1, step):
 
 
 def test_free_nilpotent_resource_limit():
-    # free:2,8 has 2+1+2+3+6+9+18+30 = 71 Hall elements
-    with pytest.raises(ResourceLimit) as err:
-        free_nilpotent(2, 8)
-    assert err.value.args == (71, MAX_DIM) == (71, 64)
+    # free:2,8 has 2+1+2+3+6+9+18+30 = 71 Hall elements; free:2,30 has
+    # 74,248,451, refused from Witt's formula before any tree is built
+    for step, count in ((8, 71), (30, 74248451)):
+        with pytest.raises(ResourceLimit) as err:
+            free_nilpotent(2, step)
+        assert err.value.args == (count, MAX_DIM) == (count, 64)
+
+
+def test_witt_formula_counts_the_hall_trees():
+    for m, steps in ((2, 8), (3, 5), (4, 4), (5, 3)):
+        trees = _hall_basis(m, steps)
+        for d in range(1, steps + 1):
+            assert sum(t.degree == d for t in trees) == witt_dimension(m, d)
+    assert [witt_dimension(2, d) for d in range(1, 9)] \
+        == [2, 1, 2, 3, 6, 9, 18, 30]
 
 
 def test_json_round_trip():

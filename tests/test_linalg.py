@@ -35,13 +35,14 @@ def test_solve_and_inverse():
     f = ScalarField()
     a = _mat(f, [[2, 1], [1, 1]])
     b = [f(3), f(2)]
-    x = linalg.solve(f, a, b)
+    columns = [dict(enumerate(col)) for col in linalg.transpose(a)]
+    x = linalg.solve(f, columns, dict(enumerate(b)))
     assert linalg.mat_mul(f, a, linalg.transpose([x])) == linalg.transpose([b])
     inv = linalg.inverse(f, a)
     assert linalg.mat_mul(f, a, inv) == linalg.identity(f, 2)
     # inconsistent system
-    a2 = _mat(f, [[1, 1], [1, 1]])
-    assert linalg.solve(f, a2, [f(0), f(1)]) is None
+    ones = {"p": f(1), "q": f(1)}
+    assert linalg.solve(f, [ones, ones], {"q": f(1)}) is None
 
 
 def test_pseudoinverse_moore_penrose_identities():
@@ -115,6 +116,17 @@ def _ref_nullspace(field, a, ncols):
             v[c] = -rows[r][free]
         basis.append(v)
     return basis
+
+
+def _ref_solve(field, a, b):
+    ncols = len(a[0])
+    rows, pivots = _ref_rref(field, [row + [bv] for row, bv in zip(a, b)])
+    if ncols in pivots:
+        return None
+    x = [field.zero()] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][ncols]
+    return x
 
 
 def _ref_inverse(field, a):
@@ -228,6 +240,24 @@ def test_sparse_routines_match_dense_reference(kind, data):
     assert _outcome(lambda: linalg.gram_schmidt(f, a)) == \
         _outcome(lambda: _ref_gram_schmidt(g, b))
     assert f.radicands == g.radicands
+
+
+@pytest.mark.parametrize("kind", sorted(_entries))
+@PROPERTY
+@given(data=st.data())
+def test_sparse_solve_matches_dense_reference(kind, data):
+    """The last column is the target; the keys run against the row order,
+    and the solution, free variables at 0, does not depend on them."""
+    spec, n = data.draw(_specs(kind, min_rows=1))
+    f, g = ScalarField(), ScalarField()
+    a, b = _materialize(f, spec), _materialize(g, spec)
+    keyed = [{("row", -i): x for i, x in enumerate(col) if x}
+             for col in linalg.transpose(a)]
+    got = linalg.solve(f, keyed[:-1], keyed[-1])
+    want = _ref_solve(g, [row[:-1] for row in b], [row[-1] for row in b]) \
+        if n > 1 else (None if any(row[-1] for row in b) else [])
+    assert (got if got is None else [x.terms for x in got]) \
+        == (want if want is None else [x.terms for x in want])
 
 
 @pytest.mark.parametrize("kind", ["integer", "fraction"])

@@ -267,7 +267,8 @@ def ref_pi_E(cx, form):
     if not result:
         return {}
     min_w = min(result)
-    for w in range(min_w + 1, max(cx._weight_blocks(h)) + 1):
+    top = max(tuple_weight(alg, t) for t in covectors(alg, h))
+    for w in range(min_w + 1, top + 1):
         acc: dict = {}
         for ell in range(1, min(alg.kappa, w - min_w) + 1):
             for k, u in ref_d_layer(alg, result.get(w - ell, {}),
@@ -389,6 +390,46 @@ def test_constant_factor_products(alg, data):
                     want = want + a.entries[i][t] * b.entries[t][j]
                 assert c.entries[i][j] == want
         assert_canonical(alg, *c.entries[0], *c.entries[1])
+
+
+@pytest.mark.parametrize("alg", [CARTAN, SKEW], ids=["cartan", "skew"])
+@BUILDERS
+@given(st.data())
+def test_conjugate_matches_entry_products(alg, data):
+    """left @ M @ right for scalar matrices, against sums of scaled entries;
+    an identity on either side leaves the other product."""
+    def matrix(cells, rows, cols):
+        flat = data.draw(st.lists(cells, min_size=rows * cols,
+                                  max_size=rows * cols))
+        return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+    ops = st.one_of(st.just(EnvElement.zero(alg)), elements(alg, 2))
+    m = OperatorMatrix(alg, matrix(ops, 3, 2), cols=2)
+    left, right = matrix(scalars(alg), 2, 3), matrix(scalars(alg), 2, 4)
+
+    def identity(k):
+        return [[alg.field(int(i == j)) for j in range(k)] for i in range(k)]
+
+    def reference(left, right):
+        out = []
+        for i in range(len(left)):
+            row = []
+            for j in range(len(right[0])):
+                want = EnvElement.zero(alg)
+                for s in range(3):
+                    for t in range(2):
+                        want = want + m.entries[s][t].scale(
+                            left[i][s] * right[t][j])
+                row.append(want)
+            out.append(row)
+        return out
+
+    for lt, rt in ((left, right), (identity(3), right), (left, identity(2))):
+        got = m.conjugate(lt, rt)
+        assert got.shape == (len(lt), len(rt[0]))
+        assert got.entries == reference(lt, rt)
+        for row in got.entries:
+            assert_canonical(alg, *row)
+    assert m.conjugate(identity(3), identity(2)) == m
 
 
 @PROPERTY

@@ -146,7 +146,8 @@ def test_deltac_checked_once_whichever_is_asked_first(monkeypatch):
     assert fresh.deltac_star_adjoint_sign(3) == 1
     fresh.deltac_matrix(3)
     assert len(calls) == 2
-    fresh._star[2] = [[-c for c in row] for row in fresh.star_matrix(2)]
+    negated = [[-c for c in row] for row in fresh.star_matrix(2)]
+    fresh.memo["RuminComplex.star_matrix"][2,] = negated
     assert fresh.deltac_star_adjoint_sign(2) == -1
     with pytest.raises(StarAdjointMismatch, match="degree 2: star formula "
                        "and adjoint transpose disagree at entries"):

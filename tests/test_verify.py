@@ -8,7 +8,8 @@ from carnot.exterior import OperatorForm
 from carnot.liealg import cartan_group, free_nilpotent
 from carnot.rumin import RuminComplex
 from carnot.verify import (Report, golden_form, golden_matrix, load_golden,
-                           regenerate_golden, run_verify, verify_cartan)
+                           regenerate_golden, run_verify, verify_cartan,
+                           verify_group)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,22 @@ def test_verify_derives_each_lift_once(monkeypatch):
     monkeypatch.setattr(OperatorForm, "d_full", counting_d_full)
     assert run_verify("free:3,2").ok
     assert derived == {h: 1 for h in range(6)}
+
+
+def test_caches_live_in_the_memo():
+    """Every derived object is kept in cx.memo: the lifts for every degree,
+    d(lift) and the block powers for the degree asked for last."""
+    fresh = RuminComplex(cartan_group())
+    report = Report()
+    verify_group(fresh, report)
+    verify_cartan(fresh, report, load_golden())
+    assert report.ok
+    assert vars(fresh).keys() == {"algebra", "memo"}
+    memo = fresh.memo
+    assert set(memo["RuminComplex.lift"]) == {(h,) for h in range(6)}
+    assert len(memo["RuminComplex.d_lift"]) == 1
+    assert len({h for h, _, _ in memo["_block_power"]}) == 1
+    assert len(memo["_cached_build"]) == 18
 
 
 def test_report_helper():
