@@ -20,11 +20,12 @@ the l-th layer, raising the weight by l.
 
 The OperatorForm builders (``d_terms`` behind ``d0``, ``d_layer`` and
 ``d_full``, ``pair_multivectors`` and ``CovectorMap.apply_into``) add every
-term into one flat {(exponent, mask): coeff} accumulator per output key with
+term into one flat {key: coeff} accumulator per output key with
 the product kernel of :mod:`carnot.env`, and ``terms_of`` builds each output
 operator once: summing EnvElements term by term would copy the partial sum
-and build Scalars for every term.  ``d_terms`` also clears the denominators
-of its input first, so its sums run in ``int`` arithmetic.
+and build Scalars for every term.  ``d_terms`` and ``pair_multivectors``
+also clear the denominators of their inputs first, so their sums run in
+``int`` arithmetic.
 """
 
 from __future__ import annotations
@@ -278,14 +279,14 @@ def d_terms(alg, parts, sign: int = 1) -> dict:
     theta_J folded into its coefficient; d_0 is the Maurer-Cartan part.
     """
     rad = alg.field.radicands
-    unit = (0,) * alg.n
-    d = _common_denominator(u for form, _ in parts
-                            for u in form.terms.values())
+    d = _common_denominator(s for form, _ in parts
+                            for u in form.terms.values()
+                            for s in u.terms.values())
     accs: dict = {}
     for form, layers in parts:
-        gens = {m: unit[:m - 1] + (1,) + unit[m:]
+        gens = {m: EnvElement.generator(alg, m)
                 for ell in layers if ell for m in alg.layer(ell)}
-        plans: dict = {}    # covector -> [(merged, generator map or None, c)]
+        plans: dict = {}    # covector -> [(merged, flat generator or None, c)]
         for (t, slot), u in form.terms.items():
             plan = plans.get(t)
             if plan is None:
@@ -295,14 +296,17 @@ def d_terms(alg, parts, sign: int = 1) -> dict:
                 for m, gen in gens.items():
                     s, merged = merge_wedge((m,), t)
                     if s:
-                        plan.append((merged, {gen: alg.field(s * sign)}, None))
-            terms = _integral(u, d).terms
+                        plan.append((merged,
+                                     _flat(alg, gen.scale(s * sign).terms),
+                                     None))
+            nf = _flat(alg, u.terms, d)
             for merged, gen, c in plan:
                 acc = accs.setdefault((merged, slot), {})
                 if gen is None:
-                    _scale_into(rad, acc, terms, c)
+                    for m, v in c.items():
+                        _add_into(rad, acc, nf, v, m)
                 else:
-                    _mul_into(alg, acc, gen, terms)
+                    _mul_into(alg, acc, gen, nf)
     return terms_of(alg, accs, d)
 
 
@@ -374,22 +378,34 @@ class OperatorForm:
         return self.pair_multivectors([mv])[0]
 
     def pair_multivectors(self, mvs) -> list:
-        """``pair_multivector`` of each multivector in ``mvs``.  The terms
-        are grouped by covector and flattened once, so each multivector
-        visits only the terms of its own covectors."""
+        """``pair_multivector`` of each multivector in ``mvs``.  Only the
+        terms on covectors of some multivector are flattened, once each,
+        so each multivector visits only the terms of its own covectors.
+        The terms and each multivector are scaled to integer coefficients
+        first, so the sums run in ``int`` arithmetic and each coefficient
+        is divided once."""
         alg = self.algebra
         rad = alg.field.radicands
+        wanted = {t for mv in mvs for t in mv}
+        used = [(t, slot, u) for (t, slot), u in self.terms.items()
+                if t in wanted]
+        d = _common_denominator(s for _, _, u in used
+                                for s in u.terms.values())
         by_covector: dict = {}
-        for (t, slot), u in self.terms.items():
-            by_covector.setdefault(t, []).append((slot, _flat(u.terms)))
+        for t, slot, u in used:
+            by_covector.setdefault(t, []).append((slot, _flat(alg, u.terms, d)))
         rows = []
         for mv in mvs:
+            dm = _common_denominator(mv.values())
             accs = [{} for _ in range(self.slots)]
             for t, c in mv.items():
-                for slot, nf in by_covector.get(t, ()):
-                    for m, v in c.terms.items():
-                        _add_into(rad, accs[slot], nf, v, m)
-            rows.append([_from_acc(alg, acc) for acc in accs])
+                terms = by_covector.get(t)
+                if terms:
+                    raw = _integral(c.terms, dm)
+                    for slot, nf in terms:
+                        for m, v in raw.items():
+                            _add_into(rad, accs[slot], nf, v, m)
+            rows.append([_from_acc(alg, acc, d * dm) for acc in accs])
         return rows
 
     def render(self) -> str:
@@ -436,10 +452,10 @@ class CovectorMap:
 
     def apply_into(self, accs: dict, terms: dict):
         """Add the image of the OperatorForm terms ``terms`` into accs."""
-        rad = self.algebra.field.radicands
+        alg = self.algebra
         for (t, slot), u in terms.items():
             for jo, v in self.columns.get(t, {}).items():
-                _scale_into(rad, accs.setdefault((jo, slot), {}), u.terms,
+                _scale_into(alg, accs.setdefault((jo, slot), {}), u.terms,
                             v.terms)
 
     def apply_opform(self, form: OperatorForm) -> OperatorForm:

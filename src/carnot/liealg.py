@@ -15,7 +15,6 @@ attached polynomial coordinate realization of the vector fields.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
@@ -83,6 +82,7 @@ class StratifiedLieAlgebra:
         # caches shared by the operator algebra
         self._nf_cache = {}
         self._prod_cache = {}
+        self._exponents = {}
         self._dtheta_cache = None
         self._validate()
 
@@ -253,19 +253,15 @@ def _hall_basis(m1: int, step: int):
     return ordered
 
 
-def _tensor_expand(tree: _HallTree, step: int) -> dict:
-    """Expansion in the free associative algebra, truncated above `step`."""
-    if tree.gen is not None:
-        return {(tree.gen,): Fraction(1)}
-    left = _tensor_expand(tree.left, step)
-    right = _tensor_expand(tree.right, step)
+def _commutator(u: dict, v: dict) -> dict:
+    """uv - vu for two elements of the free associative algebra, as
+    {word: coefficient} maps."""
     out: dict = {}
-    for u, cu in left.items():
-        for v, cv in right.items():
-            if len(u) + len(v) > step:
-                continue
-            for word, c in ((u + v, cu * cv), (v + u, -cu * cv)):
-                s = out.get(word, 0) + c
+    for a, ca in u.items():
+        for b, cb in v.items():
+            c = ca * cb
+            for word, x in ((a + b, c), (b + a, -c)):
+                s = out.get(word, 0) + x
                 if s:
                     out[word] = s
                 else:
@@ -311,14 +307,20 @@ def free_nilpotent(m1: int, step: int) -> StratifiedLieAlgebra:
     trees = _hall_basis(m1, step)
     field = ScalarField()
 
-    def expand(tree):
-        """The tree as a vector of the tensor algebra over the field."""
-        return {w: field.from_rational(c)
-                for w, c in _tensor_expand(tree, step).items()}
+    # each tree expanded once in the free associative algebra, from the
+    # expansions of its subtrees, which come before it in the Hall basis;
+    # only brackets of degree <= step are formed, so none is truncated
+    words: dict = {}
+    for t in trees:
+        words[t.key] = ({(t.gen,): 1} if t.gen is not None else
+                        _commutator(words[t.left.key], words[t.right.key]))
+
+    def over_field(vec):
+        return {w: field.from_rational(c) for w, c in vec.items()}
 
     columns: dict = {}   # degree -> its Hall elements, expanded
     for t in trees:
-        columns.setdefault(t.degree, []).append(expand(t))
+        columns.setdefault(t.degree, []).append(over_field(words[t.key]))
 
     brackets = {}
     for i in range(len(trees)):
@@ -326,8 +328,8 @@ def free_nilpotent(m1: int, step: int) -> StratifiedLieAlgebra:
             d = trees[i].degree + trees[j].degree
             if d > step:
                 continue
-            sol = linalg.solve(field, columns[d], expand(
-                _HallTree(left=trees[i], right=trees[j])))
+            sol = linalg.solve(field, columns[d], over_field(_commutator(
+                words[trees[i].key], words[trees[j].key])))
             if sol is None:
                 raise LieAlgebraError("hall expansion failed")  # pragma: no cover
             offset = sum(layer_dims[:d - 1]) + 1

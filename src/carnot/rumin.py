@@ -42,9 +42,8 @@ import re
 from collections import defaultdict
 
 from . import linalg
-from .env import (EnvElement, Mixed, ZeroElement, _add_into,
-                  _common_denominator, _flat, _from_acc, _integral, _mul_into,
-                  _scale_into, homogeneity_degrees)
+from .env import (EnvElement, Mixed, ZeroElement, _add_into, _flat,
+                  _from_acc, _matmul, _scale_into, homogeneity_degrees)
 from .exterior import (CovectorMap, Form, OperatorForm, accumulate,
                        covectors, d0_covector, d_terms, terms_of,
                        tuple_weight)
@@ -151,7 +150,7 @@ class OperatorMatrix:
             for t, u in enumerate(row):
                 if not u:
                     continue
-                nf = _flat(u.terms)
+                nf = _flat(alg, u.terms)
                 for j, r in enumerate(right[t]):
                     if r:
                         for acc_row, c in lefts:
@@ -161,30 +160,18 @@ class OperatorMatrix:
                                     for row in accs], cols=n)
 
     def __matmul__(self, other):
-        """Matrix product over a common denominator.
-
-        Each factor is scaled exactly to integer coefficients by the lcm of
-        its denominators, every output entry is accumulated in one flat
-        dict, in ``int`` arithmetic whenever the group's normal forms are
-        integral, and divided by the product of the two denominators once.
+        """Matrix product, by ``env._matmul``: each entry A_ik is flattened
+        once and folded through the words of row k of ``other`` as a prefix
+        trie, one generator at a time; each partial product A_ik * X^w is
+        added into every output column whose entry holds X^w.  Both factors
+        are scaled exactly to integer coefficients first, and each output
+        coefficient is divided by the product of the two denominators once.
         """
         k = self.shape[1]
         k2, n = other.shape
         if k != k2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        alg = self.algebra
-        da = _common_denominator(e for row in self.entries for e in row)
-        db = _common_denominator(e for row in other.entries for e in row)
-        a = [[_integral(e, da).terms for e in row] for row in self.entries]
-        b = [[_integral(e, db).terms for e in row] for row in other.entries]
-        accs = [[{} for _ in range(n)] for _ in a]
-        for a_row, acc_row in zip(a, accs):
-            for j, acc in enumerate(acc_row):
-                for x, b_row in zip(a_row, b):
-                    y = b_row[j]
-                    if x and y:
-                        _mul_into(alg, acc, x, y)
-        out = [[_from_acc(alg, acc, da * db) for acc in row] for row in accs]
+        out = _matmul(self.algebra, self.entries, other.entries, n)
         return OperatorMatrix(self.algebra, out,
                               self.row_weights, other.col_weights, cols=n)
 
@@ -380,8 +367,7 @@ class RuminComplex:
             if not neg_d:
                 continue
             old = result[w].terms if w in result else {}
-            accs = {k: {(e, m): v for e, s in u.terms.items()
-                        for m, v in s.terms.items()} for k, u in old.items()}
+            accs = {k: _flat(alg, u.terms) for k, u in old.items()}
             pinv.apply_into(accs, neg_d)
             result[w] = OperatorForm(alg, h, form.slots, terms_of(alg, accs))
         # the weight components have disjoint terms, so they join by union
@@ -540,13 +526,12 @@ class RuminComplex:
     def opform_from_rows(self, rows, h: int, slots: int) -> OperatorForm:
         """sum_i (rows[i] applied to slots) xi_i^h."""
         alg = self.algebra
-        rad = alg.field.radicands
         accs: dict = {}
         for row, xi in zip(rows, self.E0(h)):
             for slot, u in enumerate(row[:slots]):
                 for t, c in xi.terms.items():
                     acc = accs.setdefault((t, slot), {})
-                    _scale_into(rad, acc, u.terms, c.terms)
+                    _scale_into(alg, acc, u.terms, c.terms)
         return OperatorForm(alg, h, slots, terms_of(alg, accs))
 
     def dc_orders(self):

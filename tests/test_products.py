@@ -20,10 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnot.coords import Polynomial, coordinate_apply
-from carnot.env import EnvElement, _normalize_word, _product, _word_of
+from carnot.env import (EnvElement, _from_acc, _normalize_word, _pack,
+                        _product, _word_of)
 from carnot.exterior import (OperatorForm, covectors, d0_covector, d_terms,
                              merge_wedge, tuple_weight)
-from carnot.liealg import StratifiedLieAlgebra, cartan_group, free_nilpotent
+from carnot.liealg import (ResourceLimit, StratifiedLieAlgebra, cartan_group,
+                           free_nilpotent)
 from carnot.rumin import OperatorMatrix, RuminComplex
 
 PROPERTY = settings(max_examples=40, derandomize=True, database=None,
@@ -42,9 +44,13 @@ H3_BRACKETS = {(i, i + 3): {7: 1} for i in range(1, 4)}
 POLY = "x1^3*x2^2*x3 + x1*x4*x5 + 2*x2^3*x5 - x3^2*x4 + x2*x3*x5^2"
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]))
-# monomials of total degree at most 3, as the multiset of their generators
-exponents = st.lists(st.integers(0, 4), max_size=3).map(
-    lambda gens: tuple(gens.count(i) for i in range(5)))
+
+
+def exponents(n):
+    """Monomials of total degree at most 3, as the multiset of their
+    generators."""
+    return st.lists(st.integers(0, n - 1), max_size=3).map(
+        lambda gens: tuple(gens.count(i) for i in range(n)))
 
 
 def elements(alg, max_terms=3):
@@ -55,7 +61,7 @@ def elements(alg, max_terms=3):
             c = alg.field(q) + alg.field(r) * alg.field.sqrt(2)
             out = out + EnvElement.monomial(alg, exp, c)
         return out
-    return st.lists(st.tuples(exponents, rationals, rationals),
+    return st.lists(st.tuples(exponents(alg.n), rationals, rationals),
                     max_size=max_terms).map(build)
 
 
@@ -66,8 +72,8 @@ def assert_canonical(alg, *elems):
         assert c != 0
         assert type(c) is int or c.denominator != 1
     for nf in list(alg._nf_cache.values()) + list(alg._prod_cache.values()):
-        for (exp, mask), c in nf.items():
-            assert type(exp) is tuple and type(mask) is int
+        for key, c in nf.items():
+            assert type(key) is int and key >= 0
             check(c)
     for e in elems:
         for s in e.terms.values():
@@ -85,21 +91,80 @@ def test_product_is_composition_on_coordinates(a, b):
     assert_canonical(CARTAN, ab)
 
 
+FREE24 = free_nilpotent(2, 4)
+
+
+def prefix_elements(alg, max_terms=3):
+    """Random elements over the monomials of the prefixes of two words
+    that share a prefix, so the monomials of a matrix row share prefixes."""
+    gens = st.lists(st.integers(1, alg.n), max_size=3).map(sorted)
+
+    def pool(words):
+        stem, u, v = words
+        return [tuple(w.count(i) for i in range(1, alg.n + 1))
+                for tail in (u, v) for w in (stem + tail[:p]
+                                             for p in range(len(tail) + 1))]
+
+    def build(args):
+        exps, terms = args
+        out = EnvElement.zero(alg)
+        for k, q, r in terms:
+            c = alg.field(q) + alg.field(r) * alg.field.sqrt(2)
+            out = out + EnvElement.monomial(alg, exps[k % len(exps)], c)
+        return out
+    return st.tuples(
+        st.tuples(gens, gens, gens).map(pool),
+        st.lists(st.tuples(st.integers(0, 7), rationals, rationals),
+                 max_size=max_terms)).map(build)
+
+
 @PROPERTY
-@given(st.lists(elements(CARTAN, 2), min_size=6, max_size=6),
-       st.lists(elements(CARTAN, 2), min_size=6, max_size=6))
-def test_matrix_product_is_sum_of_entry_products(xs, ys):
-    a = OperatorMatrix(CARTAN, [xs[:3], xs[3:]])
-    b = OperatorMatrix(CARTAN, [ys[:2], ys[2:4], ys[4:]])
-    c = a @ b
-    assert c.shape == (2, 2)
-    for i in range(2):
-        for j in range(2):
-            want = EnvElement.zero(CARTAN)
-            for t in range(3):
-                want = want + a.entries[i][t] * b.entries[t][j]
-            assert c.entries[i][j] == want
-            assert_canonical(CARTAN, c.entries[i][j])
+@given(st.data())
+def test_matrix_product_is_sum_of_entry_products(data):
+    """On Cartan, SKEW and free:2,4: rectangular shapes, empty ones among
+    them, coefficients with sqrt(2) (nonzero masks) and right factors whose
+    monomials share prefixes."""
+    for alg in (CARTAN, SKEW, FREE24):
+        m, k, n = (data.draw(st.integers(0, 3)) for _ in range(3))
+
+        def matrix(cells, rows, cols):
+            flat = data.draw(st.lists(cells, min_size=rows * cols,
+                                      max_size=rows * cols))
+            return OperatorMatrix(alg, [flat[i * cols:(i + 1) * cols]
+                                        for i in range(rows)], cols=cols)
+        a = matrix(elements(alg, 2), m, k)
+        b = matrix(st.one_of(elements(alg, 2), prefix_elements(alg)), k, n)
+        c = a @ b
+        assert c.shape == (m, n)
+        for i in range(m):
+            for j in range(n):
+                want = EnvElement.zero(alg)
+                for t in range(k):
+                    want = want + a.entries[i][t] * b.entries[t][j]
+                assert c.entries[i][j] == want
+                assert_canonical(alg, c.entries[i][j])
+
+
+def test_exponent_past_a_byte_is_a_resource_limit():
+    """A packed code holds exponents up to 255; a larger one is refused
+    where it is packed or where a product raises it, never wrapped."""
+    alg = cartan_group()
+    top = EnvElement.monomial(alg, (255, 0, 0, 0, 0))
+    x1, x2 = EnvElement.generator(alg, 1), EnvElement.generator(alg, 2)
+    assert (EnvElement.monomial(alg, (254, 0, 0, 0, 0)) * x1).terms \
+        == top.terms
+    with pytest.raises(ResourceLimit) as err:
+        EnvElement.monomial(alg, (256, 0, 0, 0, 0)) * x1
+    assert err.value.args == (256, 255)
+    for product in (lambda: top * x1,                      # X^a X^b, ordered
+                    lambda: x1 * top,
+                    lambda: top * x2 * x1,                 # by collection
+                    lambda: EnvElement.from_word(alg, (1,) * 256),
+                    lambda: OperatorMatrix(alg, [[top]]) @ OperatorMatrix(
+                        alg, [[x1]])):
+        with pytest.raises(ResourceLimit) as err:
+            product()
+        assert err.value.args == (256, 255)
 
 
 @PROPERTY
@@ -147,10 +212,6 @@ def ref_normal_form(alg, word):
     return {exp: s for exp, s in out.items() if s}
 
 
-def flat(nf):
-    return {(exp, m): v for exp, s in nf.items() for m, v in s.terms.items()}
-
-
 @pytest.mark.parametrize("name", KERNEL_GROUPS)
 @PROPERTY
 @given(st.data())
@@ -158,12 +219,13 @@ def test_kernel_matches_descent_rewriting(name, data):
     alg = KERNEL_GROUPS[name]()     # empty caches: the collection runs cold
     gens = st.integers(1, alg.n)
     word = tuple(data.draw(st.lists(gens, max_size=6)))
-    assert _normalize_word(alg, word) == flat(ref_normal_form(alg, word))
+    assert _from_acc(alg, _normalize_word(alg, word)) \
+        == EnvElement(alg, ref_normal_form(alg, word))
     exps = st.lists(gens, max_size=3).map(
         lambda w: tuple(w.count(i) for i in range(1, alg.n + 1)))
     a, b = data.draw(exps), data.draw(exps)
-    assert _product(alg, a, b) \
-        == flat(ref_normal_form(alg, _word_of(a) + _word_of(b)))
+    assert _from_acc(alg, _product(alg, _pack(a), _pack(b))) \
+        == EnvElement(alg, ref_normal_form(alg, _word_of(a) + _word_of(b)))
     assert_canonical(alg)
 
 
@@ -173,8 +235,10 @@ def test_nf_cache_holds_requested_words_only():
     y = EnvElement.monomial(alg, (2, 1, 0, 1, 0), 3)
     assert x * y
     assert alg._nf_cache == {}
-    EnvElement.monomial(alg, (1, 1, 1, 0, 0)).formal_adjoint()
+    adj = EnvElement.monomial(alg, (1, 1, 1, 0, 0)).formal_adjoint()
     assert list(alg._nf_cache) == [(3, 2, 1)]
+    # the cached value is the packed normal form of X3 X2 X1 = -adj
+    assert _from_acc(alg, alg._nf_cache[(3, 2, 1)]) == -adj
 
 
 # -- exterior builders and constant factors ---------------------------------
