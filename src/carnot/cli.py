@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: build, dc, deltac, laplacian, pi-e, exponents, tensors, verify.
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error,
+3 capacity limit, 4 internal error (see ``exit_code``).
 Output is deterministic for a fixed invocation.
 """
 
@@ -13,9 +14,11 @@ import json
 import sys
 
 from . import estimates, laplacians
+from .env import AlgebraMismatch
 from .exterior import OperatorForm
-from .liealg import cartan_group, load_group
-from .rumin import RuminComplex
+from .liealg import ResourceLimit, cartan_group, load_group
+from .rumin import RuminComplex, StarAdjointMismatch
+from .scalars import TowerInsufficient
 from .verify import regenerate_golden, run_verify
 
 
@@ -208,6 +211,15 @@ COMMANDS = {
 }
 
 
+def exit_code(exc: Exception) -> int:
+    """3 for a capacity limit, 4 for an internal bug, 2 for bad input."""
+    if isinstance(exc, (TowerInsufficient, ResourceLimit)):
+        return 3
+    if isinstance(exc, (StarAdjointMismatch, AlgebraMismatch, AssertionError)):
+        return 4
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -215,9 +227,9 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         cx = RuminComplex(load_group(args.group))
         return COMMANDS[args.command](cx, args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import _expr
-from .env import EnvElement, _word_of
+from .env import EnvElement, word_of
 from .scalars import Scalar
 
 
@@ -206,7 +206,7 @@ class CoordinateRealization:
     def apply(self, op: EnvElement, p: Polynomial) -> Polynomial:
         out = Polynomial.zero(self.field, self.nvars)
         for exp, c in op.terms.items():
-            out = out + self.apply_word(_word_of(exp), p).scale(c)
+            out = out + self.apply_word(word_of(exp), p).scale(c)
         return out
 
 

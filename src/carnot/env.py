@@ -1,32 +1,34 @@
 """Left-invariant differential operators as PBW-normal-ordered polynomials.
 
 An :class:`EnvElement` is a finite sum of monomials X_1^{i_1} ... X_n^{i_n}
-with exact scalar coefficients, keyed by the exponent vector (i_1, ..., i_n).
-Products are renormalized with the rewriting rule
+with exact scalar coefficients.  Products are renormalized with the
+rewriting rule
 
     X_j X_i  ->  X_i X_j + [X_j, X_i]        (j > i)
 
 which terminates because brackets strictly raise the grading and the algebra
 is nilpotent.
 
-Every product runs through one kernel that works on raw coefficients, not on
-:class:`Scalar` objects, because building and copying scalars, not the
-algebra, is what costs time in products of order up to 12:
+An operator has one representation, and every operation computes on its
+raw coefficients, not on :class:`Scalar` objects: building and copying
+scalars, not the algebra, is what costs time in products of order up to 12.
 
-* **Packed keys.**  Inside the kernel the term ``c * X^a * basis[mask]`` is
-  the item ``key: c`` of a flat dict, with ``key = code << mask_bits |
-  mask``: ``code = sum a_i << 8*i`` holds one byte per exponent and
-  ``mask_bits`` is the field's ``max_radicands``.  Multiplying two ordered
-  monomials adds their codes, the first and last generators of a code are
-  its lowest and highest set bits, and the mask of a product of tower
-  basis elements is ``key ^ m``.  An exponent above 255 raises
-  ``ResourceLimit`` where it is packed (``_pack``) or grows (the
+* **Packed keys.**  An EnvElement stores one flat dict: the term
+  ``c * X^a * basis[mask]`` is its item ``key: c``, with ``key = code <<
+  mask_bits | mask``, ``code = sum a_i << 8*i`` (one byte per exponent),
+  ``mask_bits`` the field's ``max_radicands`` and ``c`` a nonzero ``int``,
+  or a ``Fraction`` when it is not integral.  ``+``, ``-``, ``scale``, the
+  products, ``formal_adjoint``, ``==`` and ``hash`` work on it directly.
+  Multiplying two ordered monomials adds their codes, the first and last
+  generators of a code are its lowest and highest set bits, and the mask
+  of a product of tower basis elements is ``key ^ m``.  An exponent above
+  255 raises ``ResourceLimit`` where it is packed (``_pack``) or grows (the
   concatenation branches of ``_fold`` and ``_product``), before it can
-  carry into the next byte.  EnvElement terms keep their exponent tuples:
-  only ``_flat`` packs them and only ``_from_acc`` unpacks, and no other
-  module builds or reads a key.  ``_from_acc`` takes each tuple from
-  ``alg._exponents`` ({code: exponent tuple}), so the terms of every
-  EnvElement of a group share one tuple per monomial.
+  carry into the next byte.
+* **The boundary.**  Only the read-only ``EnvElement.terms`` view,
+  ``{exponent tuple: Scalar}``, built on each call and never stored,
+  decodes keys; rendering, homogeneity, ``as_scalar``, the coordinate
+  realization and the linear systems of the estimates read it.
 * **Collection by one generator.**  ``_fold(alg, acc, word)`` multiplies a
   flat map by the generators of a word one at a time.  A term whose last
   generator comes at or before X_j times X_j is a concatenation; otherwise
@@ -35,40 +37,35 @@ algebra, is what costs time in products of order up to 12:
   bracket ``[X_j, X_k]`` multiplied in after ``X^rest``, each part again a
   product of a normal monomial with one generator.
 * **Products of operators.**  ``EnvElement.__mul__`` and the left products
-  ``X_m * u`` of the exterior derivative (``_mul_into``) look each pair of
+  ``X_m * u`` of the exterior derivative (``mul_into``) look each pair of
   monomials up in ``alg._prod_cache``: the derivative multiplies every lift
   by the same few generators, so these pairs repeat across a whole
-  complex.  ``OperatorMatrix.__matmul__`` (``_matmul``) forms no pair
-  products: it flattens each left entry ``A_ik`` once and folds it through
-  the monomials of row k of the right factor as a prefix trie (the words
-  in lexicographic order, walked depth first with a stack of partial
+  complex.  ``matrix_product``, behind ``OperatorMatrix.__matmul__``, forms
+  no pair products: it folds each left entry ``A_ik`` through the
+  monomials of row k of the right factor as a prefix trie (the words in
+  lexicographic order, walked depth first with a stack of partial
   products), so ``A_ik * X^w`` is computed once for all the monomials that
   share the prefix ``w`` and added into every column holding ``X^w``.
-* **Cache layout.**  Normal forms are flat maps ``{key: coeff}`` with
-  ``coeff`` the plain ``int`` or ``Fraction`` coefficient, in the canonical
-  form of ``Scalar.terms``.  ``alg._prod_cache`` holds the products
-  ``X^a X^b`` computed, keyed by ``code_a << 8n | code_b``: the
-  non-ordered products with one generator that the collection reuses and
-  the pairs of ``_mul_into``.  ``alg._nf_cache`` holds only the words
-  asked for by ``from_word`` and ``formal_adjoint``, keyed by the word.
-  Multiplying a term ``c1 * basis[m1]`` by ``c2 * basis[m2]`` adds
-  ``c1 * c2 * (product of the radicands in m1 & m2)`` at mask ``m1 ^ m2``
-  directly, so filling the caches builds no scalar.
-* **Fused accumulation.**  Products and sums add into one flat accumulator
-  dict in place (``_add_into``, ``_mul_into``, ``_scale_into``), and
-  ``_from_acc`` turns the accumulator into an EnvElement once, dropping the
-  zeros.  A sum of products therefore costs one pass over its terms instead
-  of one copy of the partial sum per term.  ``OperatorMatrix.conjugate``,
-  the product with constant matrices on both sides, flattens each entry
-  once and adds it once per nonzero constant product.
-* **Common denominator.**  ``_matmul``, the exterior derivative, the
-  pairings with multivectors and ``formal_adjoint`` scale their operands
-  exactly to integer coefficients by the lcm of their denominators
-  (``_common_denominator``, ``_flat(..., d)``), accumulate in ``int``
-  arithmetic and divide by the denominator once per coefficient:
-  ``Fraction`` arithmetic costs several times more than ``int``
-  arithmetic.  Normal-form coefficients may still be fractions or
-  irrational when the structure constants are; the same code handles them.
+* **Cache layout.**  Normal forms are packed maps too.  ``alg._prod_cache``
+  holds the products ``X^a X^b`` computed, keyed by ``code_a << 8n |
+  code_b``: the one-generator products the collection reuses and the pairs
+  of ``mul_into``.  ``alg._nf_cache`` holds only the words asked for by
+  ``from_word`` and ``formal_adjoint``.  A product of the terms
+  ``c1 * basis[m1]`` and ``c2 * basis[m2]`` adds ``c1 * c2 * (product of
+  the radicands in m1 & m2)`` at mask ``m1 ^ m2``: no product builds a
+  scalar.
+* **Fused accumulation.**  The exterior and Rumin builders sum operators in
+  accumulators, dicts they hold but never read: ``add_into`` adds ``c * u``
+  for a Scalar or rational ``c``, ``mul_into`` adds ``a * b``, and
+  ``collect`` turns the sum into an EnvElement once, dividing by a
+  denominator and dropping zeros: one pass over the terms, not one copy of
+  the partial sum per term.
+* **Common denominator.**  ``matrix_product``, ``formal_adjoint`` and the
+  exterior builders scale their operands to integer coefficients by the
+  lcm of their denominators (``common_denominator``), accumulate in ``int``
+  arithmetic, several times faster than ``Fraction`` arithmetic, and divide
+  once per coefficient in ``collect``.  Fractional or irrational structure
+  constants go through the same code.
 
 ``formal_adjoint`` implements the L2-formal adjoint determined by
 X_i* = -X_i together with product reversal.
@@ -138,11 +135,35 @@ def _unpack(code: int, n: int) -> tuple:
     return tuple(code.to_bytes(n, "little"))
 
 
+def word_of(exp: tuple) -> tuple:
+    """The generator indices of the ordered monomial with exponents exp."""
+    return tuple(i + 1 for i, e in enumerate(exp) for _ in range(e))
+
+
+def _raw(alg: StratifiedLieAlgebra, c) -> dict:
+    """The {mask: coeff} terms of an int, a Fraction or a Scalar."""
+    if isinstance(c, (int, Fraction)):
+        return {0: _q(c)} if c else {}
+    return alg.field(c).terms
+
+
+def _times(v, q):
+    """The canonical product of two nonzero rational coefficients; an int
+    times an int, or a Fraction times a multiple of its denominator (a
+    common denominator), builds no Fraction."""
+    if type(q) is int:
+        if type(v) is int:
+            return v * q
+        if not q % v.denominator:
+            return v.numerator * (q // v.denominator)
+    return _q(v * q)
+
+
 def _add_into(rad, acc: dict, nf: dict, c, m: int):
     """Add (c * basis[m]) * nf into the flat accumulator ``acc`` in place.
 
-    ``nf`` is a flat {key: coeff} map and ``c * basis[m]`` one raw scalar
-    term.  Sums that cancel stay in ``acc`` as zeros.
+    ``nf`` is a packed map and ``c * basis[m]`` one raw scalar term.  Sums
+    that cancel stay in ``acc`` as zeros.
     """
     get = acc.get
     if not m:
@@ -164,35 +185,6 @@ def _add_into(rad, acc: dict, nf: dict, c, m: int):
         key ^= m
         old = get(key)
         acc[key] = x if old is None else old + x
-
-
-def _integral(coeffs: dict, d: int) -> dict:
-    """The raw {mask: coeff} terms of a scalar times ``d``, as ints when
-    ``d`` clears every denominator."""
-    if d == 1:
-        return coeffs
-    return {m: v.numerator * (d // v.denominator) for m, v in coeffs.items()}
-
-
-def _flat(alg: StratifiedLieAlgebra, terms: dict, d=1) -> dict:
-    """The flat {key: coeff} map of EnvElement terms, every coefficient
-    times ``d`` as in ``_integral``."""
-    mb = alg.field.max_radicands
-    out = {}
-    for exp, s in terms.items():
-        code = _pack(exp) << mb
-        for m, v in _integral(s.terms, d).items():
-            out[code | m] = v
-    return out
-
-
-def _scale_into(alg: StratifiedLieAlgebra, acc: dict, terms: dict, c: dict):
-    """Add c * u into ``acc`` in place; ``terms`` is u's {exponent: Scalar}
-    map and ``c`` the raw {mask: coeff} terms of a scalar."""
-    rad = alg.field.radicands
-    nf = _flat(alg, terms)
-    for m, v in c.items():
-        _add_into(rad, acc, nf, v, m)
 
 
 def _fold(alg: StratifiedLieAlgebra, acc: dict, word) -> dict:
@@ -229,13 +221,16 @@ def _fold(alg: StratifiedLieAlgebra, acc: dict, word) -> dict:
     return acc
 
 
-def _stored(acc: dict) -> dict:
-    """A normal form to cache: canonical coefficients, zeros dropped."""
-    return {key: _q(v) for key, v in acc.items() if v}
+def _stored(acc: dict, d=1) -> dict:
+    """A packed map to keep: every coefficient divided by ``d`` in canonical
+    form, the zeros dropped."""
+    if d == 1:
+        return {key: _q(v) for key, v in acc.items() if v}
+    return {key: _q(Fraction(v, d)) for key, v in acc.items() if v}
 
 
 def _normalize_word(alg: StratifiedLieAlgebra, word: tuple) -> dict:
-    """Normal form of X_{w1} ... X_{wk} as a flat {key: coeff} map."""
+    """Normal form of X_{w1} ... X_{wk} as a packed map."""
     nf = alg._nf_cache.get(word)
     if nf is None:
         nf = alg._nf_cache[word] = _stored(_fold(alg, {0: 1}, word))
@@ -243,7 +238,7 @@ def _normalize_word(alg: StratifiedLieAlgebra, word: tuple) -> dict:
 
 
 def _product(alg: StratifiedLieAlgebra, a: int, b: int) -> dict:
-    """Normal form of X^a X^b for two codes, flat as in ``_normalize_word``."""
+    """Normal form of X^a X^b for two codes, packed as in ``_normalize_word``."""
     key = a << 8 * alg.n | b
     prod = alg._prod_cache.get(key)
     if prod is not None:
@@ -269,25 +264,36 @@ def _product(alg: StratifiedLieAlgebra, a: int, b: int) -> dict:
                 _add_into(rad, acc, sub, -v, m)
         prod = _stored(acc)
     else:
-        prod = _stored(_fold(alg, {a << mb: 1},
-                             _word_of(_unpack(b, alg.n))))
+        prod = _stored(_fold(alg, {a << mb: 1}, word_of(_unpack(b, alg.n))))
     alg._prod_cache[key] = prod
     return prod
 
 
-def _mul_into(alg: StratifiedLieAlgebra, acc: dict, a: dict, b: dict):
-    """Add the product of two flat maps into ``acc`` in place, through the
-    pair cache."""
+# -- accumulators: the interface of the exterior and Rumin builders -----------
+
+def add_into(acc: dict, u: "EnvElement", c=1):
+    """Add c * u into the accumulator ``acc`` in place; ``c`` is an int, a
+    Fraction or a Scalar.  Sums that cancel stay as zeros until ``collect``."""
+    alg = u.algebra
+    rad = alg.field.radicands
+    for m, v in _raw(alg, c).items():
+        _add_into(rad, acc, u._packed, v, m)
+
+
+def mul_into(acc: dict, a: "EnvElement", b: "EnvElement"):
+    """Add the product a * b into the accumulator ``acc`` in place, every
+    pair of monomials through the pair cache."""
+    alg = a.algebra
     mb = alg.field.max_radicands
     low = (1 << mb) - 1
     width = 8 * alg.n
     cache = alg._prod_cache
     rad = alg.field.radicands
-    for ka, ca in a.items():
+    for ka, ca in a._packed.items():
         code = ka >> mb
         left = code << width
         ma = ka & low
-        for kb, cb in b.items():
+        for kb, cb in b._packed.items():
             prod = cache.get(left | kb >> mb)
             if prod is None:
                 prod = _product(alg, code, kb >> mb)
@@ -299,28 +305,46 @@ def _mul_into(alg: StratifiedLieAlgebra, acc: dict, a: dict, b: dict):
             _add_into(rad, acc, prod, c, ma ^ m)
 
 
-def _matmul(alg: StratifiedLieAlgebra, a: list, b: list, cols: int) -> list:
+def collect(alg: StratifiedLieAlgebra, acc: dict, d=1) -> "EnvElement":
+    """The EnvElement of an accumulator, every coefficient divided by d."""
+    return EnvElement(alg, _stored(acc, d))
+
+
+def common_denominator(items) -> int:
+    """The lcm of the coefficient denominators of EnvElements or Scalars."""
+    d = 1
+    for x in items:
+        coeffs = x._packed if type(x) is EnvElement else x.terms
+        for c in coeffs.values():
+            if type(c) is not int:
+                d = lcm(d, c.denominator)
+    return d
+
+
+def matrix_product(alg: StratifiedLieAlgebra, a: list, b: list,
+                   cols: int) -> list:
     """The entries of the matrix product of EnvElement rows ``a`` and ``b``
     (``cols`` columns), by the prefix-trie fold of the module docstring."""
-    da = _common_denominator(s for row in a for e in row
-                             for s in e.terms.values())
-    db = _common_denominator(s for row in b for e in row
-                             for s in e.terms.values())
+    da = common_denominator(e for row in a for e in row)
+    db = common_denominator(e for row in b for e in row)
+    mb = alg.field.max_radicands
+    low = (1 << mb) - 1
     rad = alg.field.radicands
-    tries = []      # per row k of b: [(word, [(column, raw coeff)])], sorted
+    tries = []      # per row k of b: [(word, [(column, mask, coeff)])], sorted
     for row in b:
         users: dict = {}
         for j, e in enumerate(row):
-            for exp, s in e.terms.items():
-                users.setdefault(exp, []).append((j, _integral(s.terms, db)))
-        tries.append(sorted((_word_of(exp), js) for exp, js in users.items()))
+            for key, v in e.scale(db)._packed.items():
+                users.setdefault(key >> mb, []).append((j, key & low, v))
+        tries.append(sorted((word_of(_unpack(code, alg.n)), js)
+                            for code, js in users.items()))
     accs = [[{} for _ in range(cols)] for _ in a]
     for a_row, acc_row in zip(a, accs):
         for x, trie in zip(a_row, tries):
             if not x or not trie:
                 continue
             # partials[p] = A_ik * X^(first p generators of the last word)
-            partials = [_flat(alg, x.terms, da)]
+            partials = [x.scale(da)._packed]
             prev = ()
             for word, js in trie:
                 p = 0
@@ -332,61 +356,19 @@ def _matmul(alg: StratifiedLieAlgebra, a: list, b: list, cols: int) -> list:
                 for g in word[p:]:
                     partials.append(_fold(alg, partials[-1], (g,)))
                 prev = word
-                for j, c in js:
-                    for m, v in c.items():
-                        _add_into(rad, acc_row[j], partials[-1], v, m)
-    return [[_from_acc(alg, acc, da * db) for acc in row] for row in accs]
-
-
-def _from_acc(alg: StratifiedLieAlgebra, acc: dict, d=1) -> "EnvElement":
-    """The EnvElement of a flat accumulator, every coefficient divided by d."""
-    field = alg.field
-    mb = field.max_radicands
-    low = (1 << mb) - 1
-    exps = alg._exponents
-    terms: dict = {}
-    for key, v in acc.items():
-        if not v:
-            continue
-        if d != 1:
-            v = _q(Fraction(v, d))
-        elif type(v) is not int:
-            v = _q(v)
-        code = key >> mb
-        exp = exps.get(code)
-        if exp is None:
-            exp = exps[code] = _unpack(code, alg.n)
-        s = terms.get(exp)
-        if s is None:
-            terms[exp] = Scalar(field, {key & low: v})
-        else:
-            s.terms[key & low] = v      # a Scalar still under construction
-    return EnvElement(alg, terms)
-
-
-def _common_denominator(scalars) -> int:
-    """The lcm of the coefficient denominators of the given Scalars."""
-    d = 1
-    for s in scalars:
-        for c in s.terms.values():
-            if type(c) is not int:
-                d = lcm(d, c.denominator)
-    return d
-
-
-def _word_of(exp: tuple) -> tuple:
-    word = []
-    for i, e in enumerate(exp):
-        word.extend([i + 1] * e)
-    return tuple(word)
+                for j, m, v in js:
+                    _add_into(rad, acc_row[j], partials[-1], v, m)
+    return [[collect(alg, acc, da * db) for acc in row] for row in accs]
 
 
 class EnvElement:
-    __slots__ = ("algebra", "terms")
+    """An operator; stores only its packed map, which is never mutated."""
 
-    def __init__(self, algebra: StratifiedLieAlgebra, terms: dict):
+    __slots__ = ("algebra", "_packed")
+
+    def __init__(self, algebra: StratifiedLieAlgebra, packed: dict):
         self.algebra = algebra
-        self.terms = terms
+        self._packed = packed
 
     # -- constructors ---------------------------------------------------
 
@@ -396,29 +378,21 @@ class EnvElement:
 
     @classmethod
     def one(cls, alg) -> "EnvElement":
-        return cls(alg, {(0,) * alg.n: alg.field.one()})
+        return cls(alg, {0: 1})
 
     @classmethod
     def generator(cls, alg, i: int) -> "EnvElement":
-        exp = [0] * alg.n
-        exp[i - 1] = 1
-        return cls(alg, {tuple(exp): alg.field.one()})
+        return cls(alg, {1 << 8 * (i - 1) + alg.field.max_radicands: 1})
 
     @classmethod
     def monomial(cls, alg, exp, coeff=1) -> "EnvElement":
-        c = alg.field(coeff)
-        if not c:
-            return cls(alg, {})
-        return cls(alg, {tuple(exp): c})
+        code = _pack(exp) << alg.field.max_radicands
+        return cls(alg, {code | m: v for m, v in _raw(alg, coeff).items()})
 
     @classmethod
     def from_word(cls, alg, word, coeff=1) -> "EnvElement":
         """Normal form of a product of generators given by basis indices."""
-        nf = _normalize_word(alg, tuple(word))
-        acc: dict = {}
-        for m, c in alg.field(coeff).terms.items():
-            _add_into(alg.field.radicands, acc, nf, c, m)
-        return _from_acc(alg, acc)
+        return cls(alg, _normalize_word(alg, tuple(word))).scale(coeff)
 
     # -- ring structure ---------------------------------------------------
 
@@ -430,18 +404,22 @@ class EnvElement:
         if not isinstance(other, EnvElement):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp)
-            s = c if s is None else s + c
+        packed = dict(self._packed)
+        for key, v in other._packed.items():
+            s = packed.get(key)
+            if s is None:
+                packed[key] = v
+                continue
+            s += v
             if s:
-                terms[exp] = s
+                packed[key] = _q(s)
             else:
-                terms.pop(exp, None)
-        return EnvElement(self.algebra, terms)
+                del packed[key]
+        return EnvElement(self.algebra, packed)
 
     def __neg__(self):
-        return EnvElement(self.algebra, {e: -c for e, c in self.terms.items()})
+        return EnvElement(self.algebra,
+                          {k: -v for k, v in self._packed.items()})
 
     def __sub__(self, other):
         if not isinstance(other, EnvElement):
@@ -449,17 +427,19 @@ class EnvElement:
         return self + (-other)
 
     def scale(self, coeff) -> "EnvElement":
-        c = self.algebra.field(coeff)
-        q = c.terms.get(0) if len(c.terms) == 1 else None
-        if q is None:   # zero or irrational
-            return EnvElement(self.algebra, {e: c * v for e, v in
-                                             self.terms.items()} if c else {})
-        if q == 1 or q == -1:
-            return self if q == 1 else -self
-        # a rational factor scales the raw coefficients; no term vanishes
-        return EnvElement(self.algebra, {
-            e: Scalar(c.field, {m: _q(v * q) for m, v in s.terms.items()})
-            for e, s in self.terms.items()})
+        alg = self.algebra
+        c = _raw(alg, coeff)
+        q = c.get(0) if len(c) == 1 else None
+        if q == 1:
+            return self
+        if q is not None:
+            # a rational factor scales each coefficient; no term vanishes
+            return EnvElement(alg, {k: _times(v, q)
+                                    for k, v in self._packed.items()})
+        acc: dict = {}
+        for m, v in c.items():      # zero or irrational
+            _add_into(alg.field.radicands, acc, self._packed, v, m)
+        return collect(alg, acc)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -467,10 +447,9 @@ class EnvElement:
         if not isinstance(other, EnvElement):
             return NotImplemented
         self._check(other)
-        alg = self.algebra
         acc: dict = {}
-        _mul_into(alg, acc, _flat(alg, self.terms), _flat(alg, other.terms))
-        return _from_acc(alg, acc)
+        mul_into(acc, self, other)
+        return collect(self.algebra, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -485,25 +464,41 @@ class EnvElement:
     def __eq__(self, other):
         if not isinstance(other, EnvElement):
             return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
+        return self.algebra is other.algebra and self._packed == other._packed
 
     def __hash__(self):
-        return hash(frozenset((e, c) for e, c in self.terms.items()))
+        return hash(frozenset(self._packed.items()))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._packed
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._packed)
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: Scalar}, decoded from the packed map on each
+        call and never stored: the view for readers outside the kernel."""
+        field = self.algebra.field
+        mb = field.max_radicands
+        low = (1 << mb) - 1
+        out: dict = {}
+        for key, v in self._packed.items():
+            exp = _unpack(key >> mb, self.algebra.n)
+            s = out.get(exp)
+            if s is None:
+                out[exp] = Scalar(field, {key & low: v})
+            else:
+                s.terms[key & low] = v      # a Scalar still under construction
+        return out
 
     def as_scalar(self) -> Scalar:
         """The coefficient of the unit monomial, if the element is scalar."""
-        if not self.terms:
-            return self.algebra.field.zero()
+        terms = self.terms
         unit = (0,) * self.algebra.n
-        if set(self.terms) != {unit}:
+        if set(terms) - {unit}:
             raise ValueError("operator is not a scalar multiple of the unit")
-        return self.terms[unit]
+        return terms.get(unit, self.algebra.field.zero())
 
     # -- grading ----------------------------------------------------------
 
@@ -513,7 +508,7 @@ class EnvElement:
 
     def homogeneity(self):
         """Common homogeneity degree d(I), or Mixed, or ZeroElement."""
-        if not self.terms:
+        if not self._packed:
             raise ZeroElement("homogeneity of the zero operator is undefined")
         degrees = {self.term_degree(e) for e in self.terms}
         if len(degrees) == 1:
@@ -524,16 +519,17 @@ class EnvElement:
         """Anti-homomorphism with X_i -> -X_i and product reversal."""
         alg = self.algebra
         rad = alg.field.radicands
-        d = _common_denominator(self.terms.values())
+        mb = alg.field.max_radicands
+        low = (1 << mb) - 1
+        d = common_denominator((self,))
         acc: dict = {}
-        for exp, s in self.terms.items():
-            word = _word_of(exp)
+        for key, c in self._packed.items():
+            word = word_of(_unpack(key >> mb, alg.n))
             nf = _normalize_word(alg, word[::-1])
             sign = -d if len(word) % 2 else d
-            for m, c in s.terms.items():
-                _add_into(rad, acc, nf, c.numerator * (sign // c.denominator),
-                          m)
-        return _from_acc(alg, acc, d)
+            _add_into(rad, acc, nf, c.numerator * (sign // c.denominator),
+                      key & low)
+        return collect(alg, acc, d)
 
     # -- text ----------------------------------------------------------
 

@@ -19,12 +19,12 @@ theta_i ^ theta_j, weight preserving) and d_l adds one derivative along
 the l-th layer, raising the weight by l.
 
 The OperatorForm builders (``d_terms`` behind ``d0``, ``d_layer`` and
-``d_full``, ``pair_multivectors`` and ``CovectorMap.apply_into``) add every
-term into one flat {key: coeff} accumulator per output key with
-the product kernel of :mod:`carnot.env`, and ``terms_of`` builds each output
-operator once: summing EnvElements term by term would copy the partial sum
-and build Scalars for every term.  ``d_terms`` and ``pair_multivectors``
-also clear the denominators of their inputs first, so their sums run in
+``d_full``, ``pair_multivectors`` and ``CovectorMap.apply_into``) hand
+EnvElements and Scalars to the accumulators of :mod:`carnot.env`, one per
+output key (``add_into``, ``mul_into``), and ``terms_of`` collects each
+output operator once: summing EnvElements term by term would copy the
+partial sum for every term.  ``d_terms`` and ``pair_multivectors`` also
+scale their inputs by their common denominator first, so their sums run in
 ``int`` arithmetic.
 """
 
@@ -33,8 +33,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import _expr
-from .env import (EnvElement, _add_into, _common_denominator, _flat,
-                  _from_acc, _integral, _mul_into, _scale_into)
+from .env import (EnvElement, add_into, collect, common_denominator,
+                  mul_into)
 from .liealg import StratifiedLieAlgebra
 from .scalars import Scalar
 
@@ -267,9 +267,8 @@ class DegreeOverflow(ValueError):
 
 
 def terms_of(alg, accs: dict, d=1) -> dict:
-    """{key: EnvElement} of flat accumulators divided by d, zeros dropped."""
-    return {k: u for k, acc in accs.items()
-            if (u := _from_acc(alg, acc, d)).terms}
+    """{key: EnvElement} of accumulators divided by d, zeros dropped."""
+    return {k: u for k, acc in accs.items() if (u := collect(alg, acc, d))}
 
 
 def d_terms(alg, parts, sign: int = 1) -> dict:
@@ -278,35 +277,29 @@ def d_terms(alg, parts, sign: int = 1) -> dict:
     d_l multiplies by each generator X_m of layer l, the sign of theta_m ^
     theta_J folded into its coefficient; d_0 is the Maurer-Cartan part.
     """
-    rad = alg.field.radicands
-    d = _common_denominator(s for form, _ in parts
-                            for u in form.terms.values()
-                            for s in u.terms.values())
+    d = common_denominator(u for form, _ in parts for u in form.terms.values())
     accs: dict = {}
     for form, layers in parts:
         gens = {m: EnvElement.generator(alg, m)
                 for ell in layers if ell for m in alg.layer(ell)}
-        plans: dict = {}    # covector -> [(merged, flat generator or None, c)]
+        plans: dict = {}    # covector -> [(merged, signed generator or None, c)]
         for (t, slot), u in form.terms.items():
             plan = plans.get(t)
             if plan is None:
                 d0 = d0_covector(alg, t) if 0 in layers else {}
-                plan = plans[t] = [(merged, None, (c * sign).terms)
+                plan = plans[t] = [(merged, None, c * sign)
                                    for merged, c in d0.items()]
                 for m, gen in gens.items():
                     s, merged = merge_wedge((m,), t)
                     if s:
-                        plan.append((merged,
-                                     _flat(alg, gen.scale(s * sign).terms),
-                                     None))
-            nf = _flat(alg, u.terms, d)
+                        plan.append((merged, gen.scale(s * sign), None))
+            u = u.scale(d)
             for merged, gen, c in plan:
                 acc = accs.setdefault((merged, slot), {})
                 if gen is None:
-                    for m, v in c.items():
-                        _add_into(rad, acc, nf, v, m)
+                    add_into(acc, u, c)
                 else:
-                    _mul_into(alg, acc, gen, nf)
+                    mul_into(acc, gen, u)
     return terms_of(alg, accs, d)
 
 
@@ -344,7 +337,8 @@ class OperatorForm:
     def __eq__(self, other):
         if not isinstance(other, OperatorForm):
             return NotImplemented
-        return (self.degree == other.degree and self.terms == other.terms)
+        return (self.algebra is other.algebra and self.degree == other.degree
+                and self.slots == other.slots and self.terms == other.terms)
 
     def is_zero(self):
         return not self.terms
@@ -379,33 +373,30 @@ class OperatorForm:
 
     def pair_multivectors(self, mvs) -> list:
         """``pair_multivector`` of each multivector in ``mvs``.  Only the
-        terms on covectors of some multivector are flattened, once each,
-        so each multivector visits only the terms of its own covectors.
-        The terms and each multivector are scaled to integer coefficients
+        terms on covectors of some multivector are scaled, once each, and
+        each multivector visits only the terms of its own covectors.  The
+        terms and each multivector are scaled to integer coefficients
         first, so the sums run in ``int`` arithmetic and each coefficient
         is divided once."""
         alg = self.algebra
-        rad = alg.field.radicands
         wanted = {t for mv in mvs for t in mv}
         used = [(t, slot, u) for (t, slot), u in self.terms.items()
                 if t in wanted]
-        d = _common_denominator(s for _, _, u in used
-                                for s in u.terms.values())
+        d = common_denominator(u for _, _, u in used)
         by_covector: dict = {}
         for t, slot, u in used:
-            by_covector.setdefault(t, []).append((slot, _flat(alg, u.terms, d)))
+            by_covector.setdefault(t, []).append((slot, u.scale(d)))
         rows = []
         for mv in mvs:
-            dm = _common_denominator(mv.values())
+            dm = common_denominator(mv.values())
             accs = [{} for _ in range(self.slots)]
             for t, c in mv.items():
                 terms = by_covector.get(t)
                 if terms:
-                    raw = _integral(c.terms, dm)
-                    for slot, nf in terms:
-                        for m, v in raw.items():
-                            _add_into(rad, accs[slot], nf, v, m)
-            rows.append([_from_acc(alg, acc, d * dm) for acc in accs])
+                    c = c * dm
+                    for slot, u in terms:
+                        add_into(accs[slot], u, c)
+            rows.append([collect(alg, acc, d * dm) for acc in accs])
         return rows
 
     def render(self) -> str:
@@ -452,11 +443,9 @@ class CovectorMap:
 
     def apply_into(self, accs: dict, terms: dict):
         """Add the image of the OperatorForm terms ``terms`` into accs."""
-        alg = self.algebra
         for (t, slot), u in terms.items():
             for jo, v in self.columns.get(t, {}).items():
-                _scale_into(alg, accs.setdefault((jo, slot), {}), u.terms,
-                            v.terms)
+                add_into(accs.setdefault((jo, slot), {}), u, v)
 
     def apply_opform(self, form: OperatorForm) -> OperatorForm:
         accs: dict = {}

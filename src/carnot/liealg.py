@@ -82,7 +82,6 @@ class StratifiedLieAlgebra:
         # caches shared by the operator algebra
         self._nf_cache = {}
         self._prod_cache = {}
-        self._exponents = {}
         self._dtheta_cache = None
         self._validate()
 

@@ -42,8 +42,8 @@ import re
 from collections import defaultdict
 
 from . import linalg
-from .env import (EnvElement, Mixed, ZeroElement, _add_into, _flat,
-                  _from_acc, _matmul, _scale_into, homogeneity_degrees)
+from .env import (EnvElement, Mixed, ZeroElement, add_into, collect,
+                  homogeneity_degrees, matrix_product)
 from .exterior import (CovectorMap, Form, OperatorForm, accumulate,
                        covectors, d0_covector, d_terms, terms_of,
                        tuple_weight)
@@ -137,12 +137,11 @@ class OperatorMatrix:
     def conjugate(self, left, right):
         """left @ self @ right, for two scalar matrices given as row lists.
 
-        Each nonzero entry M[s][t] is flattened once and added into output
-        entry (i, j), scaled by each nonzero left[i][s] * right[t][j]: no
-        PBW product is formed.
+        Each nonzero entry M[s][t] is added into output entry (i, j),
+        scaled by each nonzero left[i][s] * right[t][j]: no PBW product is
+        formed.
         """
         alg = self.algebra
-        rad = alg.field.radicands
         n = len(right[0]) if right else 0
         accs = [[{} for _ in range(n)] for _ in left]
         for s, row in enumerate(self.entries):
@@ -150,28 +149,26 @@ class OperatorMatrix:
             for t, u in enumerate(row):
                 if not u:
                     continue
-                nf = _flat(alg, u.terms)
                 for j, r in enumerate(right[t]):
                     if r:
                         for acc_row, c in lefts:
-                            for m, v in (c * r).terms.items():
-                                _add_into(rad, acc_row[j], nf, v, m)
-        return OperatorMatrix(alg, [[_from_acc(alg, acc) for acc in row]
+                            add_into(acc_row[j], u, c * r)
+        return OperatorMatrix(alg, [[collect(alg, acc) for acc in row]
                                     for row in accs], cols=n)
 
     def __matmul__(self, other):
-        """Matrix product, by ``env._matmul``: each entry A_ik is flattened
-        once and folded through the words of row k of ``other`` as a prefix
-        trie, one generator at a time; each partial product A_ik * X^w is
-        added into every output column whose entry holds X^w.  Both factors
-        are scaled exactly to integer coefficients first, and each output
+        """Matrix product, by ``env.matrix_product``: each entry A_ik is
+        folded through the words of row k of ``other`` as a prefix trie,
+        one generator at a time; each partial product A_ik * X^w is added
+        into every output column whose entry holds X^w.  Both factors are
+        scaled exactly to integer coefficients first, and each output
         coefficient is divided by the product of the two denominators once.
         """
         k = self.shape[1]
         k2, n = other.shape
         if k != k2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = _matmul(self.algebra, self.entries, other.entries, n)
+        out = matrix_product(self.algebra, self.entries, other.entries, n)
         return OperatorMatrix(self.algebra, out,
                               self.row_weights, other.col_weights, cols=n)
 
@@ -366,8 +363,9 @@ class RuminComplex:
                 1, min(alg.kappa, w - min_w) + 1) if w - ell in result], -1)
             if not neg_d:
                 continue
-            old = result[w].terms if w in result else {}
-            accs = {k: _flat(alg, u.terms) for k, u in old.items()}
+            accs: dict = {}
+            for k, u in (result[w].terms if w in result else {}).items():
+                add_into(accs.setdefault(k, {}), u)
             pinv.apply_into(accs, neg_d)
             result[w] = OperatorForm(alg, h, form.slots, terms_of(alg, accs))
         # the weight components have disjoint terms, so they join by union
@@ -530,8 +528,7 @@ class RuminComplex:
         for row, xi in zip(rows, self.E0(h)):
             for slot, u in enumerate(row[:slots]):
                 for t, c in xi.terms.items():
-                    acc = accs.setdefault((t, slot), {})
-                    _scale_into(alg, acc, u.terms, c.terms)
+                    add_into(accs.setdefault((t, slot), {}), u, c)
         return OperatorForm(alg, h, slots, terms_of(alg, accs))
 
     def dc_orders(self):

@@ -99,7 +99,7 @@ def test_latex_braces_long_exponents(capsys):
 
 def test_tower_failure_names_its_block(capsys):
     code, _, err = run(capsys, "build", "--group", "free:3,3")
-    assert code == 2
+    assert code == 3
     assert re.search(r"tower extension cap \(8\) reached for sqrt\(\d+\), "
                      r"in the E0 block of degree \d+, weight \d+", err)
 
@@ -215,8 +215,68 @@ def test_verify_resource_limit(capsys):
     # free:2,30 is refused as fast, before any Hall tree is built
     for spec, count in (("free:2,8", 71), ("free:2,30", 74248451)):
         code, _, err = run(capsys, "verify", "--group", spec)
-        assert code == 2
+        assert code == 3
         assert err == f"error: ResourceLimit({count},64)\n"
+
+
+def test_capacity_limit_exits_3(capsys):
+    """A capacity limit is its own class, apart from bad input (2)."""
+    code, out, err = run(capsys, "build", "--group", "free:2,8")
+    assert (code, out, err) == (3, "", "error: ResourceLimit(71,64)\n")
+
+
+def _skew_dc_entry(monkeypatch):
+    """d_c gains an inhomogeneous entry: its homogeneity check fails."""
+    from carnot.env import EnvElement
+    from carnot.exterior import OperatorForm
+    from carnot.rumin import RuminComplex
+
+    pi_E0 = RuminComplex.pi_E0
+
+    def skewed(cx, form, h=None):
+        rows = pi_E0(cx, form, h)
+        if isinstance(form, OperatorForm) and rows and rows[0]:
+            rows[0][0] = rows[0][0] + EnvElement.one(cx.algebra)
+        return rows
+    monkeypatch.setattr(RuminComplex, "pi_E0", skewed)
+    return ("dc", "--degree", "1"), "error: entry (0,0) not homogeneous"
+
+
+def _break_star_formula(monkeypatch):
+    """The adjoint transpose is doubled: the star cross-check fails."""
+    from carnot.rumin import OperatorMatrix
+
+    adjoint = OperatorMatrix.transpose_adjoint
+    monkeypatch.setattr(OperatorMatrix, "transpose_adjoint",
+                        lambda m: adjoint(m).scale(2))
+    return (("deltac", "--degree", "1"),
+            "error: degree 1: star formula and adjoint transpose disagree")
+
+
+def _mix_algebras(monkeypatch):
+    """delta_c comes from a second copy of the group: a Laplacian adds
+    matrices over two algebras."""
+    from carnot.liealg import cartan_group
+    from carnot.rumin import RuminComplex
+
+    other = RuminComplex(cartan_group())
+    deltac = RuminComplex.deltac_matrix
+    monkeypatch.setattr(RuminComplex, "deltac_matrix",
+                        lambda cx, h: deltac(other, h))
+    return (("laplacian", "--family", "R", "--degree", "1"),
+            "error: operands live over different algebras")
+
+
+@pytest.mark.parametrize("fault", [_skew_dc_entry, _break_star_formula,
+                                   _mix_algebras])
+def test_internal_errors_exit_4(capsys, monkeypatch, fault):
+    """A failed consistency check of the engine is an internal bug: exit 4
+    with the message on stderr, no traceback."""
+    argv, message = fault(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, degrees", [("dc", range(5)),

@@ -177,3 +177,12 @@ def test_operator_form_json(g):
     blob = a.to_json()
     assert blob["degree"] == 2
     assert blob["terms"][0]["covector"] == [1, 4]
+
+
+def test_operator_form_equality_compares_algebra_and_slots(g):
+    a = OperatorForm.from_form(th(g, 1, 4))
+    assert a == OperatorForm.from_form(th(g, 1, 4))
+    assert a != OperatorForm(g, a.degree, 2, a.terms)
+    # two zero forms of one degree over different algebras are not equal
+    assert OperatorForm(g, 2, 1, {}) != OperatorForm(cartan_group(), 2, 1, {})
+    assert OperatorForm(g, 2, 1, {}) != OperatorForm(g, 2, 3, {})

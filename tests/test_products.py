@@ -10,7 +10,9 @@ form is checked against the descent rewriting, written here without a cache
 and with Scalar arithmetic.  The exterior builders (d, d0^{-1}, Pi_E, Pi_E0,
 the pairings and the row expansion) and products with a constant factor
 accumulate in flat dicts as well; they are checked against references
-written here with plain EnvElement ``*``, ``.scale`` and ``+``.
+written here with plain EnvElement ``*``, ``.scale`` and ``+``.  The
+packed map an EnvElement stores is checked, operation by operation, against
+the same operations on ``{exponent: Scalar}`` dicts.
 """
 
 from fractions import Fraction
@@ -19,9 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carnot._expr import signed, signed_sum
 from carnot.coords import Polynomial, coordinate_apply
-from carnot.env import (EnvElement, _from_acc, _normalize_word, _pack,
-                        _product, _word_of)
+from carnot.env import (EnvElement, Mixed, _normalize_word, _pack, _product,
+                        collect, word_of)
 from carnot.exterior import (OperatorForm, covectors, d0_covector, d_terms,
                              merge_wedge, tuple_weight)
 from carnot.liealg import (ResourceLimit, StratifiedLieAlgebra, cartan_group,
@@ -66,19 +69,17 @@ def elements(alg, max_terms=3):
 
 
 def assert_canonical(alg, *elems):
-    """Exact coefficients only: nonzero ints or non-integral Fractions."""
+    """Exact coefficients only, in the caches and in the map every element
+    stores: nonzero ints or non-integral Fractions under int keys."""
     def check(c):
         assert type(c) in (int, Fraction), type(c)
         assert c != 0
         assert type(c) is int or c.denominator != 1
-    for nf in list(alg._nf_cache.values()) + list(alg._prod_cache.values()):
+    maps = list(alg._nf_cache.values()) + list(alg._prod_cache.values())
+    for nf in maps + [e._packed for e in elems]:
         for key, c in nf.items():
             assert type(key) is int and key >= 0
             check(c)
-    for e in elems:
-        for s in e.terms.values():
-            for c in s.terms.values():
-                check(c)
 
 
 @PROPERTY
@@ -219,14 +220,110 @@ def test_kernel_matches_descent_rewriting(name, data):
     alg = KERNEL_GROUPS[name]()     # empty caches: the collection runs cold
     gens = st.integers(1, alg.n)
     word = tuple(data.draw(st.lists(gens, max_size=6)))
-    assert _from_acc(alg, _normalize_word(alg, word)) \
-        == EnvElement(alg, ref_normal_form(alg, word))
+    assert collect(alg, _normalize_word(alg, word)).terms \
+        == ref_normal_form(alg, word)
     exps = st.lists(gens, max_size=3).map(
         lambda w: tuple(w.count(i) for i in range(1, alg.n + 1)))
     a, b = data.draw(exps), data.draw(exps)
-    assert _from_acc(alg, _product(alg, _pack(a), _pack(b))) \
-        == EnvElement(alg, ref_normal_form(alg, _word_of(a) + _word_of(b)))
+    assert collect(alg, _product(alg, _pack(a), _pack(b))).terms \
+        == ref_normal_form(alg, word_of(a) + word_of(b))
     assert_canonical(alg)
+
+
+# -- the stored packed map against {exponent: Scalar} dicts --------------------
+
+def ref_sum(*dicts):
+    out: dict = {}
+    for terms in dicts:
+        for exp, c in terms.items():
+            s = out.get(exp)
+            out[exp] = c if s is None else s + c
+    return {exp: s for exp, s in out.items() if s}
+
+
+def ref_scale(terms, c):
+    return {exp: c * v for exp, v in terms.items() if c * v}
+
+
+def ref_mul(alg, a, b):
+    return ref_sum(*(ref_scale(ref_normal_form(alg, word_of(e1) + word_of(e2)),
+                               c1 * c2)
+                     for e1, c1 in a.items() for e2, c2 in b.items()))
+
+
+def ref_adjoint(alg, terms):
+    return ref_sum(*(ref_scale(ref_normal_form(alg, word_of(exp)[::-1]),
+                               c * (-1) ** sum(exp))
+                     for exp, c in terms.items()))
+
+
+def ref_degree(alg, exp):
+    return sum(e * w for e, w in zip(exp, alg.weights))
+
+
+def ref_render(alg, terms):
+    def term(exp, c):
+        mono = "*".join(f"X{k + 1}" + (f"^{e}" if e > 1 else "")
+                        for k, e in enumerate(exp) if e)
+        sign, coeff = signed(c)
+        if not mono:
+            return sign, coeff
+        return sign, mono if coeff == "1" else f"{coeff}*{mono}"
+    order = sorted(terms, key=lambda exp: (-ref_degree(alg, exp),
+                                           [-e for e in exp]))
+    return signed_sum(term(exp, terms[exp]) for exp in order)
+
+
+def from_reference(alg, terms):
+    """The element of a reference dict, its monomials added in reverse."""
+    out = EnvElement.zero(alg)
+    for exp in sorted(terms, reverse=True):
+        out = out + EnvElement.monomial(alg, exp, terms[exp])
+    return out
+
+
+STORAGE_GROUPS = {"cartan": CARTAN, "free-2-4": FREE24, "skew": SKEW}
+
+
+@pytest.mark.parametrize("name", STORAGE_GROUPS)
+@settings(PROPERTY, max_examples=25)
+@given(st.data())
+def test_packed_storage_matches_scalar_reference(name, data):
+    """+, -, scale, *, formal_adjoint, homogeneity, render, hash and the
+    terms view of the stored packed map, against the same operations on
+    {exponent: Scalar} dicts written here."""
+    alg = STORAGE_GROUPS[name]
+    f = alg.field
+
+    def draw():
+        terms = data.draw(st.lists(st.tuples(exponents(alg.n), rationals,
+                                             rationals), max_size=3))
+        elem, ref = EnvElement.zero(alg), {}
+        for exp, q, r in terms:
+            c = f(q) + f(r) * f.sqrt(2)
+            elem = elem + EnvElement.monomial(alg, exp, c)
+            ref = ref_sum(ref, {exp: c})
+        return elem, ref
+    (a, ra), (b, rb) = draw(), draw()
+    q, r = data.draw(rationals), data.draw(rationals)
+    cases = [(a, ra), (a + b, ref_sum(ra, rb)),
+             (a - b, ref_sum(ra, ref_scale(rb, f(-1)))),
+             (-a, ref_scale(ra, f(-1))),
+             (a * b, ref_mul(alg, ra, rb)),
+             (a.formal_adjoint(), ref_adjoint(alg, ra))]
+    for c in (0, 1, -1, Fraction(-2, 3), f(q) + f(r) * f.sqrt(2)):
+        cases.append((a.scale(c), ref_scale(ra, f(c))))
+    for got, want in cases:
+        assert got.terms == want
+        twin = from_reference(alg, want)
+        assert got == twin and hash(got) == hash(twin)
+        assert got.render() == ref_render(alg, want)
+        assert bool(got) == bool(want)
+        if want:
+            degrees = {ref_degree(alg, exp) for exp in want}
+            assert got.homogeneity() == (
+                degrees.pop() if len(degrees) == 1 else Mixed(degrees))
+        assert_canonical(alg, got)
 
 
 def test_nf_cache_holds_requested_words_only():
@@ -238,7 +335,7 @@ def test_nf_cache_holds_requested_words_only():
     adj = EnvElement.monomial(alg, (1, 1, 1, 0, 0)).formal_adjoint()
     assert list(alg._nf_cache) == [(3, 2, 1)]
     # the cached value is the packed normal form of X3 X2 X1 = -adj
-    assert _from_acc(alg, alg._nf_cache[(3, 2, 1)]) == -adj
+    assert collect(alg, alg._nf_cache[(3, 2, 1)]) == -adj
 
 
 # -- exterior builders and constant factors ---------------------------------
@@ -502,6 +599,6 @@ def test_scale_matches_termwise_product(data):
     u = data.draw(elements(SKEW))
     c = data.draw(scalars(SKEW))
     want = {e: c * v for e, v in u.terms.items() if c * v}
-    assert u.scale(c) == EnvElement(SKEW, want)
+    assert u.scale(c).terms == want
     assert u.scale(c) == u * c
     assert_canonical(SKEW, u.scale(c))

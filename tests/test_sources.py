@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import pathlib
 import warnings
@@ -28,3 +29,26 @@ def test_traced_names_resolve():
             owner = tracer._resolve(carnot, key)
             missing = [a for a in attrs if a not in vars(owner)]
             assert not missing, f"{key}: {missing}"
+
+
+def test_packed_representation_stays_in_env():
+    """No module of the package but env.py imports an underscore name from
+    carnot.env, or reads one off the env module: the packed operator
+    representation and its kernel stay behind env's public functions."""
+    root = pathlib.Path(carnot.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "env.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.level == 1 and node.module == "env")
+                    or (node.level == 0 and node.module == "carnot.env")):
+                found += [f"{path.name}: {a.name}" for a in node.names
+                          if a.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "env" and node.attr.startswith("_")):
+                found.append(f"{path.name}: env.{node.attr}")
+    assert not found
