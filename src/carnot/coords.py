@@ -228,10 +228,10 @@ def cartan_realization(alg) -> CoordinateRealization:
     return CoordinateRealization(f, 5, fields)
 
 
-def coordinate_apply(op: EnvElement, p: Polynomial,
-                     realization: CoordinateRealization | None = None) -> Polynomial:
-    """Apply a normal-ordered operator to a polynomial via coordinates."""
-    realization = realization or op.algebra.realization
+def coordinate_apply(op: EnvElement, p: Polynomial) -> Polynomial:
+    """Apply a normal-ordered operator to a polynomial via the coordinates
+    attached to its algebra."""
+    realization = op.algebra.realization
     if realization is None:
         raise NoRealization(
             "no coordinate realization attached to this algebra")

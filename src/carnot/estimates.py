@@ -11,7 +11,11 @@ level, to three ingredients that can be machine-checked:
 
 * the exponent tables of the four estimate families (the ``A``-Laplacian
   table, the ``R``/``G`` table, the closed/co-closed table, and the
-  sum-space table), where every derived exponent is recomputed from the
+  sum-space table).  A table holds only the paper's data: its Laplacian
+  family and, per row, the degree, the term, the right-hand side, the chain
+  of operators the proof composes and the displayed exponent.  The method
+  and norm follow from the chain; the kernel type, the derived exponent and
+  the values of the documented C2 discrepancy are recomputed from the
   homogeneity orders of the actual operator matrices;
 
 * the horizontal tensors attached to closed intrinsic forms, their
@@ -27,14 +31,15 @@ and a corrected tensor instead of silently patching the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import permutations, product
 
 from . import linalg
-from .env import EnvElement, homogeneity_degrees
+from .env import EnvElement, add_into, collect, homogeneity_degrees, mul_into
 from .exterior import OperatorForm, multivector
 from .laplacians import UnsupportedGroup, homogeneous_dc_orders, target_order
-from .rumin import OperatorMatrix, RuminComplex
+from .rumin import OperatorMatrix, RuminComplex, cached
 
 
 class OutOfRange(ValueError):
@@ -101,18 +106,17 @@ def sobolev_dual_exponent(a: int, c: int, Q: int) -> Fraction:
 # -- exponent tables -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExponentRecord:
     theorem: str
     h: int
     term: str                      # 'f' or 'g'
     part: str | None               # 'closed'/'coclosed' for the corollary table
     rhs: str                       # operator applied to the datum in the norm
-    norm: str                      # 'L1' or 'H1'
+    norm: str                      # 'H1' on the 'hardy' rows, else 'L1'
     family: str
     laplacian_order: int
     chain: tuple                   # ((label, order), ...), gradient included
-    uses_gradient: bool
     method: str                    # 'cvs' | 'hardy' | 'folland'
     chain_order: int               # excluding the gradient
     kernel: KernelType
@@ -146,167 +150,140 @@ def _exp(Q: int, k: int) -> Fraction:
     return Fraction(Q, Q - k)
 
 
-def theorem_table(cx: RuminComplex, tag: str) -> list:
-    """Exponent records for one of the tables H2, C2, H2cor, H2sum."""
+# The paper's tables: the Laplacian family, then per row (h, term, rhs,
+# chain, k) with the displayed exponent Q/(Q-k).  Chain tokens: "d<h>" is
+# d_c on E0^h, "dl<h>" delta_c on E0^h, "A" the A_Delta block and "grad"
+# the gradient.  A sixth item holds the keywords of _record that the paper
+# sets on some rows only.
+_TABLES = {
+    "H2": ("A", [
+        (0, "f", "f", "d0", 1),
+        (1, "f", "f", "d1 grad", 3),
+        (1, "g", "delta_c d_c g", "dl1 d0 dl1", 3),
+        (2, "f", "grad f", "d2 d0 grad", 3),
+        (2, "g", "g", "dl2 grad", 3),
+        (3, "f", "f", "d3 grad", 3),
+        (3, "g", "grad g", "dl3 d0 grad", 3),
+        (4, "f", "d_c delta_c f", "d4 dl5 d4", 3),
+        (4, "g", "g", "dl4 grad", 3),
+        (5, "g", "g", "dl5", 1),
+    ]),
+    "C2": ("R", [
+        (0, "f", "f", "d0", 1),
+        (1, "f", "f", "d1 grad", 3),
+        (1, "g", "delta_c d_c g", "dl1 d0 dl1", 3),
+        (2, "f", "d_c delta_c f", "d2 dl3 d2 grad", 6, {"discrepancy": True}),
+        (2, "g", "d_c g", "d1 dl2 grad", 6),
+        (3, "f", "delta_c f", "d3 dl4 grad", 6),
+        (3, "g", "delta_c d_c g", "dl3 d2 dl3 grad", 6,
+         {"discrepancy": True}),
+        (4, "f", "d_c delta_c f", "d4 dl5 d4", 3),
+        (4, "g", "g", "dl4 grad", 3),
+        (5, "g", "g", "dl5", 1),
+    ]),
+    "H2cor": ("A", [
+        (0, "f", "f", "d0", 1, {"part": "coclosed"}),
+        (1, "f", "f", "d1 grad", 3, {"part": "coclosed"}),
+        (2, "f", "f", "A d2 grad", 2, {"part": "coclosed"}),
+        (3, "f", "f", "d3 grad", 3, {"part": "coclosed"}),
+        (4, "f", "f", "d4 dl5 d4 dl5 d4 grad", 1,
+         {"part": "coclosed", "folland_cited": False}),
+        (1, "g", "g", "dl1 d0 dl1 d0 dl1 grad", 1,
+         {"part": "closed", "folland_cited": False}),
+        (2, "g", "g", "dl2 grad", 3, {"part": "closed"}),
+        (3, "g", "g", "A dl3 grad", 2, {"part": "closed"}),
+        (4, "g", "g", "dl4 grad", 3, {"part": "closed"}),
+        (5, "g", "g", "dl5", 1, {"part": "closed"}),
+    ]),
+    "H2sum": ("R", [
+        (1, "f", "f", "d1 grad", 3),
+        (1, "g", "g", "dl1 d0 dl1 d0 dl1", 1),
+        (2, "f", "f", "d2 dl3 d2 dl3 d2 grad", 2),
+        (2, "g", "g", "dl2 d1 dl2 grad", 3),
+        (3, "f", "f", "d3 dl4 d3 grad", 3),
+        (3, "g", "g", "dl3 d2 dl3 d2 dl3 grad", 2),
+        (4, "f", "f", "d4 dl5 d4 dl5 d4", 1),
+        (4, "g", "g", "dl4 grad", 3),
+    ]),
+}
+
+
+def _operator(token: str, d_ord) -> tuple:
+    """(label, order) of a chain token, from the orders of d_c."""
+    if token == "grad":
+        return ("grad", 1)
+    if token == "A":
+        return ("A_Delta", 2)
+    if token.startswith("dl"):
+        return (f"delta_c^{token[2:]}", d_ord[int(token[2:]) - 1])
+    return (f"d_c^{token[1:]}", d_ord[int(token[1:])])
+
+
+def _discrepancy(r: ExponentRecord) -> dict:
+    """Both candidate derivations of a C2 row through delta_c on 3-forms.
+
+    The displayed matrix of that codifferential has order 2, which the
+    record's own chain, kernel type and exponent use; the prose reads it as
+    third order, one more in the order sum and one less in the kernel type.
+    The engine's matrices support the first.
+    """
+    total = sum(order for _, order in r.chain)
+    prose = sobolev_dual_exponent(r.laplacian_order, r.chain_order + 1,
+                                  r.kernel.Q)
+    return {
+        "kind": "documented-discrepancy",
+        "topic": "order of delta_c on 3-forms (2 from the matrix, "
+                 "3 in the prose)",
+        "engine_chain_total": total,
+        "engine_kernel_type": r.kernel.mu,
+        "engine_exponent": str(r.derived),
+        "prose_chain_total": total + 1,
+        "prose_kernel_type": r.kernel.mu - 1,
+        "prose_ordersum_exponent": str(prose),
+    }
+
+
+def _record(theorem, family, d_ord, Q, h, term, rhs, chain, paper_k,
+            part=None, folland_cited=True, discrepancy=False):
+    """The record of one table row, everything but the paper's data derived:
+    a chain holding the gradient is proved by 'cvs', a single operator by
+    'folland' and any other chain by 'hardy', the only method in H1."""
+    chain = tuple(_operator(t, d_ord) for t in chain.split())
+    total = sum(order for _, order in chain)
+    if any(label == "grad" for label, _ in chain):
+        method, c = "cvs", total - 1
+    else:
+        method, c = "folland" if len(chain) == 1 else "hardy", total
+    a = target_order(d_ord, family, h)
+    kernel = differentiate_type(kernel_type_of_inverse(a, Q), total)
+    derived = sobolev_dual_exponent(a, c, Q)
+    paper = _exp(Q, paper_k)
+    record = ExponentRecord(
+        theorem=theorem, h=h, term=term, part=part, rhs=rhs,
+        norm="H1" if method == "hardy" else "L1", family=family,
+        laplacian_order=a, chain=chain, method=method, chain_order=c,
+        kernel=kernel, derived=derived, paper=paper,
+        paper_display=f"Q/(Q-{paper_k})", agree=derived == paper,
+        window_ok=kernel.in_folland_window, folland_cited=folland_cited)
+    if discrepancy:
+        record = replace(record, discrepancy=_discrepancy(record))
+    return record
+
+
+@cached()
+def theorem_table(cx: RuminComplex, tag: str) -> tuple:
+    """Exponent records for one of the tables H2, C2, H2cor, H2sum, built
+    once per complex."""
     if not cx.algebra.is_cartan_table():
         raise UnsupportedGroup("exponent tables are Cartan-specific")
-    if tag not in ("H2", "C2", "H2cor", "H2sum"):
+    if tag not in _TABLES:
         raise ValueError(f"unknown table {tag!r}")
     Q = cx.algebra.homogeneous_dimension
     d_ord = homogeneous_dc_orders(cx)
-
-    def dl_ord(k):     # delta_c on E0^k
-        return d_ord[k - 1]
-
-    def resolve(token):
-        kind = token[0]
-        if kind == "d":
-            return (f"d_c^{token[1]}", d_ord[token[1]])
-        if kind == "dl":
-            return (f"delta_c^{token[1]}", dl_ord(token[1]))
-        if kind == "A":
-            return ("A_Delta", 2)
-        if kind == "grad":
-            return ("grad", 1)
-        raise ValueError(token)
-
-    def row(theorem, h, term, rhs, norm, family, tokens, method,
-            paper_k, part=None, folland_cited=True, discrepancy=None):
-        chain = tuple(resolve(t) for t in tokens)
-        uses_grad = any(lbl == "grad" for lbl, _ in chain)
-        total = sum(o for _, o in chain)
-        c = total - (1 if uses_grad else 0)
-        a = target_order(d_ord, family, h)
-        kernel = differentiate_type(kernel_type_of_inverse(a, Q), total)
-        derived = sobolev_dual_exponent(a, c, Q)
-        paper = _exp(Q, paper_k)
-        return ExponentRecord(
-            theorem=theorem, h=h, term=term, part=part, rhs=rhs, norm=norm,
-            family=family, laplacian_order=a, chain=chain,
-            uses_gradient=uses_grad, method=method, chain_order=c,
-            kernel=kernel, derived=derived, paper=paper,
-            paper_display=f"Q/(Q-{paper_k})", agree=derived == paper,
-            window_ok=kernel.in_folland_window, folland_cited=folland_cited,
-            discrepancy=discrepancy)
-
-    def delta3_discrepancy(chain_tokens):
-        """Both candidate derivations for the degree-2/3 rows of table C2.
-
-        The displayed matrix of delta_c on 3-forms is homogeneous of
-        degree 2, which gives a total chain order d(I) = 7, a type-5
-        kernel, and the displayed exponent Q/(Q-6).  Reading that
-        codifferential as third order instead (as the accompanying prose
-        does) makes the order sum 8, the kernel type 4, and the exponent
-        Q/(Q-5).  Both values are reported; the engine's matrices support
-        the first.
-        """
-        total = sum(resolve(t)[1] for t in chain_tokens)
-        return {
-            "kind": "documented-discrepancy",
-            "topic": "order of delta_c on 3-forms (2 from the matrix, "
-                     "3 in the prose)",
-            "engine_chain_total": total,
-            "engine_kernel_type": 12 - total,
-            "engine_exponent": str(_exp(Q, 12 - total + 1)),
-            "prose_chain_total": total + 1,
-            "prose_kernel_type": 12 - total - 1,
-            "prose_ordersum_exponent": str(_exp(Q, 12 - total)),
-        }
-
-    rows: list = []
-    if tag == "H2":
-        rows = [
-            row("H2", 0, "f", "f", "L1", "A", [("d", 0)], "folland", 1),
-            row("H2", 1, "f", "f", "L1", "A",
-                [("d", 1), ("grad",)], "cvs", 3),
-            row("H2", 1, "g", "delta_c d_c g", "H1", "A",
-                [("dl", 1), ("d", 0), ("dl", 1)], "hardy", 3),
-            row("H2", 2, "f", "grad f", "L1", "A",
-                [("d", 2), ("d", 0), ("grad",)], "cvs", 3),
-            row("H2", 2, "g", "g", "L1", "A",
-                [("dl", 2), ("grad",)], "cvs", 3),
-            row("H2", 3, "f", "f", "L1", "A",
-                [("d", 3), ("grad",)], "cvs", 3),
-            row("H2", 3, "g", "grad g", "L1", "A",
-                [("dl", 3), ("d", 0), ("grad",)], "cvs", 3),
-            row("H2", 4, "f", "d_c delta_c f", "H1", "A",
-                [("d", 4), ("dl", 5), ("d", 4)], "hardy", 3),
-            row("H2", 4, "g", "g", "L1", "A",
-                [("dl", 4), ("grad",)], "cvs", 3),
-            row("H2", 5, "g", "g", "L1", "A", [("dl", 5)], "folland", 1),
-        ]
-    elif tag == "C2":
-        c2f2 = [("d", 2), ("dl", 3), ("d", 2), ("grad",)]
-        c2g3 = [("dl", 3), ("d", 2), ("dl", 3), ("grad",)]
-        rows = [
-            row("C2", 0, "f", "f", "L1", "R", [("d", 0)], "folland", 1),
-            row("C2", 1, "f", "f", "L1", "R",
-                [("d", 1), ("grad",)], "cvs", 3),
-            row("C2", 1, "g", "delta_c d_c g", "H1", "R",
-                [("dl", 1), ("d", 0), ("dl", 1)], "hardy", 3),
-            row("C2", 2, "f", "d_c delta_c f", "L1", "R", c2f2, "cvs", 6,
-                discrepancy=delta3_discrepancy(c2f2)),
-            row("C2", 2, "g", "d_c g", "L1", "R",
-                [("d", 1), ("dl", 2), ("grad",)], "cvs", 6),
-            row("C2", 3, "f", "delta_c f", "L1", "R",
-                [("d", 3), ("dl", 4), ("grad",)], "cvs", 6),
-            row("C2", 3, "g", "delta_c d_c g", "L1", "R", c2g3, "cvs", 6,
-                discrepancy=delta3_discrepancy(c2g3)),
-            row("C2", 4, "f", "d_c delta_c f", "H1", "R",
-                [("d", 4), ("dl", 5), ("d", 4)], "hardy", 3),
-            row("C2", 4, "g", "g", "L1", "R",
-                [("dl", 4), ("grad",)], "cvs", 3),
-            row("C2", 5, "g", "g", "L1", "R", [("dl", 5)], "folland", 1),
-        ]
-    elif tag == "H2cor":
-        rows = [
-            row("H2cor", 0, "f", "f", "L1", "A", [("d", 0)],
-                "folland", 1, part="coclosed"),
-            row("H2cor", 1, "f", "f", "L1", "A",
-                [("d", 1), ("grad",)], "cvs", 3, part="coclosed"),
-            row("H2cor", 2, "f", "f", "L1", "A",
-                [("A",), ("d", 2), ("grad",)], "cvs", 2, part="coclosed"),
-            row("H2cor", 3, "f", "f", "L1", "A",
-                [("d", 3), ("grad",)], "cvs", 3, part="coclosed"),
-            row("H2cor", 4, "f", "f", "L1", "A",
-                [("d", 4), ("dl", 5), ("d", 4), ("dl", 5), ("d", 4),
-                 ("grad",)], "cvs", 1, part="coclosed", folland_cited=False),
-            row("H2cor", 1, "g", "g", "L1", "A",
-                [("dl", 1), ("d", 0), ("dl", 1), ("d", 0), ("dl", 1),
-                 ("grad",)], "cvs", 1, part="closed", folland_cited=False),
-            row("H2cor", 2, "g", "g", "L1", "A",
-                [("dl", 2), ("grad",)], "cvs", 3, part="closed"),
-            row("H2cor", 3, "g", "g", "L1", "A",
-                [("A",), ("dl", 3), ("grad",)], "cvs", 2, part="closed"),
-            row("H2cor", 4, "g", "g", "L1", "A",
-                [("dl", 4), ("grad",)], "cvs", 3, part="closed"),
-            row("H2cor", 5, "g", "g", "L1", "A", [("dl", 5)],
-                "folland", 1, part="closed"),
-        ]
-    else:  # H2sum
-        rows = [
-            row("H2sum", 1, "f", "f", "L1", "R",
-                [("d", 1), ("grad",)], "cvs", 3),
-            row("H2sum", 1, "g", "g", "H1", "R",
-                [("dl", 1), ("d", 0), ("dl", 1), ("d", 0), ("dl", 1)],
-                "hardy", 1),
-            row("H2sum", 2, "f", "f", "L1", "R",
-                [("d", 2), ("dl", 3), ("d", 2), ("dl", 3), ("d", 2),
-                 ("grad",)], "cvs", 2),
-            row("H2sum", 2, "g", "g", "L1", "R",
-                [("dl", 2), ("d", 1), ("dl", 2), ("grad",)], "cvs", 3),
-            row("H2sum", 3, "f", "f", "L1", "R",
-                [("d", 3), ("dl", 4), ("d", 3), ("grad",)], "cvs", 3),
-            row("H2sum", 3, "g", "g", "L1", "R",
-                [("dl", 3), ("d", 2), ("dl", 3), ("d", 2), ("dl", 3),
-                 ("grad",)], "cvs", 2),
-            row("H2sum", 4, "f", "f", "H1", "R",
-                [("d", 4), ("dl", 5), ("d", 4), ("dl", 5), ("d", 4)],
-                "hardy", 1),
-            row("H2sum", 4, "g", "g", "L1", "R",
-                [("dl", 4), ("grad",)], "cvs", 3),
-        ]
-    return rows
+    family, rows = _TABLES[tag]
+    return tuple(_record(tag, family, d_ord, Q, h, term, rhs, chain, k,
+                         **dict(*flags))
+                 for h, term, rhs, chain, k, *flags in rows)
 
 
 SUM_SPACE_PAIRS = {1: (3, 1), 2: (3, 2), 3: (3, 2), 4: (3, 1)}
@@ -373,18 +350,16 @@ class HorizontalTensor:
         return cls(alg, order, slots, entries)
 
     def is_symmetric(self) -> bool:
-        from itertools import permutations
-        for idx, row in self.entries.items():
-            for perm in permutations(idx):
-                other = self.entries.get(tuple(perm))
-                if other is None or any(a != b for a, b in zip(row, other)):
-                    return False
-        return True
+        return all(self.entries.get(perm) == row
+                   for idx, row in self.entries.items()
+                   for perm in permutations(idx))
 
     def __eq__(self, other):
         if not isinstance(other, HorizontalTensor):
             return NotImplemented
-        return self.order == other.order and self.entries == other.entries
+        return (self.algebra is other.algebra and self.order == other.order
+                and self.slots == other.slots
+                and self.entries == other.entries)
 
     def render(self) -> str:
         if not self.entries:
@@ -419,36 +394,24 @@ def generalized_divergence(tensor: HorizontalTensor,
     if convention not in ("cvs", "pierre"):
         raise ValueError(f"unknown convention {convention!r}")
     alg = tensor.algebra
-    row = [EnvElement.zero(alg) for _ in range(tensor.slots)]
+    accs = [{} for _ in range(tensor.slots)]
     for idx, per_slot in tensor.entries.items():
         word = tuple(reversed(idx)) if convention == "cvs" else idx
         w = EnvElement.from_word(alg, word)
-        for j, u in enumerate(per_slot):
-            if u:
-                row[j] = row[j] + w * u
-    return row
+        for acc, u in zip(accs, per_slot):
+            mul_into(acc, w, u)
+    return [collect(alg, acc) for acc in accs]
 
 
 def _exponents_of_degree(alg, degree: int):
-    """All exponent vectors with weighted degree exactly `degree`."""
+    """All exponent vectors with weighted degree exactly `degree`, in
+    lexicographic order."""
     weights = alg.weights
-    out = []
-
-    def rec(pos, remaining, acc):
-        if pos == alg.n:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        w = weights[pos]
-        for e in range(remaining // w + 1):
-            rec(pos + 1, remaining - e * w, acc + [e])
-
-    rec(0, degree, [])
-    return out
+    return [exp for exp in product(*(range(degree // w + 1) for w in weights))
+            if sum(e * w for e, w in zip(exp, weights)) == degree]
 
 
-def check_row_membership(row, dcm: OperatorMatrix,
-                         coeff_degree_bound: int | None = None):
+def check_row_membership(row, dcm: OperatorMatrix):
     """Certificate R with row = R . dc (left module, bounded degree), or None.
 
     Homogeneity pins the degree of each coefficient: deg(R_i) = deg(row) -
@@ -476,8 +439,6 @@ def check_row_membership(row, dcm: OperatorMatrix,
             raise DegreeMismatch(f"dc row {i} is not homogeneous")
         need = row_deg - rdegs.pop()
         if need < 0:
-            continue
-        if coeff_degree_bound is not None and need > coeff_degree_bound:
             continue
         for exp in _exponents_of_degree(alg, need):
             unknowns.append((i, exp))
@@ -507,9 +468,7 @@ def solve_divergence_tensor(alg, target_row, order: int,
     `target_row`, or None.  Solves the 2^k-unknown exact linear system
     slot by slot."""
     m1 = alg.layer_dims[0]
-    from itertools import product as iproduct
-
-    indices = list(iproduct(range(1, m1 + 1), repeat=order))
+    indices = list(product(range(1, m1 + 1), repeat=order))
     # normal forms of the divergence words, one per index
     columns = [EnvElement.from_word(
         alg, tuple(reversed(idx)) if convention == "cvs" else idx).terms
@@ -546,29 +505,28 @@ def cartan_pairing(cx: RuminComplex, form: OperatorForm, z) -> list:
     if len(z) != form.degree + 1:
         raise DegreeMismatch(
             f"need {form.degree + 1} fields for a degree-{form.degree} form")
-    row = [EnvElement.zero(alg) for _ in range(form.slots)]
-    for i in range(len(z)):
-        rest = _drop(z, (i,))
-        mv = multivector(alg, [(rest, 1)])
-        inner = form.pair_multivector(mv)
-        sign = -1 if i % 2 else 1
-        gen = EnvElement.generator(alg, z[i])
-        for j, u in enumerate(inner):
-            if u:
-                row[j] = row[j] + (gen * u).scale(sign)
+    # each term: its multivector, and the signed generator that multiplies
+    # the pairing with it, or the sign alone for a bracket term
+    terms = [(multivector(alg, [(_drop(z, (i,)), 1)]),
+              EnvElement.generator(alg, z[i]).scale(-1 if i % 2 else 1))
+             for i in range(len(z))]
     for i in range(len(z)):
         for j in range(i + 1, len(z)):
             vec = alg.bracket_basis(z[i], z[j])
-            if not vec:
-                continue
-            rest = _drop(z, (i, j))
-            sign = -1 if (i + j) % 2 else 1
-            mv = multivector(alg, [((k,) + rest, c) for k, c in vec.items()])
-            inner = form.pair_multivector(mv)
-            for s, u in enumerate(inner):
-                if u:
-                    row[s] = row[s] + u.scale(sign)
-    return row
+            if vec:
+                rest = _drop(z, (i, j))
+                terms.append((multivector(alg, [((k,) + rest, c)
+                                                for k, c in vec.items()]),
+                              -1 if (i + j) % 2 else 1))
+    accs = [{} for _ in range(form.slots)]
+    inner = form.pair_multivectors([mv for mv, _ in terms])
+    for (_, factor), row in zip(terms, inner):
+        for acc, u in zip(accs, row):
+            if isinstance(factor, int):
+                add_into(acc, u, factor)
+            else:
+                mul_into(acc, factor, u)
+    return [collect(alg, acc) for acc in accs]
 
 
 def direct_pairing(form: OperatorForm, z) -> list:
@@ -608,7 +566,7 @@ _DISPLAY_COMPONENTS = {
     4: (1, 2, {(1,): {1: "1"}, (2,): {0: "-1"}}),
 }
 
-_PAIRING_FIELDS = {1: (4, 1), 2: (5, 1, 3), 3: (1, 3, 4, 5), 4: (1, 2, 3, 4, 5)}
+PAIRING_FIELDS = {1: (4, 1), 2: (5, 1, 3), 3: (1, 3, 4, 5), 4: (1, 2, 3, 4, 5)}
 
 
 def _parse_components(alg, spec):
@@ -633,15 +591,9 @@ def paper_tensor(cx: RuminComplex, h: int) -> HorizontalTensor:
 
 
 def proof_row(cx: RuminComplex, h: int) -> list:
-    """The operator row printed in the closed-form rephrasing, normalized."""
-    alg = cx.algebra
-    rows = []
-    for words in _PROOF_WORDS[h]:
-        acc = EnvElement.zero(alg)
-        for word, c in words.items():
-            acc = acc + EnvElement.from_word(alg, word, alg.field.parse(c))
-        rows.append(acc)
-    return rows
+    """The operator row printed in the closed-form rephrasing, normalized:
+    the divergence of its words taken in index order."""
+    return generalized_divergence(proof_tensor(cx, h, "pierre"), "pierre")
 
 
 def proof_tensor(cx: RuminComplex, h: int,
@@ -662,11 +614,7 @@ def proof_tensor(cx: RuminComplex, h: int,
 def derived_row(cx: RuminComplex, h: int) -> list:
     """The engine's own vanishing row: the Cartan pairing of the lifted
     symbolic basis form against the degree-h probe multivector."""
-    return cartan_pairing(cx, cx.lift(h), _PAIRING_FIELDS[h])
-
-
-def _rows_equal(a, b) -> bool:
-    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
+    return cartan_pairing(cx, cx.lift(h), PAIRING_FIELDS[h])
 
 
 def tensor_findings(cx: RuminComplex, convention: str = "cvs") -> list:
@@ -682,7 +630,7 @@ def tensor_findings(cx: RuminComplex, convention: str = "cvs") -> list:
         ptensor = proof_tensor(cx, h, convention)
         drow = derived_row(cx, h)
         drow_cert = check_row_membership(drow, dcm)
-        rows_match = _rows_equal(prow, drow)
+        rows_match = prow == drow
         entry = {
             "check": f"pierre-h{h}-tensor",
             "convention": convention,
@@ -710,6 +658,6 @@ def tensor_findings(cx: RuminComplex, convention: str = "cvs") -> list:
                 else corrected.to_json()
             if corrected is not None:
                 back = generalized_divergence(corrected, convention)
-                entry["corrected_roundtrip_exact"] = _rows_equal(back, drow)
+                entry["corrected_roundtrip_exact"] = back == drow
         findings.append(entry)
     return findings

@@ -88,8 +88,7 @@ def a_delta(cx: RuminComplex, h: int) -> OperatorMatrix:
     zero = EnvElement.zero(alg)
     n = len(cx.E0(h))
     entries = [[sub if i == j else zero for j in range(n)] for i in range(n)]
-    w = cx.E0(h).weights
-    return OperatorMatrix(alg, entries, w, w)
+    return OperatorMatrix(alg, entries, cols=n)
 
 
 def laplacian(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
@@ -160,7 +159,6 @@ def verify_self_adjoint(m: OperatorMatrix) -> dict:
         return {"applicable": False,
                 "reason": f"matrix is {rows}x{cols}, not square"}
     adj = m.transpose_adjoint()
-    adj.row_weights, adj.col_weights = m.row_weights, m.col_weights
     ok = adj == m
     out = {"applicable": True, "self_adjoint": ok}
     if not ok:
@@ -180,9 +178,7 @@ def verify_homogeneous_order(m: OperatorMatrix, expected: int) -> dict:
 def hodge_conjugate(cx: RuminComplex, m: OperatorMatrix, h: int) -> OperatorMatrix:
     """Conjugate an E0^h endomorphism by the star into degree n-h."""
     n = cx.algebra.n
-    out = m.conjugate(cx.star_matrix(h), cx.star_matrix(n - h))
-    out.row_weights = out.col_weights = cx.E0(n - h).weights
-    return out
+    return m.conjugate(cx.star_matrix(h), cx.star_matrix(n - h))
 
 
 def star_duality_sign(cx: RuminComplex, family: str, h: int):

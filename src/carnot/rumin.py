@@ -84,14 +84,11 @@ class RuminBasis:
 class OperatorMatrix:
     """Rectangular array of EnvElements between fixed intrinsic bases."""
 
-    __slots__ = ("algebra", "entries", "row_weights", "col_weights", "_cols")
+    __slots__ = ("algebra", "entries", "_cols")
 
-    def __init__(self, algebra, entries, row_weights=None, col_weights=None,
-                 cols=None):
+    def __init__(self, algebra, entries, cols=None):
         self.algebra = algebra
         self.entries = entries
-        self.row_weights = row_weights
-        self.col_weights = col_weights
         self._cols = len(entries[0]) if entries else (cols or 0)
 
     @property
@@ -99,15 +96,15 @@ class OperatorMatrix:
         return (len(self.entries), self._cols)
 
     @classmethod
-    def zeros(cls, alg, rows, cols, row_weights=None, col_weights=None):
+    def zeros(cls, alg, rows, cols):
         z = EnvElement.zero(alg)
-        return cls(alg, [[z] * cols for _ in range(rows)],
-                   row_weights, col_weights, cols=cols)
+        return cls(alg, [[z] * cols for _ in range(rows)], cols=cols)
 
     def __eq__(self, other):
         if not isinstance(other, OperatorMatrix):
             return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
+        return (self.algebra is other.algebra and self.shape == other.shape
+                and self.entries == other.entries)
 
     def __add__(self, other):
         m, n = self.shape
@@ -116,13 +113,11 @@ class OperatorMatrix:
         return OperatorMatrix(
             self.algebra,
             [[self.entries[i][j] + other.entries[i][j] for j in range(n)]
-             for i in range(m)],
-            self.row_weights, self.col_weights, cols=n)
+             for i in range(m)], cols=n)
 
     def __neg__(self):
         return OperatorMatrix(self.algebra,
                               [[-e for e in row] for row in self.entries],
-                              self.row_weights, self.col_weights,
                               cols=self._cols)
 
     def __sub__(self, other):
@@ -131,7 +126,6 @@ class OperatorMatrix:
     def scale(self, c):
         return OperatorMatrix(self.algebra,
                               [[e.scale(c) for e in row] for row in self.entries],
-                              self.row_weights, self.col_weights,
                               cols=self._cols)
 
     def conjugate(self, left, right):
@@ -169,16 +163,14 @@ class OperatorMatrix:
         if k != k2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         out = matrix_product(self.algebra, self.entries, other.entries, n)
-        return OperatorMatrix(self.algebra, out,
-                              self.row_weights, other.col_weights, cols=n)
+        return OperatorMatrix(self.algebra, out, cols=n)
 
     def transpose_adjoint(self):
         m, n = self.shape
         return OperatorMatrix(
             self.algebra,
             [[self.entries[j][i].formal_adjoint() for j in range(m)]
-             for i in range(n)],
-            self.col_weights, self.row_weights, cols=m)
+             for i in range(n)], cols=m)
 
     def is_zero(self):
         return all(not e for row in self.entries for e in row)
@@ -405,20 +397,20 @@ class RuminComplex:
         alg = self.algebra
         src = self.E0(h)
         if h >= alg.n:
-            return OperatorMatrix.zeros(alg, 0, len(src), (), src.weights)
+            return OperatorMatrix.zeros(alg, 0, len(src))
         out = OperatorMatrix(alg, self.pi_E0(self.d_lift(h), h + 1),
-                             self.E0(h + 1).weights, src.weights,
                              cols=len(src))
-        self._check_homogeneity(out)
+        self._check_homogeneity(out, self.E0(h + 1).weights, src.weights)
         return out
 
-    def _check_homogeneity(self, m: OperatorMatrix):
+    @staticmethod
+    def _check_homogeneity(m: OperatorMatrix, row_weights, col_weights):
         """Entries at block (q, p) must be homogeneous of degree q - p."""
         for i, row in enumerate(m.entries):
             for j, e in enumerate(row):
                 if not e:
                     continue
-                expected = m.row_weights[i] - m.col_weights[j]
+                expected = row_weights[i] - col_weights[j]
                 if e.homogeneity() != expected:
                     raise AssertionError(
                         f"entry ({i},{j}) not homogeneous of degree {expected}: {e}")
@@ -460,13 +452,11 @@ class RuminComplex:
         alg = self.algebra
         n, src = alg.n, self.E0(h)
         if h == 0:
-            return OperatorMatrix.zeros(alg, 0, len(src), (), src.weights), 1
+            return OperatorMatrix.zeros(alg, 0, len(src)), 1
         sign = -1 if (n * (h + 1) + 1) % 2 else 1
         out = self.dc_matrix(n - h).conjugate(
             self.star_matrix(n - h + 1),
             self.star_matrix(h)).scale(alg.field(sign))
-        out.row_weights = self.E0(h - 1).weights
-        out.col_weights = src.weights
         alt = self.dc_matrix(h - 1).transpose_adjoint()
         return out, 1 if out == alt else -1 if out == -alt else None
 

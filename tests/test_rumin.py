@@ -4,6 +4,7 @@ import json
 import pytest
 
 from carnot.env import EnvElement
+from carnot.estimates import HorizontalTensor
 from carnot.exterior import Form, OperatorForm
 from carnot.liealg import StratifiedLieAlgebra, cartan_group, free_nilpotent
 from carnot.rumin import (OperatorMatrix, RuminComplex, SpanMismatch,
@@ -163,11 +164,11 @@ def test_dc_squared_zero_and_orders(cx):
 def test_block_homogeneity(cx):
     for h in range(5):
         m = cx.dc_matrix(h)
+        rows, cols = cx.E0(h + 1).weights, cx.E0(h).weights
         for i, row in enumerate(m.entries):
             for j, e in enumerate(row):
                 if e:
-                    assert e.homogeneity() \
-                        == m.row_weights[i] - m.col_weights[j]
+                    assert e.homogeneity() == rows[i] - cols[j]
 
 
 def test_align_basis(cx):
@@ -235,6 +236,19 @@ def test_operator_matrix_shape_mismatch_is_value_error(cx):
         a @ a
     with pytest.raises(ValueError, match=r"\(3, 2\) \+ \(2, 3\)"):
         a + OperatorMatrix.zeros(cx.algebra, 2, 3)
+
+
+def test_equality_compares_the_algebra():
+    # empty matrices and tensors over two groups, or with other slots,
+    # have equal entries and still differ
+    one, other = cartan_group(), cartan_group()
+    assert OperatorMatrix.zeros(one, 0, 2) == OperatorMatrix.zeros(one, 0, 2)
+    assert OperatorMatrix.zeros(one, 0, 2) != OperatorMatrix.zeros(other, 0, 2)
+    assert OperatorMatrix.zeros(one, 2, 0) != OperatorMatrix.zeros(other, 2, 0)
+    tensor = HorizontalTensor(one, 1, 2, {})
+    assert tensor == HorizontalTensor(one, 1, 2, {})
+    assert tensor != HorizontalTensor(other, 1, 2, {})
+    assert tensor != HorizontalTensor(one, 1, 3, {})
 
 
 def _dc_per_basis_element(cx, h):

@@ -31,24 +31,54 @@ def test_traced_names_resolve():
             assert not missing, f"{key}: {missing}"
 
 
-def test_packed_representation_stays_in_env():
-    """No module of the package but env.py imports an underscore name from
-    carnot.env, or reads one off the env module: the packed operator
-    representation and its kernel stay behind env's public functions."""
+# The scalar kernel's shared internals, (module, sibling, name): env's
+# products and scalars' tower arithmetic run on the same raw coefficients,
+# and scalars reduces its radicand relations with linalg's row reduction.
+PRIVATE_IMPORTS = {("env", "scalars", "_mask_product"),
+                   ("env", "scalars", "_q"),
+                   ("scalars", "linalg", "_rref")}
+
+
+def _sibling(node):
+    """The carnot module a ``from ... import`` reads: "" for the package
+    itself, whose names are modules, and None outside carnot."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and \
+            node.module.partition(".")[0] == "carnot":
+        return node.module.partition(".")[2]
+    return None
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_private_names_of_another():
+    """No module of the package imports an underscore name from a sibling
+    module, or reads one off it, except the pairs of PRIVATE_IMPORTS: each
+    module keeps its representation behind its public functions."""
     root = pathlib.Path(carnot.__file__).parent
-    found = []
+    found = set()
     for path in sorted(root.glob("*.py")):
-        if path.name == "env.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        modules = {}    # local name -> the sibling module it is bound to
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (
-                    (node.level == 1 and node.module == "env")
-                    or (node.level == 0 and node.module == "carnot.env")):
-                found += [f"{path.name}: {a.name}" for a in node.names
-                          if a.name.startswith("_")]
-            elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.value, ast.Name)
-                  and node.value.id == "env" and node.attr.startswith("_")):
-                found.append(f"{path.name}: env.{node.attr}")
-    assert not found
+            if isinstance(node, ast.ImportFrom):
+                source = _sibling(node)
+                if source == "":
+                    modules.update((a.asname or a.name, a.name)
+                                   for a in node.names)
+                elif source is not None:
+                    found |= {(path.stem, source, a.name)
+                              for a in node.names if _private(a.name)}
+            elif isinstance(node, ast.Import):
+                modules.update((a.asname, a.name.partition(".")[2])
+                               for a in node.names
+                               if a.asname and a.name.startswith("carnot."))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and _private(node.attr)):
+                found.add((path.stem, modules[node.value.id], node.attr))
+    assert found == PRIVATE_IMPORTS
