@@ -89,6 +89,8 @@ def cmd_pi_e(cx, args) -> int:
 
 
 def cmd_exponents(cx, args) -> int:
+    if args.format == "latex":
+        raise UsageError("exponents has no latex format; use text or json")
     rows = estimates.theorem_table(cx, args.theorem)
     if args.format == "json":
         payload = {"theorem": args.theorem,

@@ -27,8 +27,9 @@ scalars, not the algebra, is what costs time in products of order up to 12.
   carry into the next byte.
 * **The boundary.**  Only the read-only ``EnvElement.terms`` view,
   ``{exponent tuple: Scalar}``, built on each call and never stored,
-  decodes keys; rendering, homogeneity, ``as_scalar``, the coordinate
+  decodes keys into Scalars; rendering, ``as_scalar``, the coordinate
   realization and the linear systems of the estimates read it.
+  ``homogeneity`` reads the weights off the codes and builds no Scalar.
 * **Collection by one generator.**  ``_fold(alg, acc, word)`` multiplies a
   flat map by the generators of a word one at a time.  A term whose last
   generator comes at or before X_j times X_j is a concatenation; otherwise
@@ -75,6 +76,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from . import _expr
 from .liealg import ResourceLimit, StratifiedLieAlgebra
@@ -510,7 +512,11 @@ class EnvElement:
         """Common homogeneity degree d(I), or Mixed, or ZeroElement."""
         if not self._packed:
             raise ZeroElement("homogeneity of the zero operator is undefined")
-        degrees = {self.term_degree(e) for e in self.terms}
+        alg = self.algebra
+        mb = alg.field.max_radicands
+        codes = {key >> mb for key in self._packed}
+        degrees = {sum(map(mul, _unpack(code, alg.n), alg.weights))
+                   for code in codes}
         if len(degrees) == 1:
             return degrees.pop()
         return Mixed(degrees)

@@ -18,8 +18,10 @@ is the purely algebraic Maurer-Cartan part (dtheta_k = -sum c^k_ij
 theta_i ^ theta_j, weight preserving) and d_l adds one derivative along
 the l-th layer, raising the weight by l.
 
-The OperatorForm builders (``d_terms`` behind ``d0``, ``d_layer`` and
-``d_full``, ``pair_multivectors`` and ``CovectorMap.apply_into``) hand
+``d_terms`` computes a derivative only on the output covectors it is
+given: ``d0``, ``d_layer`` and ``d_full`` give it every covector, and the
+Rumin layer only those it reads.  The OperatorForm builders (``d_terms``,
+``pair_multivectors`` and ``CovectorMap.apply_into``) hand
 EnvElements and Scalars to the accumulators of :mod:`carnot.env`, one per
 output key (``add_into``, ``mul_into``), and ``terms_of`` collects each
 output operator once: summing EnvElements term by term would copy the
@@ -271,8 +273,9 @@ def terms_of(alg, accs: dict, d=1) -> dict:
     return {k: u for k, acc in accs.items() if (u := collect(alg, acc, d))}
 
 
-def d_terms(alg, parts, sign: int = 1) -> dict:
-    """The terms of sign * (sum of d_l form over the (form, layers) parts).
+def d_terms(alg, parts, targets, sign: int = 1) -> dict:
+    """The terms of sign * (sum of d_l form over the (form, layers) parts)
+    on the output covectors in ``targets``; no other term is computed.
 
     d_l multiplies by each generator X_m of layer l, the sign of theta_m ^
     theta_J folded into its coefficient; d_0 is the Maurer-Cartan part.
@@ -288,11 +291,14 @@ def d_terms(alg, parts, sign: int = 1) -> dict:
             if plan is None:
                 d0 = d0_covector(alg, t) if 0 in layers else {}
                 plan = plans[t] = [(merged, None, c * sign)
-                                   for merged, c in d0.items()]
+                                   for merged, c in d0.items()
+                                   if merged in targets]
                 for m, gen in gens.items():
                     s, merged = merge_wedge((m,), t)
-                    if s:
+                    if s and merged in targets:
                         plan.append((merged, gen.scale(s * sign), None))
+            if not plan:
+                continue
             u = u.scale(d)
             for merged, gen, c in plan:
                 acc = accs.setdefault((merged, slot), {})
@@ -352,8 +358,10 @@ class OperatorForm:
                 for w, terms in sorted(out.items())}
 
     def _d(self, layers) -> "OperatorForm":
-        return OperatorForm(self.algebra, self.degree + 1, self.slots,
-                            d_terms(self.algebra, [(self, layers)]))
+        alg = self.algebra
+        every = set(covectors(alg, self.degree + 1))
+        return OperatorForm(alg, self.degree + 1, self.slots,
+                            d_terms(alg, [(self, layers)], every))
 
     def d0(self) -> "OperatorForm":
         return self._d((0,))

@@ -5,7 +5,8 @@ exactly, one weight block at a time, as the nullspace of d0 stacked on the
 transpose of the incoming d0, followed by Gram-Schmidt orthonormalization in
 the scalar tower.  Basis elements are ordered by increasing weight and, inside
 a weight block, by the canonical reduced-row-echelon nullspace order, so the
-construction is deterministic.
+construction is deterministic.  ``dims`` needs no basis: it is read off the
+ranks of the d0 blocks, each computed once.
 
 The projection Pi_E on the complement of the acyclic part is evaluated by the
 weight-ascending recursion
@@ -14,11 +15,13 @@ weight-ascending recursion
     (Pi_E a)_{p+k+1} = -d0^{-1} ( sum_{1<=l<=k+1} d_l (Pi_E a)_{p+k+1-l} )
 
 where d0^{-1} is the exact Moore-Penrose pseudoinverse of d0 per weight
-block.  Each degree's lift, Pi_E applied to the symbolic basis form
+block; each layer sum is computed only on the covectors where d0^{-1} has a
+column.  Each degree's lift, Pi_E applied to the symbolic basis form
 sum_i alpha_i xi_i with one function slot per basis element, is computed
 once.  The intrinsic differential in the chosen bases is the operator matrix
-d_c = Pi_{E0} d Pi_E, read off d(lift): its projection onto E0^{h+1} has one
-row per basis element of E0^{h+1} and one entry per slot.  Pi_E, Pi_{E0} and
+d_c = Pi_{E0} d Pi_E: d(lift) is computed only on the covectors of the
+E0^{h+1} basis, and its projection onto E0^{h+1} has one row per basis
+element of E0^{h+1} and one entry per slot.  Pi_E, Pi_{E0} and
 the form builders sum in the flat accumulators of :mod:`carnot.env`.  The
 codifferential is obtained from the star formula
 delta_c = (-1)^{n(h+1)+1} * d_c *, cross-checked once per degree against the
@@ -29,9 +32,9 @@ of scaled entries there, with no PBW product.
 
 Every derived object lives in one dict, ``RuminComplex.memo``, filled by the
 ``cached`` decorator, which :mod:`carnot.laplacians` uses too.  Each degree
-keeps its weight blocks, d0 blocks, E0, d0^{-1}, lift, d_c, star and delta_c;
-d(lift) and the Laplacian block powers are large and read at one degree at a
-time, so only the degree asked for last keeps them.
+keeps its weight blocks, d0 blocks and their ranks, E0, d0^{-1}, lift, d_c,
+star and delta_c; the Laplacian block powers are large and read at one
+degree at a time, so only the degree asked for last keeps them.
 """
 
 from __future__ import annotations
@@ -308,8 +311,23 @@ class RuminComplex:
                 weights.append(w)
         return RuminBasis(h, elements, tuple(weights))
 
+    @cached()
+    def d0_rank(self, h: int, weight: int) -> int:
+        """Rank of d0 on the weight block of degree h."""
+        return linalg.rank(self.algebra.field,
+                           self.d0_matrix_block(h, weight)[0])
+
     def dims(self):
-        return tuple(len(self.E0(h)) for h in range(self.algebra.n + 1))
+        """dim E0^h = sum_w |dom_w| - rank d0_{h,w} - rank d0_{h-1,w}.
+
+        E0^h is ker d0 intersected with the orthogonal complement of
+        im d0_{h-1}, and im d0_{h-1} lies in ker d0_h, so no basis is built.
+        """
+        return tuple(
+            sum(len(dom) - self.d0_rank(h, w)
+                - (self.d0_rank(h - 1, w) if h else 0)
+                for w, dom in self._weight_blocks(h).items())
+            for h in range(self.algebra.n + 1))
 
     # -- d0 pseudoinverse ---------------------------------------------------
 
@@ -350,9 +368,11 @@ class RuminComplex:
         result = form.weight_split()
         min_w = min(result)
         for w in range(min_w + 1, top + 1):
-            # minus the layer sum, so that d0^{-1} of it is the correction
+            # minus the layer sum, so that d0^{-1} of it is the correction;
+            # only the covectors where d0^{-1} has a column are computed
             neg_d = d_terms(alg, [(result[w - ell], (ell,)) for ell in range(
-                1, min(alg.kappa, w - min_w) + 1) if w - ell in result], -1)
+                1, min(alg.kappa, w - min_w) + 1) if w - ell in result],
+                pinv.columns, -1)
             if not neg_d:
                 continue
             accs: dict = {}
@@ -386,20 +406,22 @@ class RuminComplex:
         """Pi_E of the symbolic basis form of degree h, kept for every degree."""
         return self.pi_E(self.symbolic_basis_form(h))
 
-    @cached(last_degree=True)
-    def d_lift(self, h: int) -> OperatorForm:
-        """d of the degree-h lift; only the degree asked for last is kept."""
-        return self.lift(h).d_full()
-
     @cached()
     def dc_matrix(self, h: int) -> OperatorMatrix:
-        """Pi_{E0} of the degree-h d_lift: row i, slot j is entry (i, j)."""
+        """Pi_{E0} of d(lift(h)): row i, slot j is entry (i, j).
+
+        d(lift) is computed only on the covectors of the E0^{h+1} basis,
+        the only ones Pi_{E0} reads.
+        """
         alg = self.algebra
         src = self.E0(h)
         if h >= alg.n:
             return OperatorMatrix.zeros(alg, 0, len(src))
-        out = OperatorMatrix(alg, self.pi_E0(self.d_lift(h), h + 1),
-                             cols=len(src))
+        lifted = self.lift(h)
+        support = {t for xi in self.E0(h + 1) for t in xi.terms}
+        d_lift = OperatorForm(alg, h + 1, lifted.slots, d_terms(
+            alg, [(lifted, range(alg.kappa + 1))], support))
+        out = OperatorMatrix(alg, self.pi_E0(d_lift, h + 1), cols=len(src))
         self._check_homogeneity(out, self.E0(h + 1).weights, src.weights)
         return out
 

@@ -98,10 +98,37 @@ def test_latex_braces_long_exponents(capsys):
 
 
 def test_tower_failure_names_its_block(capsys):
-    code, _, err = run(capsys, "build", "--group", "free:3,3")
+    code, _, err = run(capsys, "dc", "--group", "free:3,3", "--degree", "3")
     assert code == 3
     assert re.search(r"tower extension cap \(8\) reached for sqrt\(\d+\), "
-                     r"in the E0 block of degree \d+, weight \d+", err)
+                     r"in the E0 block of degree 3, weight 7", err)
+
+
+def test_build_takes_dims_from_ranks(capsys):
+    """free:3,3 needs more square roots than the tower holds for its
+    orthonormal E0 bases; build reads the dims off the d0 ranks and builds
+    none."""
+    code, out, _ = run(capsys, "build", "--group", "free:3,3",
+                       "--format", "json")
+    assert code == 0
+    dims = json.loads(out)["dims"]
+    assert dims == dims[::-1]
+    assert sum((-1) ** h * d for h, d in enumerate(dims)) == 0
+    assert dims[1] == 3
+
+
+def test_build_json_group_round_trips(capsys):
+    """The group block is the group's own table: no radicand a basis
+    would add, and from_json rebuilds the same algebra."""
+    from carnot.liealg import StratifiedLieAlgebra
+
+    code, out, _ = run(capsys, "build", "--format", "json")
+    assert code == 0
+    group = json.loads(out)["group"]
+    assert "sqrt" not in group
+    alg = StratifiedLieAlgebra.from_json(group)
+    assert alg.is_cartan_table()
+    assert alg.to_json() == group
 
 
 def test_deterministic_output(capsys):
@@ -111,6 +138,13 @@ def test_deterministic_output(capsys):
                          "--format", "json")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_exponents_refuses_latex(capsys):
+    code, out, err = run(capsys, "exponents", "--theorem", "H2",
+                         "--format", "latex")
+    assert (code, out) == (2, "")
+    assert err == "error: exponents has no latex format; use text or json\n"
 
 
 def test_exponents_unsupported_group(capsys):

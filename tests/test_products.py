@@ -291,7 +291,9 @@ STORAGE_GROUPS = {"cartan": CARTAN, "free-2-4": FREE24, "skew": SKEW}
 def test_packed_storage_matches_scalar_reference(name, data):
     """+, -, scale, *, formal_adjoint, homogeneity, render, hash and the
     terms view of the stored packed map, against the same operations on
-    {exponent: Scalar} dicts written here."""
+    {exponent: Scalar} dicts written here.  homogeneity reads the weights
+    off the packed codes; its reference reads them off the exponent
+    tuples."""
     alg = STORAGE_GROUPS[name]
     f = alg.field
 
@@ -471,8 +473,27 @@ def test_exterior_derivatives_match_reference(name, data):
     want = {k: -u for k, u in full.items()}
     for k, u in ref_d_layer(alg, other.terms, alg.kappa).items():
         ref_add(want, k, -u)
+    every = set(covectors(alg, form.degree + 1))
     assert d_terms(alg, [(form, range(alg.kappa + 1)),
-                         (other, (alg.kappa,))], -1) == want
+                         (other, (alg.kappa,))], every, -1) == want
+
+
+@pytest.mark.parametrize("name", ["cartan", "free-3-2"])
+@BUILDERS
+@given(st.data())
+def test_d_terms_on_targets_is_the_full_d_restricted(name, data):
+    """d of a Pi_E lift computed on a subset T of the output covectors is
+    the full d with its terms off T dropped."""
+    cx = COMPLEXES[name]
+    alg = cx.algebra
+    h = data.draw(st.integers(0, alg.n - 1))
+    lifted = cx.lift(h)
+    every = covectors(alg, h + 1)
+    targets = set(data.draw(st.lists(st.sampled_from(every), unique=True)))
+    parts = [(lifted, range(alg.kappa + 1))]
+    full = d_terms(alg, parts, set(every))
+    assert d_terms(alg, parts, targets) == {
+        k: u for k, u in full.items() if k[0] in targets}
 
 
 @pytest.mark.parametrize("name", COMPLEXES)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from carnot.exterior import OperatorForm
-from carnot.liealg import cartan_group, free_nilpotent
+from carnot.liealg import cartan_group, free_nilpotent, load_group
 from carnot.rumin import RuminComplex
 from carnot.verify import (Report, golden_form, golden_matrix, load_golden,
                            regenerate_golden, run_verify, verify_cartan,
@@ -97,6 +97,42 @@ def test_structural_checks_report(cx):
         cx.star_matrix(h)
 
 
+H3_SPEC = {"layers": [6, 1],
+           "brackets": {f"{i},{i + 3}": {"7": "1"} for i in (1, 2, 3)}}
+ENGEL_SPEC = {"layers": [2, 1, 1],
+              "brackets": {"1,2": {"3": "1"}, "1,3": {"4": "1"}}}
+
+
+@pytest.mark.parametrize("spec", ["builtin:cartan", "free:3,2", "free:2,4",
+                                  H3_SPEC, ENGEL_SPEC],
+                         ids=["cartan", "free-3-2", "free-2-4", "H3", "engel"])
+def test_dims_from_ranks_match_the_bases(spec, tmp_path):
+    """dims() from the d0 ranks equals the size of each E0 basis, and the
+    dimension-table check of verify passes on it."""
+    if isinstance(spec, dict):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(spec))
+        spec = str(path)
+    cx = RuminComplex(load_group(spec))
+    assert list(cx.dims()) == [len(cx.E0(h))
+                               for h in range(cx.algebra.n + 1)]
+    report = Report()
+    verify_group(cx, report)
+    check = report.checks[0]
+    assert check == {"name": "dimension-table", "status": "pass",
+                     "dims": list(cx.dims()),
+                     "Q": cx.algebra.homogeneous_dimension}
+
+
+def test_dimension_table_fails_when_the_routes_differ(monkeypatch):
+    monkeypatch.setattr(RuminComplex, "dims", lambda self: (1, 2, 3, 1))
+    report = Report()
+    verify_group(RuminComplex(free_nilpotent(2, 2)), report)
+    assert report.checks[0] == {"name": "dimension-table", "status": "fail",
+                                "dims": [1, 2, 3, 1], "Q": 4,
+                                "basis_dims": [1, 2, 2, 1]}
+
+
 def test_structural_checks_on_general_group():
     # Heisenberg-type free(2,2): middle intrinsic spaces drop to dimension 2
     rep = run_verify("free:2,2")
@@ -131,7 +167,8 @@ def test_verify_lifts_each_degree_once(monkeypatch):
 
 
 def test_verify_derives_each_lift_once(monkeypatch):
-    """d_c and the chain-map check read one cached d(lift) per degree."""
+    """Only the chain-map check takes d of a lift in full, once per degree;
+    d_c computes d(lift) on the E0 covectors only."""
     lifts, derived = [], Counter()
     lift, d_full = RuminComplex.lift, OperatorForm.d_full
 
@@ -153,7 +190,7 @@ def test_verify_derives_each_lift_once(monkeypatch):
 
 def test_caches_live_in_the_memo():
     """Every derived object is kept in cx.memo: the lifts for every degree,
-    d(lift) and the block powers for the degree asked for last."""
+    the block powers for the degree asked for last; d(lift) is not kept."""
     fresh = RuminComplex(cartan_group())
     report = Report()
     verify_group(fresh, report)
@@ -162,7 +199,7 @@ def test_caches_live_in_the_memo():
     assert vars(fresh).keys() == {"algebra", "memo"}
     memo = fresh.memo
     assert set(memo["RuminComplex.lift"]) == {(h,) for h in range(6)}
-    assert len(memo["RuminComplex.d_lift"]) == 1
+    assert "RuminComplex.d_lift" not in memo
     assert len({h for h, _, _ in memo["_block_power"]}) == 1
     assert len(memo["_cached_build"]) == 18
 
