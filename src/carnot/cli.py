@@ -89,8 +89,6 @@ def cmd_pi_e(cx, args) -> int:
 
 
 def cmd_exponents(cx, args) -> int:
-    if args.format == "latex":
-        raise UsageError("exponents has no latex format; use text or json")
     rows = estimates.theorem_table(cx, args.theorem)
     if args.format == "json":
         payload = {"theorem": args.theorem,
@@ -202,6 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the subcommands that render LaTeX; the others refuse --format latex
+LATEX = {"dc", "deltac", "laplacian"}
+
 COMMANDS = {
     "build": cmd_build,
     "dc": cmd_dc,
@@ -225,6 +226,9 @@ def exit_code(exc: Exception) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.format == "latex" and args.command not in LATEX:
+            raise UsageError(f"{args.command} has no latex format; "
+                             "use text or json")
         if args.command == "verify":
             return cmd_verify(args)
         cx = RuminComplex(load_group(args.group))

@@ -178,7 +178,8 @@ def verify_homogeneous_order(m: OperatorMatrix, expected: int) -> dict:
 def hodge_conjugate(cx: RuminComplex, m: OperatorMatrix, h: int) -> OperatorMatrix:
     """Conjugate an E0^h endomorphism by the star into degree n-h."""
     n = cx.algebra.n
-    return m.conjugate(cx.star_matrix(h), cx.star_matrix(n - h))
+    return m.conjugate(cx.star_matrix(h), cx.star_matrix(n - h),
+                       len(cx.E0(n - h)))
 
 
 def star_duality_sign(cx: RuminComplex, family: str, h: int):

@@ -148,12 +148,9 @@ class StratifiedLieAlgebra:
             if acc:
                 raise JacobiViolation(i, j, k)
         for a in range(1, self.kappa):
-            rows = []
-            for i in self.layer(1):
-                for j in self.layer(a):
-                    vec = self.bracket_basis(i, j)
-                    rows.append([vec.get(k, self.field.zero())
-                                 for k in self.layer(a + 1)])
+            # sparse rows whose columns are the layer-(a+1) indices
+            rows = [{k: c for k, c in self.bracket_basis(i, j).items() if c}
+                    for i in self.layer(1) for j in self.layer(a)]
             if linalg.rank(self.field, rows) != self.layer_dims[a]:
                 raise NotStratified(a + 1)
 

@@ -1,42 +1,41 @@
 """Exact sparse linear algebra over a field of exact values.
 
-The entries are Scalars (``Scalar.inverse`` also runs ``_rref`` on
-Fractions).  The public routines take and return lists of lists, except
-``solve``, whose columns and target are ``{key: value}`` vectors over any
-keys.  Inside, a row is a ``{column: value}`` dict of its nonzero entries,
-so the work grows with the nonzeros, not with the block size: a d0 weight
-block has up to a hundred or more columns and about two nonzeros per row.  Every result is
-unique (the reduced row-echelon form, the canonical nullspace, Gram-Schmidt
-of an ordered input, the Moore-Penrose inverse) and scalars are canonical,
-so the elimination order does not show in the output.  ``mat_mul`` stays
-dense: it is the independent check of the pseudoinverse identities.
+A matrix is a list of rows, and a row is a ``{column: value}`` dict of its
+nonzero entries, so the work grows with the nonzeros, not with the block
+size: a d0 weight block has up to a hundred or more columns and about two
+nonzeros per row.  Rows do not show how many columns a matrix has, so
+``nullspace``, ``pseudoinverse`` and ``transpose`` take ``ncols``.  The
+entries are Scalars (``Scalar.inverse`` also runs ``_rref`` on Fractions);
+``solve`` takes ``{key: value}`` columns and target over any keys.  Every
+result is unique (the reduced row-echelon form, the canonical nullspace,
+Gram-Schmidt of an ordered input, the Moore-Penrose inverse) and scalars
+are canonical, so the elimination order does not show in the output.
+
+``mat_mul`` alone works on lists of lists: it is the independent dense
+check of the pseudoinverse identities, and the benchmark's tracer
+(``perfbench/tracer.py``) counts its products by indexing dense operands.
 """
 
 from __future__ import annotations
 
 
-def zeros(field, m: int, n: int):
-    z = field.zero()
-    return [[z] * n for _ in range(m)]
-
-
 def identity(field, n: int):
-    out = zeros(field, n, n)
     one = field.one()
-    for i in range(n):
-        out[i][i] = one
+    return [{i: one} for i in range(n)]
+
+
+def transpose(rows, ncols: int):
+    out = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
     return out
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def mat_mul(field, a, b):
-    """Row-by-row product that skips zero entries of both factors."""
-    if not a or not b:
-        return zeros(field, len(a), len(b[0]) if b else 0)
-    out = zeros(field, len(a), len(b[0]))
+    """Dense row-by-row product that skips zero entries of both factors."""
+    z = field.zero()
+    out = [[z] * (len(b[0]) if b else 0) for _ in a]
     for row, out_row in zip(a, out):
         for t, x in enumerate(row):
             if x:
@@ -46,27 +45,7 @@ def mat_mul(field, a, b):
     return out
 
 
-# -- sparse rows -------------------------------------------------------------
-
-def _sparse(a):
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
-
-
-def _dense(field, rows, n):
-    out = zeros(field, len(rows), n)
-    for row, out_row in zip(rows, out):
-        for j, x in row.items():
-            out_row[j] = x
-    return out
-
-
-def _transpose(rows, n):
-    out = [{} for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            out[j][i] = x
-    return out
-
+# -- kernels -----------------------------------------------------------------
 
 def _add_into(row, f, other):
     """row += f * other, in place, dropping entries that cancel."""
@@ -133,34 +112,30 @@ def _inverse(field, rows, n):
 
 # -- public routines ---------------------------------------------------------
 
-def rref(field, a):
-    """Reduced row-echelon form; returns (rows, pivot_columns)."""
-    if not a:
-        return [], []
-    rows, pivots = _rref(_sparse(a))
-    rows += [{}] * (len(a) - len(rows))
-    return _dense(field, rows, len(a[0])), pivots
+def rref(field, rows):
+    """Reduced row-echelon form; returns (rows, pivot_columns).
+
+    The zero rows come last, as empty dicts, so the row count is kept.
+    """
+    red, pivots = _rref(rows)
+    return red + [{} for _ in range(len(rows) - len(red))], pivots
 
 
-def rank(field, a):
-    return len(_rref(_sparse(a))[1])
+def rank(field, rows):
+    return len(_rref(rows)[1])
 
 
-def nullspace(field, a, ncols=None):
+def nullspace(field, rows, ncols: int):
     """Canonical RREF nullspace basis (free variable set to 1)."""
-    if ncols is None:
-        if not a:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(a[0])
-    rows, pivots = _rref(_sparse(a))
+    red, pivots = _rref(rows)
     pivot_set = set(pivots)
     basis = {free: {free: field.one()} for free in range(ncols)
              if free not in pivot_set}
-    for row, c in zip(rows, pivots):
+    for row, c in zip(red, pivots):
         for j, x in row.items():
             if j != c:
                 basis[j][c] = -x
-    return _dense(field, list(basis.values()), ncols)
+    return list(basis.values())
 
 
 def solve(field, columns, target):
@@ -185,27 +160,26 @@ def solve(field, columns, target):
     return x
 
 
-def inverse(field, a):
-    return _dense(field, _inverse(field, _sparse(a), len(a)), len(a))
+def inverse(field, rows):
+    return _inverse(field, rows, len(rows))
 
 
-def pseudoinverse(field, a):
-    """Moore-Penrose pseudoinverse via a full-rank factorization A = C F.
+def pseudoinverse(field, rows, ncols: int):
+    """Moore-Penrose pseudoinverse, ``ncols`` rows, via A = C F.
 
     A^+ = F^T (F F^T)^-1 (C^T C)^-1 C^T, with C the pivot columns of A and F
     the nonzero rows of its reduced row-echelon form.
     """
-    m = len(a)
-    n = len(a[0]) if a else 0
-    f, pivots = _rref(_sparse(a))
+    f, pivots = _rref(rows)
     r = len(pivots)
     if r == 0:
-        return zeros(field, n, m)
-    ct = [{i: a[i][p] for i in range(m) if a[i][p]} for p in pivots]  # r x m
-    ft, c = _transpose(f, n), _transpose(ct, m)
+        return [{} for _ in range(ncols)]
+    columns = transpose(rows, ncols)
+    ct = [columns[p] for p in pivots]  # r x m
+    ft, c = transpose(f, ncols), transpose(ct, len(rows))
     middle = _mul(_inverse(field, _mul(f, ft), r),
                   _inverse(field, _mul(ct, c), r))
-    return _dense(field, _mul(ft, _mul(middle, ct)), m)
+    return _mul(ft, _mul(middle, ct))
 
 
 def gram_schmidt(field, vectors):
@@ -218,7 +192,7 @@ def gram_schmidt(field, vectors):
     """
     ortho: list = []
     by_col: dict = {}   # column -> indices of the ortho vectors using it
-    for v in _sparse(vectors):
+    for v in vectors:
         w = dict(v)
         for k in sorted({k for j in v for k in by_col.get(j, ())}):
             c = _dot(v, ortho[k])
@@ -230,4 +204,4 @@ def gram_schmidt(field, vectors):
         for j in w:
             by_col.setdefault(j, []).append(len(ortho))
         ortho.append({j: x * inv_norm for j, x in w.items()})
-    return _dense(field, ortho, len(vectors[0]) if vectors else 0)
+    return ortho

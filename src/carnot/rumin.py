@@ -6,7 +6,10 @@ transpose of the incoming d0, followed by Gram-Schmidt orthonormalization in
 the scalar tower.  Basis elements are ordered by increasing weight and, inside
 a weight block, by the canonical reduced-row-echelon nullspace order, so the
 construction is deterministic.  ``dims`` needs no basis: it is read off the
-ranks of the d0 blocks, each computed once.
+ranks of the d0 blocks, each computed once.  Every constant scalar matrix (a
+d0 block and its pseudoinverse, coordinates, a star matrix, a change of
+basis) is a list of sparse ``{column: value}`` rows, the one format of
+:mod:`carnot.linalg`, so it is stored and walked by its nonzeros.
 
 The projection Pi_E on the complement of the acyclic part is evaluated by the
 weight-ascending recursion
@@ -32,9 +35,10 @@ of scaled entries there, with no PBW product.
 
 Every derived object lives in one dict, ``RuminComplex.memo``, filled by the
 ``cached`` decorator, which :mod:`carnot.laplacians` uses too.  Each degree
-keeps its weight blocks, d0 blocks and their ranks, E0, d0^{-1}, lift, d_c,
-star and delta_c; the Laplacian block powers are large and read at one
-degree at a time, so only the degree asked for last keeps them.
+keeps its weight blocks, d0 blocks with their ranks and pseudoinverses, E0,
+d0^{-1}, lift, d_c, star and delta_c; the Laplacian block powers are large
+and read at one degree at a time, so only the degree asked for last keeps
+them.
 """
 
 from __future__ import annotations
@@ -131,27 +135,26 @@ class OperatorMatrix:
                               [[e.scale(c) for e in row] for row in self.entries],
                               cols=self._cols)
 
-    def conjugate(self, left, right):
-        """left @ self @ right, for two scalar matrices given as row lists.
+    def conjugate(self, left, right, ncols: int):
+        """left @ self @ right, for two sparse-row scalar matrices; right
+        has ``ncols`` columns.
 
         Each nonzero entry M[s][t] is added into output entry (i, j),
         scaled by each nonzero left[i][s] * right[t][j]: no PBW product is
         formed.
         """
         alg = self.algebra
-        n = len(right[0]) if right else 0
-        accs = [[{} for _ in range(n)] for _ in left]
+        accs = [[{} for _ in range(ncols)] for _ in left]
+        left_cols = linalg.transpose(left, len(self.entries))
         for s, row in enumerate(self.entries):
-            lefts = [(acc_row, c[s]) for acc_row, c in zip(accs, left) if c[s]]
+            lefts = [(accs[i], c) for i, c in left_cols[s].items()]
             for t, u in enumerate(row):
-                if not u:
-                    continue
-                for j, r in enumerate(right[t]):
-                    if r:
+                if u:
+                    for j, r in right[t].items():
                         for acc_row, c in lefts:
                             add_into(acc_row[j], u, c * r)
         return OperatorMatrix(alg, [[collect(alg, acc) for acc in row]
-                                    for row in accs], cols=n)
+                                    for row in accs], cols=ncols)
 
     def __matmul__(self, other):
         """Matrix product, by ``env.matrix_product``: each entry A_ik is
@@ -265,7 +268,7 @@ class RuminComplex:
 
     @cached()
     def d0_matrix_block(self, h: int, weight: int):
-        """Matrix of d0 on the weight block of degree h, plus its bases.
+        """Sparse rows of d0 on the weight block of degree h, plus its bases.
 
         Callers must not modify the rows.
         """
@@ -273,7 +276,7 @@ class RuminComplex:
         dom = self._weight_blocks(h).get(weight, [])
         cod = self._weight_blocks(h + 1).get(weight, [])
         pos = {j: i for i, j in enumerate(cod)}
-        rows = linalg.zeros(alg.field, len(cod), len(dom))
+        rows = [{} for _ in cod]
         for c, j in enumerate(dom):
             for out_j, x in d0_covector(alg, j).items():
                 rows[pos[out_j]][c] = x
@@ -295,9 +298,9 @@ class RuminComplex:
             rows, dom, _ = self.d0_matrix_block(h, w)
             if h >= 1:
                 # transpose of the incoming d0: one constraint per (h-1)-covector
-                incoming = self.d0_matrix_block(h - 1, w)[0]
-                rows = rows + linalg.transpose(incoming)
-            kernel = linalg.nullspace(alg.field, rows, ncols=len(dom))
+                incoming, before, _ = self.d0_matrix_block(h - 1, w)
+                rows = rows + linalg.transpose(incoming, len(before))
+            kernel = linalg.nullspace(alg.field, rows, len(dom))
             try:
                 ortho = linalg.gram_schmidt(alg.field, kernel)
             except TowerInsufficient as exc:
@@ -305,9 +308,8 @@ class RuminComplex:
                             f"weight {w}",)
                 raise
             for vec in ortho:
-                form = Form(alg, h, {dom[i]: vec[i]
-                                     for i in range(len(dom)) if vec[i]})
-                elements.append(form)
+                elements.append(Form(alg, h, {dom[i]: vec[i]
+                                              for i in sorted(vec)}))
                 weights.append(w)
         return RuminBasis(h, elements, tuple(weights))
 
@@ -332,18 +334,21 @@ class RuminComplex:
     # -- d0 pseudoinverse ---------------------------------------------------
 
     @cached()
+    def d0_pinv_block(self, h: int, weight: int):
+        """Sparse rows of the Moore-Penrose inverse of a d0 block (dom x cod)."""
+        rows, dom, _ = self.d0_matrix_block(h, weight)
+        return linalg.pseudoinverse(self.algebra.field, rows, len(dom))
+
+    @cached()
     def d0_pinv_map(self, h: int) -> CovectorMap:
         """Moore-Penrose inverse of d0 on degree h, as a map of (h+1)-forms."""
-        alg = self.algebra
         columns: dict = {}
-        for rows, dom, cod in self.d0_blocks(h).values():
-            pinv = linalg.pseudoinverse(alg.field, rows)  # dom x cod
-            for c, j_in in enumerate(cod):
-                col = {dom[r]: pinv[r][c]
-                       for r in range(len(dom)) if pinv[r][c]}
+        for w, (_, dom, cod) in self.d0_blocks(h).items():
+            pinv = linalg.transpose(self.d0_pinv_block(h, w), len(cod))
+            for j_in, col in zip(cod, pinv):
                 if col:
-                    columns[j_in] = col
-        return CovectorMap(alg, h + 1, h, columns)
+                    columns[j_in] = {dom[r]: x for r, x in col.items()}
+        return CovectorMap(self.algebra, h + 1, h, columns)
 
     def d0_pinv(self, form):
         """Apply d0^{-1}; the input degree selects the block (h+1 -> h)."""
@@ -440,33 +445,32 @@ class RuminComplex:
     def coordinates(self, h: int, forms) -> list:
         """Exact coefficients of each form over the orthonormal E0^h.
 
-        Row k holds the coefficients of forms[k]; SpanMismatch names the
-        first form that the coefficients do not rebuild exactly.
+        Sparse row k holds the coefficients of forms[k]; SpanMismatch names
+        the first form that the coefficients do not rebuild exactly.
         """
         basis = self.E0(h)
         out = []
         for k, form in enumerate(forms):
-            coeffs = self.pi_E0(form, h)
+            row = {i: c for i, c in enumerate(self.pi_E0(form, h)) if c}
             recon: dict = {}
-            for c, xi in zip(coeffs, basis):
-                if c:
-                    for t, v in xi.terms.items():
-                        accumulate(recon, t, c * v)
+            for i, c in row.items():
+                for t, v in basis[i].terms.items():
+                    accumulate(recon, t, c * v)
             if recon != form.terms:
                 raise SpanMismatch(f"element {k} is outside the computed span")
-            out.append(coeffs)
+            out.append(row)
         return out
 
     @cached()
     def star_matrix(self, h: int):
-        """Scalar matrix of the Hodge star E0^h -> E0^{n-h} (columns act)."""
+        """Sparse rows of the Hodge star E0^h -> E0^{n-h} (columns act)."""
         n = self.algebra.n
         try:
             coords = self.coordinates(n - h, [xi.star() for xi in self.E0(h)])
         except SpanMismatch:
             raise SpanMismatch(
                 f"star of E0^{h} leaves the span of E0^{n - h}") from None
-        return linalg.transpose(coords)
+        return linalg.transpose(coords, len(self.E0(n - h)))
 
     @cached()
     def _deltac(self, h: int):
@@ -477,8 +481,8 @@ class RuminComplex:
             return OperatorMatrix.zeros(alg, 0, len(src)), 1
         sign = -1 if (n * (h + 1) + 1) % 2 else 1
         out = self.dc_matrix(n - h).conjugate(
-            self.star_matrix(n - h + 1),
-            self.star_matrix(h)).scale(alg.field(sign))
+            self.star_matrix(n - h + 1), self.star_matrix(h),
+            len(src)).scale(alg.field(sign))
         alt = self.dc_matrix(h - 1).transpose_adjoint()
         return out, 1 if out == alt else -1 if out == -alt else None
 
@@ -511,16 +515,20 @@ class RuminComplex:
     # -- basis alignment -------------------------------------------------------
 
     def align_basis(self, h: int, expected) -> list:
-        """Exact orthogonal T with E0(h) . T = expected (column j)."""
-        field = self.algebra.field
+        """Exact orthogonal T with E0(h) . T = expected (column j), as
+        sparse rows; T is orthogonal when its inverse is its transpose."""
         size = len(self.E0(h))
         if len(expected) != size:
             raise SpanMismatch(f"{len(expected)} expected vs {size} computed")
         coords = self.coordinates(h, expected)
-        gram = linalg.mat_mul(field, coords, linalg.transpose(coords))
-        if gram != linalg.identity(field, size):
+        t = linalg.transpose(coords, size)
+        try:
+            orthogonal = linalg.inverse(self.algebra.field, coords) == t
+        except ValueError:  # singular
+            orthogonal = False
+        if not orthogonal:
             raise SpanMismatch("change of basis is not orthogonal")
-        return linalg.transpose(coords)
+        return t
 
     # -- assembled verification -------------------------------------------------
 

@@ -74,13 +74,15 @@ def test_criterion_2_matrices_match_listings(cx, golden):
     ok = True
     for h_str, rows in golden["dc"].items():
         h = int(h_str)
-        got = cx.dc_matrix(h).conjugate(linalg.transpose(t_mat(h + 1)),
-                                        t_mat(h))
+        got = cx.dc_matrix(h).conjugate(
+            linalg.transpose(t_mat(h + 1), len(t_mat(h + 1))), t_mat(h),
+            len(t_mat(h)))
         ok = ok and got == golden_matrix(alg, rows)
     for h_str, rows in golden["deltac"].items():
         h = int(h_str)
-        got = cx.deltac_matrix(h).conjugate(linalg.transpose(t_mat(h - 1)),
-                                            t_mat(h))
+        got = cx.deltac_matrix(h).conjugate(
+            linalg.transpose(t_mat(h - 1), len(t_mat(h - 1))), t_mat(h),
+            len(t_mat(h)))
         ok = ok and got == golden_matrix(alg, rows)
     elapsed = time.perf_counter() - t0
     report(2, ok and elapsed < 10.0, f"10 matrices, {elapsed:.3f}s")

@@ -140,11 +140,14 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_exponents_refuses_latex(capsys):
-    code, out, err = run(capsys, "exponents", "--theorem", "H2",
-                         "--format", "latex")
+@pytest.mark.parametrize("argv", [
+    ("build",), ("pi-e", "--degree", "1"), ("exponents", "--theorem", "H2"),
+    ("tensors",), ("verify",)], ids=lambda argv: argv[0])
+def test_exponents_refuses_latex(capsys, argv):
+    """Only dc, deltac and laplacian render LaTeX; the others refuse it."""
+    code, out, err = run(capsys, *argv, "--format", "latex")
     assert (code, out) == (2, "")
-    assert err == "error: exponents has no latex format; use text or json\n"
+    assert err == f"error: {argv[0]} has no latex format; use text or json\n"
 
 
 def test_exponents_unsupported_group(capsys):

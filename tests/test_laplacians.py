@@ -88,8 +88,8 @@ def test_a_delta_shape_and_degree(cx):
 
 def test_A2_A3_star_conjugacy(cx, laps):
     assert laps["A"][3] == hodge_conjugate(cx, laps["A"][2], 2)
-    assert a_delta(cx, 3).conjugate(cx.star_matrix(3), cx.star_matrix(2)) \
-        == a_delta(cx, 2)
+    assert a_delta(cx, 3).conjugate(cx.star_matrix(3), cx.star_matrix(2),
+                                    len(cx.E0(2))) == a_delta(cx, 2)
 
 
 def test_families_agree_away_from_middle(cx, laps):

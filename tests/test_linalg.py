@@ -13,9 +13,21 @@ def _mat(field, rows):
     return [[field(Fraction(v)) for v in row] for row in rows]
 
 
+# linalg takes and returns sparse rows; the tests state their matrices, and
+# compare results, as dense lists of lists
+
+
+def _sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _dense(field, rows, ncols):
+    return [[row.get(j, field.zero()) for j in range(ncols)] for row in rows]
+
+
 def test_rref_and_rank():
     f = ScalarField()
-    a = _mat(f, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    a = _sparse(_mat(f, [[1, 2, 3], [2, 4, 6], [1, 0, 1]]))
     rows, pivots = linalg.rref(f, a)
     assert pivots == [0, 1]
     assert linalg.rank(f, a) == 2
@@ -24,22 +36,24 @@ def test_rref_and_rank():
 def test_nullspace_canonical():
     f = ScalarField()
     a = _mat(f, [[1, 2, 0], [0, 0, 1]])
-    ns = linalg.nullspace(f, a)
+    ns = linalg.nullspace(f, _sparse(a), 3)
     assert len(ns) == 1
-    v = ns[0]
+    v = _dense(f, ns, 3)[0]
     assert [str(x) for x in v] == ["-2", "1", "0"]
-    assert linalg.mat_mul(f, a, linalg.transpose([v])) == [[f.zero()]] * 2
+    assert linalg.mat_mul(f, a, _dense(f, linalg.transpose(ns, 3), 1)) \
+        == [[f.zero()]] * 2
 
 
 def test_solve_and_inverse():
     f = ScalarField()
     a = _mat(f, [[2, 1], [1, 1]])
     b = [f(3), f(2)]
-    columns = [dict(enumerate(col)) for col in linalg.transpose(a)]
+    columns = linalg.transpose(_sparse(a), 2)
     x = linalg.solve(f, columns, dict(enumerate(b)))
-    assert linalg.mat_mul(f, a, linalg.transpose([x])) == linalg.transpose([b])
-    inv = linalg.inverse(f, a)
-    assert linalg.mat_mul(f, a, inv) == linalg.identity(f, 2)
+    assert linalg.mat_mul(f, a, [[v] for v in x]) == [[v] for v in b]
+    inv = linalg.inverse(f, _sparse(a))
+    assert linalg.mat_mul(f, a, _dense(f, inv, 2)) == \
+        _dense(f, linalg.identity(f, 2), 2)
     # inconsistent system
     ones = {"p": f(1), "q": f(1)}
     assert linalg.solve(f, [ones, ones], {"q": f(1)}) is None
@@ -52,29 +66,72 @@ def test_pseudoinverse_moore_penrose_identities():
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         a = _mat(f, [[rng.randint(-2, 2) for _ in range(n)]
                      for _ in range(m)])
-        p = linalg.pseudoinverse(f, a)
+        p = _dense(f, linalg.pseudoinverse(f, _sparse(a), n), m)
         apa = linalg.mat_mul(f, linalg.mat_mul(f, a, p), a)
         pap = linalg.mat_mul(f, linalg.mat_mul(f, p, a), p)
         ap = linalg.mat_mul(f, a, p)
         pa = linalg.mat_mul(f, p, a)
         assert apa == a
         assert pap == p
-        assert linalg.transpose(ap) == ap
-        assert linalg.transpose(pa) == pa
+        assert _dense(f, linalg.transpose(_sparse(ap), m), m) == ap
+        assert _dense(f, linalg.transpose(_sparse(pa), n), n) == pa
 
 
 def test_gram_schmidt_orthonormal_with_tower_extension():
     f = ScalarField()
-    vecs = _mat(f, [[1, 1, 0], [1, 0, 1]])
+    vecs = _sparse(_mat(f, [[1, 1, 0], [1, 0, 1]]))
     ortho = linalg.gram_schmidt(f, vecs)
     assert len(ortho) == 2
-    gram = linalg.mat_mul(f, ortho, linalg.transpose(ortho))
-    assert gram == linalg.identity(f, 2)
+    gram = linalg.mat_mul(f, _dense(f, ortho, 3),
+                          _dense(f, linalg.transpose(ortho, 3), 2))
+    assert gram == _dense(f, linalg.identity(f, 2), 2)
     assert 2 in f.radicands  # norm sqrt(2) forced an extension
 
 
+def test_empty_row_list_keeps_its_column_count():
+    f = ScalarField()
+    assert linalg.rref(f, []) == ([], [])
+    assert linalg.rank(f, []) == 0
+    assert linalg.nullspace(f, [], 3) == linalg.identity(f, 3)
+    assert linalg.pseudoinverse(f, [], 3) == [{}, {}, {}]  # 3 x 0
+    assert linalg.transpose([], 2) == [{}, {}]
+    assert linalg.gram_schmidt(f, []) == []
+
+
+def test_zero_block_pseudoinverse_keeps_its_shape():
+    f = ScalarField()
+    zero = [{}, {}]  # 2 x 3
+    assert linalg.pseudoinverse(f, zero, 3) == [{}, {}, {}]  # 3 x 2
+    assert linalg.rref(f, zero) == ([{}, {}], [])
+    assert linalg.nullspace(f, zero, 3) == linalg.identity(f, 3)
+
+
 # -- properties against the dense routines linalg had before its rows became
-# -- sparse dicts, copied here unchanged as the reference
+# -- sparse dicts, kept here as the reference with their own dense helpers
+
+def _ref_zeros(field, m, n):
+    return [[field.zero()] * n for _ in range(m)]
+
+
+def _ref_identity(field, n):
+    return [[field.one() if j == i else field.zero() for j in range(n)]
+            for i in range(n)]
+
+
+def _ref_transpose(a):
+    return [list(col) for col in zip(*a)] if a else []
+
+
+def _ref_mul(field, a, b):
+    out = _ref_zeros(field, len(a), len(b[0]) if b else 0)
+    for row, out_row in zip(a, out):
+        for t, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[t]):
+                    if y:
+                        out_row[j] = out_row[j] + x * y
+    return out
+
 
 def _ref_rref(field, a):
     rows = [list(r) for r in a]
@@ -131,29 +188,28 @@ def _ref_solve(field, a, b):
 
 def _ref_inverse(field, a):
     n = len(a)
-    aug = [list(row) + linalg.identity(field, n)[i] for i, row in enumerate(a)]
+    aug = [list(row) + _ref_identity(field, n)[i] for i, row in enumerate(a)]
     rows, pivots = _ref_rref(field, aug)
     assert pivots == list(range(n))
     return [row[n:] for row in rows]
 
 
-def _ref_pseudoinverse(field, a):
+def _ref_pseudoinverse(field, a, n):
     m = len(a)
-    n = len(a[0]) if a else 0
     if m == 0 or n == 0:
-        return linalg.zeros(field, n, m)
+        return _ref_zeros(field, n, m)
     rows, pivots = _ref_rref(field, a)
     r = len(pivots)
     if r == 0:
-        return linalg.zeros(field, n, m)
+        return _ref_zeros(field, n, m)
     c = [[a[i][j] for j in pivots] for i in range(m)]
     f = [rows[i] for i in range(r)]
-    ct, ft = linalg.transpose(c), linalg.transpose(f)
-    left = _ref_inverse(field, linalg.mat_mul(field, ct, c))
-    right = _ref_inverse(field, linalg.mat_mul(field, f, ft))
-    out = linalg.mat_mul(field, ft, right)
-    out = linalg.mat_mul(field, out, left)
-    return linalg.mat_mul(field, out, ct)
+    ct, ft = _ref_transpose(c), _ref_transpose(f)
+    left = _ref_inverse(field, _ref_mul(field, ct, c))
+    right = _ref_inverse(field, _ref_mul(field, f, ft))
+    out = _ref_mul(field, ft, right)
+    out = _ref_mul(field, out, left)
+    return _ref_mul(field, out, ct)
 
 
 def _ref_dot(field, u, v):
@@ -227,17 +283,18 @@ def _outcome(fn):
 def test_sparse_routines_match_dense_reference(kind, data):
     spec, n = data.draw(_specs(kind))
     f, g = ScalarField(), ScalarField()
-    a, b = _materialize(f, spec), _materialize(g, spec)
+    a, b = _sparse(_materialize(f, spec)), _materialize(g, spec)
     rows, pivots = linalg.rref(f, a)
     ref_rows, ref_pivots = _ref_rref(g, b)
-    assert (_terms(rows), pivots) == (_terms(ref_rows), ref_pivots)
+    assert (_terms(_dense(f, rows, n)), pivots) == \
+        (_terms(ref_rows), ref_pivots)
     assert linalg.rank(f, a) == len(ref_pivots)
-    assert _terms(linalg.nullspace(f, a, ncols=n)) == \
+    assert _terms(_dense(f, linalg.nullspace(f, a, n), n)) == \
         _terms(_ref_nullspace(g, b, n))
-    assert _terms(linalg.pseudoinverse(f, a)) == \
-        _terms(_ref_pseudoinverse(g, b))
+    assert _terms(_dense(f, linalg.pseudoinverse(f, a, n), len(a))) == \
+        _terms(_ref_pseudoinverse(g, b, n))
     # the same radicands, adjoined in the same order, or the same failure
-    assert _outcome(lambda: linalg.gram_schmidt(f, a)) == \
+    assert _outcome(lambda: _dense(f, linalg.gram_schmidt(f, a), n)) == \
         _outcome(lambda: _ref_gram_schmidt(g, b))
     assert f.radicands == g.radicands
 
@@ -251,8 +308,8 @@ def test_sparse_solve_matches_dense_reference(kind, data):
     spec, n = data.draw(_specs(kind, min_rows=1))
     f, g = ScalarField(), ScalarField()
     a, b = _materialize(f, spec), _materialize(g, spec)
-    keyed = [{("row", -i): x for i, x in enumerate(col) if x}
-             for col in linalg.transpose(a)]
+    keyed = [{("row", -i): x for i, x in col.items()}
+             for col in linalg.transpose(_sparse(a), n)]
     got = linalg.solve(f, keyed[:-1], keyed[-1])
     want = _ref_solve(g, [row[:-1] for row in b], [row[-1] for row in b]) \
         if n > 1 else (None if any(row[-1] for row in b) else [])
@@ -277,8 +334,9 @@ def test_rational_routines_match_sympy(kind, data):
     def from_sympy(rows):
         return [[Fraction(int(x.p), int(x.q)) for x in row] for row in rows]
 
-    assert linalg.rank(f, a) == s.rank()
-    assert rational(linalg.nullspace(f, a)) == \
+    rows = _sparse(a)
+    assert linalg.rank(f, rows) == s.rank()
+    assert rational(_dense(f, linalg.nullspace(f, rows, n), n)) == \
         from_sympy([list(v) for v in s.nullspace()])
-    assert rational(linalg.pseudoinverse(f, a)) == \
+    assert rational(_dense(f, linalg.pseudoinverse(f, rows, n), len(a))) == \
         from_sympy(s.pinv().tolist())

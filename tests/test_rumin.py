@@ -9,6 +9,7 @@ from carnot.exterior import Form, OperatorForm
 from carnot.liealg import StratifiedLieAlgebra, cartan_group, free_nilpotent
 from carnot.rumin import (OperatorMatrix, RuminComplex, SpanMismatch,
                           StarAdjointMismatch)
+from carnot.verify import star_listing
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,19 @@ def test_d0_pinv_examples(cx):
     assert cx.d0_pinv(th(cx, 1, 2)) == -th(cx, 3)
     assert cx.d0_pinv(th(cx, 1, 4)).is_zero()
     assert cx.d0_pinv(th(cx, 4).d0()) == th(cx, 4)
+
+
+def test_d0_blocks_store_only_nonzeros():
+    """Each d0 weight block is kept as sparse rows: no row holds a zero."""
+    fresh = RuminComplex(free_nilpotent(4, 2))
+    fresh.dims()
+    blocks = fresh.memo["RuminComplex.d0_matrix_block"]
+    assert len(blocks) > 50
+    for rows, dom, cod in blocks.values():
+        assert len(rows) == len(cod)
+        for row in rows:
+            assert isinstance(row, dict)
+            assert all(row.values()) and set(row) <= set(range(len(dom)))
 
 
 def test_d0_pinv_defining_property(cx):
@@ -147,7 +161,8 @@ def test_deltac_checked_once_whichever_is_asked_first(monkeypatch):
     assert fresh.deltac_star_adjoint_sign(3) == 1
     fresh.deltac_matrix(3)
     assert len(calls) == 2
-    negated = [[-c for c in row] for row in fresh.star_matrix(2)]
+    negated = [{j: -c for j, c in row.items()}
+               for row in fresh.star_matrix(2)]
     fresh.memo["RuminComplex.star_matrix"][2,] = negated
     assert fresh.deltac_star_adjoint_sign(2) == -1
     with pytest.raises(StarAdjointMismatch, match="degree 2: star formula "
@@ -175,10 +190,10 @@ def test_align_basis(cx):
     g = cx.algebra
     f = g.field
     ident = cx.align_basis(1, [th(cx, 1), th(cx, 2)])
-    assert ident == [[f(1), f(0)], [f(0), f(1)]]
+    assert ident == [{0: f(1)}, {1: f(1)}]
     # signed permutation alignment
     t = cx.align_basis(1, [-th(cx, 2), th(cx, 1)])
-    assert t == [[f(0), f(1)], [f(-1), f(0)]]
+    assert t == [{1: f(1)}, {0: f(-1)}]
     with pytest.raises(SpanMismatch):
         cx.align_basis(1, [th(cx, 1), th(cx, 3)])
     with pytest.raises(SpanMismatch):
@@ -186,15 +201,10 @@ def test_align_basis(cx):
 
 
 def test_star_matrices_match_published(cx):
-    f = cx.algebra.field
-
-    def as_int(rows):
-        return [[c.as_rational() for c in row] for row in rows]
-
-    assert as_int(cx.star_matrix(1)) == [[0, -1], [1, 0]]
-    assert as_int(cx.star_matrix(2)) == [[0, 0, 1], [0, -1, 0], [1, 0, 0]]
-    assert as_int(cx.star_matrix(3)) == [[0, 0, 1], [0, -1, 0], [1, 0, 0]]
-    assert as_int(cx.star_matrix(4)) == [[0, 1], [-1, 0]]
+    assert star_listing(cx, 1) == [[0, -1], [1, 0]]
+    assert star_listing(cx, 2) == [[0, 0, 1], [0, -1, 0], [1, 0, 0]]
+    assert star_listing(cx, 3) == [[0, 0, 1], [0, -1, 0], [1, 0, 0]]
+    assert star_listing(cx, 4) == [[0, 1], [-1, 0]]
 
 
 def test_chain_map_identity(cx):

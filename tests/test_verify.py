@@ -67,7 +67,7 @@ def test_golden_star_compares_exact_entries(monkeypatch):
     star = RuminComplex.star_matrix
 
     def halved(self, h):
-        rows = [list(row) for row in star(self, h)]
+        rows = [dict(row) for row in star(self, h)]
         if h == 2:
             rows[0][0] = self.algebra.field(Fraction(1, 2))
         return rows
@@ -131,6 +131,25 @@ def test_dimension_table_fails_when_the_routes_differ(monkeypatch):
     assert report.checks[0] == {"name": "dimension-table", "status": "fail",
                                 "dims": [1, 2, 3, 1], "Q": 4,
                                 "basis_dims": [1, 2, 2, 1]}
+
+
+def test_pinv_check_reads_the_stored_blocks():
+    """d0-pseudoinverse-identities checks the memoized blocks d0^{-1} is
+    built from: one doubled entry in a stored block fails it."""
+    fresh = RuminComplex(cartan_group())
+    report = Report()
+    verify_group(fresh, report)
+    assert _statuses(report)["d0-pseudoinverse-identities"] == "pass"
+    stored = fresh.memo["RuminComplex.d0_pinv_block"]
+    key, rows = next((k, r) for k, r in stored.items() if any(r))
+    corrupted = [dict(row) for row in rows]
+    i = next(i for i, row in enumerate(corrupted) if row)
+    j = next(iter(corrupted[i]))
+    corrupted[i][j] = corrupted[i][j] * 2
+    stored[key] = corrupted
+    report = Report()
+    verify_group(fresh, report)
+    assert _statuses(report)["d0-pseudoinverse-identities"] == "fail"
 
 
 def test_structural_checks_on_general_group():
