@@ -27,16 +27,19 @@ scalars, not the algebra, is what costs time in products of order up to 12.
   carry into the next byte.
 * **The boundary.**  Only the read-only ``EnvElement.terms`` view,
   ``{exponent tuple: Scalar}``, built on each call and never stored,
-  decodes keys into Scalars; rendering, ``as_scalar``, the coordinate
-  realization and the linear systems of the estimates read it.
-  ``homogeneity`` reads the weights off the codes and builds no Scalar.
+  decodes keys into Scalars; ``as_scalar``, the coordinate realization and
+  the linear systems of the estimates read it.  ``homogeneity`` reads the
+  weights off the codes, and ``render`` formats each coefficient from its
+  ``{mask: coeff}`` terms: neither builds a Scalar, but for a coefficient
+  of several tower terms.
 * **Collection by one generator.**  ``_fold(alg, acc, word)`` multiplies a
   flat map by the generators of a word one at a time.  A term whose last
   generator comes at or before X_j times X_j is a concatenation; otherwise
   it is the cached ``_product`` ``X^a X_j``: with ``X_k`` the last
   generator of ``X^a = X^rest X_k``, that is ``(X^rest X_j) X_k`` minus the
   bracket ``[X_j, X_k]`` multiplied in after ``X^rest``, each part again a
-  product of a normal monomial with one generator.
+  product of a normal monomial with one generator.  The fold adds each
+  term's product into its result inline, with no call per term.
 * **Products of operators.**  ``EnvElement.__mul__`` and the left products
   ``X_m * u`` of the exterior derivative (``mul_into``) look each pair of
   monomials up in ``alg._prod_cache``: the derivative multiplies every lift
@@ -51,7 +54,10 @@ scalars, not the algebra, is what costs time in products of order up to 12.
   holds the products ``X^a X^b`` computed, keyed by ``code_a << 8n |
   code_b``: the one-generator products the collection reuses and the pairs
   of ``mul_into``.  ``alg._nf_cache`` holds only the words asked for by
-  ``from_word`` and ``formal_adjoint``.  A product of the terms
+  ``from_word``.  ``alg._adj_cache`` holds, keyed by code, the formal
+  adjoint of each monomial asked for and of the suffixes its rule strips:
+  ``(X_f X^rest)* = -(X^rest)* X_f``, with ``X_f`` the first generator, is
+  one fold step per new code.  A product of the terms
   ``c1 * basis[m1]`` and ``c2 * basis[m2]`` adds ``c1 * c2 * (product of
   the radicands in m1 & m2)`` at mask ``m1 ^ m2``: no product builds a
   scalar.
@@ -80,7 +86,7 @@ from operator import mul
 
 from . import _expr
 from .liealg import ResourceLimit, StratifiedLieAlgebra
-from .scalars import Scalar, _mask_product, _q
+from .scalars import Scalar, _mask_product, _q, signed_term
 
 # the largest exponent a packed code holds: one byte per generator
 _MAX_EXPONENT = 255
@@ -218,7 +224,16 @@ def _fold(alg: StratifiedLieAlgebra, acc: dict, word) -> dict:
             prod = cache.get(code << width | unit)
             if prod is None:
                 prod = _product(alg, code, unit)
-            _add_into(rad, out, prod, c, key & low)
+            # (c * basis[m]) * prod, added inline as in _add_into
+            m = key & low
+            for k, v in prod.items():
+                x = c * v
+                if m:
+                    if k & m:
+                        x *= _mask_product(rad, k & m)
+                    k ^= m
+                old = get(k)
+                out[k] = x if old is None else old + x
         acc = out
     return acc
 
@@ -269,6 +284,23 @@ def _product(alg: StratifiedLieAlgebra, a: int, b: int) -> dict:
         prod = _stored(_fold(alg, {a << mb: 1}, word_of(_unpack(b, alg.n))))
     alg._prod_cache[key] = prod
     return prod
+
+
+def _adjoint(alg: StratifiedLieAlgebra, code: int) -> dict:
+    """The packed formal adjoint of the monomial X^code, memoized per code
+    in ``alg._adj_cache`` by (X_f X^rest)* = -(X^rest)* X_f, X_f the first
+    generator of the code: one fold step per new code."""
+    cache = alg._adj_cache
+    new = []                    # the codes to add, each the next one's rest
+    while code and code not in cache:
+        new.append(code)
+        code -= 1 << 8 * (((code & -code).bit_length() - 1) >> 3)
+    adj = cache[code] if code else {0: 1}
+    for code in reversed(new):
+        first = (((code & -code).bit_length() - 1) >> 3) + 1
+        adj = cache[code] = {key: -_q(v) for key, v
+                             in _fold(alg, adj, (first,)).items() if v}
+    return adj
 
 
 # -- accumulators: the interface of the exterior and Rumin builders -----------
@@ -504,10 +536,6 @@ class EnvElement:
 
     # -- grading ----------------------------------------------------------
 
-    def term_degree(self, exp) -> int:
-        w = self.algebra.weights
-        return sum(e * w[k] for k, e in enumerate(exp))
-
     def homogeneity(self):
         """Common homogeneity degree d(I), or Mixed, or ZeroElement."""
         if not self._packed:
@@ -530,31 +558,38 @@ class EnvElement:
         d = common_denominator((self,))
         acc: dict = {}
         for key, c in self._packed.items():
-            word = word_of(_unpack(key >> mb, alg.n))
-            nf = _normalize_word(alg, word[::-1])
-            sign = -d if len(word) % 2 else d
-            _add_into(rad, acc, nf, c.numerator * (sign // c.denominator),
-                      key & low)
+            _add_into(rad, acc, _adjoint(alg, key >> mb),
+                      c.numerator * (d // c.denominator), key & low)
         return collect(alg, acc, d)
 
     # -- text ----------------------------------------------------------
 
-    def _sorted_terms(self):
-        # display higher-order monomials first, like the matrix listings
-        return sorted(
-            self.terms.items(),
-            key=lambda item: (-self.term_degree(item[0]),
-                              tuple(-e for e in item[0])))
-
     def render(self) -> str:
-        def term(exp, c):
+        """The text of the operator, higher-order monomials first, like the
+        matrix listings; a coefficient of several tower terms is bracketed."""
+        alg = self.algebra
+        field = alg.field
+        mb = field.max_radicands
+        low = (1 << mb) - 1
+        by_code: dict = {}      # code -> {mask: coeff}
+        for key, v in self._packed.items():
+            by_code.setdefault(key >> mb, {})[key & low] = v
+
+        def term(exp, coeffs):
+            if len(coeffs) == 1:
+                sign, coeff = signed_term(field.radicands, *coeffs.popitem())
+            else:
+                sign, coeff = _expr.signed(Scalar(field, coeffs))
             mono = "*".join(f"X{k + 1}" + (f"^{e}" if e > 1 else "")
                             for k, e in enumerate(exp) if e)
-            sign, coeff = _expr.signed(c)
             if mono:
                 return sign, mono if coeff == "1" else f"{coeff}*{mono}"
             return sign, coeff
-        return _expr.signed_sum(term(exp, c) for exp, c in self._sorted_terms())
+        terms = {_unpack(code, alg.n): coeffs
+                 for code, coeffs in by_code.items()}
+        order = sorted(terms, key=lambda exp: (
+            -sum(map(mul, exp, alg.weights)), tuple(-e for e in exp)))
+        return _expr.signed_sum(term(exp, terms[exp]) for exp in order)
 
     __str__ = render
 

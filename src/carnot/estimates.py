@@ -270,7 +270,7 @@ def _record(theorem, family, d_ord, Q, h, term, rhs, chain, paper_k,
     return record
 
 
-@cached()
+@cached
 def theorem_table(cx: RuminComplex, tag: str) -> tuple:
     """Exponent records for one of the tables H2, C2, H2cor, H2sum, built
     once per complex."""

@@ -17,11 +17,14 @@ in some degree raises UnsupportedGroup.
 
 Each Laplacian is built once per complex and kept in the complex's memo
 by (family, h); the family and degree are checked on every call, cached or
-not.  The block powers P^p = P^(p-1) @ P go to the same memo, and the
-families share them: G's powers pass through R's where the orders divide.
-No recipe uses a block of another degree, so the memo keeps the powers of
-the degree requested last only; keeping every degree's powers would raise
-the peak memory for no reuse.
+not.  The block powers go to the same memo and the families share them.
+A block P = outer @ inner passes through E0^mid, mid = h + 1 for delta d
+and h - 1 for d delta; when E0^mid is smaller than E0^h, P^p is (outer @
+Q) @ inner with Q = (inner @ outer)^(p-1), a power of the other block at
+degree mid (on Cartan ddl(1)^6 = d_0 dd(0)^5 delta_1, dd(0)^5 built for
+degree 0), and otherwise P^(p-1) @ P.  So a Laplacian at degree h reads
+the powers of degrees h - 1, h and h + 1 only, and building it drops the
+others: keeping them would raise the peak memory for no reuse.
 """
 
 from __future__ import annotations
@@ -100,34 +103,47 @@ def laplacian(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
     return _cached_build(cx, family, h)
 
 
-@cached()
+@cached
 def _cached_build(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
     return _build(cx, family, h)
 
 
 def _build(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
+    # the recipe reads block powers at the degrees h - 1, h and h + 1 only
+    powers = cx.memo[_block_power.__qualname__]
+    for key in [key for key in powers if abs(key[0] - h) > 1]:
+        del powers[key]
     terms = [_block(cx, h, kind, k) if k else _block_power(cx, h, kind, p)
              for kind, p, k in recipe(homogeneous_dc_orders(cx), family, h)]
     return sum(terms[1:], terms[0])
 
 
-@cached(last_degree=True)
+@cached
 def _block_power(cx: RuminComplex, h: int, kind: str, p: int):
-    """P^p = P^(p-1) @ P for the block P of that kind, at degree h.
-
-    Only the degree asked for last is kept: no recipe uses a block of
-    another degree.
-    """
+    """P^p for the block P of that kind at degree h, through the smaller
+    neighbour degree when there is one (module docstring).  That step moves
+    to a strictly smaller space, so the recursion ends."""
     if p == 1:
         return _block(cx, h, kind)
+    outer, inner, mid = _factors(cx, h, kind)
+    dims = cx.dims()
+    if dims[mid] < dims[h]:
+        other = "ddl" if kind == "dd" else "dd"
+        return (outer @ _block_power(cx, mid, other, p - 1)) @ inner
     return _block_power(cx, h, kind, p - 1) @ _block_power(cx, h, kind, 1)
+
+
+def _factors(cx: RuminComplex, h: int, kind: str) -> tuple:
+    """(outer, inner, mid): the block of that kind at degree h is outer @
+    inner through E0^mid, delta_{h+1} d_h ("dd") or d_{h-1} delta_h ("ddl")."""
+    d, dl = cx.dc_matrix, cx.deltac_matrix
+    return ((dl(h + 1), d(h), h + 1) if kind == "dd"
+            else (d(h - 1), dl(h), h - 1))
 
 
 def _block(cx: RuminComplex, h: int, kind: str, k: int = 0) -> OperatorMatrix:
     """delta A^k d (kind "dd") or d A^k delta (kind "ddl") at degree h."""
-    d, dl = cx.dc_matrix, cx.deltac_matrix
-    outer, inner, mid = ((dl(h + 1), d(h), h + 1) if kind == "dd"
-                         else (d(h - 1), dl(h), h - 1))
+    outer, inner, mid = _factors(cx, h, kind)
     for _ in range(k):
         outer = outer @ a_delta(cx, mid)
     return outer @ inner

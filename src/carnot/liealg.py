@@ -15,6 +15,7 @@ attached polynomial coordinate realization of the vector fields.
 from __future__ import annotations
 
 import json
+import re
 from itertools import combinations
 
 from . import linalg
@@ -82,6 +83,7 @@ class StratifiedLieAlgebra:
         # caches shared by the operator algebra
         self._nf_cache = {}
         self._prod_cache = {}
+        self._adj_cache = {}
         self._dtheta_cache = None
         self._validate()
 
@@ -167,6 +169,7 @@ class StratifiedLieAlgebra:
     def from_json(cls, text_or_dict):
         data = json.loads(text_or_dict) if isinstance(text_or_dict, str) \
             else text_or_dict
+        _check_group_json(data)
         field = ScalarField(radicands=data.get("sqrt", ()))
         brackets = {}
         for key, vec in data.get("brackets", {}).items():
@@ -191,6 +194,29 @@ class StratifiedLieAlgebra:
     def __repr__(self):
         return (f"StratifiedLieAlgebra(n={self.n}, layers={self.layer_dims}, "
                 f"Q={self.homogeneous_dimension})")
+
+
+def _check_group_json(data):
+    """Refuse a group file of the wrong shape, naming the key at fault."""
+    def bad(what):
+        raise ValueError(f"group file: {what}")
+
+    if not isinstance(data, dict):
+        bad(f"expected a JSON object, not a {type(data).__name__}")
+    if "layers" not in data:
+        bad('missing "layers"')
+    for name in ("layers", "sqrt"):
+        v = data.get(name, [])
+        if not isinstance(v, list) or not all(type(m) is int for m in v):
+            bad(f'"{name}" must be a list of integers, not {json.dumps(v)}')
+    brackets = data.get("brackets", {})
+    if not isinstance(brackets, dict):
+        bad('"brackets" must be an object {"i,j": {"k": coefficient}}')
+    for key, vec in brackets.items():
+        if not (re.fullmatch(r"\d+,\d+", key) and isinstance(vec, dict)
+                and all(k.isdigit() for k in vec)):
+            bad(f'"brackets" entry "{key}" must be "i,j": '
+                '{"k": coefficient}')
 
 
 def cartan_group() -> StratifiedLieAlgebra:
@@ -296,7 +322,8 @@ def free_nilpotent(m1: int, step: int) -> StratifiedLieAlgebra:
     ``MAX_DIM`` is refused before any tree is built.
     """
     if m1 < 2 or step < 1:
-        raise DimensionMismatch(m1, step)
+        raise ValueError(f"free:m,k needs m >= 2 and k >= 1, not "
+                         f"free:{m1},{step}")
     layer_dims = [witt_dimension(m1, d) for d in range(1, step + 1)]
     if sum(layer_dims) > MAX_DIM:
         raise ResourceLimit(sum(layer_dims), MAX_DIM)

@@ -37,8 +37,8 @@ Every derived object lives in one dict, ``RuminComplex.memo``, filled by the
 ``cached`` decorator, which :mod:`carnot.laplacians` uses too.  Each degree
 keeps its weight blocks, d0 blocks with their ranks and pseudoinverses, E0,
 d0^{-1}, lift, d_c, star and delta_c; the Laplacian block powers are large
-and read at one degree at a time, so only the degree asked for last keeps
-them.
+and a Laplacian reads those of its degree and the two next to it, so only
+those three degrees of the Laplacian built last keep them.
 """
 
 from __future__ import annotations
@@ -226,27 +226,21 @@ def _latex_env(e: EnvElement) -> str:
     return s.replace("*", " ")
 
 
-def cached(last_degree=False):
+def cached(fn):
     """Memoize a function of a complex, called as fn(cx, *args), in cx.memo.
 
     ``cx.memo[name]`` maps the positional arguments after ``cx`` to the
-    value, under the function's qualified name.  With ``last_degree`` the
-    first argument is a degree and only the degree asked for last is kept: a
-    call at another degree empties the table before it computes.
+    value, under the function's qualified name.
     """
-    def wrap(fn):
-        name = fn.__qualname__
+    name = fn.__qualname__
 
-        @functools.wraps(fn)
-        def memoized(cx, *args):
-            table = cx.memo[name]
-            if args not in table:
-                if last_degree and table and next(iter(table))[0] != args[0]:
-                    table.clear()
-                table[args] = fn(cx, *args)
-            return table[args]
-        return memoized
-    return wrap
+    @functools.wraps(fn)
+    def memoized(cx, *args):
+        table = cx.memo[name]
+        if args not in table:
+            table[args] = fn(cx, *args)
+        return table[args]
+    return memoized
 
 
 class RuminComplex:
@@ -258,7 +252,7 @@ class RuminComplex:
 
     # -- graded pieces ---------------------------------------------------
 
-    @cached()
+    @cached
     def _weight_blocks(self, h: int) -> dict:
         """Degree-h covectors grouped by weight, in ascending weight."""
         out: dict = {}
@@ -266,7 +260,7 @@ class RuminComplex:
             out.setdefault(tuple_weight(self.algebra, j), []).append(j)
         return dict(sorted(out.items()))
 
-    @cached()
+    @cached
     def d0_matrix_block(self, h: int, weight: int):
         """Sparse rows of d0 on the weight block of degree h, plus its bases.
 
@@ -288,7 +282,7 @@ class RuminComplex:
                   for w in self._weight_blocks(h + 1)}
         return {w: b for w, b in blocks.items() if b[1] and b[2]}
 
-    @cached()
+    @cached
     def E0(self, h: int) -> RuminBasis:
         alg = self.algebra
         if not 0 <= h <= alg.n:
@@ -313,7 +307,7 @@ class RuminComplex:
                 weights.append(w)
         return RuminBasis(h, elements, tuple(weights))
 
-    @cached()
+    @cached
     def d0_rank(self, h: int, weight: int) -> int:
         """Rank of d0 on the weight block of degree h."""
         return linalg.rank(self.algebra.field,
@@ -333,13 +327,13 @@ class RuminComplex:
 
     # -- d0 pseudoinverse ---------------------------------------------------
 
-    @cached()
+    @cached
     def d0_pinv_block(self, h: int, weight: int):
         """Sparse rows of the Moore-Penrose inverse of a d0 block (dom x cod)."""
         rows, dom, _ = self.d0_matrix_block(h, weight)
         return linalg.pseudoinverse(self.algebra.field, rows, len(dom))
 
-    @cached()
+    @cached
     def d0_pinv_map(self, h: int) -> CovectorMap:
         """Moore-Penrose inverse of d0 on degree h, as a map of (h+1)-forms."""
         columns: dict = {}
@@ -406,12 +400,12 @@ class RuminComplex:
 
     # -- intrinsic differential ----------------------------------------------
 
-    @cached()
+    @cached
     def lift(self, h: int) -> OperatorForm:
         """Pi_E of the symbolic basis form of degree h, kept for every degree."""
         return self.pi_E(self.symbolic_basis_form(h))
 
-    @cached()
+    @cached
     def dc_matrix(self, h: int) -> OperatorMatrix:
         """Pi_{E0} of d(lift(h)): row i, slot j is entry (i, j).
 
@@ -461,7 +455,7 @@ class RuminComplex:
             out.append(row)
         return out
 
-    @cached()
+    @cached
     def star_matrix(self, h: int):
         """Sparse rows of the Hodge star E0^h -> E0^{n-h} (columns act)."""
         n = self.algebra.n
@@ -472,7 +466,7 @@ class RuminComplex:
                 f"star of E0^{h} leaves the span of E0^{n - h}") from None
         return linalg.transpose(coords, len(self.E0(n - h)))
 
-    @cached()
+    @cached
     def _deltac(self, h: int):
         """(delta_c from the star formula, its sign against the adjoint)."""
         alg = self.algebra

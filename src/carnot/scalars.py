@@ -47,6 +47,16 @@ def _mask_product(radicands, mask: int) -> int:
     return p
 
 
+def signed_term(radicands, mask: int, c) -> tuple:
+    """(sign, text) of the one-term scalar ``c * basis[mask]``, as
+    ``_expr.signed`` splits it: "-" and "3/2*sqrt(6)" for -3/2*sqrt(6)."""
+    sign, text = _expr.signed(c)
+    if not mask:
+        return sign, text
+    rad = f"sqrt({_mask_product(radicands, mask)})"
+    return sign, rad if text == "1" else f"{text}*{rad}"
+
+
 def _is_nonzero_rational(terms: dict) -> bool:
     """True for a nonzero rational: its only term is the mask-0 one."""
     return len(terms) == 1 and 0 in terms
@@ -139,9 +149,6 @@ class ScalarField:
             return Scalar(self, {0: _q(coeff)})
         mask, mult = self._ensure_radicand(r)
         return Scalar(self, {mask: _q(coeff * mult)})
-
-    def sqrt2(self) -> "Scalar":
-        return self.sqrt(2)
 
     # -- parsing ------------------------------------------------------
 
@@ -316,13 +323,9 @@ class Scalar:
     # -- rendering ------------------------------------------------------
 
     def __str__(self):
-        def term(m):
-            sign, c = _expr.signed(self.terms[m])
-            if m == 0:
-                return sign, c
-            rad = f"sqrt({_mask_product(self.field.radicands, m)})"
-            return sign, rad if c == "1" else f"{c}*{rad}"
-        return _expr.signed_sum(map(term, sorted(self.terms)))
+        rad = self.field.radicands
+        return _expr.signed_sum(signed_term(rad, m, self.terms[m])
+                                for m in sorted(self.terms))
 
     def __repr__(self):
         return f"Scalar({self})"

@@ -36,6 +36,33 @@ def test_build_bad_json_exit_2(capsys, tmp_path):
     assert "JacobiViolation(1,2,3)" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ([2, 1], "expected a JSON object, not a list"),
+    ({"brackets": {"1,2": {"3": "1"}}}, 'missing "layers"'),
+    ({"layers": [2, 1], "brackets": [["1,2", {"3": "1"}]]},
+     '"brackets" must be an object'),
+    ({"layers": [2, 1], "brackets": {"1,2": ["3", "1"]}},
+     '"brackets" entry "1,2" must be "i,j": {"k": coefficient}'),
+    ({"layers": "21", "brackets": {"1,2": {"3": "1"}}},
+     '"layers" must be a list of integers, not "21"'),
+], ids=["list", "no-layers", "brackets-list", "vector-list", "layers-string"])
+def test_malformed_group_file_exit_2(capsys, tmp_path, spec, message):
+    """A group file of the wrong shape is bad input: exit 2, the key named,
+    no traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "build", "--group", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: group file: {message}")
+    assert err.count("\n") == 1
+
+
+def test_free_group_too_small_exit_2(capsys):
+    code, _, err = run(capsys, "build", "--group", "free:1,2")
+    assert code == 2
+    assert err == "error: free:m,k needs m >= 2 and k >= 1, not free:1,2\n"
+
+
 def test_dc_matrix_text(capsys):
     code, out, _ = run(capsys, "dc", "--degree", "4")
     assert code == 0

@@ -4,8 +4,9 @@ import re
 
 import pytest
 
+from carnot import laplacians
 from carnot.env import EnvElement
-from carnot.laplacians import (UnsupportedGroup, a_delta, hodge_conjugate,
+from carnot.laplacians import (FAMILIES, UnsupportedGroup, a_delta, hodge_conjugate,
                                homogeneous_dc_orders, laplacian, order_table,
                                recipe, star_duality_sign, target_order,
                                verify_homogeneous_order, verify_self_adjoint)
@@ -177,6 +178,33 @@ def test_heisenberg_R_is_rumin_laplacian(m):
             assert star_duality_sign(cx, fam, h) == 1, (fam, h)
 
 
+@pytest.mark.parametrize("make", [cartan_group, lambda: free_nilpotent(2, 2),
+                                  lambda: heisenberg(2)],
+                         ids=["cartan", "free-2-2", "H2"])
+def test_neighbour_powers_equal_the_chain(make):
+    """Every block power a recipe uses equals the chain P^(p-1) @ P
+    entrywise, including those built through a smaller neighbour degree
+    (each group has one)."""
+    cx = RuminComplex(make())
+    orders = homogeneous_dc_orders(cx)
+    dims = cx.dims()
+    uses = sorted({(h, kind, p) for fam in FAMILIES
+                   for h in range(cx.algebra.n + 1)
+                   for kind, p, k in recipe(orders, fam, h) if not k})
+    assert any(p > 1 and dims[h + 1 if kind == "dd" else h - 1] < dims[h]
+               for h, kind, p in uses)
+    for h, kind, p in uses:
+        block = laplacians._block(cx, h, kind)
+        chain = block
+        for _ in range(p - 1):
+            chain = chain @ block
+        got = laplacians._block_power(cx, h, kind, p)
+        assert got.shape == chain.shape
+        for i, row in enumerate(chain.entries):
+            for j, want in enumerate(row):
+                assert got.entries[i][j] == want, (h, kind, p, i, j)
+
+
 # -- the per-complex cache -------------------------------------------------
 
 def test_cached_matrix_is_returned_again(cx):
@@ -204,19 +232,24 @@ def test_cached_matrices_match_explicit_recipes():
 
 
 def test_single_query_builds_one_matrix_and_one_degree():
+    """A cold query builds one Laplacian, and the block powers it leaves
+    behind lie in its degree and the neighbours its powers pass through:
+    ddl(1)^6 = d_0 dd(0)^5 delta_1 through the 1-dimensional E0^0, and
+    dd(4)^3 = delta_5 ddl(5)^2 d_4 through E0^5."""
     fresh = RuminComplex(cartan_group())
     laplacian(fresh, "G", 1)
     assert set(fresh.memo["_cached_build"]) == {("G", 1)}
     assert set(fresh.memo["_block_power"]) \
-        == {(1, "ddl", p) for p in range(1, 7)} | {(1, "dd", 1), (1, "dd", 2)}
+        == {(0, "dd", p) for p in range(1, 6)} \
+        | {(1, "ddl", 6), (1, "dd", 1), (1, "dd", 2)}
     laplacian(fresh, "R", 4)
-    assert {h for h, _, _ in fresh.memo["_block_power"]} == {4}
+    assert set(fresh.memo["_block_power"]) == {
+        (4, "ddl", 1), (4, "dd", 3), (5, "ddl", 1), (5, "ddl", 2)}
 
 
 def test_verify_builds_each_laplacian_once(monkeypatch):
     from collections import Counter
 
-    from carnot import laplacians
     from carnot.verify import Report, load_golden, verify_cartan
 
     builds = Counter()
@@ -248,7 +281,6 @@ def test_validation_runs_on_cached_calls(cx, laps):
 
 
 def test_verify_checks_each_distinct_laplacian_once(monkeypatch, cx, laps):
-    from carnot import laplacians
     from carnot.verify import Report, load_golden, verify_cartan
 
     checked = []

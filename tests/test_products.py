@@ -16,6 +16,7 @@ the same operations on ``{exponent: Scalar}`` dicts.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -75,7 +76,8 @@ def assert_canonical(alg, *elems):
         assert type(c) in (int, Fraction), type(c)
         assert c != 0
         assert type(c) is int or c.denominator != 1
-    maps = list(alg._nf_cache.values()) + list(alg._prod_cache.values())
+    maps = [*alg._nf_cache.values(), *alg._prod_cache.values(),
+            *alg._adj_cache.values()]
     for nf in maps + [e._packed for e in elems]:
         for key, c in nf.items():
             assert type(key) is int and key >= 0
@@ -329,15 +331,63 @@ def test_packed_storage_matches_scalar_reference(name, data):
 
 
 def test_nf_cache_holds_requested_words_only():
+    """Products fill neither the word cache nor the adjoint memo; an
+    adjoint memoizes its monomial and the suffixes its rule strips."""
     alg = cartan_group()
     x = EnvElement.monomial(alg, (0, 1, 2, 0, 0))
     y = EnvElement.monomial(alg, (2, 1, 0, 1, 0), 3)
     assert x * y
-    assert alg._nf_cache == {}
+    assert alg._nf_cache == {} and alg._adj_cache == {}
     adj = EnvElement.monomial(alg, (1, 1, 1, 0, 0)).formal_adjoint()
-    assert list(alg._nf_cache) == [(3, 2, 1)]
-    # the cached value is the packed normal form of X3 X2 X1 = -adj
-    assert collect(alg, alg._nf_cache[(3, 2, 1)]) == -adj
+    assert alg._nf_cache == {}
+    # (X1 X2 X3)* = -(X2 X3)* X1, (X2 X3)* = -(X3)* X2, (X3)* = -X3
+    codes = {exp: _pack(exp) for exp in
+             ((1, 1, 1, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 0, 0))}
+    assert set(alg._adj_cache) == set(codes.values())
+    assert collect(alg, alg._adj_cache[codes[1, 1, 1, 0, 0]]) == adj
+    assert collect(alg, alg._adj_cache[codes[0, 0, 1, 0, 0]]) \
+        == -EnvElement.generator(alg, 3)
+
+
+@pytest.mark.parametrize("name", ["cartan", "free-2-4", "skew"])
+def test_memoized_adjoint_matches_reversed_words(name):
+    """The adjoint read from the memo equals the sum of c * (-1)^|w| times
+    the normal form of the reversed word w, over the terms c * X^w: every
+    monomial of length at most 4, alone and summed with coefficients in
+    Q(sqrt(2)), the sum taken first so the memo starts cold."""
+    alg = KERNEL_GROUPS[name]()
+    f = alg.field
+    exps = [tuple(gens.count(i) for i in range(alg.n))
+            for k in range(5)
+            for gens in combinations_with_replacement(range(alg.n), k)]
+    coeffs = [f(Fraction(k + 1, 3)) + f(k % 3) * f.sqrt(2)
+              for k in range(len(exps))]
+    refs = []
+    for exp in exps:
+        w = word_of(exp)
+        refs.append(EnvElement.from_word(alg, w[::-1], (-1) ** len(w)))
+    total = EnvElement.zero(alg)
+    want = EnvElement.zero(alg)
+    for exp, c, ref in zip(exps, coeffs, refs):
+        total = total + EnvElement.monomial(alg, exp, c)
+        want = want + ref.scale(c)
+    assert total.formal_adjoint() == want
+    for exp, ref in zip(exps, refs):
+        assert EnvElement.monomial(alg, exp).formal_adjoint() == ref, exp
+    assert_canonical(alg)
+
+
+@PROPERTY
+@given(st.data())
+def test_adjoint_is_an_involutive_antihomomorphism(data):
+    """On Cartan, free:2,4 and SKEW, whose adjoint memos persist across the
+    examples: (ab)* = b* a* and a** = a, products up to order 6."""
+    for alg in (CARTAN, FREE24, SKEW):
+        a, b = data.draw(elements(alg)), data.draw(elements(alg))
+        ab = a * b
+        assert ab.formal_adjoint() == b.formal_adjoint() * a.formal_adjoint()
+        assert ab.formal_adjoint().formal_adjoint() == ab
+        assert_canonical(alg, ab.formal_adjoint())
 
 
 # -- exterior builders and constant factors ---------------------------------
