@@ -20,7 +20,7 @@ from .coords import (CoordinateRealization, NoRealization, Polynomial,
                      cartan_realization, coordinate_apply)
 from .exterior import (CovectorMap, DegreeOverflow, Form, OperatorForm,
                        covectors)
-from .rumin import (OperatorMatrix, RuminBasis, RuminComplex, SpanMismatch,
+from .rumin import (OperatorMatrix, RuminComplex, SpanMismatch,
                     StarAdjointMismatch)
 from .laplacians import (FAMILIES, UnsupportedGroup, a_delta,
                          hodge_conjugate, laplacian, order_table,
@@ -48,7 +48,7 @@ __all__ = [
     "coordinate_apply", "NoRealization",
     "Form", "OperatorForm", "CovectorMap", "covectors",
     "DegreeOverflow",
-    "RuminComplex", "RuminBasis", "OperatorMatrix", "SpanMismatch",
+    "RuminComplex", "OperatorMatrix", "SpanMismatch",
     "StarAdjointMismatch",
     "laplacian", "a_delta", "order_table", "hodge_conjugate",
     "verify_self_adjoint", "verify_homogeneous_order", "star_duality_sign",

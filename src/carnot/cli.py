@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exponents", parents=[common],
                        help="limiting-exponent tables")
     p.add_argument("--theorem", required=True,
-                   choices=("H2", "C2", "H2cor", "H2sum"))
+                   choices=tuple(estimates.THEOREM_TABLES))
 
     p = sub.add_parser("tensors", parents=[common],
                        help="divergence-free tensor findings")

@@ -150,12 +150,13 @@ def _exp(Q: int, k: int) -> Fraction:
     return Fraction(Q, Q - k)
 
 
-# The paper's tables: the Laplacian family, then per row (h, term, rhs,
-# chain, k) with the displayed exponent Q/(Q-k).  Chain tokens: "d<h>" is
-# d_c on E0^h, "dl<h>" delta_c on E0^h, "A" the A_Delta block and "grad"
-# the gradient.  A sixth item holds the keywords of _record that the paper
-# sets on some rows only.
-_TABLES = {
+# The paper's tables by theorem tag, in the order that `carnot exponents`
+# offers and `carnot verify` reports them: the Laplacian family, then per
+# row (h, term, rhs, chain, k) with the displayed exponent Q/(Q-k).  Chain
+# tokens: "d<h>" is d_c on E0^h, "dl<h>" delta_c on E0^h, "A" the A_Delta
+# block and "grad" the gradient.  A sixth item holds the keywords of
+# _record that the paper sets on some rows only.
+THEOREM_TABLES = {
     "H2": ("A", [
         (0, "f", "f", "d0", 1),
         (1, "f", "f", "d1 grad", 3),
@@ -276,11 +277,11 @@ def theorem_table(cx: RuminComplex, tag: str) -> tuple:
     once per complex."""
     if not cx.algebra.is_cartan_table():
         raise UnsupportedGroup("exponent tables are Cartan-specific")
-    if tag not in _TABLES:
+    if tag not in THEOREM_TABLES:
         raise ValueError(f"unknown table {tag!r}")
     Q = cx.algebra.homogeneous_dimension
     d_ord = homogeneous_dc_orders(cx)
-    family, rows = _TABLES[tag]
+    family, rows = THEOREM_TABLES[tag]
     return tuple(_record(tag, family, d_ord, Q, h, term, rhs, chain, k,
                          **dict(*flags))
                  for h, term, rhs, chain, k, *flags in rows)

@@ -4,16 +4,19 @@ A :class:`StratifiedLieAlgebra` stores the bracket table of a graded basis
 X_1, ..., X_n adapted to the layers V_1 + ... + V_kappa, validates the usual
 identities exactly (antisymmetry is structural, Jacobi and the grading are
 checked on construction, and V_1 must bracket-generate each higher layer),
-and exposes the bracket as a bilinear map on coefficient vectors.
+and exposes the bracket as a bilinear map on coefficient vectors.  Every
+algebra has at most ``MAX_DIM`` basis elements, however it is built.
 
-``free_nilpotent`` generates free nilpotent algebras, of at most ``MAX_DIM``
-elements, from a Hall basis; ``cartan_group`` is the built-in five-dimensional
-step-3 example with brackets [X1,X2]=X3, [X1,X3]=X4, [X2,X3]=X5 and an
-attached polynomial coordinate realization of the vector fields.
+``free_nilpotent`` generates free nilpotent algebras from a Hall basis;
+``cartan_group`` is the built-in five-dimensional step-3 example with
+brackets [X1,X2]=X3, [X1,X3]=X4, [X2,X3]=X5.  Any algebra with that bracket
+table (``free:2,3`` or a group file too) carries the polynomial coordinate
+realization of its vector fields, built on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from itertools import combinations
@@ -48,7 +51,7 @@ class ResourceLimit(LieAlgebraError):
     pass
 
 
-# the largest free nilpotent algebra generated, counted in basis elements
+# the largest algebra built, counted in basis elements
 MAX_DIM = 64
 # the brackets of the built-in five-dimensional group
 CARTAN_BRACKETS = {(1, 2): {3: 1}, (1, 3): {4: 1}, (2, 3): {5: 1}}
@@ -63,6 +66,8 @@ class StratifiedLieAlgebra:
         if any(m <= 0 for m in self.layer_dims):
             raise DimensionMismatch("layer dimensions must be positive")
         self.n = sum(self.layer_dims)
+        if self.n > MAX_DIM:
+            raise ResourceLimit(self.n, MAX_DIM)
         self.kappa = len(self.layer_dims)
         self.weights = tuple(
             a + 1 for a, m in enumerate(self.layer_dims) for _ in range(m))
@@ -79,7 +84,6 @@ class StratifiedLieAlgebra:
                     clean[int(k)] = c
             if clean:
                 self.brackets[(i, j)] = clean
-        self.realization = None
         # caches shared by the operator algebra
         self._nf_cache = {}
         self._prod_cache = {}
@@ -191,6 +195,13 @@ class StratifiedLieAlgebra:
         return (self.layer_dims == (2, 1, 2)
                 and self.brackets == CARTAN_BRACKETS)
 
+    @functools.cached_property
+    def realization(self):
+        """The coordinate model of the Cartan bracket table, else None."""
+        from .coords import cartan_realization
+
+        return cartan_realization(self) if self.is_cartan_table() else None
+
     def __repr__(self):
         return (f"StratifiedLieAlgebra(n={self.n}, layers={self.layer_dims}, "
                 f"Q={self.homogeneous_dimension})")
@@ -221,11 +232,7 @@ def _check_group_json(data):
 
 def cartan_group() -> StratifiedLieAlgebra:
     """The free step-3 rank-2 Carnot group (dimension 5, Q = 10)."""
-    from .coords import cartan_realization
-
-    alg = StratifiedLieAlgebra((2, 1, 2), CARTAN_BRACKETS)
-    alg.realization = cartan_realization(alg)
-    return alg
+    return StratifiedLieAlgebra((2, 1, 2), CARTAN_BRACKETS)
 
 
 # -- free nilpotent Lie algebras via Hall bases ----------------------------
@@ -319,7 +326,8 @@ def free_nilpotent(m1: int, step: int) -> StratifiedLieAlgebra:
     algebra and solving for the coordinates of each commutator in the Hall
     basis of the appropriate degree, which is exact and convention-free.
     The layer dimensions come from Witt's formula, so a group above
-    ``MAX_DIM`` is refused before any tree is built.
+    ``MAX_DIM`` is refused before any tree is built, ahead of the
+    constructor's own check.
     """
     if m1 < 2 or step < 1:
         raise ValueError(f"free:m,k needs m >= 2 and k >= 1, not "

@@ -10,6 +10,8 @@ entries are Scalars (``Scalar.inverse`` also runs ``_rref`` on Fractions);
 result is unique (the reduced row-echelon form, the canonical nullspace,
 Gram-Schmidt of an ordered input, the Moore-Penrose inverse) and scalars
 are canonical, so the elimination order does not show in the output.
+The one square inverse, ``_inverse``, is private: it forms the two middle
+factors of ``pseudoinverse``.
 
 ``mat_mul`` alone works on lists of lists: it is the independent dense
 check of the pseudoinverse identities, and the benchmark's tracer
@@ -17,11 +19,6 @@ check of the pseudoinverse identities, and the benchmark's tracer
 """
 
 from __future__ import annotations
-
-
-def identity(field, n: int):
-    one = field.one()
-    return [{i: one} for i in range(n)]
 
 
 def transpose(rows, ncols: int):
@@ -158,10 +155,6 @@ def solve(field, columns, target):
     for row, c in zip(red, pivots):
         x[c] = row.get(n, x[c])
     return x
-
-
-def inverse(field, rows):
-    return _inverse(field, rows, len(rows))
 
 
 def pseudoinverse(field, rows, ncols: int):

@@ -6,10 +6,12 @@ transpose of the incoming d0, followed by Gram-Schmidt orthonormalization in
 the scalar tower.  Basis elements are ordered by increasing weight and, inside
 a weight block, by the canonical reduced-row-echelon nullspace order, so the
 construction is deterministic.  ``dims`` needs no basis: it is read off the
-ranks of the d0 blocks, each computed once.  Every constant scalar matrix (a
-d0 block and its pseudoinverse, coordinates, a star matrix, a change of
-basis) is a list of sparse ``{column: value}`` rows, the one format of
-:mod:`carnot.linalg`, so it is stored and walked by its nonzeros.
+ranks of the d0 blocks, each computed once.  On the Cartan group these
+bases are the published ones, so the matrices are the listed ones with no
+change of basis.  Every constant scalar matrix (a d0 block and its
+pseudoinverse, a star matrix) is a list of sparse ``{column: value}`` rows,
+the one format of :mod:`carnot.linalg`, so it is stored and walked by its
+nonzeros.
 
 The projection Pi_E on the complement of the acyclic part is evaluated by the
 weight-ascending recursion
@@ -28,10 +30,9 @@ element of E0^{h+1} and one entry per slot.  Pi_E, Pi_{E0} and
 the form builders sum in the flat accumulators of :mod:`carnot.env`.  The
 codifferential is obtained from the star formula
 delta_c = (-1)^{n(h+1)+1} * d_c *, cross-checked once per degree against the
-entrywise formal-adjoint transpose.  ``coordinates`` (coefficients over E0^h)
-and ``OperatorMatrix.conjugate`` are the one change-of-basis path; a product
-with constant matrices on both sides (a star or a change of basis) is a sum
-of scaled entries there, with no PBW product.
+entrywise formal-adjoint transpose.  A product with star matrices on both
+sides is ``OperatorMatrix.conjugate``: a sum of scaled entries, with no PBW
+product.
 
 Every derived object lives in one dict, ``RuminComplex.memo``, filled by the
 ``cached`` decorator, which :mod:`carnot.laplacians` uses too.  Each degree
@@ -51,9 +52,8 @@ from collections import defaultdict
 from . import linalg
 from .env import (EnvElement, Mixed, ZeroElement, add_into, collect,
                   homogeneity_degrees, matrix_product)
-from .exterior import (CovectorMap, Form, OperatorForm, accumulate,
-                       covectors, d0_covector, d_terms, terms_of,
-                       tuple_weight)
+from .exterior import (CovectorMap, Form, OperatorForm, covectors,
+                       d0_covector, d_terms, terms_of, tuple_weight)
 from .scalars import TowerInsufficient
 
 
@@ -63,29 +63,6 @@ class SpanMismatch(ValueError):
 
 class StarAdjointMismatch(ValueError):
     pass
-
-
-class RuminBasis:
-    """Orthonormal weight-ordered basis of E0^h."""
-
-    __slots__ = ("degree", "elements", "weights")
-
-    def __init__(self, degree, elements, weights):
-        self.degree = degree
-        self.elements = elements
-        self.weights = weights
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, i):
-        return self.elements[i]
-
-    def __repr__(self):
-        return f"RuminBasis(h={self.degree}, dim={len(self)}, weights={self.weights})"
 
 
 class OperatorMatrix:
@@ -283,11 +260,12 @@ class RuminComplex:
         return {w: b for w, b in blocks.items() if b[1] and b[2]}
 
     @cached
-    def E0(self, h: int) -> RuminBasis:
+    def E0(self, h: int) -> tuple:
+        """Orthonormal basis of E0^h: pure-weight Forms, weight ascending."""
         alg = self.algebra
         if not 0 <= h <= alg.n:
             raise ValueError(f"degree {h} out of range")
-        elements, weights = [], []
+        elements = []
         for w in self._weight_blocks(h):
             rows, dom, _ = self.d0_matrix_block(h, w)
             if h >= 1:
@@ -301,11 +279,10 @@ class RuminComplex:
                 exc.args = (f"{exc}, in the E0 block of degree {h}, "
                             f"weight {w}",)
                 raise
-            for vec in ortho:
-                elements.append(Form(alg, h, {dom[i]: vec[i]
-                                              for i in sorted(vec)}))
-                weights.append(w)
-        return RuminBasis(h, elements, tuple(weights))
+            elements.extend(Form(alg, h, {dom[i]: vec[i]
+                                          for i in sorted(vec)})
+                            for vec in ortho)
+        return tuple(elements)
 
     @cached
     def d0_rank(self, h: int, weight: int) -> int:
@@ -384,19 +361,12 @@ class RuminComplex:
                             {k: u for w in sorted(result)
                              for k, u in result[w].terms.items()})
 
-    def pi_E0(self, form, h: int | None = None):
-        """Orthogonal projection coefficients over the E0 basis.
-
-        Returns a list of Scalars for a Form, or a list of rows of
-        EnvElements (one row per basis element, one entry per slot) for an
-        OperatorForm.
-        """
-        if h is None:
-            h = form.degree
-        basis = self.E0(h)
-        if isinstance(form, OperatorForm):
-            return form.pair_multivectors([xi.terms for xi in basis])
-        return [xi.inner(form) for xi in basis]
+    def pi_E0(self, form: OperatorForm) -> list:
+        """Orthogonal projection coefficients over the E0 basis of the
+        form's degree: one row of EnvElements per basis element, one entry
+        per slot."""
+        basis = self.E0(form.degree)
+        return form.pair_multivectors([xi.terms for xi in basis])
 
     # -- intrinsic differential ----------------------------------------------
 
@@ -420,8 +390,9 @@ class RuminComplex:
         support = {t for xi in self.E0(h + 1) for t in xi.terms}
         d_lift = OperatorForm(alg, h + 1, lifted.slots, d_terms(
             alg, [(lifted, range(alg.kappa + 1))], support))
-        out = OperatorMatrix(alg, self.pi_E0(d_lift, h + 1), cols=len(src))
-        self._check_homogeneity(out, self.E0(h + 1).weights, src.weights)
+        out = OperatorMatrix(alg, self.pi_E0(d_lift), cols=len(src))
+        self._check_homogeneity(out, [xi.weight() for xi in self.E0(h + 1)],
+                                [xi.weight() for xi in src])
         return out
 
     @staticmethod
@@ -436,35 +407,26 @@ class RuminComplex:
                     raise AssertionError(
                         f"entry ({i},{j}) not homogeneous of degree {expected}: {e}")
 
-    def coordinates(self, h: int, forms) -> list:
-        """Exact coefficients of each form over the orthonormal E0^h.
-
-        Sparse row k holds the coefficients of forms[k]; SpanMismatch names
-        the first form that the coefficients do not rebuild exactly.
-        """
-        basis = self.E0(h)
-        out = []
-        for k, form in enumerate(forms):
-            row = {i: c for i, c in enumerate(self.pi_E0(form, h)) if c}
-            recon: dict = {}
-            for i, c in row.items():
-                for t, v in basis[i].terms.items():
-                    accumulate(recon, t, c * v)
-            if recon != form.terms:
-                raise SpanMismatch(f"element {k} is outside the computed span")
-            out.append(row)
-        return out
-
     @cached
     def star_matrix(self, h: int):
-        """Sparse rows of the Hodge star E0^h -> E0^{n-h} (columns act)."""
-        n = self.algebra.n
-        try:
-            coords = self.coordinates(n - h, [xi.star() for xi in self.E0(h)])
-        except SpanMismatch:
-            raise SpanMismatch(
-                f"star of E0^{h} leaves the span of E0^{n - h}") from None
-        return linalg.transpose(coords, len(self.E0(n - h)))
+        """Sparse rows of the Hodge star E0^h -> E0^{n-h} (columns act).
+
+        SpanMismatch when a star is not rebuilt exactly from its
+        coefficients over the orthonormal E0^{n-h}.
+        """
+        alg = self.algebra
+        target = self.E0(alg.n - h)
+        cols = []
+        for xi in self.E0(h):
+            star = xi.star()
+            col = {i: c for i, c in enumerate(eta.inner(star)
+                                              for eta in target) if c}
+            if sum((target[i].scale(c) for i, c in col.items()),
+                   Form.zero(alg, alg.n - h)) != star:
+                raise SpanMismatch(
+                    f"star of E0^{h} leaves the span of E0^{alg.n - h}")
+            cols.append(col)
+        return linalg.transpose(cols, len(target))
 
     @cached
     def _deltac(self, h: int):
@@ -505,24 +467,6 @@ class RuminComplex:
                 f"degree {h}: star formula and adjoint transpose "
                 f"disagree at entries {diffs}")
         return out
-
-    # -- basis alignment -------------------------------------------------------
-
-    def align_basis(self, h: int, expected) -> list:
-        """Exact orthogonal T with E0(h) . T = expected (column j), as
-        sparse rows; T is orthogonal when its inverse is its transpose."""
-        size = len(self.E0(h))
-        if len(expected) != size:
-            raise SpanMismatch(f"{len(expected)} expected vs {size} computed")
-        coords = self.coordinates(h, expected)
-        t = linalg.transpose(coords, size)
-        try:
-            orthogonal = linalg.inverse(self.algebra.field, coords) == t
-        except ValueError:  # singular
-            orthogonal = False
-        if not orthogonal:
-            raise SpanMismatch("change of basis is not orthogonal")
-        return t
 
     # -- assembled verification -------------------------------------------------
 

@@ -239,6 +239,26 @@ def test_verify_passes(capsys):
     assert "result: ok" in out
 
 
+@pytest.mark.parametrize("source", ["free:2,3", "file"])
+def test_verify_compares_every_cartan_table(capsys, tmp_path, source):
+    """The reference checks run on the Cartan bracket table however the
+    group is given: as free:2,3 or as a JSON copy of the built-in table."""
+    from carnot.liealg import cartan_group
+
+    group = source
+    if source == "file":
+        group = str(tmp_path / "cartan.json")
+        with open(group, "w") as fh:
+            json.dump(cartan_group().to_json(), fh)
+    code, out, _ = run(capsys, "verify", "--group", group, "--format", "json")
+    assert code == 0
+    checks = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    for name in ("golden-basis-span-match", "golden-dc-matrices",
+                 "golden-deltac-matrices", "pbw-coordinate-oracle",
+                 "exponent-table-H2sum"):
+        assert checks[name] == "pass"
+
+
 def test_verify_golden_tampering_exit_1(capsys, tmp_path):
     from carnot.verify import load_golden
 
@@ -251,11 +271,13 @@ def test_verify_golden_tampering_exit_1(capsys, tmp_path):
     assert "golden-dc-matrices" in out
 
 
-def test_verify_unaligned_golden_basis_named(capsys, tmp_path):
+def _basis_check_with_degree2_vector(capsys, tmp_path, k, vector):
+    """Verify against the listings with published vector k of E0^2
+    replaced: only the basis check may fail; returns its detail."""
     from carnot.verify import load_golden
 
     golden = load_golden()
-    golden["bases"]["2"][0] = [["1", [1, 2]]]   # theta1^theta2 is not in E0^2
+    golden["bases"]["2"][k] = vector
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(golden))
     code, out, _ = run(capsys, "verify", "--format", "json",
@@ -263,15 +285,26 @@ def test_verify_unaligned_golden_basis_named(capsys, tmp_path):
     assert code == 1
     failed = {c["name"]: c for c in json.loads(out)["checks"]
               if c["status"] == "fail"}
-    assert set(failed) == {"golden-basis-span-match", "golden-dc-matrices",
-                           "golden-deltac-matrices"}
-    assert failed["golden-basis-span-match"]["detail"]["2"] \
-        == "element 0 is outside the computed span"
-    reason = "no aligned basis in degree 2"
-    assert failed["golden-dc-matrices"]["bad_entries"] \
-        == [["dc", 1, reason], ["dc", 2, reason]]
-    assert failed["golden-deltac-matrices"]["bad_entries"] \
-        == [["deltac", 2, reason], ["deltac", 3, reason]]
+    assert set(failed) == {"golden-basis-span-match"}
+    return failed["golden-basis-span-match"]["detail"]
+
+
+def test_verify_unaligned_golden_basis_named(capsys, tmp_path):
+    # theta1^theta2 is not in E0^2
+    detail = _basis_check_with_degree2_vector(capsys, tmp_path, 0,
+                                              [["1", [1, 2]]])
+    assert detail == {"1": "aligned",
+                      "2": "element 0 differs from the computed basis",
+                      "3": "aligned", "4": "aligned"}
+
+
+def test_verify_sign_flipped_golden_basis_named(capsys, tmp_path):
+    """A published vector with its sign flipped is a different basis: the
+    basis check names it, and the matrices, compared as computed, still
+    match the untouched listings."""
+    detail = _basis_check_with_degree2_vector(
+        capsys, tmp_path, 1, [["-1/sqrt(2)", [2, 4]], ["-1/sqrt(2)", [1, 5]]])
+    assert detail["2"] == "element 1 differs from the computed basis"
 
 
 def test_verify_resource_limit(capsys):
@@ -289,17 +322,27 @@ def test_capacity_limit_exits_3(capsys):
     assert (code, out, err) == (3, "", "error: ResourceLimit(71,64)\n")
 
 
+def test_group_file_obeys_the_dimension_cap(capsys, tmp_path):
+    """A group file is held to the cap of free:m,k: the 71-element
+    Heisenberg group is refused before its Jacobi identities are checked."""
+    path = tmp_path / "H35.json"
+    path.write_text(json.dumps({
+        "layers": [70, 1],
+        "brackets": {f"{i},{i + 35}": {"71": "1"} for i in range(1, 36)}}))
+    code, out, err = run(capsys, "build", "--group", str(path))
+    assert (code, out, err) == (3, "", "error: ResourceLimit(71,64)\n")
+
+
 def _skew_dc_entry(monkeypatch):
     """d_c gains an inhomogeneous entry: its homogeneity check fails."""
     from carnot.env import EnvElement
-    from carnot.exterior import OperatorForm
     from carnot.rumin import RuminComplex
 
     pi_E0 = RuminComplex.pi_E0
 
-    def skewed(cx, form, h=None):
-        rows = pi_E0(cx, form, h)
-        if isinstance(form, OperatorForm) and rows and rows[0]:
+    def skewed(cx, form):
+        rows = pi_E0(cx, form)
+        if rows and rows[0]:
             rows[0][0] = rows[0][0] + EnvElement.one(cx.algebra)
         return rows
     monkeypatch.setattr(RuminComplex, "pi_E0", skewed)

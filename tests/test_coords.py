@@ -4,7 +4,7 @@ import pytest
 
 from carnot.coords import NoRealization, Polynomial, coordinate_apply
 from carnot.env import EnvElement
-from carnot.liealg import cartan_group, free_nilpotent
+from carnot.liealg import StratifiedLieAlgebra, cartan_group, free_nilpotent
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +76,19 @@ def test_no_realization(g):
     with pytest.raises(NoRealization):
         coordinate_apply(EnvElement.generator(other, 1),
                          Polynomial.variable(other.field, 3, 1))
+
+
+def test_realization_follows_the_bracket_table(g):
+    """The coordinate model belongs to the Cartan bracket table, not to the
+    constructor that built it."""
+    def image(alg):
+        q = alg.realization.apply_word((2, 3, 2), P(alg, "x1^3x2 + x4x5"))
+        return {e: c.as_rational() for e, c in q.terms.items()}
+    assert image(g)
+    for same in (free_nilpotent(2, 3),
+                 StratifiedLieAlgebra.from_json(g.to_json())):
+        assert image(same) == image(g)
+    assert free_nilpotent(2, 2).realization is None
 
 
 def test_polynomial_ring_basics(g):

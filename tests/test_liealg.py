@@ -111,6 +111,16 @@ def test_free_nilpotent_resource_limit():
         assert err.value.args == (count, MAX_DIM) == (count, 64)
 
 
+def test_constructor_holds_every_algebra_to_the_cap():
+    """The cap is checked first: this table would otherwise fail as not
+    stratified, after its Jacobi loop."""
+    with pytest.raises(ResourceLimit) as err:
+        StratifiedLieAlgebra((MAX_DIM, 1), {})
+    assert err.value.args == (MAX_DIM + 1, MAX_DIM)
+    with pytest.raises(NotStratified):
+        StratifiedLieAlgebra((MAX_DIM - 1, 1), {})
+
+
 def test_witt_formula_counts_the_hall_trees():
     for m, steps in ((2, 8), (3, 5), (4, 4), (5, 3)):
         trees = _hall_basis(m, steps)

@@ -18,6 +18,16 @@ def test_sources_compile_without_warnings():
             compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
+def test_exports_are_the_imports():
+    """``carnot.__all__`` names exactly what the package's ``__init__``
+    imports, each once, so a deleted name cannot leave a stale export."""
+    path = pathlib.Path(carnot.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = [a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert sorted(carnot.__all__) == sorted(imported)
+
+
 def test_traced_names_resolve():
     """Every name the benchmark's tracer wraps is still defined in carnot."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
