@@ -29,9 +29,10 @@ scalars, not the algebra, is what costs time in products of order up to 12.
   ``{exponent tuple: Scalar}``, built on each call and never stored,
   decodes keys into Scalars; ``as_scalar``, the coordinate realization and
   the linear systems of the estimates read it.  ``homogeneity`` reads the
-  weights off the codes, and ``render`` formats each coefficient from its
-  ``{mask: coeff}`` terms: neither builds a Scalar, but for a coefficient
-  of several tower terms.
+  weights off the codes.  ``render`` sorts the codes once, by weight and
+  then exponent bytes, both descending, and formats each coefficient from
+  its ``{mask: coeff}`` terms and each monomial in one join: neither
+  builds a Scalar, but for a coefficient of several tower terms.
 * **Collection by one generator.**  ``_fold(alg, acc, word)`` multiplies a
   flat map by the generators of a word one at a time.  A term whose last
   generator comes at or before X_j times X_j is a concatenation; otherwise
@@ -574,22 +575,23 @@ class EnvElement:
         by_code: dict = {}      # code -> {mask: coeff}
         for key, v in self._packed.items():
             by_code.setdefault(key >> mb, {})[key & low] = v
-
-        def term(exp, coeffs):
+        # (weight, exponent bytes, coeffs), descending; no two codes tie
+        order = []
+        for code, coeffs in by_code.items():
+            exp = code.to_bytes(alg.n, "little")
+            order.append((sum(map(mul, exp, alg.weights)), exp, coeffs))
+        order.sort(reverse=True)
+        terms = []
+        for _, exp, coeffs in order:
             if len(coeffs) == 1:
                 sign, coeff = signed_term(field.radicands, *coeffs.popitem())
             else:
                 sign, coeff = _expr.signed(Scalar(field, coeffs))
-            mono = "*".join(f"X{k + 1}" + (f"^{e}" if e > 1 else "")
-                            for k, e in enumerate(exp) if e)
-            if mono:
-                return sign, mono if coeff == "1" else f"{coeff}*{mono}"
-            return sign, coeff
-        terms = {_unpack(code, alg.n): coeffs
-                 for code, coeffs in by_code.items()}
-        order = sorted(terms, key=lambda exp: (
-            -sum(map(mul, exp, alg.weights)), tuple(-e for e in exp)))
-        return _expr.signed_sum(term(exp, terms[exp]) for exp in order)
+            mono = "*".join([f"X{k}^{e}" if e > 1 else f"X{k}"
+                             for k, e in enumerate(exp, 1) if e])
+            terms.append((sign, coeff if not mono else mono if coeff == "1"
+                          else f"{coeff}*{mono}"))
+        return _expr.signed_sum(terms)
 
     __str__ = render
 

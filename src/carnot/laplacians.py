@@ -19,11 +19,9 @@ Each Laplacian is built once per complex and kept in the complex's memo
 by (family, h); the family and degree are checked on every call, cached or
 not.  The block powers go to the same memo and the families share them.
 A block P = outer @ inner passes through E0^mid, mid = h + 1 for delta d
-and h - 1 for d delta; when E0^mid is smaller than E0^h, P^p is (outer @
-Q) @ inner with Q = (inner @ outer)^(p-1), a power of the other block at
-degree mid (on Cartan ddl(1)^6 = d_0 dd(0)^5 delta_1, dd(0)^5 built for
-degree 0), and otherwise P^(p-1) @ P.  So a Laplacian at degree h reads
-the powers of degrees h - 1, h and h + 1 only, and building it drops the
+and h - 1 for d delta, and P^p is (P^(p-1) @ outer) @ inner: each product
+has a thin right factor, d_c or delta_c, not a square power.  A Laplacian
+at degree h reads the powers of degree h only, and building it drops the
 others: keeping them would raise the peak memory for no reuse.
 """
 
@@ -109,9 +107,9 @@ def _cached_build(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
 
 
 def _build(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
-    # the recipe reads block powers at the degrees h - 1, h and h + 1 only
+    # the recipe reads block powers of degree h only
     powers = cx.memo[_block_power.__qualname__]
-    for key in [key for key in powers if abs(key[0] - h) > 1]:
+    for key in [key for key in powers if key[0] != h]:
         del powers[key]
     terms = [_block(cx, h, kind, k) if k else _block_power(cx, h, kind, p)
              for kind, p, k in recipe(homogeneous_dc_orders(cx), family, h)]
@@ -120,17 +118,12 @@ def _build(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
 
 @cached
 def _block_power(cx: RuminComplex, h: int, kind: str, p: int):
-    """P^p for the block P of that kind at degree h, through the smaller
-    neighbour degree when there is one (module docstring).  That step moves
-    to a strictly smaller space, so the recursion ends."""
+    """P^p = (P^(p-1) @ outer) @ inner for the block P = outer @ inner of
+    that kind at degree h: every product has a thin right factor."""
     if p == 1:
         return _block(cx, h, kind)
-    outer, inner, mid = _factors(cx, h, kind)
-    dims = cx.dims()
-    if dims[mid] < dims[h]:
-        other = "ddl" if kind == "dd" else "dd"
-        return (outer @ _block_power(cx, mid, other, p - 1)) @ inner
-    return _block_power(cx, h, kind, p - 1) @ _block_power(cx, h, kind, 1)
+    outer, inner, _ = _factors(cx, h, kind)
+    return (_block_power(cx, h, kind, p - 1) @ outer) @ inner
 
 
 def _factors(cx: RuminComplex, h: int, kind: str) -> tuple:
@@ -169,18 +162,21 @@ def order_table(cx: RuminComplex, family: str):
 
 
 def verify_self_adjoint(m: OperatorMatrix) -> dict:
-    """Formal-adjoint transpose equals the matrix entrywise after PBW."""
+    """Formal-adjoint transpose equals the matrix entrywise after PBW.
+
+    The formal adjoint is an involution, so entry (i, j) fails exactly when
+    (j, i) does: only the upper triangle is compared.
+    """
     rows, cols = m.shape
     if rows != cols:
         return {"applicable": False,
                 "reason": f"matrix is {rows}x{cols}, not square"}
-    adj = m.transpose_adjoint()
-    ok = adj == m
-    out = {"applicable": True, "self_adjoint": ok}
-    if not ok:
-        out["bad_entries"] = [
-            (i, j) for i in range(rows) for j in range(cols)
-            if m.entries[i][j] != adj.entries[i][j]]
+    e = m.entries
+    bad = {(a, b) for i in range(rows) for j in range(i, rows)
+           if e[i][j].formal_adjoint() != e[j][i] for a, b in ((i, j), (j, i))}
+    out = {"applicable": True, "self_adjoint": not bad}
+    if bad:
+        out["bad_entries"] = sorted(bad)
     return out
 
 

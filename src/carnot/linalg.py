@@ -5,20 +5,25 @@ nonzero entries, so the work grows with the nonzeros, not with the block
 size: a d0 weight block has up to a hundred or more columns and about two
 nonzeros per row.  Rows do not show how many columns a matrix has, so
 ``nullspace``, ``pseudoinverse`` and ``transpose`` take ``ncols``.  The
-entries are Scalars (``Scalar.inverse`` also runs ``_rref`` on Fractions);
-``solve`` takes ``{key: value}`` columns and target over any keys.  Every
-result is unique (the reduced row-echelon form, the canonical nullspace,
-Gram-Schmidt of an ordered input, the Moore-Penrose inverse) and scalars
-are canonical, so the elimination order does not show in the output.
+entries are ints/Fractions for rational blocks, Scalars otherwise; a
+rational is an ``int`` when integral, and a reciprocal is a ``Fraction``
+(``1 / int`` would be a float).  ``solve`` takes ``{key: value}`` columns
+and target over any keys.  Every result is unique (the reduced row-echelon
+form, the canonical nullspace, Gram-Schmidt of an ordered input, the
+Moore-Penrose inverse) and values are canonical, so the elimination order
+does not show in the output.
 The one square inverse, ``_inverse``, is private: it forms the two middle
 factors of ``pseudoinverse``.
 
 ``mat_mul`` alone works on lists of lists: it is the independent dense
 check of the pseudoinverse identities, and the benchmark's tracer
 (``perfbench/tracer.py``) counts its products by indexing dense operands.
+Its zero is ``0``, which a zero Scalar equals.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def transpose(rows, ncols: int):
@@ -31,8 +36,7 @@ def transpose(rows, ncols: int):
 
 def mat_mul(field, a, b):
     """Dense row-by-row product that skips zero entries of both factors."""
-    z = field.zero()
-    out = [[z] * (len(b[0]) if b else 0) for _ in a]
+    out = [[0] * (len(b[0]) if b else 0) for _ in a]
     for row, out_row in zip(a, out):
         for t, x in enumerate(row):
             if x:
@@ -44,13 +48,18 @@ def mat_mul(field, a, b):
 
 # -- kernels -----------------------------------------------------------------
 
+def _canon(x):
+    """x, with an integral Fraction as its int."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 def _add_into(row, f, other):
     """row += f * other, in place, dropping entries that cancel."""
     for j, y in other.items():
         s = row.get(j)
         s = f * y if s is None else s + f * y
         if s:
-            row[j] = s
+            row[j] = _canon(s)
         else:
             del row[j]
 
@@ -88,8 +97,11 @@ def _rref(rows):
         if not row:
             continue
         c = min(row)
-        inv = 1 / row[c]
-        row = {j: x * inv for j, x in row.items()}
+        x = row[c]
+        if x != 1:
+            inv = (_canon(Fraction(1, x)) if isinstance(x, (int, Fraction))
+                   else x.inverse())
+            row = {j: _canon(y * inv) for j, y in row.items()}
         for other in piv.values():
             f = other.get(c)
             if f is not None:
@@ -99,9 +111,8 @@ def _rref(rows):
     return [piv[c] for c in pivots], pivots
 
 
-def _inverse(field, rows, n):
-    one = field.one()
-    aug, pivots = _rref([{**row, n + i: one} for i, row in enumerate(rows)])
+def _inverse(rows, n):
+    aug, pivots = _rref([{**row, n + i: 1} for i, row in enumerate(rows)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [{j - n: x for j, x in row.items() if j >= n} for row in aug]
@@ -126,7 +137,7 @@ def nullspace(field, rows, ncols: int):
     """Canonical RREF nullspace basis (free variable set to 1)."""
     red, pivots = _rref(rows)
     pivot_set = set(pivots)
-    basis = {free: {free: field.one()} for free in range(ncols)
+    basis = {free: {free: 1} for free in range(ncols)
              if free not in pivot_set}
     for row, c in zip(red, pivots):
         for j, x in row.items():
@@ -170,8 +181,7 @@ def pseudoinverse(field, rows, ncols: int):
     columns = transpose(rows, ncols)
     ct = [columns[p] for p in pivots]  # r x m
     ft, c = transpose(f, ncols), transpose(ct, len(rows))
-    middle = _mul(_inverse(field, _mul(f, ft), r),
-                  _inverse(field, _mul(ct, c), r))
+    middle = _mul(_inverse(_mul(f, ft), r), _inverse(_mul(ct, c), r))
     return _mul(ft, _mul(middle, ct))
 
 

@@ -5,7 +5,10 @@ exactly, one weight block at a time, as the nullspace of d0 stacked on the
 transpose of the incoming d0, followed by Gram-Schmidt orthonormalization in
 the scalar tower.  Basis elements are ordered by increasing weight and, inside
 a weight block, by the canonical reduced-row-echelon nullspace order, so the
-construction is deterministic.  ``dims`` needs no basis: it is read off the
+construction is deterministic.  A d0 block holds rational structure
+constants as ints and Fractions (an irrational one stays a Scalar), so its
+rank, nullspace and pseudoinverse run in Q: the first Scalar appears at the
+square roots of Gram-Schmidt.  ``dims`` needs no basis: it is read off the
 ranks of the d0 blocks, each computed once.  On the Cartan group these
 bases are the published ones, so the matrices are the listed ones with no
 change of basis.  Every constant scalar matrix (a d0 block and its
@@ -38,8 +41,8 @@ Every derived object lives in one dict, ``RuminComplex.memo``, filled by the
 ``cached`` decorator, which :mod:`carnot.laplacians` uses too.  Each degree
 keeps its weight blocks, d0 blocks with their ranks and pseudoinverses, E0,
 d0^{-1}, lift, d_c, star and delta_c; the Laplacian block powers are large
-and a Laplacian reads those of its degree and the two next to it, so only
-those three degrees of the Laplacian built last keep them.
+and a Laplacian reads those of its own degree only, so only the degree of
+the Laplacian built last keeps them.
 """
 
 from __future__ import annotations
@@ -241,7 +244,8 @@ class RuminComplex:
     def d0_matrix_block(self, h: int, weight: int):
         """Sparse rows of d0 on the weight block of degree h, plus its bases.
 
-        Callers must not modify the rows.
+        A rational structure constant is stored as an int or a Fraction, an
+        irrational one as its Scalar.  Callers must not modify the rows.
         """
         alg = self.algebra
         dom = self._weight_blocks(h).get(weight, [])
@@ -250,7 +254,7 @@ class RuminComplex:
         rows = [{} for _ in cod]
         for c, j in enumerate(dom):
             for out_j, x in d0_covector(alg, j).items():
-                rows[pos[out_j]][c] = x
+                rows[pos[out_j]][c] = x.terms[0] if x.is_rational() else x
         return rows, dom, cod
 
     def d0_blocks(self, h: int) -> dict:

@@ -274,8 +274,11 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if not self.terms:
             raise ZeroDivisionError("scalar division by zero")
-        if self.is_rational():
-            return Scalar(self.field, {0: _q(Fraction(1) / self.terms[0])})
+        if len(self.terms) == 1:
+            # 1 / (c * sqrt(r)) = sqrt(r) / (c * r), r the mask's product
+            (m, c), = self.terms.items()
+            return Scalar(self.field, {m: _q(Fraction(1, c * _mask_product(
+                self.field.radicands, m)))})
         # Solve x * y = 1 in the subfield generated by the masks of x.
         union = 0
         for m in self.terms:
@@ -295,9 +298,9 @@ class Scalar:
         rows = [{} for _ in basis]
         for j, bj in enumerate(basis):
             for m1, c1 in self.terms.items():
-                rows[index[m1 ^ bj]][j] = Fraction(c1 * _mask_product(
-                    self.field.radicands, m1 & bj))
-        rows[index[0]][n] = Fraction(1)
+                rows[index[m1 ^ bj]][j] = c1 * _mask_product(
+                    self.field.radicands, m1 & bj)
+        rows[index[0]][n] = 1
         aug, _ = _rref(rows)
         terms = {basis[j]: _q(row[n]) for j, row in enumerate(aug) if n in row}
         return Scalar(self.field, terms)

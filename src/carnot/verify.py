@@ -50,16 +50,15 @@ def golden_form(alg, spec, degree):
     return Form(alg, degree, terms)
 
 
-def _as_lists(field, rows, ncols: int) -> list:
-    """Sparse rows as dense lists, for the listings and ``mat_mul``."""
-    z = field.zero()
-    return [[row.get(j, z) for j in range(ncols)] for row in rows]
+def _as_lists(rows, ncols: int) -> list:
+    """Sparse rows as dense lists with 0s, for the listings and mat_mul."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
 
 
 def star_listing(cx: RuminComplex, h: int) -> list:
     """The star matrix of degree h as dense rows of rationals, as listed."""
-    return [[c.as_rational() for c in row] for row in _as_lists(
-        cx.algebra.field, cx.star_matrix(h), len(cx.E0(h)))]
+    return [[c.as_rational() if c else 0 for c in row]
+            for row in _as_lists(cx.star_matrix(h), len(cx.E0(h)))]
 
 
 def golden_matrix(alg, rows) -> OperatorMatrix:
@@ -155,8 +154,8 @@ def verify_group(cx: RuminComplex, report: Report, seed: int = 0):
     f = alg.field
     for h in range(n):
         for w, (b_rows, dom, cod) in cx.d0_blocks(h).items():
-            b = _as_lists(f, b_rows, len(dom))
-            p = _as_lists(f, cx.d0_pinv_block(h, w), len(cod))
+            b = _as_lists(b_rows, len(dom))
+            p = _as_lists(cx.d0_pinv_block(h, w), len(cod))
             bp = linalg.mat_mul(f, b, p)
             pb = linalg.mat_mul(f, p, b)
             checks = (

@@ -11,7 +11,7 @@ from carnot.laplacians import (FAMILIES, UnsupportedGroup, a_delta, hodge_conjug
                                recipe, star_duality_sign, target_order,
                                verify_homogeneous_order, verify_self_adjoint)
 from carnot.liealg import StratifiedLieAlgebra, cartan_group, free_nilpotent
-from carnot.rumin import RuminComplex
+from carnot.rumin import OperatorMatrix, RuminComplex
 
 # the orders of the three families on the Cartan group, as published
 EXPECTED_ORDERS = {
@@ -181,18 +181,15 @@ def test_heisenberg_R_is_rumin_laplacian(m):
 @pytest.mark.parametrize("make", [cartan_group, lambda: free_nilpotent(2, 2),
                                   lambda: heisenberg(2)],
                          ids=["cartan", "free-2-2", "H2"])
-def test_neighbour_powers_equal_the_chain(make):
+def test_powers_equal_the_chain(make):
     """Every block power a recipe uses equals the chain P^(p-1) @ P
-    entrywise, including those built through a smaller neighbour degree
-    (each group has one)."""
+    entrywise (each group has a power above 1)."""
     cx = RuminComplex(make())
     orders = homogeneous_dc_orders(cx)
-    dims = cx.dims()
     uses = sorted({(h, kind, p) for fam in FAMILIES
                    for h in range(cx.algebra.n + 1)
                    for kind, p, k in recipe(orders, fam, h) if not k})
-    assert any(p > 1 and dims[h + 1 if kind == "dd" else h - 1] < dims[h]
-               for h, kind, p in uses)
+    assert any(p > 1 for _, _, p in uses)
     for h, kind, p in uses:
         block = laplacians._block(cx, h, kind)
         chain = block
@@ -203,6 +200,41 @@ def test_neighbour_powers_equal_the_chain(make):
         for i, row in enumerate(chain.entries):
             for j, want in enumerate(row):
                 assert got.entries[i][j] == want, (h, kind, p, i, j)
+
+
+def _full_self_adjoint(m):
+    """The reference: the whole adjoint transpose against the matrix."""
+    adj = m.transpose_adjoint()
+    bad = [(i, j) for i, row in enumerate(m.entries)
+           for j, e in enumerate(row) if e != adj.entries[i][j]]
+    out = {"applicable": True, "self_adjoint": not bad}
+    if bad:
+        out["bad_entries"] = bad
+    return out
+
+
+def _plus_x1(m, i, j):
+    """A copy of m with X1 added to entry (i, j); X1* = -X1, so the copy
+    fails the check even at a diagonal entry."""
+    entries = [list(row) for row in m.entries]
+    entries[i][j] = entries[i][j] + EnvElement.generator(m.algebra, 1)
+    return OperatorMatrix(m.algebra, entries, cols=m.shape[1])
+
+
+def test_triangle_check_matches_the_full_comparison(laps):
+    """verify_self_adjoint compares one triangle only: it gives the verdict
+    and the bad entries of the whole adjoint transpose, on the Laplacians
+    and on copies with one off-diagonal or one diagonal entry perturbed."""
+    for fam, mats in laps.items():
+        for h, m in enumerate(mats):
+            last = m.shape[0] - 1
+            copies = [m, _plus_x1(m, last, last), _plus_x1(m, 0, 0)]
+            if last:
+                copies += [_plus_x1(m, 0, last), _plus_x1(m, last, 0)]
+            for k, c in enumerate(copies):
+                want = _full_self_adjoint(c)
+                assert want["self_adjoint"] == (k == 0), (fam, h, k)
+                assert verify_self_adjoint(c) == want, (fam, h, k)
 
 
 # -- the per-complex cache -------------------------------------------------
@@ -233,18 +265,17 @@ def test_cached_matrices_match_explicit_recipes():
 
 def test_single_query_builds_one_matrix_and_one_degree():
     """A cold query builds one Laplacian, and the block powers it leaves
-    behind lie in its degree and the neighbours its powers pass through:
-    ddl(1)^6 = d_0 dd(0)^5 delta_1 through the 1-dimensional E0^0, and
-    dd(4)^3 = delta_5 ddl(5)^2 d_4 through E0^5."""
+    behind are those of its degree: G at degree 1 is ddl(1)^6 + dd(1)^2,
+    each power (P^(p-1) @ outer) @ inner, and R at degree 4 drops them."""
     fresh = RuminComplex(cartan_group())
     laplacian(fresh, "G", 1)
     assert set(fresh.memo["_cached_build"]) == {("G", 1)}
     assert set(fresh.memo["_block_power"]) \
-        == {(0, "dd", p) for p in range(1, 6)} \
-        | {(1, "ddl", 6), (1, "dd", 1), (1, "dd", 2)}
+        == {(1, "ddl", p) for p in range(1, 7)} \
+        | {(1, "dd", 1), (1, "dd", 2)}
     laplacian(fresh, "R", 4)
     assert set(fresh.memo["_block_power"]) == {
-        (4, "ddl", 1), (4, "dd", 3), (5, "ddl", 1), (5, "ddl", 2)}
+        (4, "ddl", 1), (4, "dd", 1), (4, "dd", 2), (4, "dd", 3)}
 
 
 def test_verify_builds_each_laplacian_once(monkeypatch):

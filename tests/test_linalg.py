@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnot import linalg
-from carnot.scalars import ScalarField
+from carnot.scalars import Scalar, ScalarField
 
 
 def _mat(field, rows):
@@ -270,8 +270,14 @@ def _materialize(field, spec):
             for row in spec]
 
 
+def _exact(x):
+    """The {mask: coeff} terms of a result value: a Scalar, or the int or
+    Fraction that linalg returns for a rational one."""
+    return x.terms if isinstance(x, Scalar) else {0: x} if x else {}
+
+
 def _terms(rows):
-    return [[x.terms for x in row] for row in rows]
+    return [[_exact(x) for x in row] for row in rows]
 
 
 def _outcome(fn):
@@ -318,8 +324,8 @@ def test_sparse_solve_matches_dense_reference(kind, data):
     got = linalg.solve(f, keyed[:-1], keyed[-1])
     want = _ref_solve(g, [row[:-1] for row in b], [row[-1] for row in b]) \
         if n > 1 else (None if any(row[-1] for row in b) else [])
-    assert (got if got is None else [x.terms for x in got]) \
-        == (want if want is None else [x.terms for x in want])
+    assert (got if got is None else [_exact(x) for x in got]) \
+        == (want if want is None else [_exact(x) for x in want])
 
 
 @pytest.mark.parametrize("kind", ["integer", "fraction"])
@@ -334,7 +340,8 @@ def test_rational_routines_match_sympy(kind, data):
                        for x, _ in row] for row in spec])
 
     def rational(rows):
-        return [[x.as_rational() for x in row] for row in rows]
+        return [[x.as_rational() if isinstance(x, Scalar) else Fraction(x)
+                 for x in row] for row in rows]
 
     def from_sympy(rows):
         return [[Fraction(int(x.p), int(x.q)) for x in row] for row in rows]
@@ -345,3 +352,12 @@ def test_rational_routines_match_sympy(kind, data):
         from_sympy([list(v) for v in s.nullspace()])
     assert rational(_dense(f, linalg.pseudoinverse(f, rows, n), len(a))) == \
         from_sympy(s.pinv().tolist())
+    # the same matrix as raw ints and Fractions: canonical results, equal
+    raw = _sparse([[x.numerator if x.denominator == 1 else x for x, _ in row]
+                   for row in spec])
+    assert linalg.rank(f, raw) == s.rank()
+    for routine in (linalg.nullspace, linalg.pseudoinverse):
+        got = routine(f, raw, n)
+        assert all(type(x) is int or type(x) is Fraction and x.denominator != 1
+                   for row in got for x in row.values())
+        assert got == routine(f, rows, n)

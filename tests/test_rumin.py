@@ -1,8 +1,10 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
+from carnot import linalg
 from carnot.env import EnvElement
 from carnot.estimates import HorizontalTensor
 from carnot.exterior import Form, OperatorForm
@@ -340,3 +342,30 @@ def test_E0_bases_digest(name, make):
                       for h in range(cx.algebra.n + 1)]}
     text = json.dumps(listing, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == E0_DIGESTS[name]
+
+
+@pytest.mark.parametrize("make", [cartan_group, lambda: free_nilpotent(3, 2),
+                                  lambda: free_nilpotent(2, 4),
+                                  lambda: free_nilpotent(4, 2)],
+                         ids=["cartan", "free-3-2", "free-2-4", "free-4-2"])
+def test_d0_algebra_runs_in_Q(make):
+    """The d0 blocks, their nullspaces and pseudoinverses hold canonical
+    ints and Fractions, no Scalar and no float, and equal the results on
+    the same blocks passed in as Scalars."""
+    alg = make()
+    f = alg.field
+    cx = RuminComplex(alg)
+
+    def canonical(rows):
+        return all(type(x) is int or type(x) is Fraction and x.denominator != 1
+                   for row in rows for x in row.values())
+
+    for h in range(alg.n):
+        for rows, dom, _ in cx.d0_blocks(h).values():
+            scalars = [{j: f(x) for j, x in row.items()} for row in rows]
+            assert canonical(rows)
+            assert linalg.rank(f, rows) == linalg.rank(f, scalars)
+            for routine in (linalg.nullspace, linalg.pseudoinverse):
+                got = routine(f, rows, len(dom))
+                assert canonical(got)
+                assert got == routine(f, scalars, len(dom))

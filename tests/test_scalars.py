@@ -184,6 +184,35 @@ def test_int_and_fraction_paths_agree(coeffs):
     assert f(q).as_rational() == q
 
 
+# Q(sqrt(2), sqrt(3), sqrt(5)): mask m is the product of the square roots of
+# the radicands whose bits are set in m
+THREE = (2, 3, 5)
+one_term = st.tuples(st.integers(0, 7), rationals.filter(bool)).map(
+    lambda t: [t[1] if m == t[0] else 0 for m in range(8)])
+several_terms = st.lists(st.one_of(st.just(Fraction(0)), rationals),
+                         min_size=8, max_size=8).filter(
+    lambda cs: sum(map(bool, cs)) > 1)
+
+
+@pytest.mark.parametrize("terms", [one_term, several_terms],
+                         ids=["one-term", "several-terms"])
+@PROPERTY
+@given(data=st.data())
+def test_inverse_times_itself_is_one(terms, data):
+    f = ScalarField(THREE)
+    x = f.zero()
+    for m, c in enumerate(data.draw(terms)):
+        b = f.one()
+        for i, r in enumerate(THREE):
+            if m >> i & 1:
+                b = b * f.sqrt(r)
+        x = x + f(c) * b
+    inv = x.inverse()
+    assert x * inv == 1 and inv * x == 1
+    assert_canonical(inv)
+    assert f.radicands == list(THREE)
+
+
 def test_canonical_coefficients_and_rational_inverse():
     f = ScalarField()
     assert f(3).inverse().terms == {0: Fraction(1, 3)}

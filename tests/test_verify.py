@@ -209,8 +209,7 @@ def test_verify_derives_each_lift_once(monkeypatch):
 
 def test_caches_live_in_the_memo():
     """Every derived object is kept in cx.memo: the lifts for every degree,
-    the block powers for the last Laplacian's degree and its neighbours;
-    d(lift) is not kept."""
+    the block powers for the last Laplacian's degree; d(lift) is not kept."""
     fresh = RuminComplex(cartan_group())
     report = Report()
     verify_group(fresh, report)
@@ -222,7 +221,7 @@ def test_caches_live_in_the_memo():
     assert "RuminComplex.d_lift" not in memo
     # verify builds the table up to degree 5 and then the star duality,
     # which asks for no new Laplacian
-    assert {h for h, _, _ in memo["_block_power"]} == {4, 5}
+    assert {h for h, _, _ in memo["_block_power"]} == {5}
     assert len(memo["_cached_build"]) == 18
 
 
