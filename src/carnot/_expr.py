@@ -9,6 +9,9 @@ Grammar (whitespace-insensitive, '*' optional, '^' for powers):
 
 The caller supplies an adapter that lifts numbers, square roots and named
 variables into one value type carrying +, -, * and / (division by scalars).
+A scalar expression computes on exact values (:mod:`carnot.scalars`),
+where two ints can meet in a quotient, so a rational divisor is inverted
+by ``linalg.reciprocal``: ``int / int`` would be a float.
 ``signed`` and ``signed_sum`` write the other way: every renderer splits its
 coefficients into sign and text and joins its terms with " + " / " - ".
 """
@@ -17,6 +20,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+
+from .linalg import reciprocal
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_]*\d*)|([()+\-*/^]))")
 
@@ -85,7 +90,12 @@ class _Parser:
             if kind in ("*", "/"):
                 op = self.next()[0]
                 rhs = self.factor()
-                value = value * rhs if op == "*" else value / rhs
+                if op == "*":
+                    value = value * rhs
+                elif isinstance(rhs, (int, Fraction)):
+                    value = value * reciprocal(rhs)
+                else:
+                    value = value / rhs
             elif kind in ("num", "name", "("):
                 value = value * self.factor()
             else:
@@ -99,7 +109,7 @@ class _Parser:
         if self.peek()[0] == "^":
             self.next()
             exp = int(self.expect("num")[1])
-            out = self.adapter.one()
+            out = self.adapter.number(Fraction(1))
             for _ in range(exp):
                 out = out * value
             return out
@@ -150,10 +160,7 @@ class _ScalarAdapter:
         self.field = field
 
     def number(self, q):
-        return self.field.from_rational(q)
-
-    def one(self):
-        return self.field.one()
+        return self.field(q)
 
     def sqrt(self, n):
         return self.field.sqrt(n)
@@ -163,4 +170,5 @@ class _ScalarAdapter:
 
 
 def parse_scalar(field, text):
-    return parse(text, _ScalarAdapter(field))
+    """The value of a scalar expression, in its one form."""
+    return field(parse(text, _ScalarAdapter(field)))

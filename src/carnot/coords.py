@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import _expr
 from .env import EnvElement, word_of
+from .linalg import canonical, reciprocal
 from .scalars import Scalar
 
 
@@ -29,7 +30,8 @@ class NoRealization(ValueError):
 
 
 class Polynomial:
-    """Commutative polynomial in x1..xn with Scalar coefficients."""
+    """Commutative polynomial in x1..xn with exact coefficients: ints,
+    Fractions or Scalars, each in its one form."""
 
     __slots__ = ("field", "nvars", "terms")
 
@@ -51,7 +53,7 @@ class Polynomial:
     def variable(cls, field, nvars, i: int):
         exp = [0] * nvars
         exp[i - 1] = 1
-        return cls(field, nvars, {tuple(exp): field.one()})
+        return cls(field, nvars, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, field, nvars, exp, coeff=1):
@@ -64,7 +66,7 @@ class Polynomial:
             s = terms.get(e)
             s = c if s is None else s + c
             if s:
-                terms[e] = s
+                terms[e] = canonical(s)
             else:
                 terms.pop(e, None)
         return Polynomial(self.field, self.nvars, terms)
@@ -81,7 +83,7 @@ class Polynomial:
         if not c:
             return Polynomial.zero(self.field, self.nvars)
         return Polynomial(self.field, self.nvars,
-                          {e: c * v for e, v in self.terms.items()})
+                          {e: canonical(c * v) for e, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -94,7 +96,7 @@ class Polynomial:
                 s = out.get(e)
                 s = c if s is None else s + c
                 if s:
-                    out[e] = s
+                    out[e] = canonical(s)
                 else:
                     out.pop(e, None)
         return Polynomial(self.field, self.nvars, out)
@@ -104,11 +106,11 @@ class Polynomial:
     def __truediv__(self, other):
         if isinstance(other, Polynomial):
             other = other.as_scalar()
-        return self.scale(self.field(other).inverse())
+        return self.scale(reciprocal(other))
 
     def as_scalar(self):
         if not self.terms:
-            return self.field.zero()
+            return 0
         unit = (0,) * self.nvars
         if set(self.terms) != {unit}:
             raise ValueError("polynomial is not constant")
@@ -121,7 +123,7 @@ class Polynomial:
             if k:
                 ne = list(e)
                 ne[i - 1] = k - 1
-                out[tuple(ne)] = c * k
+                out[tuple(ne)] = canonical(c * k)
         return Polynomial(self.field, self.nvars, out)
 
     def degree(self) -> int:
@@ -166,9 +168,6 @@ class _PolyAdapter:
 
     def number(self, q):
         return Polynomial.constant(self.field, self.nvars, q)
-
-    def one(self):
-        return Polynomial.constant(self.field, self.nvars, 1)
 
     def sqrt(self, n):
         return Polynomial.constant(self.field, self.nvars, self.field.sqrt(n))

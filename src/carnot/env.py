@@ -26,13 +26,15 @@ scalars, not the algebra, is what costs time in products of order up to 12.
   concatenation branches of ``_fold`` and ``_product``), before it can
   carry into the next byte.
 * **The boundary.**  Only the read-only ``EnvElement.terms`` view,
-  ``{exponent tuple: Scalar}``, built on each call and never stored,
-  decodes keys into Scalars; ``as_scalar``, the coordinate realization and
-  the linear systems of the estimates read it.  ``homogeneity`` reads the
-  weights off the codes.  ``render`` sorts the codes once, by weight and
-  then exponent bytes, both descending, and formats each coefficient from
-  its ``{mask: coeff}`` terms and each monomial in one join: neither
-  builds a Scalar, but for a coefficient of several tower terms.
+  ``{exponent tuple: value}``, built on each call and never stored,
+  decodes keys into values: an ``int``, a ``Fraction`` or, for a
+  coefficient with a nonzero mask, a Scalar; ``as_scalar``, the coordinate
+  realization and the linear systems of the estimates read it.
+  ``homogeneity`` reads the weights off the codes.  ``render`` sorts the
+  codes once, by weight and then exponent bytes, both descending, and
+  formats each coefficient from its ``{mask: coeff}`` terms and each
+  monomial in one join: neither builds a Scalar, but for a coefficient of
+  several tower terms.
 * **Collection by one generator.**  ``_fold(alg, acc, word)`` multiplies a
   flat map by the generators of a word one at a time.  A term whose last
   generator comes at or before X_j times X_j is a concatenation; otherwise
@@ -87,6 +89,7 @@ from operator import mul
 
 from . import _expr
 from .liealg import ResourceLimit, StratifiedLieAlgebra
+from .linalg import reciprocal
 from .scalars import Scalar, _mask_product, _q, signed_term
 
 # the largest exponent a packed code holds: one byte per generator
@@ -150,10 +153,9 @@ def word_of(exp: tuple) -> tuple:
 
 
 def _raw(alg: StratifiedLieAlgebra, c) -> dict:
-    """The {mask: coeff} terms of an int, a Fraction or a Scalar."""
-    if isinstance(c, (int, Fraction)):
-        return {0: _q(c)} if c else {}
-    return alg.field(c).terms
+    """The {mask: coeff} terms of a value."""
+    c = alg.field(c)
+    return c.terms if type(c) is Scalar else {0: c} if c else {}
 
 
 def _times(v, q):
@@ -278,7 +280,7 @@ def _product(alg: StratifiedLieAlgebra, a: int, b: int) -> dict:
         acc = _fold(alg, _product(alg, rest, b), (last + 1,))
         for l, c in alg.brackets.get((first + 1, last + 1), {}).items():
             sub = _product(alg, rest, 1 << 8 * (l - 1))
-            for m, v in c.terms.items():
+            for m, v in _raw(alg, c).items():
                 _add_into(rad, acc, sub, -v, m)
         prod = _stored(acc)
     else:
@@ -346,11 +348,12 @@ def collect(alg: StratifiedLieAlgebra, acc: dict, d=1) -> "EnvElement":
 
 
 def common_denominator(items) -> int:
-    """The lcm of the coefficient denominators of EnvElements or Scalars."""
+    """The lcm of the coefficient denominators of EnvElements or values."""
     d = 1
     for x in items:
-        coeffs = x._packed if type(x) is EnvElement else x.terms
-        for c in coeffs.values():
+        coeffs = (x._packed.values() if type(x) is EnvElement
+                  else x.terms.values() if type(x) is Scalar else (x,))
+        for c in coeffs:
             if type(c) is not int:
                 d = lcm(d, c.denominator)
     return d
@@ -463,16 +466,15 @@ class EnvElement:
 
     def scale(self, coeff) -> "EnvElement":
         alg = self.algebra
-        c = _raw(alg, coeff)
-        q = c.get(0) if len(c) == 1 else None
-        if q == 1:
+        c = alg.field(coeff)
+        if c == 1:
             return self
-        if q is not None:
+        if c and type(c) is not Scalar:
             # a rational factor scales each coefficient; no term vanishes
-            return EnvElement(alg, {k: _times(v, q)
+            return EnvElement(alg, {k: _times(v, c)
                                     for k, v in self._packed.items()})
         acc: dict = {}
-        for m, v in c.items():      # zero or irrational
+        for m, v in _raw(alg, c).items():      # zero or irrational
             _add_into(alg.field.radicands, acc, self._packed, v, m)
         return collect(alg, acc)
 
@@ -494,7 +496,7 @@ class EnvElement:
     def __truediv__(self, other):
         if isinstance(other, EnvElement):
             other = other.as_scalar()
-        return self.scale(self.algebra.field(other).inverse())
+        return self.scale(reciprocal(other))
 
     def __eq__(self, other):
         if not isinstance(other, EnvElement):
@@ -512,7 +514,7 @@ class EnvElement:
 
     @property
     def terms(self) -> dict:
-        """{exponent tuple: Scalar}, decoded from the packed map on each
+        """{exponent tuple: value}, decoded from the packed map on each
         call and never stored: the view for readers outside the kernel."""
         field = self.algebra.field
         mb = field.max_radicands
@@ -520,20 +522,23 @@ class EnvElement:
         out: dict = {}
         for key, v in self._packed.items():
             exp = _unpack(key >> mb, self.algebra.n)
+            m = key & low
             s = out.get(exp)
             if s is None:
-                out[exp] = Scalar(field, {key & low: v})
+                out[exp] = Scalar(field, {m: v}) if m else v
+            elif type(s) is Scalar:
+                s.terms[m] = v      # a Scalar still under construction
             else:
-                s.terms[key & low] = v      # a Scalar still under construction
+                out[exp] = Scalar(field, {0: s, m: v})
         return out
 
-    def as_scalar(self) -> Scalar:
+    def as_scalar(self):
         """The coefficient of the unit monomial, if the element is scalar."""
         terms = self.terms
         unit = (0,) * self.algebra.n
         if set(terms) - {unit}:
             raise ValueError("operator is not a scalar multiple of the unit")
-        return terms.get(unit, self.algebra.field.zero())
+        return terms.get(unit, 0)
 
     # -- grading ----------------------------------------------------------
 
@@ -609,9 +614,6 @@ class _EnvAdapter:
 
     def number(self, q):
         return EnvElement.monomial(self.alg, (0,) * self.alg.n, q)
-
-    def one(self):
-        return EnvElement.one(self.alg)
 
     def sqrt(self, n):
         return EnvElement.monomial(self.alg, (0,) * self.alg.n,

@@ -346,7 +346,7 @@ class HorizontalTensor:
         for idx, per_slot in components.items():
             row = [zero] * slots
             for slot, c in per_slot.items():
-                row[slot] = unit.scale(alg.field(c))
+                row[slot] = unit.scale(c)
             entries[idx] = row
         return cls(alg, order, slots, entries)
 
@@ -453,7 +453,7 @@ def check_row_membership(row, dcm: OperatorMatrix):
 
     columns = [flat(EnvElement.monomial(alg, exp) * u for u in dcm.entries[i])
                for i, exp in unknowns]
-    sol = linalg.solve(alg.field, columns, flat(row))
+    sol = linalg.solve(columns, flat(row))
     if sol is None:
         return None
     cert = [EnvElement.zero(alg) for _ in range(nrows)]
@@ -477,7 +477,7 @@ def solve_divergence_tensor(alg, target_row, order: int,
     slots = len(target_row)
     components: dict = {}
     for j, target in enumerate(target_row):
-        sol = linalg.solve(alg.field, columns, target.terms)
+        sol = linalg.solve(columns, target.terms)
         if sol is None:
             return None
         for col, idx in enumerate(indices):

@@ -22,7 +22,7 @@ the l-th layer, raising the weight by l.
 given: ``d0``, ``d_layer`` and ``d_full`` give it every covector, and the
 Rumin layer only those it reads.  The OperatorForm builders (``d_terms``,
 ``pair_multivectors`` and ``CovectorMap.apply_into``) hand
-EnvElements and Scalars to the accumulators of :mod:`carnot.env`, one per
+EnvElements and exact values to the accumulators of :mod:`carnot.env`, one per
 output key (``add_into``, ``mul_into``), and ``terms_of`` collects each
 output operator once: summing EnvElements term by term would copy the
 partial sum for every term.  ``d_terms`` and ``pair_multivectors`` also
@@ -38,7 +38,7 @@ from . import _expr
 from .env import (EnvElement, add_into, collect, common_denominator,
                   mul_into)
 from .liealg import StratifiedLieAlgebra
-from .scalars import Scalar
+from .linalg import canonical
 
 
 def covectors(alg, h: int):
@@ -92,23 +92,24 @@ def _dtheta(alg: StratifiedLieAlgebra):
         table = [dict() for _ in range(alg.n + 1)]
         for (i, j), vec in alg.brackets.items():
             for k, c in vec.items():
-                table[k][(i, j)] = table[k].get((i, j), alg.field.zero()) - c
+                table[k][(i, j)] = table[k].get((i, j), 0) - c
         alg._dtheta_cache = table
     return alg._dtheta_cache
 
 
 def accumulate(terms: dict, key, value):
-    """terms[key] += value, dropping the key when the sum is zero."""
+    """terms[key] += value, dropping the key when the sum is zero; a
+    rational sum is kept in its one form."""
     s = terms.get(key)
     s = value if s is None else s + value
     if s:
-        terms[key] = s
+        terms[key] = canonical(s)
     else:
         terms.pop(key, None)
 
 
 def d0_covector(alg, j: tuple) -> dict:
-    """d0(theta_J) as {covector: Scalar}, by the graded Leibniz rule."""
+    """d0(theta_J) as {covector: value}, by the graded Leibniz rule."""
     table = _dtheta(alg)
     out: dict = {}
     for t, idx in enumerate(j):
@@ -123,14 +124,14 @@ def d0_covector(alg, j: tuple) -> dict:
 
 
 class Form:
-    """Constant-coefficient form; terms map covector tuples to Scalars."""
+    """Constant-coefficient form; terms map covector tuples to values."""
 
     __slots__ = ("algebra", "degree", "terms")
 
     def __init__(self, algebra, degree: int, terms: dict):
         self.algebra = algebra
         self.degree = degree
-        self.terms = {t: c for t, c in terms.items() if c}
+        self.terms = {t: canonical(c) for t, c in terms.items() if c}
 
     @classmethod
     def zero(cls, alg, degree):
@@ -192,13 +193,13 @@ class Form:
                 accumulate(out, merged, c1 * c2 * s)
         return Form(self.algebra, self.degree + other.degree, out)
 
-    def inner(self, other: "Form") -> Scalar:
-        s = self.algebra.field.zero()
+    def inner(self, other: "Form"):
+        s = 0
         for t, c in self.terms.items():
             o = other.terms.get(t)
             if o is not None:
                 s = s + c * o
-        return s
+        return canonical(s)
 
     def star(self) -> "Form":
         alg = self.algebra
@@ -237,7 +238,7 @@ class Form:
             return Form.zero(alg, 0)
         out: dict = {}
         for j in covectors(alg, self.degree - 1):
-            s = alg.field.zero()
+            s = 0
             for merged, coeff in d0_covector(alg, j).items():
                 c = self.terms.get(merged)
                 if c is not None:
@@ -376,7 +377,7 @@ class OperatorForm:
         return self._d(range(self.algebra.kappa + 1))
 
     def pair_multivector(self, mv: dict) -> list:
-        """<form, multivector> per slot; mv maps index tuples to Scalars."""
+        """<form, multivector> per slot; mv maps index tuples to values."""
         return self.pair_multivectors([mv])[0]
 
     def pair_multivectors(self, mvs) -> list:
@@ -440,7 +441,7 @@ class CovectorMap:
         self.algebra = algebra
         self.degree_in = degree_in
         self.degree_out = degree_out
-        self.columns = columns  # {J_in: {J_out: Scalar}}
+        self.columns = columns  # {J_in: {J_out: value}}
 
     def apply_form(self, form: Form) -> Form:
         out: dict = {}
@@ -473,7 +474,7 @@ def d0_map(alg, h: int) -> CovectorMap:
 
 
 def multivector(alg, indices_with_coeffs) -> dict:
-    """Build {sorted tuple: Scalar} from (index sequence, coeff) pairs."""
+    """Build {sorted tuple: value} from (index sequence, coeff) pairs."""
     out: dict = {}
     for seq, coeff in indices_with_coeffs:
         sign, t = sort_sign(seq)

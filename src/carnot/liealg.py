@@ -106,7 +106,7 @@ class StratifiedLieAlgebra:
         return sum(self.weights)
 
     def bracket_basis(self, i: int, j: int) -> dict:
-        """[X_i, X_j] as a sparse {index: Scalar} vector."""
+        """[X_i, X_j] as a sparse {index: value} vector."""
         if i == j:
             return {}
         if i < j:
@@ -125,9 +125,9 @@ class StratifiedLieAlgebra:
             for j, cb in b.items():
                 cb = self.field(cb)
                 for k, c in self.bracket_basis(i, j).items():
-                    s = out.get(k, self.field.zero()) + ca * cb * c
+                    s = out.get(k, 0) + ca * cb * c
                     if s:
-                        out[k] = s
+                        out[k] = linalg.canonical(s)
                     else:
                         out.pop(k, None)
         return out
@@ -145,8 +145,8 @@ class StratifiedLieAlgebra:
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                 inner = self.bracket_basis(a, b)
                 for t, coeff in self.bracket({m: v for m, v in inner.items()},
-                                             {c: self.field.one()}).items():
-                    s = acc.get(t, self.field.zero()) + coeff
+                                             {c: 1}).items():
+                    s = acc.get(t, 0) + coeff
                     if s:
                         acc[t] = s
                     else:
@@ -157,7 +157,7 @@ class StratifiedLieAlgebra:
             # sparse rows whose columns are the layer-(a+1) indices
             rows = [{k: c for k, c in self.bracket_basis(i, j).items() if c}
                     for i in self.layer(1) for j in self.layer(a)]
-            if linalg.rank(self.field, rows) != self.layer_dims[a]:
+            if linalg.rank(rows) != self.layer_dims[a]:
                 raise NotStratified(a + 1)
 
     # -- constructors ------------------------------------------------------
@@ -336,7 +336,6 @@ def free_nilpotent(m1: int, step: int) -> StratifiedLieAlgebra:
     if sum(layer_dims) > MAX_DIM:
         raise ResourceLimit(sum(layer_dims), MAX_DIM)
     trees = _hall_basis(m1, step)
-    field = ScalarField()
 
     # each tree expanded once in the free associative algebra, from the
     # expansions of its subtrees, which come before it in the Hall basis;
@@ -346,12 +345,9 @@ def free_nilpotent(m1: int, step: int) -> StratifiedLieAlgebra:
         words[t.key] = ({(t.gen,): 1} if t.gen is not None else
                         _commutator(words[t.left.key], words[t.right.key]))
 
-    def over_field(vec):
-        return {w: field.from_rational(c) for w, c in vec.items()}
-
     columns: dict = {}   # degree -> its Hall elements, expanded
     for t in trees:
-        columns.setdefault(t.degree, []).append(over_field(words[t.key]))
+        columns.setdefault(t.degree, []).append(words[t.key])
 
     brackets = {}
     for i in range(len(trees)):
@@ -359,8 +355,8 @@ def free_nilpotent(m1: int, step: int) -> StratifiedLieAlgebra:
             d = trees[i].degree + trees[j].degree
             if d > step:
                 continue
-            sol = linalg.solve(field, columns[d], over_field(_commutator(
-                words[trees[i].key], words[trees[j].key])))
+            sol = linalg.solve(columns[d], _commutator(
+                words[trees[i].key], words[trees[j].key]))
             if sol is None:
                 raise LieAlgebraError("hall expansion failed")  # pragma: no cover
             offset = sum(layer_dims[:d - 1]) + 1
@@ -368,7 +364,7 @@ def free_nilpotent(m1: int, step: int) -> StratifiedLieAlgebra:
             if vec:
                 brackets[(i + 1, j + 1)] = vec
 
-    return StratifiedLieAlgebra(layer_dims, brackets, field=field)
+    return StratifiedLieAlgebra(layer_dims, brackets)
 
 
 def load_group(spec: str) -> StratifiedLieAlgebra:

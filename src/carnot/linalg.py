@@ -4,21 +4,24 @@ A matrix is a list of rows, and a row is a ``{column: value}`` dict of its
 nonzero entries, so the work grows with the nonzeros, not with the block
 size: a d0 weight block has up to a hundred or more columns and about two
 nonzeros per row.  Rows do not show how many columns a matrix has, so
-``nullspace``, ``pseudoinverse`` and ``transpose`` take ``ncols``.  The
-entries are ints/Fractions for rational blocks, Scalars otherwise; a
-rational is an ``int`` when integral, and a reciprocal is a ``Fraction``
-(``1 / int`` would be a float).  ``solve`` takes ``{key: value}`` columns
-and target over any keys.  Every result is unique (the reduced row-echelon
-form, the canonical nullspace, Gram-Schmidt of an ordered input, the
-Moore-Penrose inverse) and values are canonical, so the elimination order
-does not show in the output.
+``nullspace``, ``pseudoinverse`` and ``transpose`` take ``ncols``.  An
+entry is an exact value in its one form (:mod:`carnot.scalars`): an
+``int`` when integral, a ``Fraction`` when otherwise rational, a
+``Scalar`` only when irrational.  Plain ``+ - *`` serve every form, but a
+rational result needs ``canonical`` (``Fraction(1, 2) * 2`` is an integral
+``Fraction``) and a quotient needs ``reciprocal`` (``1 / 2`` is a float).
+``solve`` takes ``{key: value}`` columns and target over any keys.  Every
+result is unique (the reduced row-echelon form, the canonical nullspace,
+Gram-Schmidt of an ordered input, the Moore-Penrose inverse) and values
+are canonical, so the elimination order does not show in the output.
 The one square inverse, ``_inverse``, is private: it forms the two middle
 factors of ``pseudoinverse``.
 
 ``mat_mul`` alone works on lists of lists: it is the independent dense
 check of the pseudoinverse identities, and the benchmark's tracer
 (``perfbench/tracer.py``) counts its products by indexing dense operands.
-Its zero is ``0``, which a zero Scalar equals.
+Its zero is ``0``.  Only ``gram_schmidt``, for ``field.sqrt``, and
+``mat_mul``, whose signature the tracer wraps, take a field.
 """
 
 from __future__ import annotations
@@ -32,6 +35,18 @@ def transpose(rows, ncols: int):
         for j, x in row.items():
             out[j][i] = x
     return out
+
+
+def canonical(x):
+    """x in its one form: an integral Fraction as its int, else x itself."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def reciprocal(x):
+    """1 / x as an exact value, never a float."""
+    if isinstance(x, (int, Fraction)):
+        return canonical(Fraction(1, x))
+    return x.inverse()
 
 
 def mat_mul(field, a, b):
@@ -48,18 +63,13 @@ def mat_mul(field, a, b):
 
 # -- kernels -----------------------------------------------------------------
 
-def _canon(x):
-    """x, with an integral Fraction as its int."""
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
-
-
 def _add_into(row, f, other):
     """row += f * other, in place, dropping entries that cancel."""
     for j, y in other.items():
         s = row.get(j)
         s = f * y if s is None else s + f * y
         if s:
-            row[j] = _canon(s)
+            row[j] = canonical(s)
         else:
             del row[j]
 
@@ -99,9 +109,8 @@ def _rref(rows):
         c = min(row)
         x = row[c]
         if x != 1:
-            inv = (_canon(Fraction(1, x)) if isinstance(x, (int, Fraction))
-                   else x.inverse())
-            row = {j: _canon(y * inv) for j, y in row.items()}
+            inv = reciprocal(x)
+            row = {j: canonical(y * inv) for j, y in row.items()}
         for other in piv.values():
             f = other.get(c)
             if f is not None:
@@ -120,7 +129,7 @@ def _inverse(rows, n):
 
 # -- public routines ---------------------------------------------------------
 
-def rref(field, rows):
+def rref(rows):
     """Reduced row-echelon form; returns (rows, pivot_columns).
 
     The zero rows come last, as empty dicts, so the row count is kept.
@@ -129,11 +138,11 @@ def rref(field, rows):
     return red + [{} for _ in range(len(rows) - len(red))], pivots
 
 
-def rank(field, rows):
+def rank(rows):
     return len(_rref(rows)[1])
 
 
-def nullspace(field, rows, ncols: int):
+def nullspace(rows, ncols: int):
     """Canonical RREF nullspace basis (free variable set to 1)."""
     red, pivots = _rref(rows)
     pivot_set = set(pivots)
@@ -146,7 +155,7 @@ def nullspace(field, rows, ncols: int):
     return list(basis.values())
 
 
-def solve(field, columns, target):
+def solve(columns, target):
     """One exact x with sum_c x[c] * columns[c] = target, or None.
 
     The columns and the target are sparse ``{key: value}`` vectors over any
@@ -162,13 +171,13 @@ def solve(field, columns, target):
     red, pivots = _rref(rows.values())
     if n in pivots:
         return None
-    x = [field.zero()] * n
+    x = [0] * n
     for row, c in zip(red, pivots):
         x[c] = row.get(n, x[c])
     return x
 
 
-def pseudoinverse(field, rows, ncols: int):
+def pseudoinverse(rows, ncols: int):
     """Moore-Penrose pseudoinverse, ``ncols`` rows, via A = C F.
 
     A^+ = F^T (F F^T)^-1 (C^T C)^-1 C^T, with C the pivot columns of A and F
@@ -203,8 +212,8 @@ def gram_schmidt(field, vectors):
                 _add_into(w, -c, ortho[k])
         if not w:
             continue
-        inv_norm = field.sqrt(_dot(w, w)).inverse()
+        inv_norm = reciprocal(field.sqrt(_dot(w, w)))
         for j in w:
             by_col.setdefault(j, []).append(len(ortho))
-        ortho.append({j: x * inv_norm for j, x in w.items()})
+        ortho.append({j: canonical(x * inv_norm) for j, x in w.items()})
     return ortho

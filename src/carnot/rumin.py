@@ -5,16 +5,16 @@ exactly, one weight block at a time, as the nullspace of d0 stacked on the
 transpose of the incoming d0, followed by Gram-Schmidt orthonormalization in
 the scalar tower.  Basis elements are ordered by increasing weight and, inside
 a weight block, by the canonical reduced-row-echelon nullspace order, so the
-construction is deterministic.  A d0 block holds rational structure
-constants as ints and Fractions (an irrational one stays a Scalar), so its
-rank, nullspace and pseudoinverse run in Q: the first Scalar appears at the
-square roots of Gram-Schmidt.  ``dims`` needs no basis: it is read off the
-ranks of the d0 blocks, each computed once.  On the Cartan group these
-bases are the published ones, so the matrices are the listed ones with no
-change of basis.  Every constant scalar matrix (a d0 block and its
-pseudoinverse, a star matrix) is a list of sparse ``{column: value}`` rows,
-the one format of :mod:`carnot.linalg`, so it is stored and walked by its
-nonzeros.
+construction is deterministic.  Every exact value is an int or a Fraction
+until it is irrational (:mod:`carnot.scalars`), so a d0 block of rational
+structure constants, its rank, nullspace and pseudoinverse run in Q: the
+first Scalar appears at a square root of Gram-Schmidt that is irrational.
+``dims`` needs no basis: it is read off the ranks of the d0 blocks, each
+computed once.  On the Cartan group these bases are the published ones,
+so the matrices are the listed ones with no change of basis.  Every
+constant scalar matrix (a d0 block and its pseudoinverse, a star matrix)
+is a list of sparse ``{column: value}`` rows, the one format of
+:mod:`carnot.linalg`, so it is stored and walked by its nonzeros.
 
 The projection Pi_E on the complement of the acyclic part is evaluated by the
 weight-ascending recursion
@@ -244,8 +244,7 @@ class RuminComplex:
     def d0_matrix_block(self, h: int, weight: int):
         """Sparse rows of d0 on the weight block of degree h, plus its bases.
 
-        A rational structure constant is stored as an int or a Fraction, an
-        irrational one as its Scalar.  Callers must not modify the rows.
+        Callers must not modify the rows.
         """
         alg = self.algebra
         dom = self._weight_blocks(h).get(weight, [])
@@ -254,7 +253,7 @@ class RuminComplex:
         rows = [{} for _ in cod]
         for c, j in enumerate(dom):
             for out_j, x in d0_covector(alg, j).items():
-                rows[pos[out_j]][c] = x.terms[0] if x.is_rational() else x
+                rows[pos[out_j]][c] = x
         return rows, dom, cod
 
     def d0_blocks(self, h: int) -> dict:
@@ -276,7 +275,7 @@ class RuminComplex:
                 # transpose of the incoming d0: one constraint per (h-1)-covector
                 incoming, before, _ = self.d0_matrix_block(h - 1, w)
                 rows = rows + linalg.transpose(incoming, len(before))
-            kernel = linalg.nullspace(alg.field, rows, len(dom))
+            kernel = linalg.nullspace(rows, len(dom))
             try:
                 ortho = linalg.gram_schmidt(alg.field, kernel)
             except TowerInsufficient as exc:
@@ -291,8 +290,7 @@ class RuminComplex:
     @cached
     def d0_rank(self, h: int, weight: int) -> int:
         """Rank of d0 on the weight block of degree h."""
-        return linalg.rank(self.algebra.field,
-                           self.d0_matrix_block(h, weight)[0])
+        return linalg.rank(self.d0_matrix_block(h, weight)[0])
 
     def dims(self):
         """dim E0^h = sum_w |dom_w| - rank d0_{h,w} - rank d0_{h-1,w}.
@@ -312,7 +310,7 @@ class RuminComplex:
     def d0_pinv_block(self, h: int, weight: int):
         """Sparse rows of the Moore-Penrose inverse of a d0 block (dom x cod)."""
         rows, dom, _ = self.d0_matrix_block(h, weight)
-        return linalg.pseudoinverse(self.algebra.field, rows, len(dom))
+        return linalg.pseudoinverse(rows, len(dom))
 
     @cached
     def d0_pinv_map(self, h: int) -> CovectorMap:
@@ -442,7 +440,7 @@ class RuminComplex:
         sign = -1 if (n * (h + 1) + 1) % 2 else 1
         out = self.dc_matrix(n - h).conjugate(
             self.star_matrix(n - h + 1), self.star_matrix(h),
-            len(src)).scale(alg.field(sign))
+            len(src)).scale(sign)
         alt = self.dc_matrix(h - 1).transpose_adjoint()
         return out, 1 if out == alt else -1 if out == -alt else None
 

@@ -1,17 +1,20 @@
-"""Exact scalars in a real quadratic-extension tower over the rationals.
+"""Exact values: rationals as Python numbers, irrationals in a tower over Q.
 
-A :class:`ScalarField` holds an ordered list of square-free integer radicands
-``r_1, ..., r_m``.  A :class:`Scalar` is a rational linear combination of the
-products ``sqrt(r_i1)*...*sqrt(r_ik)`` over subsets of the radicands, stored
-as a map from the subset bitmask to a nonzero rational coefficient.  A
-coefficient is an ``int`` when it is integral and a ``Fraction`` only
-otherwise: almost every scalar the Rumin complex produces is an integer, and
-``int`` arithmetic is several times faster than ``Fraction`` arithmetic.  No
-coefficient is ever a ``float``.  The representation is canonical (an ``int``
-and the equal ``Fraction`` also compare and hash equal), so equality is plain
-dictionary comparison and all arithmetic is exact.  The tower grows on demand
-when a square root of a new square-free integer is requested; the
-Cartan-group workflow only ever needs sqrt(2).
+Every exact value has one form: an ``int`` when it is integral, a
+``Fraction`` when it is another rational, and a :class:`Scalar` only when it
+is irrational.  A :class:`ScalarField` holds an ordered list of square-free
+integer radicands ``r_1, ..., r_m``; a Scalar is a rational linear
+combination of the products ``sqrt(r_i1)*...*sqrt(r_ik)`` over subsets of
+the radicands, stored as a map from the subset bitmask to a nonzero
+coefficient, with at least one nonzero mask.  A coefficient is an ``int``
+when it is integral and a ``Fraction`` only otherwise, never a ``float``, so
+equality is plain dictionary comparison and all arithmetic is exact.
+``field(x)``, ``sqrt``, ``parse`` and every Scalar operation return a Python
+rational whenever the result is rational, so rational code runs on plain
+numbers and a value never needs converting.  Divide through
+``linalg.reciprocal``: ``field(3) / field(2)`` is the float ``1.5``.  The
+tower grows on demand when a square root of a new square-free integer is
+requested; the Cartan-group workflow only ever needs sqrt(2).
 
 Scalars are immutable values.  A field mutates only by appending radicands,
 which never invalidates existing scalars.
@@ -23,7 +26,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import _expr
-from .linalg import _rref
+from .linalg import _rref, reciprocal
 
 
 class TowerInsufficient(ValueError):
@@ -57,9 +60,12 @@ def signed_term(radicands, mask: int, c) -> tuple:
     return sign, rad if text == "1" else f"{text}*{rad}"
 
 
-def _is_nonzero_rational(terms: dict) -> bool:
-    """True for a nonzero rational: its only term is the mask-0 one."""
-    return len(terms) == 1 and 0 in terms
+def _value(field, terms: dict):
+    """The value of canonical {mask: coeff} terms: its rational when the
+    only mask is 0 (0 when there is none), else a Scalar."""
+    if terms.keys() - {0}:
+        return Scalar(field, terms)
+    return terms.get(0, 0)
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
@@ -80,38 +86,26 @@ def _square_free_split(n: int) -> tuple[int, int]:
 class ScalarField:
     """A tower Q(sqrt(r_1), ..., sqrt(r_m)) with on-demand extension."""
 
-    __slots__ = ("radicands", "max_radicands", "_zero", "_one")
+    __slots__ = ("radicands", "max_radicands")
 
     def __init__(self, radicands=(), max_radicands: int = 8):
         self.radicands: list[int] = []
         self.max_radicands = max_radicands
-        self._zero = Scalar(self, {})
-        self._one = Scalar(self, {0: 1})
         for r in radicands:
             self._ensure_radicand(int(r))
 
-    # -- construction -------------------------------------------------
-
-    def zero(self) -> "Scalar":
-        return self._zero
-
-    def one(self) -> "Scalar":
-        return self._one
-
-    def from_rational(self, value) -> "Scalar":
-        q = value if type(value) is int else _q(Fraction(value))
-        if q == 0:
-            return self._zero
-        return Scalar(self, {0: q})
-
-    def __call__(self, value) -> "Scalar":
+    def __call__(self, value):
+        """``value`` in its one form: a number, a Scalar of this field or
+        the text of a value."""
+        if type(value) is int:
+            return value
         if isinstance(value, Scalar):
             if value.field is not self:
                 raise ValueError("scalar belongs to a different field")
             return value
         if isinstance(value, str):
             return self.parse(value)
-        return self.from_rational(value)
+        return _q(Fraction(value))
 
     def _ensure_radicand(self, r: int):
         """Locate sqrt(r) in the tower, extending it if necessary.
@@ -132,27 +126,26 @@ class ScalarField:
         self.radicands.append(r)
         return 1 << m, Fraction(1)
 
-    def sqrt(self, x) -> "Scalar":
-        """Exact square root of a nonnegative rational scalar."""
-        x = self(x)
-        if not x.terms:
-            return self._zero
-        if set(x.terms) != {0}:
+    def sqrt(self, x):
+        """Exact square root of a nonnegative rational."""
+        q = self(x)
+        if isinstance(q, Scalar):
             raise TowerInsufficient(
                 "square roots are only taken of rational scalars")
-        q = x.terms[0]
         if q < 0:
             raise ValueError("square root of a negative scalar")
+        if not q:
+            return 0
         s, r = _square_free_split(q.numerator * q.denominator)
         coeff = Fraction(s, q.denominator)
         if r == 1:
-            return Scalar(self, {0: _q(coeff)})
+            return _q(coeff)
         mask, mult = self._ensure_radicand(r)
         return Scalar(self, {mask: _q(coeff * mult)})
 
     # -- parsing ------------------------------------------------------
 
-    def parse(self, text: str) -> "Scalar":
+    def parse(self, text: str):
         """Parse "3/2", "0.5", "-1/2*sqrt(2)", "1 + sqrt(2)/2", etc."""
         return _expr.parse_scalar(self, text)
 
@@ -161,7 +154,7 @@ class ScalarField:
 
 
 class Scalar:
-    """An element of a ScalarField in canonical form; immutable."""
+    """An irrational element of a ScalarField in canonical form; immutable."""
 
     __slots__ = ("field", "terms")
 
@@ -169,49 +162,25 @@ class Scalar:
         self.field = field
         self.terms = terms
 
-    # -- predicates ---------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_rational(self) -> bool:
-        return set(self.terms) <= {0}
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self.terms.get(0, 0))
-
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other) -> "Scalar":
+    def _terms(self, other) -> dict:
+        """The {mask: coeff} terms of a value of this field."""
         if isinstance(other, Scalar):
             if other.field is not self.field:
                 raise ValueError("scalars from different fields")
-            return other
-        return self.field.from_rational(other)
+            return other.terms
+        return {0: other} if other else {}
 
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self.terms, other.terms
-        if not b:
-            return self
-        if not a:
-            return other
-        if _is_nonzero_rational(a) and _is_nonzero_rational(b):
-            s = a[0] + b[0]
-            return Scalar(self.field, {0: _q(s)}) if s else self.field._zero
-        terms = dict(a)
-        for m, c in b.items():
+        terms = dict(self.terms)
+        for m, c in self._terms(other).items():
             s = terms.get(m, 0) + c
             if s:
                 terms[m] = _q(s)
             else:
                 del terms[m]
-        return Scalar(self.field, terms)
+        return _value(self.field, terms)
 
     __radd__ = __add__
 
@@ -219,44 +188,17 @@ class Scalar:
         return Scalar(self.field, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        a, b = self.terms, other.terms
-        if not b:
-            return self
-        if not a:
-            return -other
-        if _is_nonzero_rational(a) and _is_nonzero_rational(b):
-            s = a[0] - b[0]
-            return Scalar(self.field, {0: _q(s)}) if s else self.field._zero
-        terms = dict(a)
-        for m, c in b.items():
-            s = terms.get(m, 0) - c
-            if s:
-                terms[m] = _q(s)
-            else:
-                del terms[m]
-        return Scalar(self.field, terms)
+        return self + -other
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        x, y = self, self._coerce(other)
-        if not x.terms or not y.terms:
-            return self.field._zero
-        if _is_nonzero_rational(x.terms):
-            x, y = y, x
-        if _is_nonzero_rational(y.terms):
-            # a rational factor scales each term; the product has no zero term
-            c = y.terms[0]
-            if c == 1:
-                return x
-            return Scalar(self.field,
-                          {m: _q(v * c) for m, v in x.terms.items()})
         terms: dict = {}
         rad = self.field.radicands
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
+        right = self._terms(other).items()
+        for m1, c1 in self.terms.items():
+            for m2, c2 in right:
                 common = m1 & m2
                 c = c1 * c2
                 if common:
@@ -267,13 +209,12 @@ class Scalar:
                     terms[m] = s
                 else:
                     del terms[m]
-        return Scalar(self.field, {m: _q(c) for m, c in terms.items()})
+        return _value(self.field, {m: _q(c) for m, c in terms.items()})
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if not self.terms:
-            raise ZeroDivisionError("scalar division by zero")
+        """1 / self, irrational as self is."""
         if len(self.terms) == 1:
             # 1 / (c * sqrt(r)) = sqrt(r) / (c * r), r the mask's product
             (m, c), = self.terms.items()
@@ -306,18 +247,17 @@ class Scalar:
         return Scalar(self.field, terms)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        return self * reciprocal(other)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        return other * self.inverse()
 
     # -- comparison / hashing ------------------------------------------
 
     def __eq__(self, other):
+        """A Scalar is irrational, so it never equals an int or a Fraction."""
         if isinstance(other, Scalar):
             return self.field is other.field and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.terms.get(0, 0) == other
         return NotImplemented
 
     def __hash__(self):

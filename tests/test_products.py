@@ -200,18 +200,18 @@ KERNEL_GROUPS = {
 
 
 def ref_normal_form(alg, word):
-    """{exponent: Scalar} normal form of a word, by rewriting its first
+    """{exponent: value} normal form of a word, by rewriting its first
     descent X_a X_b = X_b X_a + [X_a, X_b] (a > b); no cache."""
     t = next((t for t in range(len(word) - 1) if word[t] > word[t + 1]), None)
     if t is None:
         return {tuple(word.count(i) for i in range(1, alg.n + 1)):
-                alg.field.one()}
+                1}
     a, b = word[t], word[t + 1]
     out = ref_normal_form(alg, word[:t] + (b, a) + word[t + 2:])
     for k, c in alg.bracket_basis(a, b).items():
         sub = ref_normal_form(alg, word[:t] + (k,) + word[t + 2:])
         for exp, v in sub.items():
-            out[exp] = out.get(exp, alg.field.zero()) + c * v
+            out[exp] = out.get(exp, 0) + c * v
     return {exp: s for exp, s in out.items() if s}
 
 

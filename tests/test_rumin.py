@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from carnot import linalg
+from carnot.coords import Polynomial, coordinate_apply
 from carnot.env import EnvElement
 from carnot.estimates import HorizontalTensor
-from carnot.exterior import Form, OperatorForm
+from carnot.exterior import Form, OperatorForm, covectors, d0_covector
 from carnot.liealg import StratifiedLieAlgebra, cartan_group, free_nilpotent
 from carnot.rumin import (OperatorMatrix, RuminComplex, SpanMismatch,
                           StarAdjointMismatch)
+from carnot.scalars import Scalar
 from carnot.verify import star_listing
 
 
@@ -351,7 +353,7 @@ def test_E0_bases_digest(name, make):
 def test_d0_algebra_runs_in_Q(make):
     """The d0 blocks, their nullspaces and pseudoinverses hold canonical
     ints and Fractions, no Scalar and no float, and equal the results on
-    the same blocks passed in as Scalars."""
+    the same blocks passed through the field, which keeps them rational."""
     alg = make()
     f = alg.field
     cx = RuminComplex(alg)
@@ -364,8 +366,64 @@ def test_d0_algebra_runs_in_Q(make):
         for rows, dom, _ in cx.d0_blocks(h).values():
             scalars = [{j: f(x) for j, x in row.items()} for row in rows]
             assert canonical(rows)
-            assert linalg.rank(f, rows) == linalg.rank(f, scalars)
+            assert linalg.rank(rows) == linalg.rank(scalars)
             for routine in (linalg.nullspace, linalg.pseudoinverse):
-                got = routine(f, rows, len(dom))
+                got = routine(rows, len(dom))
                 assert canonical(got)
-                assert got == routine(f, scalars, len(dom))
+                assert got == routine(scalars, len(dom))
+
+
+# test_products' group with irrational and fractional structure constants
+SKEW_SPEC = {"layers": [2, 1, 2], "sqrt": [2],
+             "brackets": {"1,2": {"3": "1/2*sqrt(2)"}, "1,3": {"4": "2/3"},
+                          "2,3": {"5": "sqrt(2)"}}}
+
+
+def assert_one_form(x):
+    """x is an int, a Fraction that is not integral, or a Scalar with a
+    nonzero mask, whose coefficients are in the same one form."""
+    if type(x) is Scalar:
+        assert x.terms.keys() - {0}, x.terms
+        for c in x.terms.values():
+            assert_one_form(c)
+            assert c
+    else:
+        assert type(x) in (int, Fraction), type(x)
+        assert type(x) is int or x.denominator != 1, x
+
+
+@pytest.mark.parametrize("make", [
+    cartan_group, lambda: free_nilpotent(3, 2), lambda: free_nilpotent(2, 4),
+    lambda: StratifiedLieAlgebra((6, 1), {(i, i + 3): {7: 1}
+                                          for i in range(1, 4)}),
+    lambda: StratifiedLieAlgebra.from_json(SKEW_SPEC)],
+    ids=["cartan", "free-3-2", "free-2-4", "H3", "skew"])
+def test_no_rational_scalar_exists(make):
+    """Every exact value the engine holds is in its one form: no float, no
+    integral Fraction and no Scalar without an irrational term, from the
+    bracket table through d0, E0 and the star to d_c, delta_c and the
+    coordinate oracle."""
+    alg = make()
+    cx = RuminComplex(alg)
+    values = [c for vec in alg.brackets.values() for c in vec.values()]
+    for h in range(alg.n + 1):
+        for j in covectors(alg, h):
+            values += d0_covector(alg, j).values()
+        for w, (rows, _, _) in cx.d0_blocks(h).items():
+            for block in (rows, cx.d0_pinv_block(h, w)):
+                values += [x for row in block for x in row.values()]
+        values += [c for xi in cx.E0(h) for c in xi.terms.values()]
+        values += [x for row in cx.star_matrix(h) for x in row.values()]
+        matrices = [cx.dc_matrix(h)] + ([cx.deltac_matrix(h)] if h else [])
+        values += [c for m in matrices for row in m.entries for e in row
+                   for c in e.terms.values()]
+    if alg.realization is not None:
+        p = Polynomial.parse(alg.field, 5, "x1^3*x2 + 1/2*x2^2*x5 - x4")
+        polys = [u for row in alg.realization.fields for u in row]
+        for word in ((1,), (2, 1), (2, 3, 2), (1, 2, 2, 1)):
+            polys.append(alg.realization.apply_word(word, p))
+            polys.append(coordinate_apply(EnvElement.from_word(alg, word), p))
+        values += [c for u in polys for c in u.terms.values()]
+    assert values
+    for x in values:
+        assert_one_form(x)

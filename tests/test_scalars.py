@@ -1,19 +1,24 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carnot.scalars import ScalarField, TowerInsufficient
+from carnot.coords import Polynomial
+from carnot.env import EnvElement
+from carnot.liealg import StratifiedLieAlgebra
+from carnot.linalg import reciprocal
+from carnot.scalars import Scalar, ScalarField, TowerInsufficient
 
 
 def test_rational_arithmetic():
     f = ScalarField()
     a = f(Fraction(3, 2))
     b = f(2)
+    assert type(a) is Fraction and type(b) is int
     assert str(a + b) == "7/2"
-    assert str(a * b) == "3"
-    assert (a - a).is_zero()
+    assert str(a * b) == "3" and type(f(a * b)) is int
+    assert a - a == 0
     assert a / b == f(Fraction(3, 4))
 
 
@@ -33,7 +38,8 @@ def test_sqrt2_canonical_form():
 def test_sqrt_of_square_is_rational():
     f = ScalarField()
     assert f.sqrt(Fraction(9, 4)) == f(Fraction(3, 2))
-    assert f.sqrt(0).is_zero()
+    assert type(f.sqrt(Fraction(9, 4))) is Fraction
+    assert f.sqrt(0) == 0 and type(f.sqrt(0)) is int
 
 
 def test_tower_products_and_inverse():
@@ -42,13 +48,15 @@ def test_tower_products_and_inverse():
     s6 = f.sqrt(6)
     assert s2 * s3 == s6
     x = f(1) + s2 + s3
-    assert x * x.inverse() == f.one()
+    assert x * x.inverse() == 1
 
 
 def test_division_by_zero():
     f = ScalarField()
     with pytest.raises(ZeroDivisionError):
         f(1) / f(0)
+    with pytest.raises(ZeroDivisionError):
+        f.sqrt(2) / f(0)
 
 
 def test_sqrt_cap_and_nonrational_radicand():
@@ -98,8 +106,8 @@ def tower():
 
 def build(f, coeffs, as_fraction=False):
     """The scalar sum of coeffs[m] * basis[m], through the public API."""
-    basis = [f.one(), f.sqrt(2), f.sqrt(3), f.sqrt(6)]
-    out = f.zero()
+    basis = [1, f.sqrt(2), f.sqrt(3), f.sqrt(6)]
+    out = 0
     for c, b in zip(coeffs, basis):
         if c.denominator == 1 and not as_fraction:
             c = c.numerator
@@ -108,7 +116,8 @@ def build(f, coeffs, as_fraction=False):
 
 
 def ref(x):
-    return {m: Fraction(c) for m, c in x.terms.items()}
+    terms = x.terms if isinstance(x, Scalar) else {0: x} if x else {}
+    return {m: Fraction(c) for m, c in terms.items()}
 
 
 def ref_add(a, b):
@@ -142,9 +151,16 @@ def ref_inverse(a):
 
 
 def assert_canonical(x):
-    for c in x.terms.values():
+    """x is an int, a Fraction that is not integral, or an irrational
+    Scalar with canonical nonzero coefficients."""
+    if isinstance(x, Scalar):
+        assert x.terms.keys() - {0}
+        assert all(x.terms.values())
+        coefficients = x.terms.values()
+    else:
+        coefficients = [x]
+    for c in coefficients:
         assert type(c) in (int, Fraction), type(c)
-        assert c != 0
         if type(c) is Fraction:
             assert c.denominator != 1
 
@@ -163,9 +179,11 @@ def test_arithmetic_matches_fraction_reference(cx, cy):
                       (y * x, ref_mul(a, b)),
                       (x * 1, a), (1 * x, a), (x + 0, a), (0 + x, a)):
         assert ref(got) == want
-        assert_canonical(got)
+        # a sum or product of two rationals is Python's, not the tower's
+        if isinstance(x, Scalar) or isinstance(y, Scalar):
+            assert_canonical(got)
     if a:
-        inv = x.inverse()
+        inv = reciprocal(x)
         assert ref(inv) == ref_inverse(a)
         assert_canonical(inv)
 
@@ -180,8 +198,55 @@ def test_int_and_fraction_paths_agree(coeffs):
     q = coeffs[0]
     if q.denominator == 1:
         assert f(q.numerator) == f(q) and hash(f(q.numerator)) == hash(f(q))
-    assert type(f(q).as_rational()) is Fraction
-    assert f(q).as_rational() == q
+    assert type(f(q)) is (int if q.denominator == 1 else Fraction)
+    assert f(q) == q
+
+
+# expressions over Q(sqrt(2), sqrt(3)) that divide, as (text, reference)
+def _rational_leaf(text, q):
+    return text, {0: q} if q else {}
+
+
+def _combine(parts):
+    (ta, a), op, (tb, b) = parts
+    if op == "/" and not b:
+        op = "*"
+    value = {"+": lambda: ref_add(a, b),
+             "-": lambda: ref_add(a, {m: -c for m, c in b.items()}),
+             "*": lambda: ref_mul(a, b),
+             "/": lambda: ref_mul(a, ref_inverse(b))}[op]()
+    return f"({ta} {op} {tb})", value
+
+
+expression_leaves = st.one_of(
+    st.integers(0, 9).map(lambda k: _rational_leaf(str(k), Fraction(k))),
+    st.tuples(st.integers(0, 9), st.integers(1, 9)).map(
+        lambda t: _rational_leaf(f"({t[0]}/{t[1]})", Fraction(*t))),
+    st.integers(0, 99).map(
+        lambda k: _rational_leaf(f"{k // 10}.{k % 10}", Fraction(k, 10))),
+    st.sampled_from([("sqrt(2)", {1: Fraction(1)}), ("sqrt(3)", {2: Fraction(1)}),
+                     ("sqrt(6)", {3: Fraction(1)}), ("sqrt(8)", {1: Fraction(2)}),
+                     ("sqrt(4)", {0: Fraction(2)})]))
+expressions = st.recursive(
+    expression_leaves,
+    lambda inner: st.tuples(inner, st.sampled_from("+-*/"), inner).map(_combine),
+    max_leaves=6)
+
+
+@PROPERTY
+@example(("sqrt(2)*sqrt(2)/(sqrt(2)*sqrt(2))", {0: Fraction(1)}))
+@given(expressions)
+def test_parsing_and_division_never_give_a_float(expression):
+    """The scalar, operator and polynomial parsers divide exactly: a
+    quotient of two ints is an int or a Fraction, never a float."""
+    text, want = expression
+    f = tower()
+    alg = StratifiedLieAlgebra.from_json({"layers": [2],
+                                          "sqrt": list(RADICANDS)})
+    for x in (f.parse(text), EnvElement.parse(alg, text).as_scalar(),
+              Polynomial.parse(f, 2, text).as_scalar()):
+        assert ref(x) == want
+        assert_canonical(x)
 
 
 # Q(sqrt(2), sqrt(3), sqrt(5)): mask m is the product of the square roots of
@@ -200,14 +265,14 @@ several_terms = st.lists(st.one_of(st.just(Fraction(0)), rationals),
 @given(data=st.data())
 def test_inverse_times_itself_is_one(terms, data):
     f = ScalarField(THREE)
-    x = f.zero()
+    x = 0
     for m, c in enumerate(data.draw(terms)):
-        b = f.one()
+        b = 1
         for i, r in enumerate(THREE):
             if m >> i & 1:
                 b = b * f.sqrt(r)
         x = x + f(c) * b
-    inv = x.inverse()
+    inv = reciprocal(x)
     assert x * inv == 1 and inv * x == 1
     assert_canonical(inv)
     assert f.radicands == list(THREE)
@@ -215,15 +280,17 @@ def test_inverse_times_itself_is_one(terms, data):
 
 def test_canonical_coefficients_and_rational_inverse():
     f = ScalarField()
-    assert f(3).inverse().terms == {0: Fraction(1, 3)}
-    assert type(f(Fraction(6, 3)).terms[0]) is int
-    assert type(f(-1).inverse().terms[0]) is int
-    assert type(f.sqrt(Fraction(9, 4)).terms[0]) is Fraction
-    assert type(f.sqrt(9).terms[0]) is int
-    assert type(f.sqrt(8).terms[1]) is int
-    assert type((f.sqrt(2) * f.sqrt(2)).terms[0]) is int
-    assert type(f.one().terms[0]) is int
-    for x in (f.zero(), f(0), f(5), f(Fraction(1, 2))):
-        assert type(x.as_rational()) is Fraction
+    assert reciprocal(f(3)) == Fraction(1, 3)
+    assert type(reciprocal(f(3))) is Fraction
+    assert type(f(Fraction(6, 3))) is int
+    assert type(reciprocal(f(-1))) is int
+    assert type(f.sqrt(Fraction(9, 4))) is Fraction
+    assert type(f.sqrt(9)) is int
+    assert type(f.sqrt(8)) is Scalar and type(f.sqrt(8).terms[1]) is int
+    assert type(f.sqrt(2) * f.sqrt(2)) is int
+    assert type(f(1)) is int
+    for x in (f(0), f(5)):
+        assert type(x) is int
+    assert type(f(Fraction(1, 2))) is Fraction
     assert f.parse("0.5") == f(Fraction(1, 2))
     assert_canonical(f.parse("4/2 + 2*sqrt(2)/2"))
