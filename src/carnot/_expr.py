@@ -137,7 +137,7 @@ def signed(c) -> tuple:
     """(sign, text) of a coefficient: "-" and the text after the minus when
     it reads negative; a Scalar of several terms is bracketed, sign "+".
     ``c`` is an int, a Fraction or a Scalar."""
-    if not isinstance(c, (int, Fraction)) and c.is_multi_term():
+    if not isinstance(c, (int, Fraction)) and len(c.terms) > 1:
         return "+", f"({c})"
     s = str(c)
     return ("-", s[1:]) if s.startswith("-") else ("+", s)

@@ -46,38 +46,40 @@ def cmd_build(cx, args) -> int:
 
 
 def cmd_dc(cx, args) -> int:
-    n = cx.algebra.n
-    if not 0 <= args.degree < n:
+    h, n = args.degree, cx.algebra.n
+    if not 0 <= h < n:
         raise UsageError(f"dc degree must be in 0..{n - 1}")
-    print(cx.dc_matrix(args.degree).render(args.format))
+    print(cx.orthonormal(cx.dc_matrix(h), h + 1, h).render(args.format))
     return 0
 
 
 def cmd_deltac(cx, args) -> int:
-    n = cx.algebra.n
-    if not 1 <= args.degree <= n:
+    h, n = args.degree, cx.algebra.n
+    if not 1 <= h <= n:
         raise UsageError(f"deltac degree must be in 1..{n}")
-    print(cx.deltac_matrix(args.degree).render(args.format))
+    print(cx.orthonormal(cx.deltac_matrix(h), h - 1, h).render(args.format))
     return 0
 
 
 def cmd_laplacian(cx, args) -> int:
-    m = laplacians.laplacian(cx, args.family, args.degree)
+    h = args.degree
+    m = laplacians.laplacian(cx, args.family, h)
+    view = cx.orthonormal(m, h, h)
     if args.format == "json":
-        rep = laplacians.verify_self_adjoint(m)
+        rep = laplacians.verify_self_adjoint(cx, m, h)
         print(json.dumps({
-            "family": args.family, "degree": args.degree,
+            "family": args.family, "degree": h,
             "order": m.homogeneous_order(),
             "self_adjoint": bool(rep.get("self_adjoint")),
-            "matrix": m.to_json(),
+            "matrix": view.to_json(),
         }, sort_keys=True))
     else:
-        print(m.render(args.format))
+        print(view.render(args.format))
     return 0
 
 
 def cmd_pi_e(cx, args) -> int:
-    basis = cx.E0(args.degree)
+    basis = cx.orthonormal_basis(args.degree)
     if not 1 <= args.index <= len(basis):
         raise UsageError(f"index must be in 1..{len(basis)}")
     lifted = cx.pi_E(OperatorForm.from_form(basis[args.index - 1]))

@@ -10,31 +10,27 @@ which terminates because brackets strictly raise the grading and the algebra
 is nilpotent.
 
 An operator has one representation, and every operation computes on its
-raw coefficients, not on :class:`Scalar` objects: building and copying
-scalars, not the algebra, is what costs time in products of order up to 12.
+coefficients as plain values: building and copying objects, not the
+algebra, is what costs time in products of order up to 12.
 
 * **Packed keys.**  An EnvElement stores one flat dict: the term
-  ``c * X^a * basis[mask]`` is its item ``key: c``, with ``key = code <<
-  mask_bits | mask``, ``code = sum a_i << 8*i`` (one byte per exponent),
-  ``mask_bits`` the field's ``max_radicands`` and ``c`` a nonzero ``int``,
-  or a ``Fraction`` when it is not integral.  ``+``, ``-``, ``scale``, the
-  products, ``formal_adjoint``, ``==`` and ``hash`` work on it directly.
-  Multiplying two ordered monomials adds their codes, the first and last
-  generators of a code are its lowest and highest set bits, and the mask
-  of a product of tower basis elements is ``key ^ m``.  An exponent above
-  255 raises ``ResourceLimit`` where it is packed (``_pack``) or grows (the
-  concatenation branches of ``_fold`` and ``_product``), before it can
-  carry into the next byte.
+  ``c * X^a`` is its item ``code: c``, with ``code = sum a_i << 8*i`` (one
+  byte per exponent) and ``c`` a nonzero value in its one form
+  (:mod:`carnot.scalars`): an ``int``, a ``Fraction`` when it is not
+  integral, a Scalar only when it is irrational.  ``+``, ``-``, ``scale``,
+  the products, ``formal_adjoint``, ``==`` and ``hash`` work on it
+  directly.  Multiplying two ordered monomials adds their codes, and the
+  first and last generators of a code are its lowest and highest set
+  bits.  An exponent above 255 raises ``ResourceLimit`` where it is packed
+  (``_pack``) or grows (the concatenation branches of ``_fold`` and
+  ``_product``), before it can carry into the next byte.
 * **The boundary.**  Only the read-only ``EnvElement.terms`` view,
   ``{exponent tuple: value}``, built on each call and never stored,
-  decodes keys into values: an ``int``, a ``Fraction`` or, for a
-  coefficient with a nonzero mask, a Scalar; ``as_scalar``, the coordinate
-  realization and the linear systems of the estimates read it.
-  ``homogeneity`` reads the weights off the codes.  ``render`` sorts the
-  codes once, by weight and then exponent bytes, both descending, and
-  formats each coefficient from its ``{mask: coeff}`` terms and each
-  monomial in one join: neither builds a Scalar, but for a coefficient of
-  several tower terms.
+  decodes codes into exponents; ``as_scalar``, the coordinate realization
+  and the linear systems of the estimates read it.  ``homogeneity`` reads
+  the weights off the codes.  ``render`` sorts the codes once, by weight
+  and then exponent bytes, both descending, and formats each coefficient
+  and each monomial in one join.
 * **Collection by one generator.**  ``_fold(alg, acc, word)`` multiplies a
   flat map by the generators of a word one at a time.  A term whose last
   generator comes at or before X_j times X_j is a concatenation; otherwise
@@ -60,10 +56,9 @@ scalars, not the algebra, is what costs time in products of order up to 12.
   ``from_word``.  ``alg._adj_cache`` holds, keyed by code, the formal
   adjoint of each monomial asked for and of the suffixes its rule strips:
   ``(X_f X^rest)* = -(X^rest)* X_f``, with ``X_f`` the first generator, is
-  one fold step per new code.  A product of the terms
-  ``c1 * basis[m1]`` and ``c2 * basis[m2]`` adds ``c1 * c2 * (product of
-  the radicands in m1 & m2)`` at mask ``m1 ^ m2``: no product builds a
-  scalar.
+  one fold step per new code.  On a group with rational structure
+  constants every cached coefficient is rational; irrational brackets
+  reach the same maps as Scalar values.
 * **Fused accumulation.**  The exterior and Rumin builders sum operators in
   accumulators, dicts they hold but never read: ``add_into`` adds ``c * u``
   for a Scalar or rational ``c``, ``mul_into`` adds ``a * b``, and
@@ -89,8 +84,8 @@ from operator import mul
 
 from . import _expr
 from .liealg import ResourceLimit, StratifiedLieAlgebra
-from .linalg import reciprocal
-from .scalars import Scalar, _mask_product, _q, signed_term
+from .linalg import canonical, reciprocal
+from .scalars import Scalar
 
 # the largest exponent a packed code holds: one byte per generator
 _MAX_EXPONENT = 255
@@ -152,64 +147,44 @@ def word_of(exp: tuple) -> tuple:
     return tuple(i + 1 for i, e in enumerate(exp) for _ in range(e))
 
 
-def _raw(alg: StratifiedLieAlgebra, c) -> dict:
-    """The {mask: coeff} terms of a value."""
-    c = alg.field(c)
-    return c.terms if type(c) is Scalar else {0: c} if c else {}
-
-
 def _times(v, q):
-    """The canonical product of two nonzero rational coefficients; an int
-    times an int, or a Fraction times a multiple of its denominator (a
-    common denominator), builds no Fraction."""
+    """The canonical product of two nonzero coefficients; an int times an
+    int, or a Fraction times a multiple of its denominator (a common
+    denominator), builds no Fraction."""
     if type(q) is int:
         if type(v) is int:
             return v * q
-        if not q % v.denominator:
+        if type(v) is Fraction and not q % v.denominator:
             return v.numerator * (q // v.denominator)
-    return _q(v * q)
+    return canonical(v * q)
 
 
-def _add_into(rad, acc: dict, nf: dict, c, m: int):
-    """Add (c * basis[m]) * nf into the flat accumulator ``acc`` in place.
+def _add_into(acc: dict, nf: dict, c):
+    """Add c * nf into the flat accumulator ``acc`` in place.
 
-    ``nf`` is a packed map and ``c * basis[m]`` one raw scalar term.  Sums
-    that cancel stay in ``acc`` as zeros.
+    ``nf`` is a packed map and ``c`` a nonzero value.  Sums that cancel
+    stay in ``acc`` as zeros.
     """
     get = acc.get
-    if not m:
-        if c == 1:
-            for key, v in nf.items():
-                old = get(key)
-                acc[key] = v if old is None else old + v
-        else:
-            for key, v in nf.items():
-                x = c * v
-                old = get(key)
-                acc[key] = x if old is None else old + x
-        return
-    for key, v in nf.items():
-        x = c * v
-        common = key & m
-        if common:
-            x *= _mask_product(rad, common)
-        key ^= m
-        old = get(key)
-        acc[key] = x if old is None else old + x
+    if c == 1:
+        for key, v in nf.items():
+            old = get(key)
+            acc[key] = v if old is None else old + v
+    else:
+        for key, v in nf.items():
+            x = c * v
+            old = get(key)
+            acc[key] = x if old is None else old + x
 
 
 def _fold(alg: StratifiedLieAlgebra, acc: dict, word) -> dict:
     """The flat map ``acc`` times X_{w1} ... X_{wk}, one generator at a
     time, as a new dict; sums that cancel stay in it as zeros."""
-    mb = alg.field.max_radicands
-    low = (1 << mb) - 1
     width = 8 * alg.n
-    rad = alg.field.radicands
     cache = alg._prod_cache
     for g in word:
         unit = 1 << 8 * (g - 1)
-        step = unit << mb
-        above = mb + 8 * g     # the key bits of the generators after X_g
+        above = 8 * g           # the code bits of the generators after X_g
         out: dict = {}
         get = out.get
         for key, c in acc.items():
@@ -217,24 +192,18 @@ def _fold(alg: StratifiedLieAlgebra, acc: dict, word) -> dict:
                 continue
             if not key >> above:
                 # X^a X_g is already ordered: raise the exponent of X_g
-                key += step
+                key += unit
                 if key >> above:
                     raise ResourceLimit(_MAX_EXPONENT + 1, _MAX_EXPONENT)
                 old = get(key)
                 out[key] = c if old is None else old + c
                 continue
-            code = key >> mb
-            prod = cache.get(code << width | unit)
+            prod = cache.get(key << width | unit)
             if prod is None:
-                prod = _product(alg, code, unit)
-            # (c * basis[m]) * prod, added inline as in _add_into
-            m = key & low
+                prod = _product(alg, key, unit)
+            # c * prod, added inline as in _add_into
             for k, v in prod.items():
                 x = c * v
-                if m:
-                    if k & m:
-                        x *= _mask_product(rad, k & m)
-                    k ^= m
                 old = get(k)
                 out[k] = x if old is None else old + x
         acc = out
@@ -245,8 +214,10 @@ def _stored(acc: dict, d=1) -> dict:
     """A packed map to keep: every coefficient divided by ``d`` in canonical
     form, the zeros dropped."""
     if d == 1:
-        return {key: _q(v) for key, v in acc.items() if v}
-    return {key: _q(Fraction(v, d)) for key, v in acc.items() if v}
+        return {key: canonical(v) for key, v in acc.items() if v}
+    inv = Fraction(1, d)
+    return {key: v * inv if type(v) is Scalar
+            else canonical(Fraction(v, d)) for key, v in acc.items() if v}
 
 
 def _normalize_word(alg: StratifiedLieAlgebra, word: tuple) -> dict:
@@ -263,7 +234,6 @@ def _product(alg: StratifiedLieAlgebra, a: int, b: int) -> dict:
     prod = alg._prod_cache.get(key)
     if prod is not None:
         return prod
-    mb = alg.field.max_radicands
     last = (a.bit_length() - 1) >> 3            # 0-based; -1 when a = 0
     first = ((b & -b).bit_length() - 1) >> 3
     if not b or last <= first:
@@ -271,20 +241,17 @@ def _product(alg: StratifiedLieAlgebra, a: int, b: int) -> dict:
         if last == first and ab >> 8 * first + 8 != b >> 8 * first + 8:
             raise ResourceLimit(((a >> 8 * first) & 255)
                                 + ((b >> 8 * first) & 255), _MAX_EXPONENT)
-        prod = {ab << mb: 1}
+        prod = {ab: 1}
     elif b == 1 << 8 * first:
         # X^a X_j = (X^rest X_j) X_k - sum_l c_l X^rest X_l, where X_k is
         # the last generator of X^a = X^rest X_k and c the bracket (j, k)
         rest = a - (1 << 8 * last)
-        rad = alg.field.radicands
         acc = _fold(alg, _product(alg, rest, b), (last + 1,))
         for l, c in alg.brackets.get((first + 1, last + 1), {}).items():
-            sub = _product(alg, rest, 1 << 8 * (l - 1))
-            for m, v in _raw(alg, c).items():
-                _add_into(rad, acc, sub, -v, m)
+            _add_into(acc, _product(alg, rest, 1 << 8 * (l - 1)), -c)
         prod = _stored(acc)
     else:
-        prod = _stored(_fold(alg, {a << mb: 1}, word_of(_unpack(b, alg.n))))
+        prod = _stored(_fold(alg, {a: 1}, word_of(_unpack(b, alg.n))))
     alg._prod_cache[key] = prod
     return prod
 
@@ -301,7 +268,7 @@ def _adjoint(alg: StratifiedLieAlgebra, code: int) -> dict:
     adj = cache[code] if code else {0: 1}
     for code in reversed(new):
         first = (((code & -code).bit_length() - 1) >> 3) + 1
-        adj = cache[code] = {key: -_q(v) for key, v
+        adj = cache[code] = {key: -canonical(v) for key, v
                              in _fold(alg, adj, (first,)).items() if v}
     return adj
 
@@ -311,35 +278,23 @@ def _adjoint(alg: StratifiedLieAlgebra, code: int) -> dict:
 def add_into(acc: dict, u: "EnvElement", c=1):
     """Add c * u into the accumulator ``acc`` in place; ``c`` is an int, a
     Fraction or a Scalar.  Sums that cancel stay as zeros until ``collect``."""
-    alg = u.algebra
-    rad = alg.field.radicands
-    for m, v in _raw(alg, c).items():
-        _add_into(rad, acc, u._packed, v, m)
+    if c:
+        _add_into(acc, u._packed, c)
 
 
 def mul_into(acc: dict, a: "EnvElement", b: "EnvElement"):
     """Add the product a * b into the accumulator ``acc`` in place, every
     pair of monomials through the pair cache."""
     alg = a.algebra
-    mb = alg.field.max_radicands
-    low = (1 << mb) - 1
     width = 8 * alg.n
     cache = alg._prod_cache
-    rad = alg.field.radicands
     for ka, ca in a._packed.items():
-        code = ka >> mb
-        left = code << width
-        ma = ka & low
+        left = ka << width
         for kb, cb in b._packed.items():
-            prod = cache.get(left | kb >> mb)
+            prod = cache.get(left | kb)
             if prod is None:
-                prod = _product(alg, code, kb >> mb)
-            c = ca * cb
-            m = kb & low
-            common = ma & m
-            if common:
-                c *= _mask_product(rad, common)
-            _add_into(rad, acc, prod, c, ma ^ m)
+                prod = _product(alg, ka, kb)
+            _add_into(acc, prod, ca * cb)
 
 
 def collect(alg: StratifiedLieAlgebra, acc: dict, d=1) -> "EnvElement":
@@ -348,14 +303,14 @@ def collect(alg: StratifiedLieAlgebra, acc: dict, d=1) -> "EnvElement":
 
 
 def common_denominator(items) -> int:
-    """The lcm of the coefficient denominators of EnvElements or values."""
+    """The lcm of the coefficient denominators of EnvElements or values; a
+    Scalar's are those of its tower terms."""
     d = 1
     for x in items:
-        coeffs = (x._packed.values() if type(x) is EnvElement
-                  else x.terms.values() if type(x) is Scalar else (x,))
-        for c in coeffs:
-            if type(c) is not int:
-                d = lcm(d, c.denominator)
+        for c in x._packed.values() if type(x) is EnvElement else (x,):
+            for q in c.terms.values() if type(c) is Scalar else (c,):
+                if type(q) is not int:
+                    d = lcm(d, q.denominator)
     return d
 
 
@@ -365,15 +320,12 @@ def matrix_product(alg: StratifiedLieAlgebra, a: list, b: list,
     (``cols`` columns), by the prefix-trie fold of the module docstring."""
     da = common_denominator(e for row in a for e in row)
     db = common_denominator(e for row in b for e in row)
-    mb = alg.field.max_radicands
-    low = (1 << mb) - 1
-    rad = alg.field.radicands
-    tries = []      # per row k of b: [(word, [(column, mask, coeff)])], sorted
+    tries = []      # per row k of b: [(word, [(column, coeff)])], sorted
     for row in b:
         users: dict = {}
         for j, e in enumerate(row):
-            for key, v in e.scale(db)._packed.items():
-                users.setdefault(key >> mb, []).append((j, key & low, v))
+            for code, v in e.scale(db)._packed.items():
+                users.setdefault(code, []).append((j, v))
         tries.append(sorted((word_of(_unpack(code, alg.n)), js)
                             for code, js in users.items()))
     accs = [[{} for _ in range(cols)] for _ in a]
@@ -394,8 +346,8 @@ def matrix_product(alg: StratifiedLieAlgebra, a: list, b: list,
                 for g in word[p:]:
                     partials.append(_fold(alg, partials[-1], (g,)))
                 prev = word
-                for j, m, v in js:
-                    _add_into(rad, acc_row[j], partials[-1], v, m)
+                for j, v in js:
+                    _add_into(acc_row[j], partials[-1], v)
     return [[collect(alg, acc, da * db) for acc in row] for row in accs]
 
 
@@ -420,12 +372,12 @@ class EnvElement:
 
     @classmethod
     def generator(cls, alg, i: int) -> "EnvElement":
-        return cls(alg, {1 << 8 * (i - 1) + alg.field.max_radicands: 1})
+        return cls(alg, {1 << 8 * (i - 1): 1})
 
     @classmethod
     def monomial(cls, alg, exp, coeff=1) -> "EnvElement":
-        code = _pack(exp) << alg.field.max_radicands
-        return cls(alg, {code | m: v for m, v in _raw(alg, coeff).items()})
+        c = alg.field(coeff)
+        return cls(alg, {_pack(exp): c} if c else {})
 
     @classmethod
     def from_word(cls, alg, word, coeff=1) -> "EnvElement":
@@ -450,7 +402,7 @@ class EnvElement:
                 continue
             s += v
             if s:
-                packed[key] = _q(s)
+                packed[key] = canonical(s)
             else:
                 del packed[key]
         return EnvElement(self.algebra, packed)
@@ -469,14 +421,9 @@ class EnvElement:
         c = alg.field(coeff)
         if c == 1:
             return self
-        if c and type(c) is not Scalar:
-            # a rational factor scales each coefficient; no term vanishes
-            return EnvElement(alg, {k: _times(v, c)
-                                    for k, v in self._packed.items()})
-        acc: dict = {}
-        for m, v in _raw(alg, c).items():      # zero or irrational
-            _add_into(alg.field.radicands, acc, self._packed, v, m)
-        return collect(alg, acc)
+        # the tower is a field: a nonzero factor makes no term vanish
+        return EnvElement(alg, {k: _times(v, c) for k, v
+                                in self._packed.items()} if c else {})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -516,21 +463,8 @@ class EnvElement:
     def terms(self) -> dict:
         """{exponent tuple: value}, decoded from the packed map on each
         call and never stored: the view for readers outside the kernel."""
-        field = self.algebra.field
-        mb = field.max_radicands
-        low = (1 << mb) - 1
-        out: dict = {}
-        for key, v in self._packed.items():
-            exp = _unpack(key >> mb, self.algebra.n)
-            m = key & low
-            s = out.get(exp)
-            if s is None:
-                out[exp] = Scalar(field, {m: v}) if m else v
-            elif type(s) is Scalar:
-                s.terms[m] = v      # a Scalar still under construction
-            else:
-                out[exp] = Scalar(field, {0: s, m: v})
-        return out
+        n = self.algebra.n
+        return {_unpack(code, n): v for code, v in self._packed.items()}
 
     def as_scalar(self):
         """The coefficient of the unit monomial, if the element is scalar."""
@@ -547,10 +481,8 @@ class EnvElement:
         if not self._packed:
             raise ZeroElement("homogeneity of the zero operator is undefined")
         alg = self.algebra
-        mb = alg.field.max_radicands
-        codes = {key >> mb for key in self._packed}
         degrees = {sum(map(mul, _unpack(code, alg.n), alg.weights))
-                   for code in codes}
+                   for code in self._packed}
         if len(degrees) == 1:
             return degrees.pop()
         return Mixed(degrees)
@@ -558,14 +490,10 @@ class EnvElement:
     def formal_adjoint(self) -> "EnvElement":
         """Anti-homomorphism with X_i -> -X_i and product reversal."""
         alg = self.algebra
-        rad = alg.field.radicands
-        mb = alg.field.max_radicands
-        low = (1 << mb) - 1
         d = common_denominator((self,))
         acc: dict = {}
-        for key, c in self._packed.items():
-            _add_into(rad, acc, _adjoint(alg, key >> mb),
-                      c.numerator * (d // c.denominator), key & low)
+        for code, c in self._packed.items():
+            _add_into(acc, _adjoint(alg, code), _times(c, d))
         return collect(alg, acc, d)
 
     # -- text ----------------------------------------------------------
@@ -574,24 +502,15 @@ class EnvElement:
         """The text of the operator, higher-order monomials first, like the
         matrix listings; a coefficient of several tower terms is bracketed."""
         alg = self.algebra
-        field = alg.field
-        mb = field.max_radicands
-        low = (1 << mb) - 1
-        by_code: dict = {}      # code -> {mask: coeff}
-        for key, v in self._packed.items():
-            by_code.setdefault(key >> mb, {})[key & low] = v
-        # (weight, exponent bytes, coeffs), descending; no two codes tie
+        # (weight, exponent bytes, coeff), descending; no two codes tie
         order = []
-        for code, coeffs in by_code.items():
+        for code, v in self._packed.items():
             exp = code.to_bytes(alg.n, "little")
-            order.append((sum(map(mul, exp, alg.weights)), exp, coeffs))
+            order.append((sum(map(mul, exp, alg.weights)), exp, v))
         order.sort(reverse=True)
         terms = []
-        for _, exp, coeffs in order:
-            if len(coeffs) == 1:
-                sign, coeff = signed_term(field.radicands, *coeffs.popitem())
-            else:
-                sign, coeff = _expr.signed(Scalar(field, coeffs))
+        for _, exp, v in order:
+            sign, coeff = _expr.signed(v)
             mono = "*".join([f"X{k}^{e}" if e > 1 else f"X{k}"
                              for k, e in enumerate(exp, 1) if e])
             terms.append((sign, coeff if not mono else mono if coeff == "1"
@@ -616,8 +535,7 @@ class _EnvAdapter:
         return EnvElement.monomial(self.alg, (0,) * self.alg.n, q)
 
     def sqrt(self, n):
-        return EnvElement.monomial(self.alg, (0,) * self.alg.n,
-                                   self.alg.field.sqrt(n))
+        return self.number(self.alg.field.sqrt(n))
 
     def var(self, name):
         if name.startswith("X") and name[1:].isdigit():

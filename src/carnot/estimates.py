@@ -613,16 +613,18 @@ def proof_tensor(cx: RuminComplex, h: int,
 
 
 def derived_row(cx: RuminComplex, h: int) -> list:
-    """The engine's own vanishing row: the Cartan pairing of the lifted
-    symbolic basis form against the degree-h probe multivector."""
-    return cartan_pairing(cx, cx.lift(h), PAIRING_FIELDS[h])
+    """The engine's own vanishing row, in the orthonormal slots: the Cartan
+    pairing of the lifted symbolic basis form against the degree-h probe
+    multivector, a row from E0^h to E0^0, whose basis 1 has norm 1."""
+    row = cartan_pairing(cx, cx.lift(h), PAIRING_FIELDS[h])
+    return cx.orthonormal([row], 0, h)[0]
 
 
 def tensor_findings(cx: RuminComplex, convention: str = "cvs") -> list:
     """Adjudicate the stored tensors degree by degree; machine-readable."""
     findings = []
     for h in (1, 2, 3, 4):
-        dcm = cx.dc_matrix(h)
+        dcm = cx.orthonormal(cx.dc_matrix(h), h + 1, h)
         display = paper_tensor(cx, h)
         disp_div = generalized_divergence(display, convention)
         disp_cert = check_row_membership(disp_div, dcm)

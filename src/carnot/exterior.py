@@ -402,7 +402,7 @@ class OperatorForm:
             for t, c in mv.items():
                 terms = by_covector.get(t)
                 if terms:
-                    c = c * dm
+                    c = canonical(c * dm)
                     for slot, u in terms:
                         add_into(accs[slot], u, c)
             rows.append([collect(alg, acc, d * dm) for acc in accs])

@@ -30,6 +30,7 @@ from __future__ import annotations
 from math import lcm
 
 from .env import EnvElement
+from .linalg import reciprocal
 from .rumin import OperatorMatrix, RuminComplex, cached
 
 
@@ -161,8 +162,10 @@ def order_table(cx: RuminComplex, family: str):
                  for h in range(cx.algebra.n + 1))
 
 
-def verify_self_adjoint(m: OperatorMatrix) -> dict:
-    """Formal-adjoint transpose equals the matrix entrywise after PBW.
+def verify_self_adjoint(cx: RuminComplex, m: OperatorMatrix, h: int) -> dict:
+    """Self-adjointness of an endomorphism m of E0^h, given over the
+    orthogonal basis w_k with norms N_k: the orthonormal matrix is
+    self-adjoint exactly when N_i * (m_ij)* = N_j * m_ji after PBW.
 
     The formal adjoint is an involution, so entry (i, j) fails exactly when
     (j, i) does: only the upper triangle is compared.
@@ -171,9 +174,10 @@ def verify_self_adjoint(m: OperatorMatrix) -> dict:
     if rows != cols:
         return {"applicable": False,
                 "reason": f"matrix is {rows}x{cols}, not square"}
-    e = m.entries
+    e, norms = m.entries, cx.norms(h)
     bad = {(a, b) for i in range(rows) for j in range(i, rows)
-           if e[i][j].formal_adjoint() != e[j][i] for a, b in ((i, j), (j, i))}
+           if e[i][j].formal_adjoint().scale(norms[i] * reciprocal(norms[j]))
+           != e[j][i] for a, b in ((i, j), (j, i))}
     out = {"applicable": True, "self_adjoint": not bad}
     if bad:
         out["bad_entries"] = sorted(bad)

@@ -12,16 +12,17 @@ rational result needs ``canonical`` (``Fraction(1, 2) * 2`` is an integral
 ``Fraction``) and a quotient needs ``reciprocal`` (``1 / 2`` is a float).
 ``solve`` takes ``{key: value}`` columns and target over any keys.  Every
 result is unique (the reduced row-echelon form, the canonical nullspace,
-Gram-Schmidt of an ordered input, the Moore-Penrose inverse) and values
-are canonical, so the elimination order does not show in the output.
+the orthogonal Gram-Schmidt vectors of an ordered input, the Moore-Penrose
+inverse) and values are canonical, so the elimination order does not show
+in the output.
 The one square inverse, ``_inverse``, is private: it forms the two middle
 factors of ``pseudoinverse``.
 
 ``mat_mul`` alone works on lists of lists: it is the independent dense
 check of the pseudoinverse identities, and the benchmark's tracer
 (``perfbench/tracer.py``) counts its products by indexing dense operands.
-Its zero is ``0``.  Only ``gram_schmidt``, for ``field.sqrt``, and
-``mat_mul``, whose signature the tracer wraps, take a field.
+Its zero is ``0``.  Only ``mat_mul``, whose signature the tracer wraps,
+takes a field.
 """
 
 from __future__ import annotations
@@ -194,26 +195,25 @@ def pseudoinverse(rows, ncols: int):
     return _mul(ft, _mul(middle, ct))
 
 
-def gram_schmidt(field, vectors):
-    """Orthonormalize over the field; extends the scalar tower for norms.
+def gram_schmidt(vectors):
+    """Orthogonalize in order, with no normalization: the lists of the w_k
+    and of their norms N_k = <w_k, w_k>, in the field of the inputs.
 
-    In exact arithmetic <w, e_k> = <v, e_k> for the partially reduced w, so
-    each vector is projected only onto the earlier orthonormal vectors whose
-    support meets its own.  ``field.sqrt`` is called once per kept vector,
-    in input order.
+    w_k = v - sum_j <v, w_j> / N_j w_j, and each vector is projected only
+    onto the earlier w_j whose support meets its own.
     """
-    ortho: list = []
+    ortho, norms = [], []
     by_col: dict = {}   # column -> indices of the ortho vectors using it
     for v in vectors:
         w = dict(v)
         for k in sorted({k for j in v for k in by_col.get(j, ())}):
             c = _dot(v, ortho[k])
             if c:
-                _add_into(w, -c, ortho[k])
+                _add_into(w, -c * reciprocal(norms[k]), ortho[k])
         if not w:
             continue
-        inv_norm = reciprocal(field.sqrt(_dot(w, w)))
         for j in w:
             by_col.setdefault(j, []).append(len(ortho))
-        ortho.append({j: canonical(x * inv_norm) for j, x in w.items()})
-    return ortho
+        ortho.append(w)
+        norms.append(canonical(_dot(w, w)))
+    return ortho, norms

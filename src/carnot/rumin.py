@@ -2,19 +2,23 @@ r"""The intrinsic complex of a stratified group: spaces, projections, matrices.
 
 For each degree h the intrinsic space E0^h = ker d0 /\ ker delta0 is computed
 exactly, one weight block at a time, as the nullspace of d0 stacked on the
-transpose of the incoming d0, followed by Gram-Schmidt orthonormalization in
-the scalar tower.  Basis elements are ordered by increasing weight and, inside
-a weight block, by the canonical reduced-row-echelon nullspace order, so the
-construction is deterministic.  Every exact value is an int or a Fraction
-until it is irrational (:mod:`carnot.scalars`), so a d0 block of rational
-structure constants, its rank, nullspace and pseudoinverse run in Q: the
-first Scalar appears at a square root of Gram-Schmidt that is irrational.
-``dims`` needs no basis: it is read off the ranks of the d0 blocks, each
-computed once.  On the Cartan group these bases are the published ones,
-so the matrices are the listed ones with no change of basis.  Every
-constant scalar matrix (a d0 block and its pseudoinverse, a star matrix)
-is a list of sparse ``{column: value}`` rows, the one format of
-:mod:`carnot.linalg`, so it is stored and walked by its nonzeros.
+transpose of the incoming d0, followed by Gram-Schmidt without the final
+division: the basis is the orthogonal w_k, kept with their norms
+N_k = <w_k, w_k>, ordered by increasing weight and, inside a weight block,
+by the canonical reduced-row-echelon nullspace order.  Every exact value is
+an int or a Fraction until it is irrational (:mod:`carnot.scalars`), so on a
+group with rational structure constants the d0 blocks, E0, d0^{-1}, the
+lifts, d_c, delta_c, the star matrices and the Laplacians are rational.
+``dims`` is read off the ranks of the d0 blocks, with no basis.  Every
+constant scalar matrix (a d0 block and its pseudoinverse, a star matrix) is
+a list of sparse ``{column: value}`` rows, the format of :mod:`carnot.linalg`.
+
+Square roots appear only in the orthonormal view, where output is printed
+or compared with the paper.  The published bases are e_k = w_k / sqrt(N_k),
+so a matrix M from degree p to degree q prints as ``orthonormal(M, q, p)``:
+entry (i, j) times sqrt(N^q_i) / sqrt(N^p_j).  The roots are taken as each
+basis block is built, so the tower gains its radicands in Gram-Schmidt
+order whatever is printed later.
 
 The projection Pi_E on the complement of the acyclic part is evaluated by the
 weight-ascending recursion
@@ -25,24 +29,24 @@ weight-ascending recursion
 where d0^{-1} is the exact Moore-Penrose pseudoinverse of d0 per weight
 block; each layer sum is computed only on the covectors where d0^{-1} has a
 column.  Each degree's lift, Pi_E applied to the symbolic basis form
-sum_i alpha_i xi_i with one function slot per basis element, is computed
-once.  The intrinsic differential in the chosen bases is the operator matrix
-d_c = Pi_{E0} d Pi_E: d(lift) is computed only on the covectors of the
-E0^{h+1} basis, and its projection onto E0^{h+1} has one row per basis
-element of E0^{h+1} and one entry per slot.  Pi_E, Pi_{E0} and
-the form builders sum in the flat accumulators of :mod:`carnot.env`.  The
-codifferential is obtained from the star formula
-delta_c = (-1)^{n(h+1)+1} * d_c *, cross-checked once per degree against the
-entrywise formal-adjoint transpose.  A product with star matrices on both
-sides is ``OperatorMatrix.conjugate``: a sum of scaled entries, with no PBW
-product.
+sum_i alpha_i w_i with one function slot per basis element, is computed
+once.  The intrinsic differential is the operator matrix
+d_c = Pi_{E0} d Pi_E, Pi_{E0} taking the coefficients <w_k, x> / N_k:
+d(lift) is computed only on the covectors of the E0^{h+1} basis, and d_c
+has one row per basis element of E0^{h+1} and one entry per slot.  The
+builders sum in the flat accumulators of :mod:`carnot.env`.  The
+codifferential is delta_c = (-1)^{n(h+1)+1} * d_c *, a formula the diagonal
+scalings of the view leave unchanged, cross-checked once per degree against
+the adjoint, which takes the norms: entry (i, j) of the adjoint of m is
+(N^q_j / N^p_i) m_ji*.  A product with star matrices on both sides is
+``OperatorMatrix.conjugate``: a sum of scaled entries, no PBW product.
 
 Every derived object lives in one dict, ``RuminComplex.memo``, filled by the
 ``cached`` decorator, which :mod:`carnot.laplacians` uses too.  Each degree
-keeps its weight blocks, d0 blocks with their ranks and pseudoinverses, E0,
-d0^{-1}, lift, d_c, star and delta_c; the Laplacian block powers are large
-and a Laplacian reads those of its own degree only, so only the degree of
-the Laplacian built last keeps them.
+keeps its weight blocks, d0 blocks with their ranks and pseudoinverses, its
+basis with norms and roots, d0^{-1}, lift, d_c, star and delta_c; only the
+degree of the Laplacian built last keeps its block powers, which are large
+and read by that degree alone.
 """
 
 from __future__ import annotations
@@ -53,10 +57,11 @@ import re
 from collections import defaultdict
 
 from . import linalg
-from .env import (EnvElement, Mixed, ZeroElement, add_into, collect,
-                  homogeneity_degrees, matrix_product)
+from .env import (AlgebraMismatch, EnvElement, Mixed, ZeroElement, add_into,
+                  collect, homogeneity_degrees, matrix_product)
 from .exterior import (CovectorMap, Form, OperatorForm, covectors,
                        d0_covector, d_terms, terms_of, tuple_weight)
+from .linalg import reciprocal
 from .scalars import TowerInsufficient
 
 
@@ -144,19 +149,14 @@ class OperatorMatrix:
         scaled exactly to integer coefficients first, and each output
         coefficient is divided by the product of the two denominators once.
         """
+        if other.algebra is not self.algebra:
+            raise AlgebraMismatch("operands live over different algebras")
         k = self.shape[1]
         k2, n = other.shape
         if k != k2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         out = matrix_product(self.algebra, self.entries, other.entries, n)
         return OperatorMatrix(self.algebra, out, cols=n)
-
-    def transpose_adjoint(self):
-        m, n = self.shape
-        return OperatorMatrix(
-            self.algebra,
-            [[self.entries[j][i].formal_adjoint() for j in range(m)]
-             for i in range(n)], cols=m)
 
     def is_zero(self):
         return all(not e for row in self.entries for e in row)
@@ -263,29 +263,76 @@ class RuminComplex:
         return {w: b for w, b in blocks.items() if b[1] and b[2]}
 
     @cached
-    def E0(self, h: int) -> tuple:
-        """Orthonormal basis of E0^h: pure-weight Forms, weight ascending."""
+    def _basis(self, h: int) -> tuple:
+        """(w_k, N_k, sqrt(N_k)) of E0^h, one tuple each, weight ascending;
+        a root the tower cannot hold stops the degree that needs it."""
         alg = self.algebra
         if not 0 <= h <= alg.n:
             raise ValueError(f"degree {h} out of range")
-        elements = []
+        elements, norms, roots = [], [], []
         for w in self._weight_blocks(h):
             rows, dom, _ = self.d0_matrix_block(h, w)
             if h >= 1:
                 # transpose of the incoming d0: one constraint per (h-1)-covector
                 incoming, before, _ = self.d0_matrix_block(h - 1, w)
                 rows = rows + linalg.transpose(incoming, len(before))
-            kernel = linalg.nullspace(rows, len(dom))
+            ortho, block_norms = linalg.gram_schmidt(
+                linalg.nullspace(rows, len(dom)))
             try:
-                ortho = linalg.gram_schmidt(alg.field, kernel)
+                roots.extend(alg.field.sqrt(x) for x in block_norms)
             except TowerInsufficient as exc:
                 exc.args = (f"{exc}, in the E0 block of degree {h}, "
                             f"weight {w}",)
                 raise
+            norms.extend(block_norms)
             elements.extend(Form(alg, h, {dom[i]: vec[i]
                                           for i in sorted(vec)})
                             for vec in ortho)
-        return tuple(elements)
+        return tuple(elements), tuple(norms), tuple(roots)
+
+    def E0(self, h: int) -> tuple:
+        """Orthogonal basis w_k of E0^h: pure-weight Forms, weight ascending."""
+        return self._basis(h)[0]
+
+    def norms(self, h: int) -> tuple:
+        """The squared norms N_k = <w_k, w_k> of the E0^h basis."""
+        return self._basis(h)[1]
+
+    def orthonormal_basis(self, h: int) -> tuple:
+        """The published orthonormal basis of E0^h: e_k = w_k / sqrt(N_k)."""
+        basis, _, roots = self._basis(h)
+        return tuple(xi.scale(reciprocal(s)) for xi, s in zip(basis, roots))
+
+    def orthonormal(self, m, q: int, p: int):
+        """A matrix from E0^p to E0^q in the orthonormal bases.
+
+        ``m`` holds the coefficients over the orthogonal bases, as an
+        OperatorMatrix or as dense rows of values or operators; entry (i, j)
+        is scaled by sqrt(N^q_i) / sqrt(N^p_j), and the result has the type
+        of ``m``.
+        An empty matrix, at either end of the complex, is returned as it is.
+        """
+        rows = m.entries if isinstance(m, OperatorMatrix) else m
+        if not rows or not rows[0]:
+            return m
+        inv = [reciprocal(s) for s in self._basis(p)[2]]
+        out = [[x.scale(r * c) if type(x) is EnvElement
+                else linalg.canonical(x * (r * c)) for x, c in zip(row, inv)]
+               for row, r in zip(rows, self._basis(q)[2])]
+        if isinstance(m, OperatorMatrix):
+            return OperatorMatrix(self.algebra, out, cols=len(inv))
+        return out
+
+    def adjoint(self, m: OperatorMatrix, q: int, p: int) -> OperatorMatrix:
+        """The adjoint E0^q -> E0^p of m: E0^p -> E0^q, in the orthogonal
+        bases: entry (i, j) is (N^q_j / N^p_i) * formal adjoint of m_ji."""
+        nq, n_p = self.norms(q), self.norms(p)
+        rows, cols = m.shape
+        return OperatorMatrix(
+            self.algebra,
+            [[m.entries[j][i].formal_adjoint().scale(
+                nq[j] * reciprocal(n_p[i])) for j in range(rows)]
+             for i in range(cols)], cols=rows)
 
     @cached
     def d0_rank(self, h: int, weight: int) -> int:
@@ -364,11 +411,12 @@ class RuminComplex:
                              for k, u in result[w].terms.items()})
 
     def pi_E0(self, form: OperatorForm) -> list:
-        """Orthogonal projection coefficients over the E0 basis of the
-        form's degree: one row of EnvElements per basis element, one entry
-        per slot."""
-        basis = self.E0(form.degree)
-        return form.pair_multivectors([xi.terms for xi in basis])
+        """Orthogonal projection coefficients <w_k, form> / N_k over the E0
+        basis of the form's degree: one row of EnvElements per basis
+        element, one entry per slot."""
+        basis, norms, _ = self._basis(form.degree)
+        return form.pair_multivectors([xi.scale(reciprocal(x)).terms
+                                       for xi, x in zip(basis, norms)])
 
     # -- intrinsic differential ----------------------------------------------
 
@@ -411,18 +459,20 @@ class RuminComplex:
 
     @cached
     def star_matrix(self, h: int):
-        """Sparse rows of the Hodge star E0^h -> E0^{n-h} (columns act).
+        """Sparse rows of the Hodge star E0^h -> E0^{n-h} (columns act),
+        over the orthogonal bases: entry (i, j) is <w'_i, *w_j> / N'_i.
 
         SpanMismatch when a star is not rebuilt exactly from its
-        coefficients over the orthonormal E0^{n-h}.
+        coefficients over E0^{n-h}.
         """
         alg = self.algebra
         target = self.E0(alg.n - h)
+        inv = [reciprocal(x) for x in self.norms(alg.n - h)]
         cols = []
         for xi in self.E0(h):
             star = xi.star()
-            col = {i: c for i, c in enumerate(eta.inner(star)
-                                              for eta in target) if c}
+            col = {i: linalg.canonical(c * r) for i, (c, r) in enumerate(
+                zip((eta.inner(star) for eta in target), inv)) if c}
             if sum((target[i].scale(c) for i, c in col.items()),
                    Form.zero(alg, alg.n - h)) != star:
                 raise SpanMismatch(
@@ -441,11 +491,11 @@ class RuminComplex:
         out = self.dc_matrix(n - h).conjugate(
             self.star_matrix(n - h + 1), self.star_matrix(h),
             len(src)).scale(sign)
-        alt = self.dc_matrix(h - 1).transpose_adjoint()
+        alt = self.adjoint(self.dc_matrix(h - 1), h, h - 1)
         return out, 1 if out == alt else -1 if out == -alt else None
 
     def deltac_star_adjoint_sign(self, h: int):
-        """Sign s with delta_c = s * (adjoint transpose of d_c(h-1)), or None.
+        """Sign s with delta_c = s * (adjoint of d_c(h-1)), or None.
 
         delta_c and s are memoized together, so the comparison runs once per
         degree, whichever of this and deltac_matrix is asked first.
@@ -455,16 +505,14 @@ class RuminComplex:
     def deltac_matrix(self, h: int) -> OperatorMatrix:
         """Codifferential on E0^h via delta_c = (-1)^{n(h+1)+1} * d_c *.
 
-        Raises StarAdjointMismatch unless it equals the adjoint transpose
-        of d_c(h-1).
+        Raises StarAdjointMismatch unless it equals the adjoint of
+        d_c(h-1).
         """
         out, s = self._deltac(h)
         if s != 1:
-            alt = self.dc_matrix(h - 1).transpose_adjoint()
-            diffs = [(i, j)
-                     for i in range(out.shape[0])
-                     for j in range(out.shape[1])
-                     if out.entries[i][j] != alt.entries[i][j]]
+            alt = self.adjoint(self.dc_matrix(h - 1), h, h - 1)
+            diffs = [(i, j) for i, row in enumerate(out.entries)
+                     for j, e in enumerate(row) if e != alt.entries[i][j]]
             raise StarAdjointMismatch(
                 f"degree {h}: star formula and adjoint transpose "
                 f"disagree at entries {diffs}")

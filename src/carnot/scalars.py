@@ -26,16 +26,11 @@ from fractions import Fraction
 from math import isqrt
 
 from . import _expr
-from .linalg import _rref, reciprocal
+from .linalg import _rref, canonical, reciprocal
 
 
 class TowerInsufficient(ValueError):
     """A required square root is not expressible in the extension tower."""
-
-
-def _q(c):
-    """The canonical coefficient: ``c`` as an ``int`` when it is integral."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def _mask_product(radicands, mask: int) -> int:
@@ -48,16 +43,6 @@ def _mask_product(radicands, mask: int) -> int:
         mask >>= 1
         i += 1
     return p
-
-
-def signed_term(radicands, mask: int, c) -> tuple:
-    """(sign, text) of the one-term scalar ``c * basis[mask]``, as
-    ``_expr.signed`` splits it: "-" and "3/2*sqrt(6)" for -3/2*sqrt(6)."""
-    sign, text = _expr.signed(c)
-    if not mask:
-        return sign, text
-    rad = f"sqrt({_mask_product(radicands, mask)})"
-    return sign, rad if text == "1" else f"{text}*{rad}"
 
 
 def _value(field, terms: dict):
@@ -105,7 +90,7 @@ class ScalarField:
             return value
         if isinstance(value, str):
             return self.parse(value)
-        return _q(Fraction(value))
+        return canonical(Fraction(value))
 
     def _ensure_radicand(self, r: int):
         """Locate sqrt(r) in the tower, extending it if necessary.
@@ -139,9 +124,9 @@ class ScalarField:
         s, r = _square_free_split(q.numerator * q.denominator)
         coeff = Fraction(s, q.denominator)
         if r == 1:
-            return _q(coeff)
+            return canonical(coeff)
         mask, mult = self._ensure_radicand(r)
-        return Scalar(self, {mask: _q(coeff * mult)})
+        return Scalar(self, {mask: canonical(coeff * mult)})
 
     # -- parsing ------------------------------------------------------
 
@@ -164,20 +149,26 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _terms(self, other) -> dict:
-        """The {mask: coeff} terms of a value of this field."""
+    def _terms(self, other):
+        """The {mask: coeff} terms of a value of this field; None for an
+        operand of another type, which the operators hand back to it."""
         if isinstance(other, Scalar):
             if other.field is not self.field:
                 raise ValueError("scalars from different fields")
             return other.terms
-        return {0: other} if other else {}
+        if isinstance(other, (int, Fraction)):
+            return {0: other} if other else {}
+        return None
 
     def __add__(self, other):
+        right = self._terms(other)
+        if right is None:
+            return NotImplemented
         terms = dict(self.terms)
-        for m, c in self._terms(other).items():
+        for m, c in right.items():
             s = terms.get(m, 0) + c
             if s:
-                terms[m] = _q(s)
+                terms[m] = canonical(s)
             else:
                 del terms[m]
         return _value(self.field, terms)
@@ -194,11 +185,13 @@ class Scalar:
         return -self + other
 
     def __mul__(self, other):
+        right = self._terms(other)
+        if right is None:
+            return NotImplemented
         terms: dict = {}
         rad = self.field.radicands
-        right = self._terms(other).items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in right:
+            for m2, c2 in right.items():
                 common = m1 & m2
                 c = c1 * c2
                 if common:
@@ -209,7 +202,8 @@ class Scalar:
                     terms[m] = s
                 else:
                     del terms[m]
-        return _value(self.field, {m: _q(c) for m, c in terms.items()})
+        return _value(self.field,
+                      {m: canonical(c) for m, c in terms.items()})
 
     __rmul__ = __mul__
 
@@ -218,8 +212,8 @@ class Scalar:
         if len(self.terms) == 1:
             # 1 / (c * sqrt(r)) = sqrt(r) / (c * r), r the mask's product
             (m, c), = self.terms.items()
-            return Scalar(self.field, {m: _q(Fraction(1, c * _mask_product(
-                self.field.radicands, m)))})
+            return Scalar(self.field, {m: canonical(Fraction(
+                1, c * _mask_product(self.field.radicands, m)))})
         # Solve x * y = 1 in the subfield generated by the masks of x.
         union = 0
         for m in self.terms:
@@ -243,7 +237,8 @@ class Scalar:
                     self.field.radicands, m1 & bj)
         rows[index[0]][n] = 1
         aug, _ = _rref(rows)
-        terms = {basis[j]: _q(row[n]) for j, row in enumerate(aug) if n in row}
+        terms = {basis[j]: canonical(row[n])
+                 for j, row in enumerate(aug) if n in row}
         return Scalar(self.field, terms)
 
     def __truediv__(self, other):
@@ -266,12 +261,15 @@ class Scalar:
     # -- rendering ------------------------------------------------------
 
     def __str__(self):
-        rad = self.field.radicands
-        return _expr.signed_sum(signed_term(rad, m, self.terms[m])
-                                for m in sorted(self.terms))
+        """Tower terms by mask, as in "1 - 3/2*sqrt(6)"."""
+        terms = []
+        for m in sorted(self.terms):
+            sign, text = _expr.signed(self.terms[m])
+            if m:
+                rad = f"sqrt({_mask_product(self.field.radicands, m)})"
+                text = rad if text == "1" else f"{text}*{rad}"
+            terms.append((sign, text))
+        return _expr.signed_sum(terms)
 
     def __repr__(self):
         return f"Scalar({self})"
-
-    def is_multi_term(self) -> bool:
-        return len(self.terms) > 1

@@ -56,8 +56,9 @@ def _as_lists(rows, ncols: int) -> list:
 
 
 def star_listing(cx: RuminComplex, h: int) -> list:
-    """The star matrix of degree h as dense rows, as listed."""
-    return _as_lists(cx.star_matrix(h), len(cx.E0(h)))
+    """The star matrix of degree h as dense orthonormal rows, as listed."""
+    return cx.orthonormal(_as_lists(cx.star_matrix(h), len(cx.E0(h))),
+                          cx.algebra.n - h, h)
 
 
 def golden_matrix(alg, rows) -> OperatorMatrix:
@@ -225,23 +226,24 @@ def verify_cartan(cx: RuminComplex, report: Report, golden: dict,
     for h_str, spec in golden["bases"].items():
         h = int(h_str)
         listed = [golden_form(alg, s, h) for s in spec]
-        pairs = enumerate(zip_longest(cx.E0(h), listed))
+        pairs = enumerate(zip_longest(cx.orthonormal_basis(h), listed))
         k = next((k for k, (xi, eta) in pairs if xi != eta), None)
         details[h_str] = ("aligned" if k is None else
                           f"element {k} differs from the computed basis")
     report.add("golden-basis-span-match",
                all(v == "aligned" for v in details.values()), detail=details)
 
-    def compare_golden(kind, table, compute):
+    def compare_golden(kind, compute, shift):
+        """The listings of a matrix from degree h to h + shift, printed."""
         bad = []
-        for h_str, rows in table.items():
+        for h_str, rows in golden[kind].items():
             h = int(h_str)
             try:
                 expected = golden_matrix(alg, rows)
             except ValueError as exc:  # an unparsable reference entry
                 bad.append((kind, h, f"error: {exc}"))
                 continue
-            got = compute(h)
+            got = cx.orthonormal(compute(h), h + shift, h)
             if expected.shape != got.shape:
                 bad.append((kind, h, "shape"))
                 continue
@@ -250,8 +252,8 @@ def verify_cartan(cx: RuminComplex, report: Report, golden: dict,
                        if expected.entries[i][j] != got.entries[i][j])
         report.add(f"golden-{kind}-matrices", not bad, bad_entries=bad)
 
-    compare_golden("dc", golden["dc"], cx.dc_matrix)
-    compare_golden("deltac", golden["deltac"], cx.deltac_matrix)
+    compare_golden("dc", cx.dc_matrix, 1)
+    compare_golden("deltac", cx.deltac_matrix, -1)
 
     report.add("golden-star-matrices",
                all(star_listing(cx, int(h)) == rows
@@ -292,15 +294,17 @@ def verify_cartan(cx: RuminComplex, report: Report, golden: dict,
     bad = []
     # Families share matrices (G = R at h=2,3, A = R at h=0,1,4,5), and
     # comparing entries is far cheaper than a formal adjoint: a matrix
-    # equal to one already checked takes that verdict.
+    # equal to one already checked in the same degree, whose norms the
+    # check reads, takes that verdict.
     verdicts = []
     for fam, mats in laps.items():
         for h, m in enumerate(mats):
-            self_adjoint = next((v for seen, v in verdicts if seen == m), None)
+            self_adjoint = next((v for seen, v in verdicts
+                                 if seen == (h, m)), None)
             if self_adjoint is None:
-                self_adjoint = bool(
-                    laplacians.verify_self_adjoint(m).get("self_adjoint"))
-                verdicts.append((m, self_adjoint))
+                self_adjoint = bool(laplacians.verify_self_adjoint(
+                    cx, m, h).get("self_adjoint"))
+                verdicts.append(((h, m), self_adjoint))
             if not self_adjoint:
                 ok = False
                 bad.append((fam, h))
@@ -372,7 +376,8 @@ def verify_cartan(cx: RuminComplex, report: Report, golden: dict,
     for h in (3, 4):
         pt = estimates.proof_tensor(cx, h, "cvs")
         div = estimates.generalized_divergence(pt, "cvs")
-        if estimates.check_row_membership(div, cx.dc_matrix(h)) is None:
+        dcm = cx.orthonormal(cx.dc_matrix(h), h + 1, h)
+        if estimates.check_row_membership(div, dcm) is None:
             ok = False
     report.add("proof-tensors-h3-h4-certified", ok)
 
@@ -422,13 +427,13 @@ def regenerate_golden(cx: RuminComplex) -> dict:
     for h in (1, 2, 3, 4):
         out["bases"][str(h)] = [
             [[str(c), list(t)] for t, c in sorted(xi.terms.items())]
-            for xi in cx.E0(h)]
+            for xi in cx.orthonormal_basis(h)]
     for h in range(5):
-        out["dc"][str(h)] = [[e.render() for e in row]
-                             for row in cx.dc_matrix(h).entries]
+        out["dc"][str(h)] = cx.orthonormal(
+            cx.dc_matrix(h), h + 1, h).to_json()["entries"]
     for h in range(1, 6):
-        out["deltac"][str(h)] = [[e.render() for e in row]
-                                 for row in cx.deltac_matrix(h).entries]
+        out["deltac"][str(h)] = cx.orthonormal(
+            cx.deltac_matrix(h), h - 1, h).to_json()["entries"]
     for h in (1, 2, 3, 4):
         star = star_listing(cx, h)
         if any(type(q) is not int for row in star for q in row):

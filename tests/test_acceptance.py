@@ -50,7 +50,7 @@ def test_criterion_1_dimensions_and_bases(cx, golden):
     for h_str, basis_spec in golden["bases"].items():
         h = int(h_str)
         expected = [golden_form(cx.algebra, spec, h) for spec in basis_spec]
-        ok = ok and list(cx.E0(h)) == expected
+        ok = ok and list(cx.orthonormal_basis(h)) == expected
     elapsed = time.perf_counter() - t0
     report(1, ok and elapsed < 1.0, f"{elapsed:.3f}s")
 
@@ -60,9 +60,13 @@ def test_criterion_2_matrices_match_listings(cx, golden):
     alg = cx.algebra
     ok = True
     for h_str, rows in golden["dc"].items():
-        ok = ok and cx.dc_matrix(int(h_str)) == golden_matrix(alg, rows)
+        h = int(h_str)
+        ok = ok and cx.orthonormal(cx.dc_matrix(h), h + 1, h) \
+            == golden_matrix(alg, rows)
     for h_str, rows in golden["deltac"].items():
-        ok = ok and cx.deltac_matrix(int(h_str)) == golden_matrix(alg, rows)
+        h = int(h_str)
+        ok = ok and cx.orthonormal(cx.deltac_matrix(h), h - 1, h) \
+            == golden_matrix(alg, rows)
     elapsed = time.perf_counter() - t0
     report(2, ok and elapsed < 10.0, f"10 matrices, {elapsed:.3f}s")
 
@@ -90,8 +94,9 @@ def test_criterion_5_order_tables_and_self_adjointness(cx):
     for fam, mats in laps.items():
         orders = [m.homogeneous_order() for m in mats]
         ok = ok and orders == list(LAPLACIAN_ORDERS[fam])
-        for m in mats:
-            ok = ok and laplacians.verify_self_adjoint(m)["self_adjoint"]
+        for h, m in enumerate(mats):
+            ok = ok and laplacians.verify_self_adjoint(
+                cx, m, h)["self_adjoint"]
     ok = ok and laps["A"][3] == laplacians.hodge_conjugate(cx, laps["A"][2], 2)
     report(5, ok)
 
@@ -147,7 +152,8 @@ def test_criterion_8_divergence_tensors(cx):
     for h in (3, 4):
         pt = estimates.proof_tensor(cx, h, "cvs")
         div = estimates.generalized_divergence(pt, "cvs")
-        cert = estimates.check_row_membership(div, cx.dc_matrix(h))
+        cert = estimates.check_row_membership(
+            div, cx.orthonormal(cx.dc_matrix(h), h + 1, h))
         ok = ok and cert is not None
         ok = ok and all(e.is_zero() or e.homogeneity() == 0 for e in cert)
     findings = estimates.tensor_findings(cx, "cvs")

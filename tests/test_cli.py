@@ -102,7 +102,7 @@ def test_json_matrix_round_trip(capsys):
     cx = RuminComplex(g)
     parsed = [[EnvElement.parse(g, cell) for cell in row]
               for row in payload["entries"]]
-    assert parsed == cx.dc_matrix(1).entries
+    assert parsed == cx.orthonormal(cx.dc_matrix(1), 2, 1).entries
 
 
 def test_latex_braces_long_indices_and_every_radicand(capsys):
@@ -401,12 +401,12 @@ def _skew_dc_entry(monkeypatch):
 
 
 def _break_star_formula(monkeypatch):
-    """The adjoint transpose is doubled: the star cross-check fails."""
-    from carnot.rumin import OperatorMatrix
+    """The adjoint is doubled: the star cross-check fails."""
+    from carnot.rumin import RuminComplex
 
-    adjoint = OperatorMatrix.transpose_adjoint
-    monkeypatch.setattr(OperatorMatrix, "transpose_adjoint",
-                        lambda m: adjoint(m).scale(2))
+    adjoint = RuminComplex.adjoint
+    monkeypatch.setattr(RuminComplex, "adjoint",
+                        lambda cx, m, q, p: adjoint(cx, m, q, p).scale(2))
     return (("deltac", "--degree", "1"),
             "error: degree 1: star formula and adjoint transpose disagree")
 
@@ -425,8 +425,16 @@ def _mix_algebras(monkeypatch):
             "error: operands live over different algebras")
 
 
+def _mix_product(monkeypatch):
+    """As in _mix_algebras, but R at degree 0 is the one product
+    delta_1 @ d_0, with no sum after it: the product itself refuses."""
+    _mix_algebras(monkeypatch)
+    return (("laplacian", "--family", "R", "--degree", "0"),
+            "error: operands live over different algebras")
+
+
 @pytest.mark.parametrize("fault", [_skew_dc_entry, _break_star_formula,
-                                   _mix_algebras])
+                                   _mix_algebras, _mix_product])
 def test_internal_errors_exit_4(capsys, monkeypatch, fault):
     """A failed consistency check of the engine is an internal bug: exit 4
     with the message on stderr, no traceback."""

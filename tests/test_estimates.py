@@ -178,7 +178,8 @@ def test_h3_proof_tensor_certificate(cx):
     pt = est.proof_tensor(cx, 3, "cvs")
     row = est.generalized_divergence(pt, "cvs")
     assert row == est.proof_row(cx, 3)
-    cert = est.check_row_membership(row, cx.dc_matrix(3))
+    dc3 = cx.orthonormal(cx.dc_matrix(3), 4, 3)
+    cert = est.check_row_membership(row, dc3)
     assert [e.render() for e in cert] == ["1", "0"]
 
 
@@ -220,7 +221,8 @@ def test_h2_derived_row_is_scaled_second_dc_row(cx):
     g = cx.algebra
     row = est.derived_row(cx, 2)
     inv_s2 = g.field.sqrt(2).inverse()
-    expected = [e.scale(inv_s2) for e in cx.dc_matrix(2).entries[1]]
+    expected = [e.scale(inv_s2)
+                for e in cx.orthonormal(cx.dc_matrix(2), 3, 2).entries[1]]
     assert row == expected
     assert row != est.proof_row(cx, 2)
 

@@ -46,8 +46,9 @@ LAPLACIAN_DIGEST = \
     "83a4de2668d97a3a2c22c8f5b212e484a1c255e9404f7ad5eb436dd34a653029"
 
 
-def test_laplacian_entries_digest(laps):
-    listing = {fam: [m.to_json() for m in laps[fam]] for fam in "GRA"}
+def test_laplacian_entries_digest(cx, laps):
+    listing = {fam: [cx.orthonormal(m, h, h).to_json()
+                     for h, m in enumerate(laps[fam])] for fam in "GRA"}
     text = json.dumps(listing, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == LAPLACIAN_DIGEST
 
@@ -68,12 +69,12 @@ def test_homogeneous_order_reports(cx, laps):
 def test_self_adjointness(cx, laps):
     for fam, mats in laps.items():
         for h, m in enumerate(mats):
-            rep = verify_self_adjoint(m)
+            rep = verify_self_adjoint(cx, m, h)
             assert rep["applicable"] and rep["self_adjoint"], (fam, h)
 
 
 def test_self_adjoint_not_applicable_for_rectangular(cx):
-    rep = verify_self_adjoint(cx.dc_matrix(1))
+    rep = verify_self_adjoint(cx, cx.dc_matrix(1), 1)
     assert rep["applicable"] is False
 
 
@@ -173,7 +174,7 @@ def test_heisenberg_R_is_rumin_laplacian(m):
     assert order_table(cx, "G") == (4,) * (n + 1)
     for fam in ("A", "R", "G"):
         for h in range(n + 1):
-            rep = verify_self_adjoint(laplacian(cx, fam, h))
+            rep = verify_self_adjoint(cx, laplacian(cx, fam, h), h)
             assert rep["applicable"] and rep["self_adjoint"], (fam, h)
             assert star_duality_sign(cx, fam, h) == 1, (fam, h)
 
@@ -202,9 +203,10 @@ def test_powers_equal_the_chain(make):
                 assert got.entries[i][j] == want, (h, kind, p, i, j)
 
 
-def _full_self_adjoint(m):
-    """The reference: the whole adjoint transpose against the matrix."""
-    adj = m.transpose_adjoint()
+def _full_self_adjoint(cx, m, h):
+    """The reference: the whole adjoint for the orthonormal basis, weighted
+    by the norms, against the matrix."""
+    adj = cx.adjoint(m, h, h)
     bad = [(i, j) for i, row in enumerate(m.entries)
            for j, e in enumerate(row) if e != adj.entries[i][j]]
     out = {"applicable": True, "self_adjoint": not bad}
@@ -221,9 +223,9 @@ def _plus_x1(m, i, j):
     return OperatorMatrix(m.algebra, entries, cols=m.shape[1])
 
 
-def test_triangle_check_matches_the_full_comparison(laps):
+def test_triangle_check_matches_the_full_comparison(cx, laps):
     """verify_self_adjoint compares one triangle only: it gives the verdict
-    and the bad entries of the whole adjoint transpose, on the Laplacians
+    and the bad entries of the whole weighted adjoint, on the Laplacians
     and on copies with one off-diagonal or one diagonal entry perturbed."""
     for fam, mats in laps.items():
         for h, m in enumerate(mats):
@@ -232,9 +234,9 @@ def test_triangle_check_matches_the_full_comparison(laps):
             if last:
                 copies += [_plus_x1(m, 0, last), _plus_x1(m, last, 0)]
             for k, c in enumerate(copies):
-                want = _full_self_adjoint(c)
+                want = _full_self_adjoint(cx, c, h)
                 assert want["self_adjoint"] == (k == 0), (fam, h, k)
-                assert verify_self_adjoint(c) == want, (fam, h, k)
+                assert verify_self_adjoint(cx, c, h) == want, (fam, h, k)
 
 
 # -- the per-complex cache -------------------------------------------------
@@ -318,18 +320,19 @@ def test_verify_checks_each_distinct_laplacian_once(monkeypatch, cx, laps):
     flagged = laps["R"][2]
     real = laplacians.verify_self_adjoint
 
-    def flagging(m):
-        checked.append(m)
+    def flagging(cx, m, h):
+        checked.append((h, m))
         if m == flagged:
             return {"applicable": True, "self_adjoint": False}
-        return real(m)
+        return real(cx, m, h)
 
     monkeypatch.setattr(laplacians, "verify_self_adjoint", flagging)
     report = Report()
     verify_cartan(cx, report, load_golden())
-    # 18 matrices, 10 distinct: G = R at h=2,3, A = R at h=0,1,4,5, and
-    # the 1x1 matrices of G and R at h=5 equal those at h=0
-    assert len(checked) == 10
+    # 18 matrices, 12 distinct in their degree: G = R at h=2,3 and A = R
+    # at h=0,1,4,5; the 1x1 matrices of G and R at h=5 equal those at h=0
+    # but are checked again, because the check reads the degree's norms
+    assert len(checked) == 12
     assert all(a != b for i, a in enumerate(checked)
                for b in checked[:i])
     check = next(c for c in report.checks
@@ -338,3 +341,26 @@ def test_verify_checks_each_distinct_laplacian_once(monkeypatch, cx, laps):
     # matrix had been checked on its own
     assert check["status"] == "fail"
     assert check["bad"] == [("G", 2), ("R", 2)]
+
+
+def test_weighted_check_catches_mutations(cx, laps):
+    """The check weighs each entry by the norms of E0^h: on Cartan's
+    degree 2 the norms are (1, 2, 1), and a perturbed off-diagonal entry,
+    the same perturbation in both mirrored entries (which an unweighted
+    transpose would pass) and two swapped norms each fail it."""
+    from types import SimpleNamespace
+
+    assert cx.norms(2) == (1, 2, 1)
+    m = laps["A"][2]
+    assert verify_self_adjoint(cx, m, 2)["self_adjoint"]
+    x1sq = EnvElement.from_word(cx.algebra, (1, 1))
+    one = [list(row) for row in m.entries]
+    one[0][1] = one[0][1] + x1sq
+    both = [list(row) for row in one]
+    both[1][0] = both[1][0] + x1sq
+    for entries in (one, both):
+        rep = verify_self_adjoint(cx, OperatorMatrix(cx.algebra, entries), 2)
+        assert rep["bad_entries"] == [(0, 1), (1, 0)]
+    swapped = SimpleNamespace(norms=lambda h: (2, 1, 1))
+    rep = verify_self_adjoint(swapped, m, 2)
+    assert not rep["self_adjoint"] and (0, 1) in rep["bad_entries"]

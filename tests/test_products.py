@@ -30,7 +30,9 @@ from carnot.exterior import (OperatorForm, covectors, d0_covector, d_terms,
                              merge_wedge, tuple_weight)
 from carnot.liealg import (ResourceLimit, StratifiedLieAlgebra, cartan_group,
                            free_nilpotent)
+from carnot.linalg import reciprocal
 from carnot.rumin import OperatorMatrix, RuminComplex
+from carnot.scalars import Scalar
 
 PROPERTY = settings(max_examples=40, derandomize=True, database=None,
                     deadline=None)
@@ -70,12 +72,22 @@ def elements(alg, max_terms=3):
 
 
 def assert_canonical(alg, *elems):
-    """Exact coefficients only, in the caches and in the map every element
-    stores: nonzero ints or non-integral Fractions under int keys."""
-    def check(c):
+    """Exact values in their one form only, in the caches and in the map
+    every element stores, under int codes: nonzero ints, non-integral
+    Fractions, or irrational Scalars of the group's field whose tower terms
+    are such rationals."""
+    def rational(c):
         assert type(c) in (int, Fraction), type(c)
         assert c != 0
         assert type(c) is int or c.denominator != 1
+
+    def check(c):
+        if type(c) is Scalar:
+            assert c.field is alg.field and c.terms.keys() - {0}
+            for v in c.terms.values():
+                rational(v)
+        else:
+            rational(c)
     maps = [*alg._nf_cache.values(), *alg._prod_cache.values(),
             *alg._adj_cache.values()]
     for nf in maps + [e._packed for e in elems]:
@@ -559,8 +571,9 @@ def test_pseudoinverse_and_pairings_match_reference(name, data):
     assert image.terms == ref_apply(pinv, form.terms)
     canonical(alg, image)
     rows = cx.pi_E0(form)
-    assert rows == [ref_pair(alg, form.terms, xi.terms, form.slots)
-                    for xi in cx.E0(h + 1)]
+    assert rows == [[u.scale(reciprocal(x)) for u in
+                     ref_pair(alg, form.terms, xi.terms, form.slots)]
+                    for xi, x in zip(cx.E0(h + 1), cx.norms(h + 1))]
     canonical(alg, rows)
     mv = data.draw(st.dictionaries(st.sampled_from(covectors(alg, h + 1)),
                                    scalars(alg).filter(bool), max_size=4))

@@ -32,27 +32,33 @@ def test_dims(cx):
 def test_E0_bases_match_published(cx):
     g = cx.algebra
     inv_s2 = g.field.sqrt(2).inverse()
-    assert list(cx.E0(1)) == [th(cx, 1), th(cx, 2)]
+    e0 = cx.orthonormal_basis
+    assert list(e0(1)) == [th(cx, 1), th(cx, 2)]
     xi2 = (th(cx, 2, 4) + th(cx, 1, 5)).scale(inv_s2)
-    assert list(cx.E0(2)) == [th(cx, 1, 4), xi2, th(cx, 2, 5)]
+    assert list(e0(2)) == [th(cx, 1, 4), xi2, th(cx, 2, 5)]
     xi3 = (th(cx, 1, 3, 5) + th(cx, 2, 3, 4)).scale(inv_s2)
-    assert list(cx.E0(3)) == [th(cx, 1, 3, 4), xi3, th(cx, 2, 3, 5)]
-    assert list(cx.E0(4)) == [th(cx, 1, 3, 4, 5), th(cx, 2, 3, 4, 5)]
-    assert list(cx.E0(0)) == [Form.basis(cx.algebra, ())]
-    assert list(cx.E0(5)) == [Form.volume(cx.algebra)]
+    assert list(e0(3)) == [th(cx, 1, 3, 4), xi3, th(cx, 2, 3, 5)]
+    assert list(e0(4)) == [th(cx, 1, 3, 4, 5), th(cx, 2, 3, 4, 5)]
+    assert list(e0(0)) == [Form.basis(cx.algebra, ())]
+    assert list(e0(5)) == [Form.volume(cx.algebra)]
     assert [xi.weight() for xi in cx.E0(2)] == [4, 4, 4]
     assert [xi.weight() for xi in cx.E0(3)] == [6, 6, 6]
 
 
 def test_E0_elements_are_intrinsic_and_orthonormal(cx):
+    """The orthonormal basis is orthonormal, and E0 is orthogonal with
+    the stored norms."""
     for h in range(6):
-        basis = cx.E0(h)
+        basis = cx.orthonormal_basis(h)
+        norms = cx.norms(h)
         for i, xi in enumerate(basis):
             assert xi.d0().is_zero()
             assert xi.delta0().is_zero()
             for j, eta in enumerate(basis):
                 expected = cx.algebra.field(1 if i == j else 0)
                 assert xi.inner(eta) == expected
+                assert cx.E0(h)[i].inner(cx.E0(h)[j]) \
+                    == (norms[i] if i == j else 0)
         weights = [xi.weight() for xi in basis]
         assert weights == sorted(weights)
 
@@ -126,25 +132,28 @@ def test_pi_E0_examples(cx):
 
 def test_dc_entries_match_published_samples(cx):
     g = cx.algebra
-    d0 = cx.dc_matrix(0)
+    d0 = cx.orthonormal(cx.dc_matrix(0), 1, 0)
     assert d0.entries == [[EnvElement.generator(g, 1)],
                           [EnvElement.generator(g, 2)]]
-    d2 = cx.dc_matrix(2)
+    d2 = cx.orthonormal(cx.dc_matrix(2), 3, 2)
     assert d2.entries[0][0] == EnvElement.parse(g, "-X1X2 - X3")
     assert d2.entries[0][1] == EnvElement.parse(g, "X1^2/sqrt(2)")
     assert d2.entries[0][2].is_zero()
-    d4 = cx.dc_matrix(4)
+    d4 = cx.orthonormal(cx.dc_matrix(4), 5, 4)
     assert d4.entries == [[EnvElement.parse(g, "-X2"),
                            EnvElement.parse(g, "X1")]]
 
 
 def test_deltac_examples(cx):
     g = cx.algebra
-    assert cx.deltac_matrix(1).entries == [[EnvElement.parse(g, "-X1"),
-                                            EnvElement.parse(g, "-X2")]]
-    assert cx.deltac_matrix(5).entries == [[EnvElement.parse(g, "X2")],
-                                           [EnvElement.parse(g, "-X1")]]
-    assert cx.deltac_matrix(3).entries[1][1] == EnvElement.parse(g, "3/2X3")
+
+    def deltac(h):
+        return cx.orthonormal(cx.deltac_matrix(h), h - 1, h).entries
+    assert deltac(1) == [[EnvElement.parse(g, "-X1"),
+                          EnvElement.parse(g, "-X2")]]
+    assert deltac(5) == [[EnvElement.parse(g, "X2")],
+                         [EnvElement.parse(g, "-X1")]]
+    assert deltac(3)[1][1] == EnvElement.parse(g, "3/2X3")
 
 
 def test_deltac_sign_recorded(cx):
@@ -153,16 +162,16 @@ def test_deltac_sign_recorded(cx):
 
 
 def test_deltac_checked_once_whichever_is_asked_first(monkeypatch):
-    """delta_c is compared with the adjoint transpose once per degree, and
-    refused on a wrong sign even when the sign was asked for first."""
+    """delta_c is compared with the adjoint once per degree, and refused
+    on a wrong sign even when the sign was asked for first."""
     calls = []
-    adjoint = OperatorMatrix.transpose_adjoint
+    adjoint = RuminComplex.adjoint
 
-    def counting(self):
-        calls.append(self.shape)
-        return adjoint(self)
+    def counting(self, m, q, p):
+        calls.append(m.shape)
+        return adjoint(self, m, q, p)
 
-    monkeypatch.setattr(OperatorMatrix, "transpose_adjoint", counting)
+    monkeypatch.setattr(RuminComplex, "adjoint", counting)
     fresh = RuminComplex(cartan_group())
     fresh.deltac_matrix(1)
     assert fresh.deltac_star_adjoint_sign(1) == 1
@@ -206,7 +215,8 @@ def test_star_outside_the_target_span_is_refused():
     """The star matrix rebuilds each star exactly or raises: with E0^4 cut
     to theta1345, the star of theta1 (theta2345) has no coefficients."""
     fresh = RuminComplex(cartan_group())
-    fresh.memo["RuminComplex.E0"][(4,)] = (th(fresh, 1, 3, 4, 5),)
+    fresh.memo["RuminComplex._basis"][(4,)] = ((th(fresh, 1, 3, 4, 5),),
+                                               (1,), (1,))
     with pytest.raises(SpanMismatch,
                        match=r"star of E0\^1 leaves the span of E0\^4"):
         fresh.star_matrix(1)
@@ -312,8 +322,10 @@ DC_DELTAC_DIGESTS = {
 def test_dc_deltac_entries_digest(name, make):
     cx = RuminComplex(make())
     degrees = range(cx.algebra.n + 1)
-    listing = {"dc": [cx.dc_matrix(h).to_json() for h in degrees],
-               "deltac": [cx.deltac_matrix(h).to_json() for h in degrees]}
+    listing = {"dc": [cx.orthonormal(cx.dc_matrix(h), h + 1, h).to_json()
+                      for h in degrees],
+               "deltac": [cx.orthonormal(cx.deltac_matrix(h), h - 1,
+                                         h).to_json() for h in degrees]}
     text = json.dumps(listing, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == DC_DELTAC_DIGESTS[name]
 
@@ -340,7 +352,7 @@ def test_E0_bases_digest(name, make):
     cx = RuminComplex(make())
     listing = {"dims": list(cx.dims()),
                "E0": [[[[list(t), str(c)] for t, c in sorted(xi.terms.items())]
-                       for xi in cx.E0(h)]
+                       for xi in cx.orthonormal_basis(h)]
                       for h in range(cx.algebra.n + 1)]}
     text = json.dumps(listing, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == E0_DIGESTS[name]
@@ -351,26 +363,37 @@ def test_E0_bases_digest(name, make):
                                   lambda: free_nilpotent(4, 2)],
                          ids=["cartan", "free-3-2", "free-2-4", "free-4-2"])
 def test_d0_algebra_runs_in_Q(make):
-    """The d0 blocks, their nullspaces and pseudoinverses hold canonical
-    ints and Fractions, no Scalar and no float, and equal the results on
-    the same blocks passed through the field, which keeps them rational."""
+    """The d0 blocks, their ranks, nullspaces and stored pseudoinverses
+    hold canonical ints and Fractions, no Scalar and no float, and equal
+    sympy's rank, nullspace and pinv of the same blocks, an elimination
+    that shares no code with linalg."""
+    sympy = pytest.importorskip("sympy")
     alg = make()
-    f = alg.field
     cx = RuminComplex(alg)
 
     def canonical(rows):
         return all(type(x) is int or type(x) is Fraction and x.denominator != 1
                    for row in rows for x in row.values())
 
+    def dense(rows, ncols):
+        return [[Fraction(row.get(j, 0)) for j in range(ncols)]
+                for row in rows]
+
+    def from_sympy(rows):
+        return [[Fraction(int(x.p), int(x.q)) for x in row] for row in rows]
+
     for h in range(alg.n):
-        for rows, dom, _ in cx.d0_blocks(h).values():
-            scalars = [{j: f(x) for j, x in row.items()} for row in rows]
+        for w, (rows, dom, cod) in cx.d0_blocks(h).items():
             assert canonical(rows)
-            assert linalg.rank(rows) == linalg.rank(scalars)
-            for routine in (linalg.nullspace, linalg.pseudoinverse):
-                got = routine(rows, len(dom))
-                assert canonical(got)
-                assert got == routine(scalars, len(dom))
+            s = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                               for x in row] for row in dense(rows, len(dom))])
+            assert cx.d0_rank(h, w) == linalg.rank(rows) == s.rank()
+            kernel = linalg.nullspace(rows, len(dom))
+            pinv = cx.d0_pinv_block(h, w)
+            assert canonical(kernel) and canonical(pinv)
+            assert dense(kernel, len(dom)) == \
+                from_sympy([list(v) for v in s.nullspace()])
+            assert dense(pinv, len(cod)) == from_sympy(s.pinv().tolist())
 
 
 # test_products' group with irrational and fractional structure constants
@@ -427,3 +450,55 @@ def test_no_rational_scalar_exists(make):
     assert values
     for x in values:
         assert_one_form(x)
+
+
+@pytest.mark.parametrize("make", [cartan_group, lambda: free_nilpotent(3, 2),
+                                  lambda: free_nilpotent(2, 4),
+                                  lambda: _heisenberg(3)],
+                         ids=["cartan", "free-3-2", "free-2-4", "H3"])
+def test_core_is_rational(make):
+    """On groups with rational structure constants the core holds no
+    square root: every E0 vector and norm, d0 pseudoinverse, Pi_E0 row,
+    lift, d_c, delta_c and star entry, and every Cartan Laplacian
+    coefficient, is an int or a non-integral Fraction, and no packed map
+    holds a Scalar.  The roots of the orthonormal view are elsewhere."""
+    from carnot.laplacians import FAMILIES, laplacian
+
+    alg = make()
+    cx = RuminComplex(alg)
+    n = alg.n
+    values, ops = [], []
+    for h in range(n + 1):
+        values += [c for xi in cx.E0(h) for c in xi.terms.values()]
+        values += cx.norms(h)
+        values += [x for row in cx.star_matrix(h) for x in row.values()]
+        if h < n:
+            values += [x for w in cx.d0_blocks(h)
+                       for row in cx.d0_pinv_block(h, w) for x in row.values()]
+        lifted = cx.lift(h)
+        ops += lifted.terms.values()
+        ops += [u for row in cx.pi_E0(lifted) for u in row]
+        for m in (cx.dc_matrix(h), cx.deltac_matrix(h)):
+            ops += [u for row in m.entries for u in row]
+        if alg.is_cartan_table():
+            for fam in FAMILIES:
+                ops += [u for row in laplacian(cx, fam, h).entries
+                        for u in row]
+    values += [c for u in ops for c in u._packed.values()]
+    assert values
+    for x in values:
+        assert type(x) is int or type(x) is Fraction and x.denominator != 1, x
+    if alg.is_cartan_table():
+        view = cx.orthonormal(cx.dc_matrix(2), 3, 2)
+        assert any(type(c) is Scalar for row in view.entries for u in row
+                   for c in u.terms.values())
+
+
+def test_matrix_product_refuses_two_algebras():
+    """@ over two copies of one group raises, as + and * of entries do."""
+    from carnot.env import AlgebraMismatch
+
+    a, b = RuminComplex(cartan_group()), RuminComplex(cartan_group())
+    with pytest.raises(AlgebraMismatch):
+        a.dc_matrix(1) @ b.dc_matrix(0)
+    assert (a.dc_matrix(1) @ a.dc_matrix(0)).is_zero()

@@ -294,3 +294,18 @@ def test_canonical_coefficients_and_rational_inverse():
     assert type(f(Fraction(1, 2))) is Fraction
     assert f.parse("0.5") == f(Fraction(1, 2))
     assert_canonical(f.parse("4/2 + 2*sqrt(2)/2"))
+
+
+def test_scalar_operators_give_way_to_other_types():
+    """Scalar's + and * return NotImplemented for an operand that is not
+    an int, a Fraction or a Scalar, so the other type's reflected method
+    runs: sqrt(2) * X1 is X1 * sqrt(2), and likewise for a Polynomial."""
+    g = StratifiedLieAlgebra((2, 1), {(1, 2): {3: 1}})
+    r = g.field.sqrt(2)
+    x1 = EnvElement.generator(g, 1)
+    assert r * x1 == x1 * r == x1.scale(r)
+    p = Polynomial.parse(g.field, 3, "x1^2 + 1/2*x3")
+    assert r * p == p * r
+    for other in (x1, p, "2", 2.0):
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            assert getattr(r, name)(other) is NotImplemented

@@ -41,12 +41,9 @@ def test_traced_names_resolve():
             assert not missing, f"{key}: {missing}"
 
 
-# The scalar kernel's shared internals, (module, sibling, name): env's
-# products and scalars' tower arithmetic run on the same raw coefficients,
-# and scalars reduces its radicand relations with linalg's row reduction.
-PRIVATE_IMPORTS = {("env", "scalars", "_mask_product"),
-                   ("env", "scalars", "_q"),
-                   ("scalars", "linalg", "_rref")}
+# The one shared internal, (module, sibling, name): scalars reduces its
+# radicand relations with linalg's row reduction.
+PRIVATE_IMPORTS = {("scalars", "linalg", "_rref")}
 
 
 def _sibling(node):
