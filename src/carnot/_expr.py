@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .linalg import reciprocal
 
@@ -133,14 +134,24 @@ class _Parser:
         raise ExprError(f"unexpected token {text!r}")
 
 
-def signed(c) -> tuple:
-    """(sign, text) of a coefficient: "-" and the text after the minus when
-    it reads negative; a Scalar of several terms is bracketed, sign "+".
-    ``c`` is an int, a Fraction or a Scalar."""
-    if not isinstance(c, (int, Fraction)) and len(c.terms) > 1:
-        return "+", f"({c})"
-    s = str(c)
-    return ("-", s[1:]) if s.startswith("-") else ("+", s)
+def signed(c, den: int = 1) -> tuple:
+    """(sign, text) of the coefficient c / den: "-" and the text after the
+    minus when it reads negative; a Scalar of several terms is bracketed,
+    sign "+".  ``c`` is an int, a Fraction or a Scalar, and ``den`` a
+    positive int, so an operator's numerator is written over its
+    denominator with no Fraction built."""
+    if isinstance(c, (int, Fraction)):
+        num, d = c.numerator, c.denominator * den
+        g = gcd(num, d)
+        if g != 1:
+            num //= g
+            d //= g
+        return ("-" if num < 0 else "+",
+                str(abs(num)) if d == 1 else f"{abs(num)}/{d}")
+    terms = c.signed_terms(den)
+    if len(terms) > 1:
+        return "+", f"({signed_sum(terms)})"
+    return terms[0]
 
 
 def signed_sum(terms) -> str:

@@ -17,6 +17,7 @@ from . import estimates, laplacians
 from .env import AlgebraMismatch
 from .exterior import OperatorForm
 from .liealg import ResourceLimit, cartan_group, load_group
+from .linalg import reciprocal
 from .rumin import RuminComplex, StarAdjointMismatch
 from .scalars import TowerInsufficient
 from .verify import regenerate_golden, run_verify
@@ -79,10 +80,13 @@ def cmd_laplacian(cx, args) -> int:
 
 
 def cmd_pi_e(cx, args) -> int:
-    basis = cx.orthonormal_basis(args.degree)
-    if not 1 <= args.index <= len(basis):
+    h, k = args.degree, args.index - 1
+    basis = cx.E0(h)
+    if not 0 <= k < len(basis):
         raise UsageError(f"index must be in 1..{len(basis)}")
-    lifted = cx.pi_E(OperatorForm.from_form(basis[args.index - 1]))
+    # Pi_E is linear: lift the rational w_k, then divide by sqrt(N_k) once
+    root = cx.algebra.field.sqrt(cx.norms(h)[k])
+    lifted = cx.pi_E(OperatorForm.from_form(basis[k])).scale(reciprocal(root))
     if args.format == "json":
         print(json.dumps(lifted.to_json(), sort_keys=True))
     else:

@@ -10,27 +10,33 @@ which terminates because brackets strictly raise the grading and the algebra
 is nilpotent.
 
 An operator has one representation, and every operation computes on its
-coefficients as plain values: building and copying objects, not the
-algebra, is what costs time in products of order up to 12.
+integer numerators: building and copying objects, not the algebra, is what
+costs time in products of order up to 12.
 
-* **Packed keys.**  An EnvElement stores one flat dict: the term
-  ``c * X^a`` is its item ``code: c``, with ``code = sum a_i << 8*i`` (one
-  byte per exponent) and ``c`` a nonzero value in its one form
-  (:mod:`carnot.scalars`): an ``int``, a ``Fraction`` when it is not
-  integral, a Scalar only when it is irrational.  ``+``, ``-``, ``scale``,
-  the products, ``formal_adjoint``, ``==`` and ``hash`` work on it
-  directly.  Multiplying two ordered monomials adds their codes, and the
-  first and last generators of a code are its lowest and highest set
-  bits.  An exponent above 255 raises ``ResourceLimit`` where it is packed
-  (``_pack``) or grows (the concatenation branches of ``_fold`` and
-  ``_product``), before it can carry into the next byte.
-* **The boundary.**  Only the read-only ``EnvElement.terms`` view,
-  ``{exponent tuple: value}``, built on each call and never stored,
-  decodes codes into exponents; ``as_scalar``, the coordinate realization
-  and the linear systems of the estimates read it.  ``homogeneity`` reads
-  the weights off the codes.  ``render`` sorts the codes once, by weight
-  and then exponent bytes, both descending, and formats each coefficient
-  and each monomial in one join.
+* **Numerators over one denominator.**  An EnvElement stores one flat dict
+  and one positive int: the term ``(p / d) * X^a`` is the item ``code: p``
+  of the dict over the denominator ``d``, with ``code = sum a_i << 8*i``
+  (one byte per exponent).  A numerator is a nonzero ``int``, or a Scalar
+  with ``int`` terms when the coefficient is irrational
+  (:mod:`carnot.scalars`).  ``d`` is coprime with every integer the
+  numerators hold, so the form is canonical and ``==`` and ``hash`` are
+  value equality.  ``+``, ``-``, ``scale``, the products and
+  ``formal_adjoint`` run in ``int`` arithmetic and reduce each result by
+  one ``gcd``; ``scale`` by one irrational tower term, as the printed view
+  does, builds the Scalar numerators directly.  Multiplying two ordered
+  monomials adds their codes, and the first and last generators of a code
+  are its lowest and highest set bits.  An exponent above 255 raises
+  ``ResourceLimit`` where it is packed (``_pack``) or grows (the
+  concatenation branches of ``_fold`` and ``_product``), before it can
+  carry into the next byte.
+* **The boundary.**  Values (``int``, ``Fraction``, Scalar) appear only in
+  the read-only ``EnvElement.terms`` view, ``{exponent tuple: value}``,
+  built on each call and never stored, and in ``render``; ``as_scalar``,
+  the coordinate realization and the linear systems of the estimates read
+  the view.  ``homogeneity`` and ``render`` read the weight of each code
+  from the memo ``alg._weight_cache``.  ``render`` sorts the codes once, by
+  weight and then exponent bytes, both descending, and formats each
+  numerator over the denominator directly.
 * **Collection by one generator.**  ``_fold(alg, acc, word)`` multiplies a
   flat map by the generators of a word one at a time.  A term whose last
   generator comes at or before X_j times X_j is a concatenation; otherwise
@@ -44,33 +50,31 @@ algebra, is what costs time in products of order up to 12.
   monomials up in ``alg._prod_cache``: the derivative multiplies every lift
   by the same few generators, so these pairs repeat across a whole
   complex.  ``matrix_product``, behind ``OperatorMatrix.__matmul__``, forms
-  no pair products: it folds each left entry ``A_ik`` through the
-  monomials of row k of the right factor as a prefix trie (the words in
-  lexicographic order, walked depth first with a stack of partial
-  products), so ``A_ik * X^w`` is computed once for all the monomials that
-  share the prefix ``w`` and added into every column holding ``X^w``.
-* **Cache layout.**  Normal forms are packed maps too.  ``alg._prod_cache``
-  holds the products ``X^a X^b`` computed, keyed by ``code_a << 8n |
-  code_b``: the one-generator products the collection reuses and the pairs
-  of ``mul_into``.  ``alg._nf_cache`` holds only the words asked for by
-  ``from_word``.  ``alg._adj_cache`` holds, keyed by code, the formal
-  adjoint of each monomial asked for and of the suffixes its rule strips:
-  ``(X_f X^rest)* = -(X^rest)* X_f``, with ``X_f`` the first generator, is
-  one fold step per new code.  On a group with rational structure
-  constants every cached coefficient is rational; irrational brackets
-  reach the same maps as Scalar values.
-* **Fused accumulation.**  The exterior and Rumin builders sum operators in
-  accumulators, dicts they hold but never read: ``add_into`` adds ``c * u``
-  for a Scalar or rational ``c``, ``mul_into`` adds ``a * b``, and
-  ``collect`` turns the sum into an EnvElement once, dividing by a
-  denominator and dropping zeros: one pass over the terms, not one copy of
-  the partial sum per term.
-* **Common denominator.**  ``matrix_product``, ``formal_adjoint`` and the
-  exterior builders scale their operands to integer coefficients by the
-  lcm of their denominators (``common_denominator``), accumulate in ``int``
-  arithmetic, several times faster than ``Fraction`` arithmetic, and divide
-  once per coefficient in ``collect``.  Fractional or irrational structure
-  constants go through the same code.
+  no pair products: it brings each factor's numerators over the lcm of its
+  denominators, folds each left entry ``A_ik`` through the monomials of
+  row k of the right factor as a prefix trie (the words in lexicographic
+  order, walked depth first with a stack of partial products), so ``A_ik *
+  X^w`` is computed once for all the monomials that share the prefix ``w``
+  and added into every column holding ``X^w``.
+* **Cache layout.**  Normal forms are packed maps of values.
+  ``alg._prod_cache`` holds the products ``X^a X^b`` computed, keyed by
+  ``code_a << 8n | code_b``: the one-generator products the collection
+  reuses and the pairs of ``mul_into``.  ``alg._nf_cache`` holds only the
+  words asked for by ``from_word``.  ``alg._adj_cache`` holds, keyed by
+  code, the formal adjoint of each monomial asked for and of the suffixes
+  its rule strips: ``(X_f X^rest)* = -(X^rest)* X_f``, with ``X_f`` the
+  first generator, is one fold step per new code.  On a group with integer
+  structure constants every cached value is an ``int``; fractional or
+  irrational brackets reach the same maps as Fractions or Scalars, run
+  through the same code and are normalized where a result is formed.
+* **Fused accumulation.**  ``+`` and the exterior, Rumin and estimate
+  builders sum operators in accumulators (``Accumulator``), which they
+  hold but never read: ``add_into`` adds ``c * u`` for an ``int``,
+  ``Fraction`` or Scalar ``c``, ``mul_into`` adds ``a * b``, and
+  ``collect`` turns the sum into an EnvElement once, dropping zeros: one
+  pass over the terms, not one copy of the partial sum per term.  An
+  accumulator keeps numerators over the lcm of the denominators of the
+  terms added, so no builder computes a denominator.
 
 ``formal_adjoint`` implements the L2-formal adjoint determined by
 X_i* = -X_i together with product reversal.
@@ -79,7 +83,7 @@ X_i* = -X_i together with product reversal.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from . import _expr
@@ -142,25 +146,67 @@ def _unpack(code: int, n: int) -> tuple:
     return tuple(code.to_bytes(n, "little"))
 
 
+def _weights(alg: StratifiedLieAlgebra, codes) -> list:
+    """The weighted degree of each code, read from ``alg._weight_cache``."""
+    memo = alg._weight_cache
+    try:
+        return [memo[code] for code in codes]
+    except KeyError:
+        for code in codes:
+            if code not in memo:
+                memo[code] = sum(map(mul, code.to_bytes(alg.n, "little"),
+                                     alg.weights))
+        return [memo[code] for code in codes]
+
+
 def word_of(exp: tuple) -> tuple:
     """The generator indices of the ordered monomial with exponents exp."""
     return tuple(i + 1 for i, e in enumerate(exp) for _ in range(e))
 
 
-def _times(v, q):
-    """The canonical product of two nonzero coefficients; an int times an
-    int, or a Fraction times a multiple of its denominator (a common
-    denominator), builds no Fraction."""
-    if type(q) is int:
-        if type(v) is int:
-            return v * q
-        if type(v) is Fraction and not q % v.denominator:
-            return v.numerator * (q // v.denominator)
-    return canonical(v * q)
+# -- numerators ------------------------------------------------------------
 
+def _split(c) -> tuple:
+    """(p, q) with c = p / q for a nonzero value c, q > 0 the least integer
+    that makes p integral: an int, or a Scalar with int terms."""
+    if type(c) is int:
+        return c, 1
+    if type(c) is Fraction:
+        return c.numerator, c.denominator
+    q = lcm(*(v.denominator for v in c.terms.values()))
+    if q == 1:
+        return c, 1
+    return Scalar(c.field, {m: v.numerator * (q // v.denominator)
+                            for m, v in c.terms.items()}), q
+
+
+def _element(alg: StratifiedLieAlgebra, packed: dict,
+             den: int = 1) -> "EnvElement":
+    """The canonical EnvElement of the nonzero values of ``packed`` over
+    ``den``: one gcd when they are ints; a Fraction or a Scalar (of the
+    view, or of a group whose normal forms are not integral) has its
+    denominators cleared first."""
+    try:
+        g = gcd(den, *packed.values())
+    except TypeError:
+        split = [(key, *_split(v)) for key, v in packed.items()]
+        q = lcm(*(s for _, _, s in split))
+        packed = {key: p if s == q else p * (q // s) for key, p, s in split}
+        den *= q
+        g = gcd(den, *(c for v in packed.values() for c in (
+            v.terms.values() if type(v) is Scalar else (v,))))
+    if g != 1:
+        packed = {key: v // g if type(v) is int else Scalar(
+            v.field, {m: c // g for m, c in v.terms.items()})
+            for key, v in packed.items()}
+        den //= g
+    return EnvElement(alg, packed, den)
+
+
+# -- the kernel: packed maps of values --------------------------------------
 
 def _add_into(acc: dict, nf: dict, c):
-    """Add c * nf into the flat accumulator ``acc`` in place.
+    """Add c * nf into the flat map ``acc`` in place.
 
     ``nf`` is a packed map and ``c`` a nonzero value.  Sums that cancel
     stay in ``acc`` as zeros.
@@ -210,14 +256,9 @@ def _fold(alg: StratifiedLieAlgebra, acc: dict, word) -> dict:
     return acc
 
 
-def _stored(acc: dict, d=1) -> dict:
-    """A packed map to keep: every coefficient divided by ``d`` in canonical
-    form, the zeros dropped."""
-    if d == 1:
-        return {key: canonical(v) for key, v in acc.items() if v}
-    inv = Fraction(1, d)
-    return {key: v * inv if type(v) is Scalar
-            else canonical(Fraction(v, d)) for key, v in acc.items() if v}
+def _stored(acc: dict) -> dict:
+    """A packed map to cache: its values in canonical form, zeros dropped."""
+    return {key: canonical(v) for key, v in acc.items() if v}
 
 
 def _normalize_word(alg: StratifiedLieAlgebra, word: tuple) -> dict:
@@ -273,59 +314,82 @@ def _adjoint(alg: StratifiedLieAlgebra, code: int) -> dict:
     return adj
 
 
-# -- accumulators: the interface of the exterior and Rumin builders -----------
+# -- accumulators: the interface of the builders ----------------------------
 
-def add_into(acc: dict, u: "EnvElement", c=1):
-    """Add c * u into the accumulator ``acc`` in place; ``c`` is an int, a
-    Fraction or a Scalar.  Sums that cancel stay as zeros until ``collect``."""
-    if c:
-        _add_into(acc, u._packed, c)
+class Accumulator:
+    """A sum of operators being built: numerators over one denominator,
+    the lcm of the denominators of the terms added so far."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self):
+        self.num: dict = {}
+        self.den = 1
+
+    def _grow(self, t: int):
+        """Make the denominator a multiple of ``t``: a term over ``t`` is
+        then added times ``den // t``."""
+        f = lcm(self.den, t) // self.den
+        self.num = {key: v * f for key, v in self.num.items()}
+        self.den *= f
 
 
-def mul_into(acc: dict, a: "EnvElement", b: "EnvElement"):
-    """Add the product a * b into the accumulator ``acc`` in place, every
-    pair of monomials through the pair cache."""
+def add_into(acc: Accumulator, u: "EnvElement", c=1):
+    """Add c * u into ``acc`` in place; ``c`` is an int, a Fraction or a
+    Scalar.  Sums that cancel stay as zeros until ``collect``."""
+    if type(c) is int:
+        if not c:
+            return
+        t = u._den
+    else:
+        c, q = _split(c)
+        t = q * u._den
+    if acc.den % t:
+        acc._grow(t)
+    _add_into(acc.num, u._packed, c * (acc.den // t))
+
+
+def mul_into(acc: Accumulator, a: "EnvElement", b: "EnvElement"):
+    """Add the product a * b into ``acc`` in place, every pair of monomials
+    through the pair cache."""
     alg = a.algebra
     width = 8 * alg.n
     cache = alg._prod_cache
+    t = a._den * b._den
+    if acc.den % t:
+        acc._grow(t)
+    f, num = acc.den // t, acc.num
     for ka, ca in a._packed.items():
         left = ka << width
+        if f != 1:
+            ca *= f
         for kb, cb in b._packed.items():
             prod = cache.get(left | kb)
             if prod is None:
                 prod = _product(alg, ka, kb)
-            _add_into(acc, prod, ca * cb)
+            _add_into(num, prod, ca * cb)
 
 
-def collect(alg: StratifiedLieAlgebra, acc: dict, d=1) -> "EnvElement":
-    """The EnvElement of an accumulator, every coefficient divided by d."""
-    return EnvElement(alg, _stored(acc, d))
-
-
-def common_denominator(items) -> int:
-    """The lcm of the coefficient denominators of EnvElements or values; a
-    Scalar's are those of its tower terms."""
-    d = 1
-    for x in items:
-        for c in x._packed.values() if type(x) is EnvElement else (x,):
-            for q in c.terms.values() if type(c) is Scalar else (c,):
-                if type(q) is not int:
-                    d = lcm(d, q.denominator)
-    return d
+def collect(alg: StratifiedLieAlgebra, acc: Accumulator) -> "EnvElement":
+    """The EnvElement of an accumulator."""
+    if not acc.num:
+        return EnvElement(alg, {})
+    return _element(alg, {key: v for key, v in acc.num.items() if v}, acc.den)
 
 
 def matrix_product(alg: StratifiedLieAlgebra, a: list, b: list,
                    cols: int) -> list:
     """The entries of the matrix product of EnvElement rows ``a`` and ``b``
     (``cols`` columns), by the prefix-trie fold of the module docstring."""
-    da = common_denominator(e for row in a for e in row)
-    db = common_denominator(e for row in b for e in row)
-    tries = []      # per row k of b: [(word, [(column, coeff)])], sorted
+    da = lcm(*(e._den for row in a for e in row))
+    db = lcm(*(e._den for row in b for e in row))
+    tries = []      # per row k of b: [(word, [(column, numerator)])], sorted
     for row in b:
         users: dict = {}
         for j, e in enumerate(row):
-            for code, v in e.scale(db)._packed.items():
-                users.setdefault(code, []).append((j, v))
+            f = db // e._den
+            for code, v in e._packed.items():
+                users.setdefault(code, []).append((j, v * f))
         tries.append(sorted((word_of(_unpack(code, alg.n)), js)
                             for code, js in users.items()))
     accs = [[{} for _ in range(cols)] for _ in a]
@@ -333,8 +397,10 @@ def matrix_product(alg: StratifiedLieAlgebra, a: list, b: list,
         for x, trie in zip(a_row, tries):
             if not x or not trie:
                 continue
-            # partials[p] = A_ik * X^(first p generators of the last word)
-            partials = [x.scale(da)._packed]
+            # partials[p] = A_ik * X^(first p generators of the last word),
+            # its numerators over A_ik's denominator: f brings them over da
+            f = da // x._den
+            partials = [x._packed]
             prev = ()
             for word, js in trie:
                 p = 0
@@ -347,18 +413,24 @@ def matrix_product(alg: StratifiedLieAlgebra, a: list, b: list,
                     partials.append(_fold(alg, partials[-1], (g,)))
                 prev = word
                 for j, v in js:
-                    _add_into(acc_row[j], partials[-1], v)
-    return [[collect(alg, acc, da * db) for acc in row] for row in accs]
+                    _add_into(acc_row[j], partials[-1],
+                              v if f == 1 else v * f)
+    den = da * db
+    return [[_element(alg, {key: v for key, v in acc.items() if v}, den)
+             for acc in row] for row in accs]
 
 
 class EnvElement:
-    """An operator; stores only its packed map, which is never mutated."""
+    """An operator: integer numerators over one denominator, in canonical
+    form; the map is never mutated."""
 
-    __slots__ = ("algebra", "_packed")
+    __slots__ = ("algebra", "_packed", "_den")
 
-    def __init__(self, algebra: StratifiedLieAlgebra, packed: dict):
+    def __init__(self, algebra: StratifiedLieAlgebra, packed: dict,
+                 den: int = 1):
         self.algebra = algebra
         self._packed = packed
+        self._den = den
 
     # -- constructors ---------------------------------------------------
 
@@ -377,12 +449,15 @@ class EnvElement:
     @classmethod
     def monomial(cls, alg, exp, coeff=1) -> "EnvElement":
         c = alg.field(coeff)
-        return cls(alg, {_pack(exp): c} if c else {})
+        if not c:
+            return cls(alg, {})
+        p, q = _split(c)
+        return cls(alg, {_pack(exp): p}, q)
 
     @classmethod
     def from_word(cls, alg, word, coeff=1) -> "EnvElement":
         """Normal form of a product of generators given by basis indices."""
-        return cls(alg, _normalize_word(alg, tuple(word))).scale(coeff)
+        return _element(alg, _normalize_word(alg, tuple(word))).scale(coeff)
 
     # -- ring structure ---------------------------------------------------
 
@@ -394,22 +469,14 @@ class EnvElement:
         if not isinstance(other, EnvElement):
             return NotImplemented
         self._check(other)
-        packed = dict(self._packed)
-        for key, v in other._packed.items():
-            s = packed.get(key)
-            if s is None:
-                packed[key] = v
-                continue
-            s += v
-            if s:
-                packed[key] = canonical(s)
-            else:
-                del packed[key]
-        return EnvElement(self.algebra, packed)
+        acc = Accumulator()
+        add_into(acc, self)
+        add_into(acc, other)
+        return collect(self.algebra, acc)
 
     def __neg__(self):
         return EnvElement(self.algebra,
-                          {k: -v for k, v in self._packed.items()})
+                          {k: -v for k, v in self._packed.items()}, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, EnvElement):
@@ -419,11 +486,32 @@ class EnvElement:
     def scale(self, coeff) -> "EnvElement":
         alg = self.algebra
         c = alg.field(coeff)
-        if c == 1:
+        packed = self._packed
+        if not packed or c == 1:
             return self
+        if not c:
+            return EnvElement(alg, {})
+        if type(c) is Scalar and len(c.terms) == 1:
+            # one tower term (a/b)*sqrt(r): the numerators a*v*sqrt(r) over
+            # b times the denominator, built directly while they are ints
+            (m, a), = c.terms.items()
+            den = self._den * a.denominator
+            nums = {key: v * a.numerator for key, v in packed.items()}
+            try:
+                g = gcd(den, *nums.values())
+            except TypeError:
+                pass
+            else:
+                field = alg.field
+                return EnvElement(alg, {key: Scalar(field, {m: v // g})
+                                        for key, v in nums.items()}, den // g)
+        p, q = _split(c)
+        den = self._den * q
+        packed = {key: v * p for key, v in packed.items()}
+        if den == 1 and type(p) is int:
+            return EnvElement(alg, packed)
         # the tower is a field: a nonzero factor makes no term vanish
-        return EnvElement(alg, {k: _times(v, c) for k, v
-                                in self._packed.items()} if c else {})
+        return _element(alg, packed, den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -431,7 +519,7 @@ class EnvElement:
         if not isinstance(other, EnvElement):
             return NotImplemented
         self._check(other)
-        acc: dict = {}
+        acc = Accumulator()
         mul_into(acc, self, other)
         return collect(self.algebra, acc)
 
@@ -448,10 +536,11 @@ class EnvElement:
     def __eq__(self, other):
         if not isinstance(other, EnvElement):
             return NotImplemented
-        return self.algebra is other.algebra and self._packed == other._packed
+        return (self.algebra is other.algebra and self._den == other._den
+                and self._packed == other._packed)
 
     def __hash__(self):
-        return hash(frozenset(self._packed.items()))
+        return hash((self._den, frozenset(self._packed.items())))
 
     def is_zero(self) -> bool:
         return not self._packed
@@ -461,10 +550,15 @@ class EnvElement:
 
     @property
     def terms(self) -> dict:
-        """{exponent tuple: value}, decoded from the packed map on each
+        """{exponent tuple: value}, decoded from the numerators on each
         call and never stored: the view for readers outside the kernel."""
-        n = self.algebra.n
-        return {_unpack(code, n): v for code, v in self._packed.items()}
+        n, den = self.algebra.n, self._den
+        if den == 1:
+            return {_unpack(code, n): v for code, v in self._packed.items()}
+        return {_unpack(code, n): canonical(Fraction(v, den)) if type(v) is int
+                else Scalar(v.field, {m: canonical(Fraction(c, den))
+                                      for m, c in v.terms.items()})
+                for code, v in self._packed.items()}
 
     def as_scalar(self):
         """The coefficient of the unit monomial, if the element is scalar."""
@@ -480,9 +574,7 @@ class EnvElement:
         """Common homogeneity degree d(I), or Mixed, or ZeroElement."""
         if not self._packed:
             raise ZeroElement("homogeneity of the zero operator is undefined")
-        alg = self.algebra
-        degrees = {sum(map(mul, _unpack(code, alg.n), alg.weights))
-                   for code in self._packed}
+        degrees = set(_weights(self.algebra, self._packed))
         if len(degrees) == 1:
             return degrees.pop()
         return Mixed(degrees)
@@ -490,11 +582,11 @@ class EnvElement:
     def formal_adjoint(self) -> "EnvElement":
         """Anti-homomorphism with X_i -> -X_i and product reversal."""
         alg = self.algebra
-        d = common_denominator((self,))
         acc: dict = {}
         for code, c in self._packed.items():
-            _add_into(acc, _adjoint(alg, code), _times(c, d))
-        return collect(alg, acc, d)
+            _add_into(acc, _adjoint(alg, code), c)
+        return _element(alg, {key: v for key, v in acc.items() if v},
+                        self._den)
 
     # -- text ----------------------------------------------------------
 
@@ -502,15 +594,17 @@ class EnvElement:
         """The text of the operator, higher-order monomials first, like the
         matrix listings; a coefficient of several tower terms is bracketed."""
         alg = self.algebra
-        # (weight, exponent bytes, coeff), descending; no two codes tie
-        order = []
-        for code, v in self._packed.items():
-            exp = code.to_bytes(alg.n, "little")
-            order.append((sum(map(mul, exp, alg.weights)), exp, v))
-        order.sort(reverse=True)
+        packed, den = self._packed, self._den
+        if not packed:
+            return "0"
+        codes = list(packed)
+        # (weight, exponent bytes, code), descending; no two codes tie
+        order = sorted(zip(_weights(alg, codes),
+                           [code.to_bytes(alg.n, "little") for code in codes],
+                           codes), reverse=True)
         terms = []
-        for _, exp, v in order:
-            sign, coeff = _expr.signed(v)
+        for _, exp, code in order:
+            sign, coeff = _expr.signed(packed[code], den)
             mono = "*".join([f"X{k}^{e}" if e > 1 else f"X{k}"
                              for k, e in enumerate(exp, 1) if e])
             terms.append((sign, coeff if not mono else mono if coeff == "1"

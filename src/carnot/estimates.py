@@ -36,7 +36,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from . import linalg
-from .env import EnvElement, add_into, collect, homogeneity_degrees, mul_into
+from .env import (Accumulator, EnvElement, add_into, collect,
+                  homogeneity_degrees, mul_into)
 from .exterior import OperatorForm, multivector
 from .laplacians import UnsupportedGroup, homogeneous_dc_orders, target_order
 from .rumin import OperatorMatrix, RuminComplex, cached
@@ -395,7 +396,7 @@ def generalized_divergence(tensor: HorizontalTensor,
     if convention not in ("cvs", "pierre"):
         raise ValueError(f"unknown convention {convention!r}")
     alg = tensor.algebra
-    accs = [{} for _ in range(tensor.slots)]
+    accs = [Accumulator() for _ in range(tensor.slots)]
     for idx, per_slot in tensor.entries.items():
         word = tuple(reversed(idx)) if convention == "cvs" else idx
         w = EnvElement.from_word(alg, word)
@@ -519,7 +520,7 @@ def cartan_pairing(cx: RuminComplex, form: OperatorForm, z) -> list:
                 terms.append((multivector(alg, [((k,) + rest, c)
                                                 for k, c in vec.items()]),
                               -1 if (i + j) % 2 else 1))
-    accs = [{} for _ in range(form.slots)]
+    accs = [Accumulator() for _ in range(form.slots)]
     inner = form.pair_multivectors([mv for mv, _ in terms])
     for (_, factor), row in zip(terms, inner):
         for acc, u in zip(accs, row):

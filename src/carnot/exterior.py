@@ -25,18 +25,16 @@ Rumin layer only those it reads.  The OperatorForm builders (``d_terms``,
 EnvElements and exact values to the accumulators of :mod:`carnot.env`, one per
 output key (``add_into``, ``mul_into``), and ``terms_of`` collects each
 output operator once: summing EnvElements term by term would copy the
-partial sum for every term.  ``d_terms`` and ``pair_multivectors`` also
-scale their inputs by their common denominator first, so their sums run in
-``int`` arithmetic.
+partial sum for every term.  The accumulators keep the denominators.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations
 
 from . import _expr
-from .env import (EnvElement, add_into, collect, common_denominator,
-                  mul_into)
+from .env import Accumulator, EnvElement, add_into, collect, mul_into
 from .liealg import StratifiedLieAlgebra
 from .linalg import canonical
 
@@ -269,9 +267,9 @@ class DegreeOverflow(ValueError):
     pass
 
 
-def terms_of(alg, accs: dict, d=1) -> dict:
-    """{key: EnvElement} of accumulators divided by d, zeros dropped."""
-    return {k: u for k, acc in accs.items() if (u := collect(alg, acc, d))}
+def terms_of(alg, accs: dict) -> dict:
+    """{key: EnvElement} of accumulators, zeros dropped."""
+    return {k: u for k, acc in accs.items() if (u := collect(alg, acc))}
 
 
 def d_terms(alg, parts, targets, sign: int = 1) -> dict:
@@ -281,8 +279,7 @@ def d_terms(alg, parts, targets, sign: int = 1) -> dict:
     d_l multiplies by each generator X_m of layer l, the sign of theta_m ^
     theta_J folded into its coefficient; d_0 is the Maurer-Cartan part.
     """
-    d = common_denominator(u for form, _ in parts for u in form.terms.values())
-    accs: dict = {}
+    accs: defaultdict = defaultdict(Accumulator)
     for form, layers in parts:
         gens = {m: EnvElement.generator(alg, m)
                 for ell in layers if ell for m in alg.layer(ell)}
@@ -300,14 +297,13 @@ def d_terms(alg, parts, targets, sign: int = 1) -> dict:
                         plan.append((merged, gen.scale(s * sign), None))
             if not plan:
                 continue
-            u = u.scale(d)
             for merged, gen, c in plan:
-                acc = accs.setdefault((merged, slot), {})
+                acc = accs[merged, slot]
                 if gen is None:
                     add_into(acc, u, c)
                 else:
                     mul_into(acc, gen, u)
-    return terms_of(alg, accs, d)
+    return terms_of(alg, accs)
 
 
 class OperatorForm:
@@ -340,6 +336,11 @@ class OperatorForm:
             accumulate(terms, k, u)
         return OperatorForm(self.algebra, self.degree,
                             max(self.slots, other.slots), terms)
+
+    def scale(self, c) -> "OperatorForm":
+        """Every operator times the nonzero value c."""
+        return OperatorForm(self.algebra, self.degree, self.slots,
+                            {k: u.scale(c) for k, u in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, OperatorForm):
@@ -381,31 +382,21 @@ class OperatorForm:
         return self.pair_multivectors([mv])[0]
 
     def pair_multivectors(self, mvs) -> list:
-        """``pair_multivector`` of each multivector in ``mvs``.  Only the
-        terms on covectors of some multivector are scaled, once each, and
-        each multivector visits only the terms of its own covectors.  The
-        terms and each multivector are scaled to integer coefficients
-        first, so the sums run in ``int`` arithmetic and each coefficient
-        is divided once."""
+        """``pair_multivector`` of each multivector in ``mvs``.  Each
+        multivector visits only the terms of its own covectors."""
         alg = self.algebra
         wanted = {t for mv in mvs for t in mv}
-        used = [(t, slot, u) for (t, slot), u in self.terms.items()
-                if t in wanted]
-        d = common_denominator(u for _, _, u in used)
         by_covector: dict = {}
-        for t, slot, u in used:
-            by_covector.setdefault(t, []).append((slot, u.scale(d)))
+        for (t, slot), u in self.terms.items():
+            if t in wanted:
+                by_covector.setdefault(t, []).append((slot, u))
         rows = []
         for mv in mvs:
-            dm = common_denominator(mv.values())
-            accs = [{} for _ in range(self.slots)]
+            accs = [Accumulator() for _ in range(self.slots)]
             for t, c in mv.items():
-                terms = by_covector.get(t)
-                if terms:
-                    c = canonical(c * dm)
-                    for slot, u in terms:
-                        add_into(accs[slot], u, c)
-            rows.append([collect(alg, acc, d * dm) for acc in accs])
+                for slot, u in by_covector.get(t, ()):
+                    add_into(accs[slot], u, c)
+            rows.append([collect(alg, acc) for acc in accs])
         return rows
 
     def render(self) -> str:
@@ -450,14 +441,15 @@ class CovectorMap:
                 accumulate(out, jo, c * v)
         return Form(self.algebra, self.degree_out, out)
 
-    def apply_into(self, accs: dict, terms: dict):
-        """Add the image of the OperatorForm terms ``terms`` into accs."""
+    def apply_into(self, accs: defaultdict, terms: dict):
+        """Add the image of the OperatorForm terms ``terms`` into accs, a
+        defaultdict of accumulators."""
         for (t, slot), u in terms.items():
             for jo, v in self.columns.get(t, {}).items():
-                add_into(accs.setdefault((jo, slot), {}), u, v)
+                add_into(accs[jo, slot], u, v)
 
     def apply_opform(self, form: OperatorForm) -> OperatorForm:
-        accs: dict = {}
+        accs: defaultdict = defaultdict(Accumulator)
         self.apply_into(accs, form.terms)
         return OperatorForm(self.algebra, self.degree_out, form.slots,
                             terms_of(self.algebra, accs))

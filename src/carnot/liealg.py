@@ -88,6 +88,7 @@ class StratifiedLieAlgebra:
         self._nf_cache = {}
         self._prod_cache = {}
         self._adj_cache = {}
+        self._weight_cache = {}
         self._dtheta_cache = None
         self._validate()
 

@@ -57,8 +57,9 @@ import re
 from collections import defaultdict
 
 from . import linalg
-from .env import (AlgebraMismatch, EnvElement, Mixed, ZeroElement, add_into,
-                  collect, homogeneity_degrees, matrix_product)
+from .env import (Accumulator, AlgebraMismatch, EnvElement, Mixed,
+                  ZeroElement, add_into, collect, homogeneity_degrees,
+                  matrix_product)
 from .exterior import (CovectorMap, Form, OperatorForm, covectors,
                        d0_covector, d_terms, terms_of, tuple_weight)
 from .linalg import reciprocal
@@ -129,7 +130,7 @@ class OperatorMatrix:
         formed.
         """
         alg = self.algebra
-        accs = [[{} for _ in range(ncols)] for _ in left]
+        accs = [[Accumulator() for _ in range(ncols)] for _ in left]
         left_cols = linalg.transpose(left, len(self.entries))
         for s, row in enumerate(self.entries):
             lefts = [(accs[i], c) for i, c in left_cols[s].items()]
@@ -145,9 +146,8 @@ class OperatorMatrix:
         """Matrix product, by ``env.matrix_product``: each entry A_ik is
         folded through the words of row k of ``other`` as a prefix trie,
         one generator at a time; each partial product A_ik * X^w is added
-        into every output column whose entry holds X^w.  Both factors are
-        scaled exactly to integer coefficients first, and each output
-        coefficient is divided by the product of the two denominators once.
+        into every output column whose entry holds X^w, in ``int``
+        arithmetic over the two factors' denominators.
         """
         if other.algebra is not self.algebra:
             raise AlgebraMismatch("operands live over different algebras")
@@ -316,7 +316,7 @@ class RuminComplex:
         if not rows or not rows[0]:
             return m
         inv = [reciprocal(s) for s in self._basis(p)[2]]
-        out = [[x.scale(r * c) if type(x) is EnvElement
+        out = [[x if not x else x.scale(r * c) if type(x) is EnvElement
                 else linalg.canonical(x * (r * c)) for x, c in zip(row, inv)]
                for row, r in zip(rows, self._basis(q)[2])]
         if isinstance(m, OperatorMatrix):
@@ -326,12 +326,12 @@ class RuminComplex:
     def adjoint(self, m: OperatorMatrix, q: int, p: int) -> OperatorMatrix:
         """The adjoint E0^q -> E0^p of m: E0^p -> E0^q, in the orthogonal
         bases: entry (i, j) is (N^q_j / N^p_i) * formal adjoint of m_ji."""
-        nq, n_p = self.norms(q), self.norms(p)
+        nq, inv = self.norms(q), [reciprocal(x) for x in self.norms(p)]
         rows, cols = m.shape
         return OperatorMatrix(
             self.algebra,
-            [[m.entries[j][i].formal_adjoint().scale(
-                nq[j] * reciprocal(n_p[i])) for j in range(rows)]
+            [[(u := m.entries[j][i]) and u.formal_adjoint().scale(
+                nq[j] * inv[i]) for j in range(rows)]
              for i in range(cols)], cols=rows)
 
     @cached
@@ -400,9 +400,9 @@ class RuminComplex:
                 pinv.columns, -1)
             if not neg_d:
                 continue
-            accs: dict = {}
+            accs: defaultdict = defaultdict(Accumulator)
             for k, u in (result[w].terms if w in result else {}).items():
-                add_into(accs.setdefault(k, {}), u)
+                add_into(accs[k], u)
             pinv.apply_into(accs, neg_d)
             result[w] = OperatorForm(alg, h, form.slots, terms_of(alg, accs))
         # the weight components have disjoint terms, so they join by union
@@ -532,11 +532,11 @@ class RuminComplex:
     def opform_from_rows(self, rows, h: int, slots: int) -> OperatorForm:
         """sum_i (rows[i] applied to slots) xi_i^h."""
         alg = self.algebra
-        accs: dict = {}
+        accs: defaultdict = defaultdict(Accumulator)
         for row, xi in zip(rows, self.E0(h)):
             for slot, u in enumerate(row[:slots]):
                 for t, c in xi.terms.items():
-                    add_into(accs.setdefault((t, slot), {}), u, c)
+                    add_into(accs[t, slot], u, c)
         return OperatorForm(alg, h, slots, terms_of(alg, accs))
 
     def dc_orders(self):

@@ -88,6 +88,8 @@ class ScalarField:
             if value.field is not self:
                 raise ValueError("scalar belongs to a different field")
             return value
+        if type(value) is Fraction:
+            return canonical(value)
         if isinstance(value, str):
             return self.parse(value)
         return canonical(Fraction(value))
@@ -260,16 +262,20 @@ class Scalar:
 
     # -- rendering ------------------------------------------------------
 
-    def __str__(self):
-        """Tower terms by mask, as in "1 - 3/2*sqrt(6)"."""
+    def signed_terms(self, den: int = 1) -> list:
+        """(sign, text) of each tower term of self / den, by mask."""
         terms = []
         for m in sorted(self.terms):
-            sign, text = _expr.signed(self.terms[m])
+            sign, text = _expr.signed(self.terms[m], den)
             if m:
                 rad = f"sqrt({_mask_product(self.field.radicands, m)})"
                 text = rad if text == "1" else f"{text}*{rad}"
             terms.append((sign, text))
-        return _expr.signed_sum(terms)
+        return terms
+
+    def __str__(self):
+        """Tower terms by mask, as in "1 - 3/2*sqrt(6)"."""
+        return _expr.signed_sum(self.signed_terms())
 
     def __repr__(self):
         return f"Scalar({self})"

@@ -134,6 +134,11 @@ RENDER_DIGESTS = {
         "3a8ad0ffd7652386aac1bf37e5de9c651d56d08635ae089662061d4c1cfe4970",
     "dc --group free:2,4 --degree 3 --format text":
         "f0c61bd2dd8437eda1b0ddbd1b95749ac65a44db8197859b7e3a3b38e63ab4ce",
+    # recorded before operators kept integer numerators over one denominator
+    "deltac --group free:2,4 --degree 5 --format text":
+        "eb86aad1d9b5cd1961f83cacb7fcd60d549551984d9b2722354158ea89058f6a",
+    "dc --group free:3,2 --degree 2 --format latex":
+        "52ca2c297d065ccd6b71bb4a83d61955a5851f071f303b01ab945e323339cb35",
 }
 
 
@@ -160,6 +165,11 @@ JSON_DIGESTS = {
         "bb2c465028a273e404cf5da0ed73fc755d91d76b5e56c18b96f2697c8f2d38f7",
     "pi-e --degree 4 --index 1 --format json":
         "22addf0340e57d6a1fae8b05c7de31b80071ee1c0219578bdcc50ef3f19fce24",
+    # recorded before operators kept integer numerators over one denominator
+    "laplacian --family R --degree 2 --format json":
+        "a83067b6486843558bee2652c65d90d1cecd5cca7925bb1979c4e56521c5a344",
+    "pi-e --group free:2,4 --degree 3 --index 2 --format json":
+        "80abb1eff7a91bc482e1035e7b6627b7392ecece5ce2d2ec5f27d5c3facd978e",
 }
 
 

@@ -280,6 +280,36 @@ def test_single_query_builds_one_matrix_and_one_degree():
         (4, "ddl", 1), (4, "dd", 1), (4, "dd", 2), (4, "dd", 3)}
 
 
+def test_laplacian_table_builds_no_fraction(monkeypatch):
+    """With d_c and delta_c built, the Cartan Laplacian table (block
+    powers, A-padded blocks and family sums) runs in int arithmetic over
+    each operator's denominator: no Fraction is constructed."""
+    from fractions import Fraction
+
+    fresh = RuminComplex(cartan_group())
+    for h in range(6):
+        fresh.dc_matrix(h)
+        fresh.deltac_matrix(h)
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    table = laplacians.laplacian_table(fresh)
+    monkeypatch.undo()
+    assert all(len(table[fam]) == 6 for fam in FAMILIES)
+    assert made == []
+    # the patch counts: a coefficient read off the terms view builds one
+    third = EnvElement.one(fresh.algebra).scale(Fraction(1, 3))
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert third.terms == {(0,) * 5: new(Fraction, 1, 3)}
+    monkeypatch.undo()
+    assert made == [(1, 3)]
+
+
 def test_verify_builds_each_laplacian_once(monkeypatch):
     from collections import Counter
 

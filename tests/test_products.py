@@ -1,7 +1,7 @@
 """Property tests of the PBW product kernel and the builders on top of it.
 
-The products of ``EnvElement`` and ``OperatorMatrix`` accumulate raw
-coefficients over a common denominator; these tests check them against
+The products of ``EnvElement`` and ``OperatorMatrix`` accumulate integer
+numerators over one denominator; these tests check them against
 references that do not share that kernel: the coordinate realization of the
 Cartan group, entrywise sums of single products, associativity and the
 anti-homomorphism law of the formal adjoint on a group whose brackets are
@@ -9,14 +9,15 @@ fractional and irrational.  The one-generator collection behind every normal
 form is checked against the descent rewriting, written here without a cache
 and with Scalar arithmetic.  The exterior builders (d, d0^{-1}, Pi_E, Pi_E0,
 the pairings and the row expansion) and products with a constant factor
-accumulate in flat dicts as well; they are checked against references
+sum in accumulators as well; they are checked against references
 written here with plain EnvElement ``*``, ``.scale`` and ``+``.  The
-packed map an EnvElement stores is checked, operation by operation, against
+numerators an EnvElement stores are checked, operation by operation, against
 the same operations on ``{exponent: Scalar}`` dicts.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +25,8 @@ from hypothesis import strategies as st
 
 from carnot._expr import signed, signed_sum
 from carnot.coords import Polynomial, coordinate_apply
-from carnot.env import (EnvElement, Mixed, _normalize_word, _pack, _product,
-                        collect, word_of)
+from carnot.env import (Accumulator, EnvElement, Mixed, _normalize_word,
+                        _pack, _product, add_into, collect, word_of)
 from carnot.exterior import (OperatorForm, covectors, d0_covector, d_terms,
                              merge_wedge, tuple_weight)
 from carnot.liealg import (ResourceLimit, StratifiedLieAlgebra, cartan_group,
@@ -71,11 +72,30 @@ def elements(alg, max_terms=3):
                     max_size=max_terms).map(build)
 
 
+def assert_numerators(alg, e):
+    """The canonical form of an element: int codes; a positive int
+    denominator coprime with every integer its numerators hold; nonzero int
+    numerators, or irrational Scalars of the group's field with int
+    terms."""
+    assert type(e._den) is int and e._den > 0
+    ints = []
+    for key, c in e._packed.items():
+        assert type(key) is int and key >= 0
+        if type(c) is Scalar:
+            assert c.field is alg.field and c.terms.keys() - {0}
+            assert all(type(v) is int and v for v in c.terms.values())
+            ints += c.terms.values()
+        else:
+            assert type(c) is int and c != 0, c
+            ints.append(c)
+    assert gcd(e._den, *ints) == 1
+
+
 def assert_canonical(alg, *elems):
-    """Exact values in their one form only, in the caches and in the map
-    every element stores, under int codes: nonzero ints, non-integral
-    Fractions, or irrational Scalars of the group's field whose tower terms
-    are such rationals."""
+    """Exact values in their one form only in the caches, under int codes:
+    nonzero ints, non-integral Fractions, or irrational Scalars of the
+    group's field whose tower terms are such rationals; and every element
+    in canonical form (``assert_numerators``)."""
     def rational(c):
         assert type(c) in (int, Fraction), type(c)
         assert c != 0
@@ -90,10 +110,19 @@ def assert_canonical(alg, *elems):
             rational(c)
     maps = [*alg._nf_cache.values(), *alg._prod_cache.values(),
             *alg._adj_cache.values()]
-    for nf in maps + [e._packed for e in elems]:
+    for nf in maps:
         for key, c in nf.items():
             assert type(key) is int and key >= 0
             check(c)
+    for e in elems:
+        assert_numerators(alg, e)
+
+
+def element(alg, nf):
+    """The canonical EnvElement of a packed map of values, as collected."""
+    acc = Accumulator()
+    add_into(acc, EnvElement(alg, nf))
+    return collect(alg, acc)
 
 
 @PROPERTY
@@ -234,17 +263,17 @@ def test_kernel_matches_descent_rewriting(name, data):
     alg = KERNEL_GROUPS[name]()     # empty caches: the collection runs cold
     gens = st.integers(1, alg.n)
     word = tuple(data.draw(st.lists(gens, max_size=6)))
-    assert collect(alg, _normalize_word(alg, word)).terms \
+    assert element(alg, _normalize_word(alg, word)).terms \
         == ref_normal_form(alg, word)
     exps = st.lists(gens, max_size=3).map(
         lambda w: tuple(w.count(i) for i in range(1, alg.n + 1)))
     a, b = data.draw(exps), data.draw(exps)
-    assert collect(alg, _product(alg, _pack(a), _pack(b))).terms \
+    assert element(alg, _product(alg, _pack(a), _pack(b))).terms \
         == ref_normal_form(alg, word_of(a) + word_of(b))
     assert_canonical(alg)
 
 
-# -- the stored packed map against {exponent: Scalar} dicts --------------------
+# -- the stored numerators against {exponent: Scalar} dicts ------------------
 
 def ref_sum(*dicts):
     out: dict = {}
@@ -304,10 +333,12 @@ STORAGE_GROUPS = {"cartan": CARTAN, "free-2-4": FREE24, "skew": SKEW}
 @given(st.data())
 def test_packed_storage_matches_scalar_reference(name, data):
     """+, -, scale, *, formal_adjoint, homogeneity, render, hash and the
-    terms view of the stored packed map, against the same operations on
+    terms view of the stored numerators, against the same operations on
     {exponent: Scalar} dicts written here.  homogeneity reads the weights
     off the packed codes; its reference reads them off the exponent
-    tuples."""
+    tuples.  Every result is in canonical form: a positive denominator
+    coprime with the integer content of the numerators, no zero
+    numerator, and int terms in every Scalar numerator."""
     alg = STORAGE_GROUPS[name]
     f = alg.field
 
@@ -339,7 +370,8 @@ def test_packed_storage_matches_scalar_reference(name, data):
             degrees = {ref_degree(alg, exp) for exp in want}
             assert got.homogeneity() == (
                 degrees.pop() if len(degrees) == 1 else Mixed(degrees))
-        assert_canonical(alg, got)
+        assert_numerators(alg, got)
+    assert_canonical(alg)
 
 
 def test_nf_cache_holds_requested_words_only():
@@ -356,8 +388,8 @@ def test_nf_cache_holds_requested_words_only():
     codes = {exp: _pack(exp) for exp in
              ((1, 1, 1, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 0, 0))}
     assert set(alg._adj_cache) == set(codes.values())
-    assert collect(alg, alg._adj_cache[codes[1, 1, 1, 0, 0]]) == adj
-    assert collect(alg, alg._adj_cache[codes[0, 0, 1, 0, 0]]) \
+    assert element(alg, alg._adj_cache[codes[1, 1, 1, 0, 0]]) == adj
+    assert element(alg, alg._adj_cache[codes[0, 0, 1, 0, 0]]) \
         == -EnvElement.generator(alg, 3)
 
 
@@ -530,7 +562,7 @@ def test_exterior_derivatives_match_reference(name, data):
     assert (d.degree, d.slots) == (form.degree + 1, form.slots)
     assert d.terms == full
     canonical(alg, d)
-    # two forms over one common denominator, negated, as Pi_E sums them
+    # two forms in one accumulator per output, negated, as Pi_E sums them
     other = draw_opform(data, alg, form.degree)
     want = {k: -u for k, u in full.items()}
     for k, u in ref_d_layer(alg, other.terms, alg.kappa).items():

@@ -460,8 +460,9 @@ def test_core_is_rational(make):
     """On groups with rational structure constants the core holds no
     square root: every E0 vector and norm, d0 pseudoinverse, Pi_E0 row,
     lift, d_c, delta_c and star entry, and every Cartan Laplacian
-    coefficient, is an int or a non-integral Fraction, and no packed map
-    holds a Scalar.  The roots of the orthonormal view are elsewhere."""
+    coefficient, is an int or a non-integral Fraction, and every operator
+    holds int numerators over its denominator.  The roots of the
+    orthonormal view are elsewhere."""
     from carnot.laplacians import FAMILIES, laplacian
 
     alg = make()
@@ -484,10 +485,12 @@ def test_core_is_rational(make):
             for fam in FAMILIES:
                 ops += [u for row in laplacian(cx, fam, h).entries
                         for u in row]
-    values += [c for u in ops for c in u._packed.values()]
+    values += [c for u in ops for c in u.terms.values()]
     assert values
     for x in values:
         assert type(x) is int or type(x) is Fraction and x.denominator != 1, x
+    numerators = [c for u in ops for c in u._packed.values()]
+    assert numerators and all(type(c) is int for c in numerators)
     if alg.is_cartan_table():
         view = cx.orthonormal(cx.dc_matrix(2), 3, 2)
         assert any(type(c) is Scalar for row in view.entries for u in row

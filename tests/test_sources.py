@@ -1,10 +1,12 @@
 import ast
 import importlib.util
+import json
 import pathlib
 import warnings
 
 import carnot
 import carnot.cli
+import carnot.env
 
 
 def test_sources_compile_without_warnings():
@@ -28,17 +30,62 @@ def test_exports_are_the_imports():
     assert sorted(carnot.__all__) == sorted(imported)
 
 
-def test_traced_names_resolve():
-    """Every name the benchmark's tracer wraps is still defined in carnot."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _load_tracer():
+    path = ROOT / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_names_resolve():
+    """Every name the benchmark's tracer wraps is still defined in carnot."""
+    tracer = _load_tracer()
     for table in (tracer.SPANNED, tracer.COUNTED):
         for key, attrs in table.items():
             owner = tracer._resolve(carnot, key)
             missing = [a for a in attrs if a not in vars(owner)]
             assert not missing, f"{key}: {missing}"
+
+
+def test_traced_run_reports_every_layer(capsys):
+    """The benchmark's tracer, installed in process, wraps carnot's
+    functions, reads the algebras' caches and towers when an operation
+    ends, and reports every per-layer metric that BENCHMARK.json declares
+    and the tracer computes over one Cartan verify and one cold dc query.
+    The worker adds the ``cli.``, ``trace.``, ``host.`` and
+    ``verify.group.`` metrics; no verify or query calls
+    ``CovectorMap.apply_opform`` or ``OperatorForm.__add__``, so their two
+    metrics are never reported."""
+    tracer = _load_tracer()
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    unreached = {"exterior.apply_opform_s", "exterior.opform_add_calls"}
+    names = {m["name"] for m in declared
+             if m["name"].partition(".")[0] not in ("cli", "trace", "host")
+             and not m["name"].startswith("verify.group.")} - unreached
+    t = tracer.Tracer()
+    t.install(carnot)
+    try:
+        t.begin_pass()
+        for argv in (["verify", "--group", "builtin:cartan"],
+                     ["dc", "--group", "free:2,4", "--degree", "3"]):
+            assert carnot.cli.main(argv + ["--format", "json"]) == 0
+            t.end_operation()
+        metrics = t.end_pass({})
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert not names - metrics.keys(), sorted(names - metrics.keys())
+    for name in ("env.mul_calls", "env.nf_cache_entries",
+                 "env.prod_cache_entries", "scalars.radicands",
+                 "laplacians.laplacian_distinct", "linalg.mat_mul_products"):
+        assert metrics[name] > 0, name
+    # uninstalled: carnot's own functions are back
+    assert all(not getattr(fn, "__qualname__", "").startswith("Tracer.")
+               for fn in vars(carnot.env.EnvElement).values())
 
 
 # The one shared internal, (module, sibling, name): scalars reduces its
