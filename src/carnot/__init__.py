@@ -7,8 +7,9 @@ hypoelliptic Hodge-Laplacian families G, R and A (derived from the orders
 of d_c, on every group where d_c is homogeneous in each degree, such as the
 five-dimensional step-3 group and the Heisenberg groups), and the
 kernel-type/limiting-exponent bookkeeping attached to them.
-Everything is computed over an exact scalar tower; there is no floating
-point anywhere.
+On a group with rational structure constants the core computes over Q, and
+square roots, in an exact quadratic tower, appear only in the printed
+orthonormal view.  There is no floating point anywhere.
 """
 
 from .scalars import Scalar, ScalarField, TowerInsufficient
@@ -24,8 +25,7 @@ from .rumin import (OperatorMatrix, RuminComplex, SpanMismatch,
                     StarAdjointMismatch)
 from .laplacians import (FAMILIES, UnsupportedGroup, a_delta,
                          hodge_conjugate, laplacian, order_table,
-                         star_duality_sign, verify_homogeneous_order,
-                         verify_self_adjoint)
+                         star_duality_sign, verify_self_adjoint)
 from .estimates import (DegreeMismatch, ExponentRecord, HorizontalTensor,
                         KernelType, OutOfRange, cartan_pairing,
                         check_row_membership, differentiate_type,
@@ -51,7 +51,7 @@ __all__ = [
     "RuminComplex", "OperatorMatrix", "SpanMismatch",
     "StarAdjointMismatch",
     "laplacian", "a_delta", "order_table", "hodge_conjugate",
-    "verify_self_adjoint", "verify_homogeneous_order", "star_duality_sign",
+    "verify_self_adjoint", "star_duality_sign",
     "FAMILIES", "UnsupportedGroup",
     "KernelType", "ExponentRecord", "HorizontalTensor", "OutOfRange",
     "DegreeMismatch", "kernel_type_of_inverse", "differentiate_type",

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import _expr
 from .env import EnvElement, word_of
-from .linalg import canonical, reciprocal
+from .linalg import accumulate, add_scaled, canonical, reciprocal
 from .scalars import Scalar
 
 
@@ -62,13 +62,7 @@ class Polynomial:
 
     def __add__(self, other):
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if s:
-                terms[e] = canonical(s)
-            else:
-                terms.pop(e, None)
+        add_scaled(terms, 1, other.terms)
         return Polynomial(self.field, self.nvars, terms)
 
     def __neg__(self):
@@ -89,16 +83,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = canonical(s)
-                else:
-                    out.pop(e, None)
+        _add_product(out, self.terms, other.terms)
         return Polynomial(self.field, self.nvars, out)
 
     __rmul__ = __mul__
@@ -161,6 +146,13 @@ class Polynomial:
         return _expr.parse(text, _PolyAdapter(field, nvars))
 
 
+def _add_product(out: dict, a: dict, b: dict):
+    """out += a * b, for the {exponents: value} terms of two polynomials."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            accumulate(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+
+
 class _PolyAdapter:
     def __init__(self, field, nvars):
         self.field = field
@@ -189,12 +181,11 @@ class CoordinateRealization:
         self.fields = fields  # list over generators of list over vars of Polynomial
 
     def apply_field(self, i: int, p: Polynomial) -> Polynomial:
-        out = Polynomial.zero(self.field, self.nvars)
+        out: dict = {}
         for j, coeff in enumerate(self.fields[i - 1], start=1):
-            if coeff.is_zero():
-                continue
-            out = out + coeff * p.diff(j)
-        return out
+            if coeff.terms:
+                _add_product(out, coeff.terms, p.diff(j).terms)
+        return Polynomial(self.field, self.nvars, out)
 
     def apply_word(self, word, p: Polynomial) -> Polynomial:
         # operator words compose right-to-left
@@ -203,10 +194,10 @@ class CoordinateRealization:
         return p
 
     def apply(self, op: EnvElement, p: Polynomial) -> Polynomial:
-        out = Polynomial.zero(self.field, self.nvars)
+        out: dict = {}
         for exp, c in op.terms.items():
-            out = out + self.apply_word(word_of(exp), p).scale(c)
-        return out
+            add_scaled(out, c, self.apply_word(word_of(exp), p).terms)
+        return Polynomial(self.field, self.nvars, out)
 
 
 def cartan_realization(alg) -> CoordinateRealization:

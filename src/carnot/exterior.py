@@ -36,7 +36,7 @@ from itertools import combinations
 from . import _expr
 from .env import Accumulator, EnvElement, add_into, collect, mul_into
 from .liealg import StratifiedLieAlgebra
-from .linalg import canonical
+from .linalg import accumulate, add_scaled, canonical
 
 
 def covectors(alg, h: int):
@@ -90,20 +90,9 @@ def _dtheta(alg: StratifiedLieAlgebra):
         table = [dict() for _ in range(alg.n + 1)]
         for (i, j), vec in alg.brackets.items():
             for k, c in vec.items():
-                table[k][(i, j)] = table[k].get((i, j), 0) - c
+                table[k][(i, j)] = -c
         alg._dtheta_cache = table
     return alg._dtheta_cache
-
-
-def accumulate(terms: dict, key, value):
-    """terms[key] += value, dropping the key when the sum is zero; a
-    rational sum is kept in its one form."""
-    s = terms.get(key)
-    s = value if s is None else s + value
-    if s:
-        terms[key] = canonical(s)
-    else:
-        terms.pop(key, None)
 
 
 def d0_covector(alg, j: tuple) -> dict:
@@ -146,8 +135,7 @@ class Form:
 
     def __add__(self, other):
         terms = dict(self.terms)
-        for t, c in other.terms.items():
-            accumulate(terms, t, c)
+        add_scaled(terms, 1, other.terms)
         return Form(self.algebra, self.degree, terms)
 
     def __neg__(self):
@@ -225,8 +213,7 @@ class Form:
         alg = self.algebra
         out: dict = {}
         for t, c in self.terms.items():
-            for merged, coeff in d0_covector(alg, t).items():
-                accumulate(out, merged, c * coeff)
+            add_scaled(out, c, d0_covector(alg, t))
         return Form(alg, self.degree + 1, out)
 
     def delta0(self) -> "Form":
@@ -437,8 +424,7 @@ class CovectorMap:
     def apply_form(self, form: Form) -> Form:
         out: dict = {}
         for t, c in form.terms.items():
-            for jo, v in self.columns.get(t, {}).items():
-                accumulate(out, jo, c * v)
+            add_scaled(out, c, self.columns.get(t, {}))
         return Form(self.algebra, self.degree_out, out)
 
     def apply_into(self, accs: defaultdict, terms: dict):
@@ -458,11 +444,6 @@ class CovectorMap:
         if isinstance(form, OperatorForm):
             return self.apply_opform(form)
         return self.apply_form(form)
-
-
-def d0_map(alg, h: int) -> CovectorMap:
-    return CovectorMap(alg, h, h + 1,
-                       {j: d0_covector(alg, j) for j in covectors(alg, h)})
 
 
 def multivector(alg, indices_with_coeffs) -> dict:

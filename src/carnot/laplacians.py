@@ -184,13 +184,6 @@ def verify_self_adjoint(cx: RuminComplex, m: OperatorMatrix, h: int) -> dict:
     return out
 
 
-def verify_homogeneous_order(m: OperatorMatrix, expected: int) -> dict:
-    degs = m.orders()
-    ok = degs == {expected} or not degs
-    out = {"expected": expected, "orders": sorted(degs), "homogeneous": ok}
-    return out
-
-
 def hodge_conjugate(cx: RuminComplex, m: OperatorMatrix, h: int) -> OperatorMatrix:
     """Conjugate an E0^h endomorphism by the star into degree n-h."""
     n = cx.algebra.n

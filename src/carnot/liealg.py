@@ -124,13 +124,8 @@ class StratifiedLieAlgebra:
         for i, ca in a.items():
             ca = self.field(ca)
             for j, cb in b.items():
-                cb = self.field(cb)
-                for k, c in self.bracket_basis(i, j).items():
-                    s = out.get(k, 0) + ca * cb * c
-                    if s:
-                        out[k] = linalg.canonical(s)
-                    else:
-                        out.pop(k, None)
+                linalg.add_scaled(out, ca * self.field(cb),
+                                  self.bracket_basis(i, j))
         return out
 
     # -- validation -------------------------------------------------------
@@ -144,14 +139,8 @@ class StratifiedLieAlgebra:
         for i, j, k in combinations(range(1, self.n + 1), 3):
             acc: dict = {}
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.bracket_basis(a, b)
-                for t, coeff in self.bracket({m: v for m, v in inner.items()},
-                                             {c: 1}).items():
-                    s = acc.get(t, 0) + coeff
-                    if s:
-                        acc[t] = s
-                    else:
-                        acc.pop(t, None)
+                linalg.add_scaled(acc, 1, self.bracket(
+                    self.bracket_basis(a, b), {c: 1}))
             if acc:
                 raise JacobiViolation(i, j, k)
         for a in range(1, self.kappa):
@@ -290,12 +279,8 @@ def _commutator(u: dict, v: dict) -> dict:
     for a, ca in u.items():
         for b, cb in v.items():
             c = ca * cb
-            for word, x in ((a + b, c), (b + a, -c)):
-                s = out.get(word, 0) + x
-                if s:
-                    out[word] = s
-                else:
-                    out.pop(word, None)
+            linalg.accumulate(out, a + b, c)
+            linalg.accumulate(out, b + a, -c)
     return out
 
 

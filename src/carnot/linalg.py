@@ -1,4 +1,12 @@
-"""Exact sparse linear algebra over a field of exact values.
+"""Exact sparse sums and sparse linear algebra over a field of exact values.
+
+This is the bottom layer, and the one home of the exact sparse sum: a
+``{key: value}`` map of exact values stays canonical when every sum into
+it goes through ``accumulate`` (one term) or ``add_scaled`` (a scaled
+map), which drop a key whose sum is zero and keep a rational sum in its
+one form.  The scalar tower, the bracket table, the polynomial oracle and
+the constant forms all sum through these two; only the operator kernel
+of :mod:`carnot.env` keeps a loop of its own, over integer numerators.
 
 A matrix is a list of rows, and a row is a ``{column: value}`` dict of its
 nonzero entries, so the work grows with the nonzeros, not with the block
@@ -62,18 +70,32 @@ def mat_mul(field, a, b):
     return out
 
 
-# -- kernels -----------------------------------------------------------------
+# -- the exact sparse sum ----------------------------------------------------
 
-def _add_into(row, f, other):
-    """row += f * other, in place, dropping entries that cancel."""
+def accumulate(terms: dict, key, value):
+    """terms[key] += value, in place: a zero sum drops the key, and a
+    rational sum is kept in its one form."""
+    s = terms.get(key)
+    s = value if s is None else s + value
+    if s:
+        terms[key] = canonical(s)
+    else:
+        terms.pop(key, None)
+
+
+def add_scaled(row, f, other):
+    """row += f * other, in place, by the rule of ``accumulate``; a zero
+    ``f`` leaves ``row`` as it is."""
     for j, y in other.items():
         s = row.get(j)
         s = f * y if s is None else s + f * y
         if s:
             row[j] = canonical(s)
         else:
-            del row[j]
+            row.pop(j, None)
 
+
+# -- kernels -----------------------------------------------------------------
 
 def _dot(u, v):
     """Dot product of sparse vectors, over the smaller support."""
@@ -88,7 +110,7 @@ def _mul(a, b):
     for row in a:
         acc: dict = {}
         for t, x in row.items():
-            _add_into(acc, x, b[t])
+            add_scaled(acc, x, b[t])
         out.append(acc)
     return out
 
@@ -104,7 +126,7 @@ def _rref(rows):
     for row in rows:
         row = dict(row)
         for c in [c for c in row if c in piv]:
-            _add_into(row, -row[c], piv[c])
+            add_scaled(row, -row[c], piv[c])
         if not row:
             continue
         c = min(row)
@@ -115,7 +137,7 @@ def _rref(rows):
         for other in piv.values():
             f = other.get(c)
             if f is not None:
-                _add_into(other, -f, row)
+                add_scaled(other, -f, row)
         piv[c] = row
     pivots = sorted(piv)
     return [piv[c] for c in pivots], pivots
@@ -209,7 +231,7 @@ def gram_schmidt(vectors):
         for k in sorted({k for j in v for k in by_col.get(j, ())}):
             c = _dot(v, ortho[k])
             if c:
-                _add_into(w, -c * reciprocal(norms[k]), ortho[k])
+                add_scaled(w, -c * reciprocal(norms[k]), ortho[k])
         if not w:
             continue
         for j in w:

@@ -11,10 +11,15 @@ when it is integral and a ``Fraction`` only otherwise, never a ``float``, so
 equality is plain dictionary comparison and all arithmetic is exact.
 ``field(x)``, ``sqrt``, ``parse`` and every Scalar operation return a Python
 rational whenever the result is rational, so rational code runs on plain
-numbers and a value never needs converting.  Divide through
-``linalg.reciprocal``: ``field(3) / field(2)`` is the float ``1.5``.  The
-tower grows on demand when a square root of a new square-free integer is
-requested; the Cartan-group workflow only ever needs sqrt(2).
+numbers and a value never needs converting.  Sums go through
+``linalg.accumulate`` and ``linalg.add_scaled``, so a coefficient is
+canonical by the rule every sparse map of the package keeps.  Divide
+through ``linalg.reciprocal``: ``field(3) / field(2)`` is the float
+``1.5``.  A Scalar inverts by conjugation, one radicand at a time, which
+works because the radicands stay independent modulo squares.  The tower
+grows on demand when a square root of a new square-free integer is
+requested, up to ``MAX_RADICANDS`` radicands; the Cartan-group workflow
+only ever needs sqrt(2).
 
 Scalars are immutable values.  A field mutates only by appending radicands,
 which never invalidates existing scalars.
@@ -26,7 +31,10 @@ from fractions import Fraction
 from math import isqrt
 
 from . import _expr
-from .linalg import _rref, canonical, reciprocal
+from .linalg import accumulate, add_scaled, canonical, reciprocal
+
+# the most radicands a tower holds
+MAX_RADICANDS = 8
 
 
 class TowerInsufficient(ValueError):
@@ -71,11 +79,10 @@ def _square_free_split(n: int) -> tuple[int, int]:
 class ScalarField:
     """A tower Q(sqrt(r_1), ..., sqrt(r_m)) with on-demand extension."""
 
-    __slots__ = ("radicands", "max_radicands")
+    __slots__ = ("radicands",)
 
-    def __init__(self, radicands=(), max_radicands: int = 8):
+    def __init__(self, radicands=()):
         self.radicands: list[int] = []
-        self.max_radicands = max_radicands
         for r in radicands:
             self._ensure_radicand(int(r))
 
@@ -107,9 +114,9 @@ class ScalarField:
             if s * s == t:
                 # sqrt(r) = s / prod * basis[mask]
                 return mask, Fraction(s, _mask_product(self.radicands, mask))
-        if m >= self.max_radicands:
+        if m >= MAX_RADICANDS:
             raise TowerInsufficient(
-                f"tower extension cap ({self.max_radicands}) reached for sqrt({r})")
+                f"tower extension cap ({MAX_RADICANDS}) reached for sqrt({r})")
         self.radicands.append(r)
         return 1 << m, Fraction(1)
 
@@ -167,12 +174,7 @@ class Scalar:
         if right is None:
             return NotImplemented
         terms = dict(self.terms)
-        for m, c in right.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = canonical(s)
-            else:
-                del terms[m]
+        add_scaled(terms, 1, right)
         return _value(self.field, terms)
 
     __radd__ = __add__
@@ -198,50 +200,24 @@ class Scalar:
                 c = c1 * c2
                 if common:
                     c *= _mask_product(rad, common)
-                m = m1 ^ m2
-                s = terms.get(m, 0) + c
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
-        return _value(self.field,
-                      {m: canonical(c) for m, c in terms.items()})
+                accumulate(terms, m1 ^ m2, c)
+        return _value(self.field, terms)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Scalar":
-        """1 / self, irrational as self is."""
-        if len(self.terms) == 1:
-            # 1 / (c * sqrt(r)) = sqrt(r) / (c * r), r the mask's product
-            (m, c), = self.terms.items()
-            return Scalar(self.field, {m: canonical(Fraction(
-                1, c * _mask_product(self.field.radicands, m)))})
-        # Solve x * y = 1 in the subfield generated by the masks of x.
-        union = 0
-        for m in self.terms:
-            union |= m
-        bits = [i for i in range(union.bit_length()) if union >> i & 1]
-        basis = []
-        for k in range(1 << len(bits)):
-            m = 0
-            for j, b in enumerate(bits):
-                if k >> j & 1:
-                    m |= 1 << b
-            basis.append(m)
-        index = {m: i for i, m in enumerate(basis)}
-        n = len(basis)
-        # row i, column j: coordinate i of self * basis[j]; column n holds
-        # the coordinates of 1, so the reduced form holds y in column n
-        rows = [{} for _ in basis]
-        for j, bj in enumerate(basis):
-            for m1, c1 in self.terms.items():
-                rows[index[m1 ^ bj]][j] = c1 * _mask_product(
-                    self.field.radicands, m1 & bj)
-        rows[index[0]][n] = 1
-        aug, _ = _rref(rows)
-        terms = {basis[j]: canonical(row[n])
-                 for j, row in enumerate(aug) if n in row}
-        return Scalar(self.field, terms)
+    def inverse(self):
+        """1 / self, by conjugation.
+
+        With ``b`` the highest radicand bit that self uses, ``conj`` flips
+        the sign of every term whose mask holds ``b``: the automorphism
+        sqrt(r_b) -> -sqrt(r_b), which exists because the radicands are
+        independent modulo squares.  self * conj lies in the subfield
+        without ``b``, so its reciprocal recurses on fewer radicands.
+        """
+        b = 1 << (max(self.terms).bit_length() - 1)
+        conj = Scalar(self.field, {m: -c if m & b else c
+                                   for m, c in self.terms.items()})
+        return conj * reciprocal(self * conj)
 
     def __truediv__(self, other):
         return self * reciprocal(other)

@@ -30,7 +30,7 @@ from itertools import zip_longest
 from . import estimates, laplacians, linalg
 from .coords import Polynomial, coordinate_apply
 from .env import EnvElement
-from .exterior import Form, accumulate, covectors
+from .exterior import Form, covectors
 from .liealg import free_nilpotent, load_group
 from .rumin import OperatorMatrix, RuminComplex
 
@@ -46,7 +46,7 @@ def load_golden(path=None) -> dict:
 def golden_form(alg, spec, degree):
     terms: dict = {}
     for coeff, idx in spec:
-        accumulate(terms, tuple(idx), alg.field.parse(coeff))
+        linalg.accumulate(terms, tuple(idx), alg.field.parse(coeff))
     return Form(alg, degree, terms)
 
 

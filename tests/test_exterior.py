@@ -4,7 +4,7 @@ import pytest
 
 from carnot.env import EnvElement
 from carnot.exterior import (DegreeOverflow, Form, OperatorForm, covectors,
-                             d0_map, multivector)
+                             multivector)
 from carnot.liealg import cartan_group
 
 
@@ -163,13 +163,6 @@ def test_operator_form_weight_split_and_pairing(g):
     mv = multivector(g, [((4, 1), 1)])  # X4 ^ X1 = -X1 ^ X4
     row = a.pair_multivector(mv)
     assert row[0] == EnvElement.parse(g, "-1")
-
-
-def test_d0_map_matches_method(g):
-    for h in range(5):
-        m = d0_map(g, h)
-        for t in covectors(g, h):
-            assert m.apply_form(Form.basis(g, t)) == Form.basis(g, t).d0()
 
 
 def test_operator_form_json(g):

@@ -25,6 +25,7 @@ def test_bracket_bilinear():
     one = 1
     assert g.bracket({1: one}, {2: one}) == {3: one}
     assert g.bracket({1: one}, {1: one}) == {}
+    assert g.bracket({1: 0}, {2: one}) == {}
     # [X1+X2, X3] = X4 + X5
     out = g.bracket({1: one, 2: one}, {3: one})
     assert out == {4: one, 5: one}

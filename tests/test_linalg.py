@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carnot import linalg
@@ -368,3 +368,81 @@ def test_rational_routines_match_sympy(kind, data):
         assert all(type(x) is int or type(x) is Fraction and x.denominator != 1
                    for row in got for x in row.values())
         assert got == routine(rows, n)
+
+
+# -- the exact sparse sum ----------------------------------------------------
+#
+# A value of Q(sqrt(2)) is drawn as a pair (a, b) for a + b*sqrt(2); the
+# reference adds and multiplies the pairs as Fractions.
+
+_pairs = st.tuples(_rationals["fraction"],
+                   st.one_of(st.just(Fraction(0)), _rationals["integer"]))
+_maps = st.dictionaries(st.integers(0, 5), _pairs, max_size=5)
+
+
+def _value(field, pair, raw):
+    """a + b*sqrt(2) as an int, a Fraction or a Scalar; ``raw`` keeps a
+    rational a Fraction, an integral or zero one too."""
+    a, b = pair
+    if b:
+        return field(a) + field(b) * field.sqrt(2)
+    return a if raw else field(a)
+
+
+def _pair(x):
+    terms = _exact(x)
+    return Fraction(terms.get(0, 0)), Fraction(terms.get(1, 0))
+
+
+def _ref_add_scaled(row, f, other):
+    out = dict(row)
+    for k, (a, b) in other.items():
+        c, d = out.get(k, (0, 0))
+        out[k] = (c + f[0] * a + 2 * f[1] * b, d + f[0] * b + f[1] * a)
+    return {k: p for k, p in out.items() if any(p)}
+
+
+def _assert_canonical_map(terms):
+    """No zero value, no integral Fraction, a Scalar only when irrational."""
+    for x in terms.values():
+        assert x
+        if isinstance(x, Scalar):
+            assert x.terms.keys() - {0}
+        for c in _exact(x).values():
+            assert type(c) is int or \
+                type(c) is Fraction and c.denominator != 1, repr(c)
+
+
+@PROPERTY
+@example(row={0: (Fraction(1, 2), Fraction(1))}, other={0: (Fraction(3), 0)},
+         f=(Fraction(0), Fraction(0)), raw=True)
+@example(row={}, other={1: (Fraction(0), Fraction(0))},
+         f=(Fraction(2), Fraction(0)), raw=True)
+@given(_maps, _maps, _pairs, st.booleans())
+def test_exact_sparse_sum_matches_reference(row, other, f, raw):
+    """``add_scaled`` and ``accumulate`` give the reference sum with every
+    value canonical, for raw operands (integral Fractions, zero entries, a
+    zero factor) too; adding the same terms back with the opposite sign
+    restores the map, and cancelling every entry leaves it empty."""
+    field = ScalarField()
+    start = {k: _value(field, p, False) for k, p in row.items() if any(p)}
+    terms = {k: _value(field, p, raw) for k, p in other.items()}
+    factor = _value(field, f, raw)
+    want = _ref_add_scaled({k: _pair(x) for k, x in start.items()}, f,
+                           other)
+
+    got = dict(start)
+    linalg.add_scaled(got, factor, terms)
+    assert {k: _pair(x) for k, x in got.items()} == want
+    _assert_canonical_map(got)
+    linalg.add_scaled(got, -factor, terms)
+    assert got == start
+
+    summed = dict(start)
+    for k, x in terms.items():
+        linalg.accumulate(summed, k, factor * x)
+    assert {k: _pair(x) for k, x in summed.items()} == want
+    _assert_canonical_map(summed)
+    for k, x in list(summed.items()):
+        linalg.accumulate(summed, k, -x)
+    assert summed == {}

@@ -8,7 +8,7 @@ from carnot.coords import Polynomial
 from carnot.env import EnvElement
 from carnot.liealg import StratifiedLieAlgebra
 from carnot.linalg import reciprocal
-from carnot.scalars import Scalar, ScalarField, TowerInsufficient
+from carnot.scalars import MAX_RADICANDS, Scalar, ScalarField, TowerInsufficient
 
 
 def test_rational_arithmetic():
@@ -60,10 +60,16 @@ def test_division_by_zero():
 
 
 def test_sqrt_cap_and_nonrational_radicand():
-    f = ScalarField(max_radicands=1)
-    f.sqrt(2)
-    with pytest.raises(TowerInsufficient):
-        f.sqrt(3)
+    f = ScalarField()
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    assert len(primes) == MAX_RADICANDS
+    for p in primes:
+        f.sqrt(p)
+    assert f.radicands == list(primes)
+    f.sqrt(6)   # already in the tower: no new radicand
+    with pytest.raises(TowerInsufficient, match=r"tower extension cap \(8\)"):
+        f.sqrt(23)
+    assert f.radicands == list(primes)
     g = ScalarField()
     with pytest.raises(TowerInsufficient):
         g.sqrt(g(1) + g.sqrt(2))
@@ -249,9 +255,13 @@ def test_parsing_and_division_never_give_a_float(expression):
         assert_canonical(x)
 
 
-# Q(sqrt(2), sqrt(3), sqrt(5)): mask m is the product of the square roots of
-# the radicands whose bits are set in m
+# Q(sqrt(2), sqrt(3), sqrt(5)): term m is the product of the square roots of
+# THREE whose bits are set in m.  The field is built over one of two towers:
+# THREE itself, where each of these roots is one radicand bit, or (2, 6, 15),
+# where sqrt(3) and sqrt(5) each sit on a mask of several bits, which the
+# inverse must conjugate one bit at a time.
 THREE = (2, 3, 5)
+TOWERS = {"": THREE, "-in-2-6-15": (2, 6, 15)}
 one_term = st.tuples(st.integers(0, 7), rationals.filter(bool)).map(
     lambda t: [t[1] if m == t[0] else 0 for m in range(8)])
 several_terms = st.lists(st.one_of(st.just(Fraction(0)), rationals),
@@ -259,12 +269,15 @@ several_terms = st.lists(st.one_of(st.just(Fraction(0)), rationals),
     lambda cs: sum(map(bool, cs)) > 1)
 
 
-@pytest.mark.parametrize("terms", [one_term, several_terms],
-                         ids=["one-term", "several-terms"])
+@pytest.mark.parametrize("terms, radicands", [
+    pytest.param(terms, radicands, id=name + suffix)
+    for suffix, radicands in TOWERS.items()
+    for name, terms in (("one-term", one_term),
+                        ("several-terms", several_terms))])
 @PROPERTY
 @given(data=st.data())
-def test_inverse_times_itself_is_one(terms, data):
-    f = ScalarField(THREE)
+def test_inverse_times_itself_is_one(terms, radicands, data):
+    f = ScalarField(radicands)
     x = 0
     for m, c in enumerate(data.draw(terms)):
         b = 1
@@ -275,7 +288,7 @@ def test_inverse_times_itself_is_one(terms, data):
     inv = reciprocal(x)
     assert x * inv == 1 and inv * x == 1
     assert_canonical(inv)
-    assert f.radicands == list(THREE)
+    assert f.radicands == list(radicands)
 
 
 def test_canonical_coefficients_and_rational_inverse():

@@ -88,9 +88,8 @@ def test_traced_run_reports_every_layer(capsys):
                for fn in vars(carnot.env.EnvElement).values())
 
 
-# The one shared internal, (module, sibling, name): scalars reduces its
-# radicand relations with linalg's row reduction.
-PRIVATE_IMPORTS = {("scalars", "linalg", "_rref")}
+# The shared internals, (module, sibling, name): none.
+PRIVATE_IMPORTS = set()
 
 
 def _sibling(node):
