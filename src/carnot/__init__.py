@@ -8,8 +8,8 @@ of d_c, on every group where d_c is homogeneous in each degree, such as the
 five-dimensional step-3 group and the Heisenberg groups), and the
 kernel-type/limiting-exponent bookkeeping attached to them.
 On a group with rational structure constants the core computes over Q, and
-square roots, in an exact quadratic tower, appear only in the printed
-orthonormal view.  There is no floating point anywhere.
+square roots, each keyed by its square-free radicand, appear only in the
+printed orthonormal view.  There is no floating point anywhere.
 """
 
 from .scalars import Scalar, ScalarField, TowerInsufficient

@@ -84,9 +84,10 @@ def cmd_pi_e(cx, args) -> int:
     basis = cx.E0(h)
     if not 0 <= k < len(basis):
         raise UsageError(f"index must be in 1..{len(basis)}")
+    cx.check_lift_capacity(h)
     # Pi_E is linear: lift the rational w_k, then divide by sqrt(N_k) once
-    root = cx.algebra.field.sqrt(cx.norms(h)[k])
-    lifted = cx.pi_E(OperatorForm.from_form(basis[k])).scale(reciprocal(root))
+    lifted = cx.pi_E(OperatorForm.from_form(basis[k])).scale(
+        reciprocal(cx.roots(h)[k]))
     if args.format == "json":
         print(json.dumps(lifted.to_json(), sort_keys=True))
     else:

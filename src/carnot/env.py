@@ -22,8 +22,8 @@ costs time in products of order up to 12.
   numerators hold, so the form is canonical and ``==`` and ``hash`` are
   value equality.  ``+``, ``-``, ``scale``, the products and
   ``formal_adjoint`` run in ``int`` arithmetic and reduce each result by
-  one ``gcd``; ``scale`` by one irrational tower term, as the printed view
-  does, builds the Scalar numerators directly.  Multiplying two ordered
+  one ``gcd``; ``scale`` by one irrational term ``c*sqrt(r)``, as the
+  printed view does, builds the Scalar numerators directly.  Multiplying two ordered
   monomials adds their codes, and the first and last generators of a code
   are its lowest and highest set bits.  An exponent above 255 raises
   ``ResourceLimit`` where it is packed (``_pack``) or grows (the
@@ -492,7 +492,7 @@ class EnvElement:
         if not c:
             return EnvElement(alg, {})
         if type(c) is Scalar and len(c.terms) == 1:
-            # one tower term (a/b)*sqrt(r): the numerators a*v*sqrt(r) over
+            # one term (a/b)*sqrt(r): the numerators a*v*sqrt(r) over
             # b times the denominator, built directly while they are ints
             (m, a), = c.terms.items()
             den = self._den * a.denominator
@@ -510,7 +510,7 @@ class EnvElement:
         packed = {key: v * p for key, v in packed.items()}
         if den == 1 and type(p) is int:
             return EnvElement(alg, packed)
-        # the tower is a field: a nonzero factor makes no term vanish
+        # the scalars form a field: a nonzero factor makes no term vanish
         return _element(alg, packed, den)
 
     def __mul__(self, other):
@@ -592,7 +592,7 @@ class EnvElement:
 
     def render(self) -> str:
         """The text of the operator, higher-order monomials first, like the
-        matrix listings; a coefficient of several tower terms is bracketed."""
+        matrix listings; a coefficient of several terms is bracketed."""
         alg = self.algebra
         packed, den = self._packed, self._den
         if not packed:

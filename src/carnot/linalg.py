@@ -4,7 +4,7 @@ This is the bottom layer, and the one home of the exact sparse sum: a
 ``{key: value}`` map of exact values stays canonical when every sum into
 it goes through ``accumulate`` (one term) or ``add_scaled`` (a scaled
 map), which drop a key whose sum is zero and keep a rational sum in its
-one form.  The scalar tower, the bracket table, the polynomial oracle and
+one form.  The scalars, the bracket table, the polynomial oracle and
 the constant forms all sum through these two; only the operator kernel
 of :mod:`carnot.env` keeps a loop of its own, over integer numerators.
 

@@ -16,9 +16,9 @@ a list of sparse ``{column: value}`` rows, the format of :mod:`carnot.linalg`.
 Square roots appear only in the orthonormal view, where output is printed
 or compared with the paper.  The published bases are e_k = w_k / sqrt(N_k),
 so a matrix M from degree p to degree q prints as ``orthonormal(M, q, p)``:
-entry (i, j) times sqrt(N^q_i) / sqrt(N^p_j).  The roots are taken as each
-basis block is built, so the tower gains its radicands in Gram-Schmidt
-order whatever is printed later.
+entry (i, j) times sqrt(N^q_i) / sqrt(N^p_j), from ``roots``, the one
+place a root is taken.  ``lift`` refuses a degree of more than
+``MAX_LIFT_COVECTORS`` covectors with ``ResourceLimit`` before any work.
 
 The projection Pi_E on the complement of the acyclic part is evaluated by the
 weight-ascending recursion
@@ -44,7 +44,7 @@ the adjoint, which takes the norms: entry (i, j) of the adjoint of m is
 Every derived object lives in one dict, ``RuminComplex.memo``, filled by the
 ``cached`` decorator, which :mod:`carnot.laplacians` uses too.  Each degree
 keeps its weight blocks, d0 blocks with their ranks and pseudoinverses, its
-basis with norms and roots, d0^{-1}, lift, d_c, star and delta_c; only the
+basis with norms, the roots, d0^{-1}, lift, d_c, star and delta_c; only the
 degree of the Laplacian built last keeps its block powers, which are large
 and read by that degree alone.
 """
@@ -62,8 +62,12 @@ from .env import (Accumulator, AlgebraMismatch, EnvElement, Mixed,
                   matrix_product)
 from .exterior import (CovectorMap, Form, OperatorForm, covectors,
                        d0_covector, d_terms, terms_of, tuple_weight)
+from .liealg import ResourceLimit
 from .linalg import reciprocal
 from .scalars import TowerInsufficient
+
+# 455 covectors (free:5,2, degree 3) fit; 1,001 (n = 14, degree 4) do not
+MAX_LIFT_COVECTORS = 500
 
 
 class SpanMismatch(ValueError):
@@ -264,12 +268,11 @@ class RuminComplex:
 
     @cached
     def _basis(self, h: int) -> tuple:
-        """(w_k, N_k, sqrt(N_k)) of E0^h, one tuple each, weight ascending;
-        a root the tower cannot hold stops the degree that needs it."""
+        """(w_k, N_k) of E0^h, one tuple each, weight ascending."""
         alg = self.algebra
         if not 0 <= h <= alg.n:
             raise ValueError(f"degree {h} out of range")
-        elements, norms, roots = [], [], []
+        elements, norms = [], []
         for w in self._weight_blocks(h):
             rows, dom, _ = self.d0_matrix_block(h, w)
             if h >= 1:
@@ -278,17 +281,11 @@ class RuminComplex:
                 rows = rows + linalg.transpose(incoming, len(before))
             ortho, block_norms = linalg.gram_schmidt(
                 linalg.nullspace(rows, len(dom)))
-            try:
-                roots.extend(alg.field.sqrt(x) for x in block_norms)
-            except TowerInsufficient as exc:
-                exc.args = (f"{exc}, in the E0 block of degree {h}, "
-                            f"weight {w}",)
-                raise
             norms.extend(block_norms)
             elements.extend(Form(alg, h, {dom[i]: vec[i]
                                           for i in sorted(vec)})
                             for vec in ortho)
-        return tuple(elements), tuple(norms), tuple(roots)
+        return tuple(elements), tuple(norms)
 
     def E0(self, h: int) -> tuple:
         """Orthogonal basis w_k of E0^h: pure-weight Forms, weight ascending."""
@@ -298,10 +295,24 @@ class RuminComplex:
         """The squared norms N_k = <w_k, w_k> of the E0^h basis."""
         return self._basis(h)[1]
 
+    @cached
+    def roots(self, h: int) -> tuple:
+        """sqrt(N_k) for the E0^h basis, the one place a root is taken; a
+        refusal names the degree and the weight of the element."""
+        out = []
+        try:
+            for x in self.norms(h):
+                out.append(self.algebra.field.sqrt(x))
+        except TowerInsufficient as exc:
+            exc.args = (f"{exc}, in the E0 block of degree {h}, weight "
+                        f"{self.E0(h)[len(out)].weight()}",)
+            raise
+        return tuple(out)
+
     def orthonormal_basis(self, h: int) -> tuple:
         """The published orthonormal basis of E0^h: e_k = w_k / sqrt(N_k)."""
-        basis, _, roots = self._basis(h)
-        return tuple(xi.scale(reciprocal(s)) for xi, s in zip(basis, roots))
+        return tuple(xi.scale(reciprocal(s))
+                     for xi, s in zip(self.E0(h), self.roots(h)))
 
     def orthonormal(self, m, q: int, p: int):
         """A matrix from E0^p to E0^q in the orthonormal bases.
@@ -315,10 +326,10 @@ class RuminComplex:
         rows = m.entries if isinstance(m, OperatorMatrix) else m
         if not rows or not rows[0]:
             return m
-        inv = [reciprocal(s) for s in self._basis(p)[2]]
+        inv = [reciprocal(s) for s in self.roots(p)]
         out = [[x if not x else x.scale(r * c) if type(x) is EnvElement
                 else linalg.canonical(x * (r * c)) for x, c in zip(row, inv)]
-               for row, r in zip(rows, self._basis(q)[2])]
+               for row, r in zip(rows, self.roots(q))]
         if isinstance(m, OperatorMatrix):
             return OperatorMatrix(self.algebra, out, cols=len(inv))
         return out
@@ -414,15 +425,27 @@ class RuminComplex:
         """Orthogonal projection coefficients <w_k, form> / N_k over the E0
         basis of the form's degree: one row of EnvElements per basis
         element, one entry per slot."""
-        basis, norms, _ = self._basis(form.degree)
+        basis, norms = self._basis(form.degree)
         return form.pair_multivectors([xi.scale(reciprocal(x)).terms
                                        for xi, x in zip(basis, norms)])
 
     # -- intrinsic differential ----------------------------------------------
 
+    def check_lift_capacity(self, h: int):
+        """ResourceLimit when degree h has more covectors than a lift is
+        built over, naming the degree and its largest weight block."""
+        sizes = {w: len(b) for w, b in self._weight_blocks(h).items()}
+        if sum(sizes.values()) > MAX_LIFT_COVECTORS:
+            w = max(sizes, key=sizes.get)
+            raise ResourceLimit(
+                f"degree {h} has {sum(sizes.values())} covectors, more than "
+                f"the {MAX_LIFT_COVECTORS} a lift is built over; its largest "
+                f"weight block, weight {w}, has {sizes[w]}")
+
     @cached
     def lift(self, h: int) -> OperatorForm:
         """Pi_E of the symbolic basis form of degree h, kept for every degree."""
+        self.check_lift_capacity(h)
         return self.pi_E(self.symbolic_basis_form(h))
 
     @cached
@@ -433,10 +456,10 @@ class RuminComplex:
         the only ones Pi_{E0} reads.
         """
         alg = self.algebra
-        src = self.E0(h)
-        if h >= alg.n:
-            return OperatorMatrix.zeros(alg, 0, len(src))
+        if not 0 <= h < alg.n:
+            return OperatorMatrix.zeros(alg, 0, len(self.E0(h)))
         lifted = self.lift(h)
+        src = self.E0(h)
         support = {t for xi in self.E0(h + 1) for t in xi.terms}
         d_lift = OperatorForm(alg, h + 1, lifted.slots, d_terms(
             alg, [(lifted, range(alg.kappa + 1))], support))
@@ -484,13 +507,13 @@ class RuminComplex:
     def _deltac(self, h: int):
         """(delta_c from the star formula, its sign against the adjoint)."""
         alg = self.algebra
-        n, src = alg.n, self.E0(h)
-        if h == 0:
-            return OperatorMatrix.zeros(alg, 0, len(src)), 1
+        n = alg.n
+        if not 0 < h <= n:
+            return OperatorMatrix.zeros(alg, 0, len(self.E0(h))), 1
         sign = -1 if (n * (h + 1) + 1) % 2 else 1
         out = self.dc_matrix(n - h).conjugate(
             self.star_matrix(n - h + 1), self.star_matrix(h),
-            len(src)).scale(sign)
+            len(self.E0(h))).scale(sign)
         alt = self.adjoint(self.dc_matrix(h - 1), h, h - 1)
         return out, 1 if out == alt else -1 if out == -alt else None
 

@@ -1,99 +1,87 @@
-"""Exact values: rationals as Python numbers, irrationals in a tower over Q.
+"""Exact values: rationals as Python numbers, irrationals over square roots.
 
 Every exact value has one form: an ``int`` when it is integral, a
 ``Fraction`` when it is another rational, and a :class:`Scalar` only when it
-is irrational.  A :class:`ScalarField` holds an ordered list of square-free
-integer radicands ``r_1, ..., r_m``; a Scalar is a rational linear
-combination of the products ``sqrt(r_i1)*...*sqrt(r_ik)`` over subsets of
-the radicands, stored as a map from the subset bitmask to a nonzero
-coefficient, with at least one nonzero mask.  A coefficient is an ``int``
-when it is integral and a ``Fraction`` only otherwise, never a ``float``, so
-equality is plain dictionary comparison and all arithmetic is exact.
-``field(x)``, ``sqrt``, ``parse`` and every Scalar operation return a Python
-rational whenever the result is rational, so rational code runs on plain
-numbers and a value never needs converting.  Sums go through
-``linalg.accumulate`` and ``linalg.add_scaled``, so a coefficient is
-canonical by the rule every sparse map of the package keeps.  Divide
-through ``linalg.reciprocal``: ``field(3) / field(2)`` is the float
-``1.5``.  A Scalar inverts by conjugation, one radicand at a time, which
-works because the radicands stay independent modulo squares.  The tower
-grows on demand when a square root of a new square-free integer is
-requested, up to ``MAX_RADICANDS`` radicands; the Cartan-group workflow
-only ever needs sqrt(2).
-
-Scalars are immutable values.  A field mutates only by appending radicands,
-which never invalidates existing scalars.
+is irrational.  A Scalar maps each square-free radicand ``r`` (1 for the
+rational part) to the nonzero coefficient of ``sqrt(r)``, with at least one
+key above 1.  Square roots of distinct square-free integers are linearly
+independent over Q (Besicovitch, 1940), so this form is canonical, with no
+tower, order or cap, and the same in every field: equal values are equal
+dictionaries.  A coefficient is an ``int`` when integral and a ``Fraction``
+only otherwise, never a ``float``.  ``field(x)``, ``sqrt``, ``parse`` and
+every Scalar operation return a Python rational whenever the result is
+rational.  Sums go through ``linalg.accumulate`` and ``linalg.add_scaled``;
+products follow sqrt(a)*sqrt(b) = g*sqrt(ab/g^2), g = gcd(a, b).  Divide
+through ``linalg.reciprocal``: ``field(3) / field(2)`` is the float ``1.5``.
+``sqrt`` splits by trial division up to ``TRIAL_BOUND``, exact below its
+cube, and refuses a number it cannot split with ``TowerInsufficient``.
+A field only records, in ``radicands``, the radicands ``sqrt`` handed out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from . import _expr
 from .linalg import accumulate, add_scaled, canonical, reciprocal
 
-# the most radicands a tower holds
-MAX_RADICANDS = 8
+# trial division stops here, so a square-free split is exact below its cube
+TRIAL_BOUND = 10 ** 5
 
 
 class TowerInsufficient(ValueError):
-    """A required square root is not expressible in the extension tower."""
-
-
-def _mask_product(radicands, mask: int) -> int:
-    """The product of the radicands whose bits are set in ``mask``."""
-    p = 1
-    i = 0
-    while mask:
-        if mask & 1:
-            p *= radicands[i]
-        mask >>= 1
-        i += 1
-    return p
+    """A required square root cannot be put in canonical form."""
 
 
 def _value(field, terms: dict):
-    """The value of canonical {mask: coeff} terms: its rational when the
-    only mask is 0 (0 when there is none), else a Scalar."""
-    if terms.keys() - {0}:
+    """The value of canonical {radicand: coeff} terms: its rational when
+    the only radicand is 1 (0 when there is none), else a Scalar."""
+    if terms.keys() - {1}:
         return Scalar(field, terms)
-    return terms.get(0, 0)
+    return terms.get(1, 0)
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
-    """Return (s, r) with n = s^2 * r and r square-free, for n >= 1."""
+    """Return (s, r) with n = s^2 * r and r square-free, for n >= 1.
+
+    Trial division by d runs while d^3 <= n, so what it leaves is a square
+    or square-free; past ``TRIAL_BOUND`` it may be p^2 * q, and a remainder
+    that is not a square raises TowerInsufficient.
+    """
     s, r, d = 1, 1, 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
+    while d * d * d <= n and d <= TRIAL_BOUND:
+        while n % (d * d) == 0:
+            n //= d * d
+            s *= d
+        if n % d == 0:
             n //= d
-            e += 1
-        s *= d ** (e // 2)
-        if e % 2:
             r *= d
         d += 1 if d == 2 else 2
+    t = isqrt(n)
+    if t * t == n:
+        return s * t, r
+    if d * d * d <= n:
+        raise TowerInsufficient(f"no square-free split of {n} by trial "
+                                f"division up to {TRIAL_BOUND}")
     return s, r * n
 
 
 class ScalarField:
-    """A tower Q(sqrt(r_1), ..., sqrt(r_m)) with on-demand extension."""
+    """Q with the square roots of square-free integers, taken on demand."""
 
     __slots__ = ("radicands",)
 
     def __init__(self, radicands=()):
-        self.radicands: list[int] = []
+        # a dict used as an ordered set
+        self.radicands: dict[int, None] = {}
         for r in radicands:
-            self._ensure_radicand(int(r))
+            self.sqrt(int(r))
 
     def __call__(self, value):
-        """``value`` in its one form: a number, a Scalar of this field or
-        the text of a value."""
-        if type(value) is int:
-            return value
-        if isinstance(value, Scalar):
-            if value.field is not self:
-                raise ValueError("scalar belongs to a different field")
+        """``value`` in its one form: a number, a Scalar or the text of a
+        value."""
+        if type(value) is int or isinstance(value, Scalar):
             return value
         if type(value) is Fraction:
             return canonical(value)
@@ -101,27 +89,9 @@ class ScalarField:
             return self.parse(value)
         return canonical(Fraction(value))
 
-    def _ensure_radicand(self, r: int):
-        """Locate sqrt(r) in the tower, extending it if necessary.
-
-        Returns (mask, multiplier) with sqrt(r) = multiplier * basis[mask].
-        ``r`` must be square-free and >= 2.
-        """
-        m = len(self.radicands)
-        for mask in range(1 << m):
-            t = r * _mask_product(self.radicands, mask)
-            s = isqrt(t)
-            if s * s == t:
-                # sqrt(r) = s / prod * basis[mask]
-                return mask, Fraction(s, _mask_product(self.radicands, mask))
-        if m >= MAX_RADICANDS:
-            raise TowerInsufficient(
-                f"tower extension cap ({MAX_RADICANDS}) reached for sqrt({r})")
-        self.radicands.append(r)
-        return 1 << m, Fraction(1)
-
     def sqrt(self, x):
-        """Exact square root of a nonnegative rational."""
+        """Exact square root of a nonnegative rational p/q, as
+        sqrt(p) / sqrt(q); the square-free parts of p and q are coprime."""
         q = self(x)
         if isinstance(q, Scalar):
             raise TowerInsufficient(
@@ -130,12 +100,14 @@ class ScalarField:
             raise ValueError("square root of a negative scalar")
         if not q:
             return 0
-        s, r = _square_free_split(q.numerator * q.denominator)
-        coeff = Fraction(s, q.denominator)
+        a, ra = _square_free_split(q.numerator)
+        b, rb = _square_free_split(q.denominator)
+        coeff = canonical(Fraction(a, b * rb))
+        r = ra * rb
         if r == 1:
-            return canonical(coeff)
-        mask, mult = self._ensure_radicand(r)
-        return Scalar(self, {mask: canonical(coeff * mult)})
+            return coeff
+        self.radicands[r] = None
+        return Scalar(self, {r: coeff})
 
     # -- parsing ------------------------------------------------------
 
@@ -144,7 +116,7 @@ class ScalarField:
         return _expr.parse_scalar(self, text)
 
     def __repr__(self):
-        return f"ScalarField(radicands={self.radicands})"
+        return f"ScalarField(radicands={list(self.radicands)})"
 
 
 class Scalar:
@@ -159,14 +131,12 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------
 
     def _terms(self, other):
-        """The {mask: coeff} terms of a value of this field; None for an
+        """The {radicand: coeff} terms of an exact value; None for an
         operand of another type, which the operators hand back to it."""
         if isinstance(other, Scalar):
-            if other.field is not self.field:
-                raise ValueError("scalars from different fields")
             return other.terms
         if isinstance(other, (int, Fraction)):
-            return {0: other} if other else {}
+            return {1: other} if other else {}
         return None
 
     def __add__(self, other):
@@ -180,7 +150,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.field, {m: -c for m, c in self.terms.items()})
+        return Scalar(self.field, {r: -c for r, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + -other
@@ -193,14 +163,11 @@ class Scalar:
         if right is None:
             return NotImplemented
         terms: dict = {}
-        rad = self.field.radicands
-        for m1, c1 in self.terms.items():
-            for m2, c2 in right.items():
-                common = m1 & m2
+        for r1, c1 in self.terms.items():
+            for r2, c2 in right.items():
+                g = gcd(r1, r2)
                 c = c1 * c2
-                if common:
-                    c *= _mask_product(rad, common)
-                accumulate(terms, m1 ^ m2, c)
+                accumulate(terms, r1 * r2 // (g * g), c * g if g > 1 else c)
         return _value(self.field, terms)
 
     __rmul__ = __mul__
@@ -208,15 +175,20 @@ class Scalar:
     def inverse(self):
         """1 / self, by conjugation.
 
-        With ``b`` the highest radicand bit that self uses, ``conj`` flips
-        the sign of every term whose mask holds ``b``: the automorphism
-        sqrt(r_b) -> -sqrt(r_b), which exists because the radicands are
-        independent modulo squares.  self * conj lies in the subfield
-        without ``b``, so its reciprocal recurses on fewer radicands.
+        The atom starts as the largest radicand and becomes its gcd with
+        each radicand it is not coprime with, so every radicand ends a
+        multiple of the atom or coprime to it.  For a prime p of the atom,
+        the automorphism sqrt(p) -> -sqrt(p) flips exactly the terms whose
+        radicand the atom divides: ``conj``.  self * conj has no radicand
+        divisible by p, so its reciprocal recurses on fewer primes.
         """
-        b = 1 << (max(self.terms).bit_length() - 1)
-        conj = Scalar(self.field, {m: -c if m & b else c
-                                   for m, c in self.terms.items()})
+        atom = max(self.terms)
+        for r in self.terms:
+            g = gcd(atom, r)
+            if g != 1:
+                atom = g
+        conj = Scalar(self.field, {r: -c if r % atom == 0 else c
+                                   for r, c in self.terms.items()})
         return conj * reciprocal(self * conj)
 
     def __truediv__(self, other):
@@ -230,7 +202,7 @@ class Scalar:
     def __eq__(self, other):
         """A Scalar is irrational, so it never equals an int or a Fraction."""
         if isinstance(other, Scalar):
-            return self.field is other.field and self.terms == other.terms
+            return self.terms == other.terms
         return NotImplemented
 
     def __hash__(self):
@@ -239,18 +211,18 @@ class Scalar:
     # -- rendering ------------------------------------------------------
 
     def signed_terms(self, den: int = 1) -> list:
-        """(sign, text) of each tower term of self / den, by mask."""
+        """(sign, text) of each term of self / den, by ascending radicand,
+        the rational term first."""
         terms = []
-        for m in sorted(self.terms):
-            sign, text = _expr.signed(self.terms[m], den)
-            if m:
-                rad = f"sqrt({_mask_product(self.field.radicands, m)})"
-                text = rad if text == "1" else f"{text}*{rad}"
+        for r in sorted(self.terms):
+            sign, text = _expr.signed(self.terms[r], den)
+            if r != 1:
+                text = f"sqrt({r})" if text == "1" else f"{text}*sqrt({r})"
             terms.append((sign, text))
         return terms
 
     def __str__(self):
-        """Tower terms by mask, as in "1 - 3/2*sqrt(6)"."""
+        """Terms by ascending radicand, as in "1 - 3/2*sqrt(6)"."""
         return _expr.signed_sum(self.signed_terms())
 
     def __repr__(self):

@@ -101,6 +101,8 @@ def verify_group(cx: RuminComplex, report: Report, seed: int = 0):
     """Structural checks valid on any stratified group."""
     alg = cx.algebra
     n = alg.n
+    for h in range(n + 1):
+        cx.check_lift_capacity(h)
 
     # dims() comes from the d0 ranks; the bases are a second route
     dims = list(cx.dims())

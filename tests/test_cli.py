@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import time
+from math import isqrt
 
 import pytest
 
@@ -126,19 +128,20 @@ def test_latex_braces_long_exponents(capsys):
 
 
 # sha256 of the text and latex listings, recorded before the operator
-# renderer sorted its codes once: the JSON pins do not cover these formats
+# renderer sorted its codes once: the JSON pins do not cover these formats;
+# the three off-Cartan pins were recorded again when roots became keyed by
+# their square-free radicand, which changed only their root text
 RENDER_DIGESTS = {
     "laplacian --family G --degree 2 --format text":
         "7407858b68f0ac922146585636a8dfab10d90ac394336311eed495b5baf11c26",
     "laplacian --family G --degree 2 --format latex":
         "3a8ad0ffd7652386aac1bf37e5de9c651d56d08635ae089662061d4c1cfe4970",
     "dc --group free:2,4 --degree 3 --format text":
-        "f0c61bd2dd8437eda1b0ddbd1b95749ac65a44db8197859b7e3a3b38e63ab4ce",
-    # recorded before operators kept integer numerators over one denominator
+        "04d02e7ca838b26d1eefde508fa3b565f6e68e4c2ce3269e42ab72913b7c03bc",
     "deltac --group free:2,4 --degree 5 --format text":
-        "eb86aad1d9b5cd1961f83cacb7fcd60d549551984d9b2722354158ea89058f6a",
+        "05240813d5406927c4797944edcbd89ec4340abef6e1eaae7712a25083e506ff",
     "dc --group free:3,2 --degree 2 --format latex":
-        "52ca2c297d065ccd6b71bb4a83d61955a5851f071f303b01ab945e323339cb35",
+        "9fd9fba5b74f47c3dc89962c20ba4cba3824db17b1ce499ddf0e57332b3e55b3",
 }
 
 
@@ -185,17 +188,35 @@ def test_json_output_digests(capsys, query):
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[query]
 
 
-def test_tower_failure_names_its_block(capsys):
-    code, _, err = run(capsys, "dc", "--group", "free:3,3", "--degree", "3")
-    assert code == 3
-    assert re.search(r"tower extension cap \(8\) reached for sqrt\(\d+\), "
-                     r"in the E0 block of degree 3, weight 7", err)
+def test_n14_dc_prints_square_free_roots(capsys):
+    """free:3,3 (n = 14) prints d_c at degree 2, and every root it prints
+    is the root of a square-free integer."""
+    code, out, _ = run(capsys, "dc", "--group", "free:3,3", "--degree", "2",
+                       "--format", "json")
+    assert code == 0
+    radicands = {int(r) for r in re.findall(r"sqrt\((\d+)\)", out)}
+    assert len(radicands) > 1
+    assert all(r % (p * p) for r in radicands
+               for p in range(2, isqrt(r) + 1))
+
+
+def test_n14_verify_is_refused_before_its_first_check(capsys):
+    """verify lifts every degree; degree 4 of free:3,3 has more covectors
+    than a lift is built over, so the run stops at once with exit 3 and
+    names the degree and its largest weight block."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--group", "free:3,3")
+    assert time.perf_counter() - start < 5
+    assert code == 3 and not out
+    assert re.fullmatch(r"error: ResourceLimit\(degree 4 has 1001 covectors, "
+                        r"more than the \d+ a lift is built over; its largest "
+                        r"weight block, weight 9, has 260\)\n", err)
 
 
 def test_build_takes_dims_from_ranks(capsys):
-    """free:3,3 needs more square roots than the tower holds for its
-    orthonormal E0 bases; build reads the dims off the d0 ranks and builds
-    none."""
+    """free:3,3 has more covectors in its middle degrees than a lift is
+    built over; build reads the dims off the d0 ranks and builds no
+    basis."""
     code, out, _ = run(capsys, "build", "--group", "free:3,3",
                        "--format", "json")
     assert code == 0

@@ -84,15 +84,15 @@ def test_pseudoinverse_moore_penrose_identities():
 
 def test_gram_schmidt_orthonormal_with_tower_extension():
     """Gram-Schmidt keeps the orthogonal vectors in Q with their norms;
-    dividing by the square roots of the norms, which extends the tower,
-    makes them orthonormal."""
+    dividing by the square roots of the norms, sqrt(2) and
+    sqrt(3/2) = sqrt(6)/2, makes them orthonormal."""
     f = ScalarField()
     vecs = _sparse(_mat(f, [[1, 1, 0], [1, 0, 1]]))
     ortho, norms = linalg.gram_schmidt(vecs)
     assert _dense(ortho, 3) == [[1, 1, 0],
                                 [Fraction(1, 2), Fraction(-1, 2), 1]]
     assert norms == [2, Fraction(3, 2)]
-    assert f.radicands == []
+    assert not f.radicands
     gram = linalg.mat_mul(f, _dense(ortho, 3),
                           _dense(linalg.transpose(ortho, 3), 2))
     assert gram == [[2, 0], [0, Fraction(3, 2)]]
@@ -101,7 +101,7 @@ def test_gram_schmidt_orthonormal_with_tower_extension():
     gram = linalg.mat_mul(f, _dense(unit, 3),
                           _dense(linalg.transpose(unit, 3), 2))
     assert gram == _dense(_identity(2), 2)
-    assert 2 in f.radicands  # norm sqrt(2) forced an extension
+    assert list(f.radicands) == [2, 6]
 
 
 def test_empty_row_list_keeps_its_column_count():
@@ -284,9 +284,9 @@ def _materialize(field, spec):
 
 
 def _exact(x):
-    """The {mask: coeff} terms of a result value: a Scalar, or the int or
-    Fraction that linalg returns for a rational one."""
-    return x.terms if isinstance(x, Scalar) else {0: x} if x else {}
+    """The {radicand: coeff} terms of a result value: a Scalar, or the int
+    or Fraction that linalg returns for a rational one."""
+    return x.terms if isinstance(x, Scalar) else {1: x} if x else {}
 
 
 def _terms(rows):
@@ -391,7 +391,7 @@ def _value(field, pair, raw):
 
 def _pair(x):
     terms = _exact(x)
-    return Fraction(terms.get(0, 0)), Fraction(terms.get(1, 0))
+    return Fraction(terms.get(1, 0)), Fraction(terms.get(2, 0))
 
 
 def _ref_add_scaled(row, f, other):

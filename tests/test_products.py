@@ -38,7 +38,7 @@ from carnot.scalars import Scalar
 PROPERTY = settings(max_examples=40, derandomize=True, database=None,
                     deadline=None)
 
-# Cartan; the coefficients with sqrt(2) extend its tower, which the
+# Cartan; the coefficients with sqrt(2) are Scalars of its field, which the
 # realization's fields share
 CARTAN = cartan_group()
 # a step-3 group with fractional and irrational structure constants; the
@@ -82,7 +82,7 @@ def assert_numerators(alg, e):
     for key, c in e._packed.items():
         assert type(key) is int and key >= 0
         if type(c) is Scalar:
-            assert c.field is alg.field and c.terms.keys() - {0}
+            assert c.field is alg.field and c.terms.keys() - {1}
             assert all(type(v) is int and v for v in c.terms.values())
             ints += c.terms.values()
         else:
@@ -94,7 +94,7 @@ def assert_numerators(alg, e):
 def assert_canonical(alg, *elems):
     """Exact values in their one form only in the caches, under int codes:
     nonzero ints, non-integral Fractions, or irrational Scalars of the
-    group's field whose tower terms are such rationals; and every element
+    group's field whose terms are such rationals; and every element
     in canonical form (``assert_numerators``)."""
     def rational(c):
         assert type(c) in (int, Fraction), type(c)
@@ -103,7 +103,7 @@ def assert_canonical(alg, *elems):
 
     def check(c):
         if type(c) is Scalar:
-            assert c.field is alg.field and c.terms.keys() - {0}
+            assert c.field is alg.field and c.terms.keys() - {1}
             for v in c.terms.values():
                 rational(v)
         else:

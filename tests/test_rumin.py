@@ -305,13 +305,15 @@ def test_dc_matrix_equals_per_basis_element_construction(make):
 
 
 # sha256 of the JSON listings of every d_c and delta_c matrix, recorded before
-# the exterior builders accumulated in flat dicts; only Cartan has golden files
+# the exterior builders accumulated in flat dicts, and again when roots became
+# keyed by their square-free radicand, which changed only the root text; only
+# Cartan has golden files
 DC_DELTAC_DIGESTS = {
     "free-3-2":
-        "908ff4a55948ec8bd99395fb214d9750371bf486e3de669150ec5b97ec2a61bc",
+        "5f3df726c446b13228d8b329285def6534c246a182c07705d3bfebda9d3b1ca9",
     "free-2-4":
-        "74b22e4d1fa0fa4d0fea7faaaad7931022d5751822adc231df7e0223aeef0d2b",
-    "H3": "7e84f12469cb72c39a29d20edfcb02d56140ed1a782207403e7fe08680dd13b5",
+        "a0999b596bd54bc73b798fe34ef78f3d72783f0e8c2719b2d8d4d59d47f7e0c2",
+    "H3": "b89dab42a1af31103a12b366f559c8e4e7e30d566095384689a691b985397fa8",
 }
 
 
@@ -331,16 +333,28 @@ def test_dc_deltac_entries_digest(name, make):
 
 
 # sha256 of every E0 basis (covector -> coefficient) and of dims(), recorded
-# before linalg's elimination and Gram-Schmidt became sparse
+# before linalg's elimination and Gram-Schmidt became sparse; free-4-2 and
+# free-2-4 were recorded again when roots became keyed by their square-free
+# radicand, which changed only the root text
 E0_DIGESTS = {
     "free-4-2":
-        "9423fd5500f5984640a623ccc507905eb6d00882dcb78e99d464693b0a0de892",
+        "4bd2758593f8076c45592d9d0de8f29729b599039f607cfdac446692a952a03e",
     "free-2-4":
-        "cec25c464cd951767d7b166af0868dd262264b369a9c31cda1fe3d90e8e9e85d",
+        "c015ec97e7b4eabfd9abf1b84880fb785989174679b17b8d5b568ac2536131b4",
     "free-3-2":
         "e7f6e2f2ebd4d0cd74ca2d45d3874112178159a6ed1d05475839dd00ea3a2f63",
     "H3": "52cf8f0a6ea5712f19fe86bf0bf1a07672f87f7f5b9ef80bff97cd136c9650eb",
 }
+
+
+def test_root_text_does_not_depend_on_what_was_printed_before():
+    """A root is keyed by its square-free radicand, so d_c prints the same
+    text on a fresh complex and on one that printed delta_c first."""
+    fresh = RuminComplex(free_nilpotent(2, 4))
+    used = RuminComplex(free_nilpotent(2, 4))
+    used.orthonormal(used.deltac_matrix(5), 4, 5).to_json()
+    assert used.orthonormal(used.dc_matrix(3), 4, 3).to_json() == \
+        fresh.orthonormal(fresh.dc_matrix(3), 4, 3).to_json()
 
 
 @pytest.mark.parametrize("name, make",

@@ -53,7 +53,7 @@ def test_traced_names_resolve():
 
 def test_traced_run_reports_every_layer(capsys):
     """The benchmark's tracer, installed in process, wraps carnot's
-    functions, reads the algebras' caches and towers when an operation
+    functions, reads the algebras' caches and radicands when an operation
     ends, and reports every per-layer metric that BENCHMARK.json declares
     and the tracer computes over one Cartan verify and one cold dc query.
     The worker adds the ``cli.``, ``trace.``, ``host.`` and
