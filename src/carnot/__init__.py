@@ -12,7 +12,7 @@ square roots, each keyed by its square-free radicand, appear only in the
 printed orthonormal view.  There is no floating point anywhere.
 """
 
-from .scalars import Scalar, ScalarField, TowerInsufficient
+from .scalars import Scalar, TowerInsufficient
 from .liealg import (DimensionMismatch, GradingViolation, JacobiViolation,
                      NotStratified, ResourceLimit, StratifiedLieAlgebra,
                      cartan_group, free_nilpotent)
@@ -39,7 +39,7 @@ from .verify import run_verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "Scalar", "ScalarField", "TowerInsufficient",
+    "Scalar", "TowerInsufficient",
     "StratifiedLieAlgebra", "cartan_group", "free_nilpotent",
     "JacobiViolation", "GradingViolation", "NotStratified",
     "DimensionMismatch", "ResourceLimit",

@@ -8,7 +8,10 @@ Grammar (whitespace-insensitive, '*' optional, '^' for powers):
     atom   := NUMBER | 'sqrt' '(' INT ')' | VAR | '(' expr ')'
 
 The caller supplies an adapter that lifts numbers, square roots and named
-variables into one value type carrying +, -, * and / (division by scalars).
+variables into one value type carrying +, -, * and / (division by scalars):
+``scalars.parse`` lifts them to exact values, ``EnvElement.parse`` to
+operators of a group and ``Polynomial.parse`` to polynomials in n
+variables; only the operator adapter holds state, its group.
 A scalar expression computes on exact values (:mod:`carnot.scalars`),
 where two ints can meet in a quotient, so a rational divisor is inverted
 by ``linalg.reciprocal``: ``int / int`` would be a float.
@@ -164,22 +167,3 @@ def signed_sum(terms) -> str:
 
 def parse(text: str, adapter):
     return _Parser(_tokenize(text), adapter).parse()
-
-
-class _ScalarAdapter:
-    def __init__(self, field):
-        self.field = field
-
-    def number(self, q):
-        return self.field(q)
-
-    def sqrt(self, n):
-        return self.field.sqrt(n)
-
-    def var(self, name):
-        raise ExprError(f"unknown symbol {name!r} in scalar expression")
-
-
-def parse_scalar(field, text):
-    """The value of a scalar expression, in its one form."""
-    return field(parse(text, _ScalarAdapter(field)))

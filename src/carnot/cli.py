@@ -81,10 +81,10 @@ def cmd_laplacian(cx, args) -> int:
 
 def cmd_pi_e(cx, args) -> int:
     h, k = args.degree, args.index - 1
+    cx.check_capacity(h)
     basis = cx.E0(h)
     if not 0 <= k < len(basis):
         raise UsageError(f"index must be in 1..{len(basis)}")
-    cx.check_lift_capacity(h)
     # Pi_E is linear: lift the rational w_k, then divide by sqrt(N_k) once
     lifted = cx.pi_E(OperatorForm.from_form(basis[k])).scale(
         reciprocal(cx.roots(h)[k]))

@@ -12,7 +12,10 @@ group,
     X4 = d4
     X5 = d5.
 
-Other groups accept a user-supplied list of vector fields.
+Other groups accept a user-supplied list of vector fields.  Coefficients
+are exact values of :mod:`carnot.scalars`, which need no field, so a
+:class:`Polynomial` is its number of variables and its terms, and the
+parser's adapter holds only that number.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from . import _expr
 from .env import EnvElement, word_of
 from .linalg import accumulate, add_scaled, canonical, reciprocal
-from .scalars import Scalar
+from .scalars import Scalar, exact, sqrt
 
 
 class NoRealization(ValueError):
@@ -33,50 +36,39 @@ class Polynomial:
     """Commutative polynomial in x1..xn with exact coefficients: ints,
     Fractions or Scalars, each in its one form."""
 
-    __slots__ = ("field", "nvars", "terms")
+    __slots__ = ("nvars", "terms")
 
-    def __init__(self, field, nvars: int, terms: dict):
-        self.field = field
+    def __init__(self, nvars: int, terms: dict):
         self.nvars = nvars
         self.terms = terms
 
     @classmethod
-    def zero(cls, field, nvars):
-        return cls(field, nvars, {})
+    def constant(cls, nvars, value):
+        c = exact(value)
+        return cls(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
-    def constant(cls, field, nvars, value):
-        c = field(value)
-        return cls(field, nvars, {(0,) * nvars: c} if c else {})
-
-    @classmethod
-    def variable(cls, field, nvars, i: int):
+    def variable(cls, nvars, i: int):
         exp = [0] * nvars
         exp[i - 1] = 1
-        return cls(field, nvars, {tuple(exp): 1})
-
-    @classmethod
-    def monomial(cls, field, nvars, exp, coeff=1):
-        c = field(coeff)
-        return cls(field, nvars, {tuple(exp): c} if c else {})
+        return cls(nvars, {tuple(exp): 1})
 
     def __add__(self, other):
         terms = dict(self.terms)
         add_scaled(terms, 1, other.terms)
-        return Polynomial(self.field, self.nvars, terms)
+        return Polynomial(self.nvars, terms)
 
     def __neg__(self):
-        return Polynomial(self.field, self.nvars,
-                          {e: -c for e, c in self.terms.items()})
+        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, coeff):
-        c = self.field(coeff)
+        c = exact(coeff)
         if not c:
-            return Polynomial.zero(self.field, self.nvars)
-        return Polynomial(self.field, self.nvars,
+            return Polynomial(self.nvars, {})
+        return Polynomial(self.nvars,
                           {e: canonical(c * v) for e, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -84,7 +76,7 @@ class Polynomial:
             return self.scale(other)
         out: dict = {}
         _add_product(out, self.terms, other.terms)
-        return Polynomial(self.field, self.nvars, out)
+        return Polynomial(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -109,7 +101,7 @@ class Polynomial:
                 ne = list(e)
                 ne[i - 1] = k - 1
                 out[tuple(ne)] = canonical(c * k)
-        return Polynomial(self.field, self.nvars, out)
+        return Polynomial(self.nvars, out)
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -142,8 +134,8 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
     @classmethod
-    def parse(cls, field, nvars, text):
-        return _expr.parse(text, _PolyAdapter(field, nvars))
+    def parse(cls, nvars, text):
+        return _expr.parse(text, _PolyAdapter(nvars))
 
 
 def _add_product(out: dict, a: dict, b: dict):
@@ -154,29 +146,27 @@ def _add_product(out: dict, a: dict, b: dict):
 
 
 class _PolyAdapter:
-    def __init__(self, field, nvars):
-        self.field = field
+    def __init__(self, nvars):
         self.nvars = nvars
 
     def number(self, q):
-        return Polynomial.constant(self.field, self.nvars, q)
+        return Polynomial.constant(self.nvars, q)
 
     def sqrt(self, n):
-        return Polynomial.constant(self.field, self.nvars, self.field.sqrt(n))
+        return Polynomial.constant(self.nvars, sqrt(n))
 
     def var(self, name):
         if name.startswith("x") and name[1:].isdigit():
             i = int(name[1:])
             if 1 <= i <= self.nvars:
-                return Polynomial.variable(self.field, self.nvars, i)
+                return Polynomial.variable(self.nvars, i)
         raise _expr.ExprError(f"unknown variable {name!r}")
 
 
 class CoordinateRealization:
     """Vector fields X_i = sum_j a_ij(x) d_j with polynomial coefficients."""
 
-    def __init__(self, field, nvars: int, fields):
-        self.field = field
+    def __init__(self, nvars: int, fields):
         self.nvars = nvars
         self.fields = fields  # list over generators of list over vars of Polynomial
 
@@ -185,7 +175,7 @@ class CoordinateRealization:
         for j, coeff in enumerate(self.fields[i - 1], start=1):
             if coeff.terms:
                 _add_product(out, coeff.terms, p.diff(j).terms)
-        return Polynomial(self.field, self.nvars, out)
+        return Polynomial(self.nvars, out)
 
     def apply_word(self, word, p: Polynomial) -> Polynomial:
         # operator words compose right-to-left
@@ -197,17 +187,13 @@ class CoordinateRealization:
         out: dict = {}
         for exp, c in op.terms.items():
             add_scaled(out, c, self.apply_word(word_of(exp), p).terms)
-        return Polynomial(self.field, self.nvars, out)
+        return Polynomial(self.nvars, out)
 
 
-def cartan_realization(alg) -> CoordinateRealization:
-    f = alg.field
-    P = Polynomial
-    zero = P.zero(f, 5)
-    one = P.constant(f, 5, 1)
-    x1 = P.variable(f, 5, 1)
-    x2 = P.variable(f, 5, 2)
-    half_x1sq = P.monomial(f, 5, (2, 0, 0, 0, 0), Fraction(1, 2))
+def cartan_realization() -> CoordinateRealization:
+    zero, one = Polynomial(5, {}), Polynomial.constant(5, 1)
+    x1, x2 = Polynomial.variable(5, 1), Polynomial.variable(5, 2)
+    half_x1sq = x1 * x1 * Fraction(1, 2)
     fields = [
         [one, zero, zero, zero, zero],
         [zero, one, x1, half_x1sq, x1 * x2],
@@ -215,7 +201,7 @@ def cartan_realization(alg) -> CoordinateRealization:
         [zero, zero, zero, one, zero],
         [zero, zero, zero, zero, one],
     ]
-    return CoordinateRealization(f, 5, fields)
+    return CoordinateRealization(5, fields)
 
 
 def coordinate_apply(op: EnvElement, p: Polynomial) -> Polynomial:

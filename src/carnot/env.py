@@ -89,7 +89,7 @@ from operator import mul
 from . import _expr
 from .liealg import ResourceLimit, StratifiedLieAlgebra
 from .linalg import canonical, reciprocal
-from .scalars import Scalar
+from .scalars import Scalar, exact, sqrt
 
 # the largest exponent a packed code holds: one byte per generator
 _MAX_EXPONENT = 255
@@ -176,8 +176,8 @@ def _split(c) -> tuple:
     q = lcm(*(v.denominator for v in c.terms.values()))
     if q == 1:
         return c, 1
-    return Scalar(c.field, {m: v.numerator * (q // v.denominator)
-                            for m, v in c.terms.items()}), q
+    return Scalar({m: v.numerator * (q // v.denominator)
+                   for m, v in c.terms.items()}), q
 
 
 def _element(alg: StratifiedLieAlgebra, packed: dict,
@@ -197,7 +197,7 @@ def _element(alg: StratifiedLieAlgebra, packed: dict,
             v.terms.values() if type(v) is Scalar else (v,))))
     if g != 1:
         packed = {key: v // g if type(v) is int else Scalar(
-            v.field, {m: c // g for m, c in v.terms.items()})
+            {m: c // g for m, c in v.terms.items()})
             for key, v in packed.items()}
         den //= g
     return EnvElement(alg, packed, den)
@@ -448,7 +448,7 @@ class EnvElement:
 
     @classmethod
     def monomial(cls, alg, exp, coeff=1) -> "EnvElement":
-        c = alg.field(coeff)
+        c = exact(coeff)
         if not c:
             return cls(alg, {})
         p, q = _split(c)
@@ -485,7 +485,7 @@ class EnvElement:
 
     def scale(self, coeff) -> "EnvElement":
         alg = self.algebra
-        c = alg.field(coeff)
+        c = exact(coeff)
         packed = self._packed
         if not packed or c == 1:
             return self
@@ -502,8 +502,7 @@ class EnvElement:
             except TypeError:
                 pass
             else:
-                field = alg.field
-                return EnvElement(alg, {key: Scalar(field, {m: v // g})
+                return EnvElement(alg, {key: Scalar({m: v // g})
                                         for key, v in nums.items()}, den // g)
         p, q = _split(c)
         den = self._den * q
@@ -556,8 +555,8 @@ class EnvElement:
         if den == 1:
             return {_unpack(code, n): v for code, v in self._packed.items()}
         return {_unpack(code, n): canonical(Fraction(v, den)) if type(v) is int
-                else Scalar(v.field, {m: canonical(Fraction(c, den))
-                                      for m, c in v.terms.items()})
+                else Scalar({m: canonical(Fraction(c, den))
+                             for m, c in v.terms.items()})
                 for code, v in self._packed.items()}
 
     def as_scalar(self):
@@ -629,7 +628,7 @@ class _EnvAdapter:
         return EnvElement.monomial(self.alg, (0,) * self.alg.n, q)
 
     def sqrt(self, n):
-        return self.number(self.alg.field.sqrt(n))
+        return self.number(sqrt(n))
 
     def var(self, name):
         if name.startswith("X") and name[1:].isdigit():

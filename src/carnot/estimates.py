@@ -340,7 +340,7 @@ class HorizontalTensor:
 
     @classmethod
     def from_scalar_components(cls, alg, order, slots, components: dict):
-        """components: {index tuple: {slot: scalar-like}}."""
+        """components: {index tuple: {slot: exact value or its text}}."""
         unit = EnvElement.one(alg)
         zero = EnvElement.zero(alg)
         entries = {}
@@ -509,7 +509,7 @@ def cartan_pairing(cx: RuminComplex, form: OperatorForm, z) -> list:
             f"need {form.degree + 1} fields for a degree-{form.degree} form")
     # each term: its multivector, and the signed generator that multiplies
     # the pairing with it, or the sign alone for a bracket term
-    terms = [(multivector(alg, [(_drop(z, (i,)), 1)]),
+    terms = [(multivector([(_drop(z, (i,)), 1)]),
               EnvElement.generator(alg, z[i]).scale(-1 if i % 2 else 1))
              for i in range(len(z))]
     for i in range(len(z)):
@@ -517,8 +517,8 @@ def cartan_pairing(cx: RuminComplex, form: OperatorForm, z) -> list:
             vec = alg.bracket_basis(z[i], z[j])
             if vec:
                 rest = _drop(z, (i, j))
-                terms.append((multivector(alg, [((k,) + rest, c)
-                                                for k, c in vec.items()]),
+                terms.append((multivector([((k,) + rest, c)
+                                           for k, c in vec.items()]),
                               -1 if (i + j) % 2 else 1))
     accs = [Accumulator() for _ in range(form.slots)]
     inner = form.pair_multivectors([mv for mv, _ in terms])
@@ -533,8 +533,7 @@ def cartan_pairing(cx: RuminComplex, form: OperatorForm, z) -> list:
 
 def direct_pairing(form: OperatorForm, z) -> list:
     """<d_full form, Z-multivector> computed without the Cartan expansion."""
-    alg = form.algebra
-    mv = multivector(alg, [(tuple(z), 1)])
+    mv = multivector([(tuple(z), 1)])
     return form.d_full().pair_multivector(mv)
 
 
@@ -571,20 +570,14 @@ _DISPLAY_COMPONENTS = {
 PAIRING_FIELDS = {1: (4, 1), 2: (5, 1, 3), 3: (1, 3, 4, 5), 4: (1, 2, 3, 4, 5)}
 
 
-def _parse_components(alg, spec):
-    order, slots, comp = spec
-    parsed = {idx: {slot: alg.field.parse(c) for slot, c in per.items()}
-              for idx, per in comp.items()}
-    return HorizontalTensor.from_scalar_components(alg, order, slots, parsed)
-
-
 def paper_tensor(cx: RuminComplex, h: int) -> HorizontalTensor:
     """The displayed horizontal tensor attached to closed forms of degree h."""
     if not cx.algebra.is_cartan_table():
         raise UnsupportedGroup("stored tensors are Cartan-specific")
     if h not in _DISPLAY_COMPONENTS:
         raise DegreeMismatch(f"no stored tensor for degree {h}")
-    tensor = _parse_components(cx.algebra, _DISPLAY_COMPONENTS[h])
+    tensor = HorizontalTensor.from_scalar_components(
+        cx.algebra, *_DISPLAY_COMPONENTS[h])
     expected_order = homogeneous_dc_orders(cx)[h]
     if tensor.order != expected_order:
         raise DegreeMismatch(
@@ -609,7 +602,7 @@ def proof_tensor(cx: RuminComplex, h: int,
     for j, words in enumerate(_PROOF_WORDS[h]):
         for word, c in words.items():
             idx = tuple(reversed(word)) if convention == "cvs" else word
-            components.setdefault(idx, {})[j] = alg.field.parse(c)
+            components.setdefault(idx, {})[j] = c
     return HorizontalTensor.from_scalar_components(alg, order, slots, components)
 
 

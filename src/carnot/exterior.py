@@ -37,6 +37,7 @@ from . import _expr
 from .env import Accumulator, EnvElement, add_into, collect, mul_into
 from .liealg import StratifiedLieAlgebra
 from .linalg import accumulate, add_scaled, canonical
+from .scalars import exact
 
 
 def covectors(alg, h: int):
@@ -127,7 +128,7 @@ class Form:
     @classmethod
     def basis(cls, alg, j, coeff=1):
         j = tuple(j)
-        return cls(alg, len(j), {j: alg.field(coeff)})
+        return cls(alg, len(j), {j: exact(coeff)})
 
     @classmethod
     def volume(cls, alg):
@@ -146,7 +147,7 @@ class Form:
         return self + (-other)
 
     def scale(self, coeff):
-        c = self.algebra.field(coeff)
+        c = exact(coeff)
         return Form(self.algebra, self.degree,
                     {t: c * v for t, v in self.terms.items()})
 
@@ -446,12 +447,12 @@ class CovectorMap:
         return self.apply_form(form)
 
 
-def multivector(alg, indices_with_coeffs) -> dict:
+def multivector(indices_with_coeffs) -> dict:
     """Build {sorted tuple: value} from (index sequence, coeff) pairs."""
     out: dict = {}
     for seq, coeff in indices_with_coeffs:
         sign, t = sort_sign(seq)
         if not sign:
             continue
-        accumulate(out, t, alg.field(coeff) * sign)
+        accumulate(out, t, exact(coeff) * sign)
     return out

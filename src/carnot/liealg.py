@@ -5,7 +5,10 @@ X_1, ..., X_n adapted to the layers V_1 + ... + V_kappa, validates the usual
 identities exactly (antisymmetry is structural, Jacobi and the grading are
 checked on construction, and V_1 must bracket-generate each higher layer),
 and exposes the bracket as a bilinear map on coefficient vectors.  Every
-algebra has at most ``MAX_DIM`` basis elements, however it is built.
+algebra has at most ``MAX_DIM`` basis elements, however it is built.  A
+structure constant is an exact value of :mod:`carnot.scalars`, which needs
+no field, so ``to_json`` is the layers and the brackets alone; ``field``
+only records the radicands of the roots ``RuminComplex.roots`` takes.
 
 ``free_nilpotent`` generates free nilpotent algebras from a Hall basis;
 ``cartan_group`` is the built-in five-dimensional step-3 example with
@@ -22,7 +25,7 @@ import re
 from itertools import combinations
 
 from . import linalg
-from .scalars import ScalarField
+from .scalars import ScalarField, exact
 
 
 class LieAlgebraError(ValueError):
@@ -60,8 +63,9 @@ CARTAN_BRACKETS = {(1, 2): {3: 1}, (1, 3): {4: 1}, (2, 3): {5: 1}}
 class StratifiedLieAlgebra:
     """Immutable after construction; basis indices are 1-based."""
 
-    def __init__(self, layer_dims, brackets, field=None):
-        self.field = field if field is not None else ScalarField()
+    def __init__(self, layer_dims, brackets):
+        # the radicands of the roots RuminComplex.roots takes on this group
+        self.field = ScalarField()
         self.layer_dims = tuple(int(m) for m in layer_dims)
         if any(m <= 0 for m in self.layer_dims):
             raise DimensionMismatch("layer dimensions must be positive")
@@ -77,7 +81,7 @@ class StratifiedLieAlgebra:
                 raise DimensionMismatch(i, j)
             clean = {}
             for k, c in vec.items():
-                c = self.field(c)
+                c = exact(c)
                 if c:
                     if not 1 <= k <= self.n:
                         raise DimensionMismatch(k)
@@ -122,9 +126,9 @@ class StratifiedLieAlgebra:
                     raise DimensionMismatch(i)
         out: dict = {}
         for i, ca in a.items():
-            ca = self.field(ca)
+            ca = exact(ca)
             for j, cb in b.items():
-                linalg.add_scaled(out, ca * self.field(cb),
+                linalg.add_scaled(out, ca * exact(cb),
                                   self.bracket_basis(i, j))
         return out
 
@@ -164,22 +168,16 @@ class StratifiedLieAlgebra:
         data = json.loads(text_or_dict) if isinstance(text_or_dict, str) \
             else text_or_dict
         _check_group_json(data)
-        field = ScalarField(radicands=data.get("sqrt", ()))
-        brackets = {}
-        for key, vec in data.get("brackets", {}).items():
-            i, j = (int(t) for t in key.split(","))
-            brackets[(i, j)] = {int(k): field.parse(str(c))
-                                for k, c in vec.items()}
-        return cls(data["layers"], brackets, field=field)
+        brackets = {tuple(int(t) for t in key.split(",")):
+                    {int(k): str(c) for k, c in vec.items()}
+                    for key, vec in data.get("brackets", {}).items()}
+        return cls(data["layers"], brackets)
 
     def to_json(self) -> dict:
-        out = {"layers": list(self.layer_dims), "brackets": {}}
-        if self.field.radicands:
-            out["sqrt"] = list(self.field.radicands)
-        for (i, j), vec in sorted(self.brackets.items()):
-            out["brackets"][f"{i},{j}"] = {str(k): str(c)
-                                           for k, c in sorted(vec.items())}
-        return out
+        return {"layers": list(self.layer_dims),
+                "brackets": {f"{i},{j}": {str(k): str(c)
+                                          for k, c in sorted(vec.items())}
+                             for (i, j), vec in sorted(self.brackets.items())}}
 
     def is_cartan_table(self) -> bool:
         return (self.layer_dims == (2, 1, 2)
@@ -190,7 +188,7 @@ class StratifiedLieAlgebra:
         """The coordinate model of the Cartan bracket table, else None."""
         from .coords import cartan_realization
 
-        return cartan_realization(self) if self.is_cartan_table() else None
+        return cartan_realization() if self.is_cartan_table() else None
 
     def __repr__(self):
         return (f"StratifiedLieAlgebra(n={self.n}, layers={self.layer_dims}, "
@@ -206,10 +204,9 @@ def _check_group_json(data):
         bad(f"expected a JSON object, not a {type(data).__name__}")
     if "layers" not in data:
         bad('missing "layers"')
-    for name in ("layers", "sqrt"):
-        v = data.get(name, [])
-        if not isinstance(v, list) or not all(type(m) is int for m in v):
-            bad(f'"{name}" must be a list of integers, not {json.dumps(v)}')
+    v = data["layers"]
+    if not isinstance(v, list) or not all(type(m) is int for m in v):
+        bad(f'"layers" must be a list of integers, not {json.dumps(v)}')
     brackets = data.get("brackets", {})
     if not isinstance(brackets, dict):
         bad('"brackets" must be an object {"i,j": {"k": coefficient}}')

@@ -29,8 +29,7 @@ factors of ``pseudoinverse``.
 ``mat_mul`` alone works on lists of lists: it is the independent dense
 check of the pseudoinverse identities, and the benchmark's tracer
 (``perfbench/tracer.py``) counts its products by indexing dense operands.
-Its zero is ``0``.  Only ``mat_mul``, whose signature the tracer wraps,
-takes a field.
+Its zero is ``0``.
 """
 
 from __future__ import annotations
@@ -59,7 +58,8 @@ def reciprocal(x):
 
 
 def mat_mul(field, a, b):
-    """Dense row-by-row product that skips zero entries of both factors."""
+    """Dense row-by-row product that skips zero entries of both factors;
+    ``field`` is unused, kept for the tracer's positional wrapper."""
     out = [[0] * (len(b[0]) if b else 0) for _ in a]
     for row, out_row in zip(a, out):
         for t, x in enumerate(row):

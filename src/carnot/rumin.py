@@ -18,7 +18,8 @@ or compared with the paper.  The published bases are e_k = w_k / sqrt(N_k),
 so a matrix M from degree p to degree q prints as ``orthonormal(M, q, p)``:
 entry (i, j) times sqrt(N^q_i) / sqrt(N^p_j), from ``roots``, the one
 place a root is taken.  ``lift`` refuses a degree of more than
-``MAX_LIFT_COVECTORS`` covectors with ``ResourceLimit`` before any work.
+``MAX_LIFT_COVECTORS`` covectors, and ``dims`` one of more than
+``MAX_DIMS_COVECTORS``, with ``ResourceLimit``, before any is enumerated.
 
 The projection Pi_E on the complement of the acyclic part is evaluated by the
 weight-ascending recursion
@@ -53,8 +54,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from . import linalg
 from .env import (Accumulator, AlgebraMismatch, EnvElement, Mixed,
@@ -68,6 +70,19 @@ from .scalars import TowerInsufficient
 
 # 455 covectors (free:5,2, degree 3) fit; 1,001 (n = 14, degree 4) do not
 MAX_LIFT_COVECTORS = 500
+# dims() takes about 10 s on H8 (n = 17, 24,310 covectors in degree 8) and
+# does not finish on free:2,6 (n = 23, 1,352,078 in degree 11)
+MAX_DIMS_COVECTORS = 25_000
+
+
+def _covector_counts(weights, h: int) -> Counter:
+    """{weight: number of degree-h covectors of that weight}, counted over
+    the basis weights with no covector enumerated."""
+    counts = [Counter({0: 1})] + [Counter() for _ in range(h)]
+    for a in weights:
+        for k in range(h, 0, -1):
+            counts[k].update({w + a: c for w, c in counts[k - 1].items()})
+    return counts[h]
 
 
 class SpanMismatch(ValueError):
@@ -356,6 +371,9 @@ class RuminComplex:
         E0^h is ker d0 intersected with the orthogonal complement of
         im d0_{h-1}, and im d0_{h-1} lies in ker d0_h, so no basis is built.
         """
+        for h in range(self.algebra.n + 1):
+            self.check_capacity(h, MAX_DIMS_COVECTORS,
+                                "the dims are counted over")
         return tuple(
             sum(len(dom) - self.d0_rank(h, w)
                 - (self.d0_rank(h - 1, w) if h else 0)
@@ -431,21 +449,28 @@ class RuminComplex:
 
     # -- intrinsic differential ----------------------------------------------
 
-    def check_lift_capacity(self, h: int):
-        """ResourceLimit when degree h has more covectors than a lift is
-        built over, naming the degree and its largest weight block."""
-        sizes = {w: len(b) for w, b in self._weight_blocks(h).items()}
-        if sum(sizes.values()) > MAX_LIFT_COVECTORS:
-            w = max(sizes, key=sizes.get)
+    def check_capacity(self, h: int, limit: int = MAX_LIFT_COVECTORS,
+                       work: str = "a lift is built over"):
+        """Refuse degree h before any of its covectors is enumerated:
+        ValueError when it is out of range, ResourceLimit when it has more
+        than ``limit`` covectors ("more than the {limit} {work}"), naming
+        its largest weight block."""
+        n = self.algebra.n
+        if not 0 <= h <= n:
+            raise ValueError(f"degree {h} out of range")
+        count = math.comb(n, h)
+        if count > limit:
+            sizes = _covector_counts(self.algebra.weights, h)
+            w = max(sorted(sizes), key=sizes.get)
             raise ResourceLimit(
-                f"degree {h} has {sum(sizes.values())} covectors, more than "
-                f"the {MAX_LIFT_COVECTORS} a lift is built over; its largest "
-                f"weight block, weight {w}, has {sizes[w]}")
+                f"degree {h} has {count} covectors, more than the {limit} "
+                f"{work}; its largest weight block, weight {w}, has "
+                f"{sizes[w]}")
 
     @cached
     def lift(self, h: int) -> OperatorForm:
         """Pi_E of the symbolic basis form of degree h, kept for every degree."""
-        self.check_lift_capacity(h)
+        self.check_capacity(h)
         return self.pi_E(self.symbolic_basis_form(h))
 
     @cached

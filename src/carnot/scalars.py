@@ -2,20 +2,21 @@
 
 Every exact value has one form: an ``int`` when it is integral, a
 ``Fraction`` when it is another rational, and a :class:`Scalar` only when it
-is irrational.  A Scalar maps each square-free radicand ``r`` (1 for the
-rational part) to the nonzero coefficient of ``sqrt(r)``, with at least one
-key above 1.  Square roots of distinct square-free integers are linearly
-independent over Q (Besicovitch, 1940), so this form is canonical, with no
-tower, order or cap, and the same in every field: equal values are equal
-dictionaries.  A coefficient is an ``int`` when integral and a ``Fraction``
-only otherwise, never a ``float``.  ``field(x)``, ``sqrt``, ``parse`` and
-every Scalar operation return a Python rational whenever the result is
-rational.  Sums go through ``linalg.accumulate`` and ``linalg.add_scaled``;
-products follow sqrt(a)*sqrt(b) = g*sqrt(ab/g^2), g = gcd(a, b).  Divide
-through ``linalg.reciprocal``: ``field(3) / field(2)`` is the float ``1.5``.
-``sqrt`` splits by trial division up to ``TRIAL_BOUND``, exact below its
-cube, and refuses a number it cannot split with ``TowerInsufficient``.
-A field only records, in ``radicands``, the radicands ``sqrt`` handed out.
+is irrational.  A Scalar holds only its terms: it maps each square-free
+radicand ``r`` (1 for the rational part) to the nonzero coefficient of
+``sqrt(r)``, with at least one key above 1.  Square roots of distinct
+square-free integers are linearly independent over Q (Besicovitch, 1940),
+so this form is canonical, with no tower, order or cap: equal values are
+equal dictionaries, whatever made them.  A coefficient is an ``int`` when
+integral and a ``Fraction`` only otherwise, never a ``float``.  ``exact(x)``,
+``sqrt``, ``parse`` and every Scalar operation return a Python rational
+whenever the result is rational.  Sums go through ``linalg.accumulate`` and
+``linalg.add_scaled``; products follow sqrt(a)*sqrt(b) = g*sqrt(ab/g^2),
+g = gcd(a, b).  Divide through ``linalg.reciprocal``: ``exact(3) /
+exact(2)`` is the float ``1.5``.  ``sqrt`` splits by trial division up to
+``TRIAL_BOUND``, exact below its cube, and refuses a number it cannot split
+with ``TowerInsufficient``.  A :class:`ScalarField` computes nothing: it
+records, in ``radicands``, the radicands of the roots taken through it.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ class TowerInsufficient(ValueError):
     """A required square root cannot be put in canonical form."""
 
 
-def _value(field, terms: dict):
+def _value(terms: dict):
     """The value of canonical {radicand: coeff} terms: its rational when
     the only radicand is 1 (0 when there is none), else a Scalar."""
     if terms.keys() - {1}:
-        return Scalar(field, terms)
+        return Scalar(terms)
     return terms.get(1, 0)
 
 
@@ -67,65 +68,74 @@ def _square_free_split(n: int) -> tuple[int, int]:
     return s, r * n
 
 
+def exact(value):
+    """``value`` in its one form: a number, a Scalar or the text of a
+    value."""
+    if type(value) is int or isinstance(value, Scalar):
+        return value
+    if type(value) is Fraction:
+        return canonical(value)
+    if isinstance(value, str):
+        return parse(value)
+    return canonical(Fraction(value))
+
+
+def sqrt(x):
+    """Exact square root of a nonnegative rational p/q, as
+    sqrt(p) / sqrt(q); the square-free parts of p and q are coprime."""
+    q = exact(x)
+    if isinstance(q, Scalar):
+        raise TowerInsufficient(
+            "square roots are only taken of rational scalars")
+    if q < 0:
+        raise ValueError("square root of a negative scalar")
+    if not q:
+        return 0
+    a, ra = _square_free_split(q.numerator)
+    b, rb = _square_free_split(q.denominator)
+    coeff = canonical(Fraction(a, b * rb))
+    r = ra * rb
+    return coeff if r == 1 else Scalar({r: coeff})
+
+
+class _Leaves:
+    """The leaves of a scalar expression as exact values."""
+
+    number = staticmethod(exact)
+    sqrt = staticmethod(sqrt)
+
+    @staticmethod
+    def var(name):
+        raise _expr.ExprError(f"unknown symbol {name!r} in scalar expression")
+
+
+def parse(text: str):
+    """Parse "3/2", "0.5", "-1/2*sqrt(2)", "1 + sqrt(2)/2", etc."""
+    return exact(_expr.parse(text, _Leaves))
+
+
 class ScalarField:
-    """Q with the square roots of square-free integers, taken on demand."""
+    """The record, in the ordered set ``radicands``, of the radicands of the
+    roots taken through it; no value depends on it."""
 
     __slots__ = ("radicands",)
 
-    def __init__(self, radicands=()):
-        # a dict used as an ordered set
+    def __init__(self):
         self.radicands: dict[int, None] = {}
-        for r in radicands:
-            self.sqrt(int(r))
-
-    def __call__(self, value):
-        """``value`` in its one form: a number, a Scalar or the text of a
-        value."""
-        if type(value) is int or isinstance(value, Scalar):
-            return value
-        if type(value) is Fraction:
-            return canonical(value)
-        if isinstance(value, str):
-            return self.parse(value)
-        return canonical(Fraction(value))
 
     def sqrt(self, x):
-        """Exact square root of a nonnegative rational p/q, as
-        sqrt(p) / sqrt(q); the square-free parts of p and q are coprime."""
-        q = self(x)
-        if isinstance(q, Scalar):
-            raise TowerInsufficient(
-                "square roots are only taken of rational scalars")
-        if q < 0:
-            raise ValueError("square root of a negative scalar")
-        if not q:
-            return 0
-        a, ra = _square_free_split(q.numerator)
-        b, rb = _square_free_split(q.denominator)
-        coeff = canonical(Fraction(a, b * rb))
-        r = ra * rb
-        if r == 1:
-            return coeff
-        self.radicands[r] = None
-        return Scalar(self, {r: coeff})
-
-    # -- parsing ------------------------------------------------------
-
-    def parse(self, text: str):
-        """Parse "3/2", "0.5", "-1/2*sqrt(2)", "1 + sqrt(2)/2", etc."""
-        return _expr.parse_scalar(self, text)
-
-    def __repr__(self):
-        return f"ScalarField(radicands={list(self.radicands)})"
+        root = sqrt(x)
+        if type(root) is Scalar:
+            self.radicands.update(dict.fromkeys(root.terms))
+        return root
 
 
 class Scalar:
-    """An irrational element of a ScalarField in canonical form; immutable."""
+    """An irrational exact value in canonical form; immutable."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, field: ScalarField, terms: dict):
-        self.field = field
+    def __init__(self, terms: dict):
         self.terms = terms
 
     # -- arithmetic ---------------------------------------------------
@@ -145,12 +155,12 @@ class Scalar:
             return NotImplemented
         terms = dict(self.terms)
         add_scaled(terms, 1, right)
-        return _value(self.field, terms)
+        return _value(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.field, {r: -c for r, c in self.terms.items()})
+        return Scalar({r: -c for r, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + -other
@@ -168,7 +178,7 @@ class Scalar:
                 g = gcd(r1, r2)
                 c = c1 * c2
                 accumulate(terms, r1 * r2 // (g * g), c * g if g > 1 else c)
-        return _value(self.field, terms)
+        return _value(terms)
 
     __rmul__ = __mul__
 
@@ -187,8 +197,8 @@ class Scalar:
             g = gcd(atom, r)
             if g != 1:
                 atom = g
-        conj = Scalar(self.field, {r: -c if r % atom == 0 else c
-                                   for r, c in self.terms.items()})
+        conj = Scalar({r: -c if r % atom == 0 else c
+                       for r, c in self.terms.items()})
         return conj * reciprocal(self * conj)
 
     def __truediv__(self, other):

@@ -226,6 +226,66 @@ def test_build_takes_dims_from_ranks(capsys):
     assert dims[1] == 3
 
 
+def test_pi_e_refuses_before_it_builds_E0(capsys):
+    """pi-e checks the degree and the lift capacity before it builds E0:
+    degree 7 of free:3,3 (3,432 covectors) is refused at once, with the
+    message of the lift, and a degree out of range with that of E0."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pi-e", "--group", "free:3,3",
+                         "--degree", "7")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and not out
+    assert re.fullmatch(r"error: ResourceLimit\(degree 7 has 3432 covectors, "
+                        r"more than the \d+ a lift is built over; its largest "
+                        r"weight block, weight 16, has 798\)\n", err)
+    assert run(capsys, "pi-e", "--degree", "-1") == \
+        (2, "", "error: degree -1 out of range\n")
+
+
+def test_build_refuses_a_degree_too_large_to_count(capsys, tmp_path):
+    """build enumerates the covectors of every degree; a group with a
+    degree of more than rumin.MAX_DIMS_COVECTORS is refused before any is
+    enumerated, naming that degree, while d_c in a low degree of the same
+    group still runs.  H7 (n = 15, 6,435 covectors in degree 7) builds."""
+    for spec, h, count in (("free:2,6", 5, 33649), ("free:3,4", 4, 35960)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build", "--group", spec)
+        assert time.perf_counter() - start < 2
+        assert code == 3 and not out
+        assert err.startswith(f"error: ResourceLimit(degree {h} has {count} "
+                              "covectors, more than the ")
+    code, out, _ = run(capsys, "dc", "--group", "free:2,6", "--degree", "1")
+    assert code == 0 and out
+    path = tmp_path / "H7.json"
+    path.write_text(json.dumps({
+        "layers": [14, 1],
+        "brackets": {f"{i},{i + 7}": {"15": "1"} for i in range(1, 8)}}))
+    code, out, _ = run(capsys, "build", "--group", str(path))
+    assert code == 0 and "dims E0 = 1,14,90," in out
+
+
+def test_group_json_does_not_depend_on_prior_work(capsys):
+    """A group's JSON is its layers and brackets: the roots that a view, a
+    pi-e and a tensor check take leave it as it was."""
+    from argparse import Namespace
+
+    from carnot import cli, estimates
+    from carnot.liealg import cartan_group
+    from carnot.rumin import RuminComplex
+
+    alg = cartan_group()
+    before = alg.to_json()
+    cx = RuminComplex(alg)
+    cx.orthonormal(cx.dc_matrix(1), 2, 1)
+    assert alg.to_json() == before
+    assert cli.cmd_pi_e(cx, Namespace(degree=2, index=2, format="json")) == 0
+    estimates.tensor_findings(cx, "cvs")
+    capsys.readouterr()
+    assert alg.to_json() == before == {
+        "layers": [2, 1, 2],
+        "brackets": {"1,2": {"3": "1"}, "1,3": {"4": "1"}, "2,3": {"5": "1"}}}
+
+
 def test_build_json_group_round_trips(capsys):
     """The group block is the group's own table: no radicand a basis
     would add, and from_json rebuilds the same algebra."""

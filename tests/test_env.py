@@ -4,6 +4,7 @@ import pytest
 
 from carnot.env import AlgebraMismatch, EnvElement, Mixed, ZeroElement
 from carnot.liealg import cartan_group, free_nilpotent
+from carnot.scalars import sqrt
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,7 @@ def test_render_matches_listing_style(g):
 
 
 def test_scalar_coefficients_with_sqrt2(g):
-    s2 = g.field.sqrt(2)
+    s2 = sqrt(2)
     e = EnvElement.generator(g, 1).scale(s2)
     assert e * e == EnvElement.parse(g, "2X1^2")
     assert EnvElement.parse(g, "sqrt(2)X1") == e

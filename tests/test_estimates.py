@@ -8,6 +8,7 @@ from carnot.cli import main
 from carnot.env import EnvElement
 from carnot.liealg import cartan_group
 from carnot.rumin import RuminComplex
+from carnot.scalars import parse, sqrt
 
 
 @pytest.fixture(scope="module")
@@ -132,24 +133,23 @@ def test_derived_exponents_recomputed_from_matrix_orders(cx):
 
 def test_paper_tensor_examples(cx):
     g = cx.algebra
-    f = g.field
     t4 = est.paper_tensor(cx, 4)
     assert t4.order == 1
-    assert t4.entries[(2,)][0] == EnvElement.one(g).scale(f(-1))
+    assert t4.entries[(2,)][0] == EnvElement.one(g).scale(-1)
     assert t4.entries[(1,)][1] == EnvElement.one(g)
 
     t2 = est.paper_tensor(cx, 2)
     assert t2.order == 2 and not t2.is_symmetric()
-    assert t2.entries[(1, 1)][2] == EnvElement.one(g).scale(f.parse("3/2"))
+    assert t2.entries[(1, 1)][2] == EnvElement.one(g).scale(parse("3/2"))
     assert t2.entries[(1, 2)][1] \
-        == EnvElement.one(g).scale(f.parse("-5/(2*sqrt(2))"))
+        == EnvElement.one(g).scale(parse("-5/(2*sqrt(2))"))
 
     t1 = est.paper_tensor(cx, 1)
     assert t1.order == 3 and t1.is_symmetric()
-    third = f.parse("1/3")
+    third = parse("1/3")
     for idx in ((1, 1, 2), (1, 2, 1), (2, 1, 1)):
         assert t1.entries[idx][0] == EnvElement.one(g).scale(third)
-    assert t1.entries[(1, 1, 1)][1] == EnvElement.one(g).scale(f(-1))
+    assert t1.entries[(1, 1, 1)][1] == EnvElement.one(g).scale(-1)
 
 
 def test_generalized_divergence_conventions_differ(cx):
@@ -220,7 +220,7 @@ def test_h1_derived_row_identity(cx):
 def test_h2_derived_row_is_scaled_second_dc_row(cx):
     g = cx.algebra
     row = est.derived_row(cx, 2)
-    inv_s2 = g.field.sqrt(2).inverse()
+    inv_s2 = sqrt(2).inverse()
     expected = [e.scale(inv_s2)
                 for e in cx.orthonormal(cx.dc_matrix(2), 3, 2).entries[1]]
     assert row == expected

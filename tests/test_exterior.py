@@ -160,7 +160,7 @@ def test_operator_form_weight_split_and_pairing(g):
     a = OperatorForm.from_form(th(g, 1, 4) + th(g, 3, 4))
     parts = a.weight_split()
     assert set(parts) == {4, 5}
-    mv = multivector(g, [((4, 1), 1)])  # X4 ^ X1 = -X1 ^ X4
+    mv = multivector([((4, 1), 1)])  # X4 ^ X1 = -X1 ^ X4
     row = a.pair_multivector(mv)
     assert row[0] == EnvElement.parse(g, "-1")
 

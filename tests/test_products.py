@@ -33,17 +33,16 @@ from carnot.liealg import (ResourceLimit, StratifiedLieAlgebra, cartan_group,
                            free_nilpotent)
 from carnot.linalg import reciprocal
 from carnot.rumin import OperatorMatrix, RuminComplex
-from carnot.scalars import Scalar
+from carnot.scalars import Scalar, exact, sqrt
 
 PROPERTY = settings(max_examples=40, derandomize=True, database=None,
                     deadline=None)
 
-# Cartan; the coefficients with sqrt(2) are Scalars of its field, which the
-# realization's fields share
+# Cartan, whose coordinate realization is the oracle for products
 CARTAN = cartan_group()
 # a step-3 group with fractional and irrational structure constants; the
 # Jacobi identity holds for any constants on this bracket pattern
-SKEW_SPEC = {"layers": [2, 1, 2], "sqrt": [2],
+SKEW_SPEC = {"layers": [2, 1, 2],
              "brackets": {"1,2": {"3": "1/2*sqrt(2)"}, "1,3": {"4": "2/3"},
                           "2,3": {"5": "sqrt(2)"}}}
 SKEW = StratifiedLieAlgebra.from_json(SKEW_SPEC)
@@ -65,7 +64,7 @@ def elements(alg, max_terms=3):
     def build(terms):
         out = EnvElement.zero(alg)
         for exp, q, r in terms:
-            c = alg.field(q) + alg.field(r) * alg.field.sqrt(2)
+            c = exact(q) + exact(r) * sqrt(2)
             out = out + EnvElement.monomial(alg, exp, c)
         return out
     return st.lists(st.tuples(exponents(alg.n), rationals, rationals),
@@ -75,14 +74,13 @@ def elements(alg, max_terms=3):
 def assert_numerators(alg, e):
     """The canonical form of an element: int codes; a positive int
     denominator coprime with every integer its numerators hold; nonzero int
-    numerators, or irrational Scalars of the group's field with int
-    terms."""
+    numerators, or irrational Scalars with int terms."""
     assert type(e._den) is int and e._den > 0
     ints = []
     for key, c in e._packed.items():
         assert type(key) is int and key >= 0
         if type(c) is Scalar:
-            assert c.field is alg.field and c.terms.keys() - {1}
+            assert c.terms.keys() - {1}
             assert all(type(v) is int and v for v in c.terms.values())
             ints += c.terms.values()
         else:
@@ -93,8 +91,8 @@ def assert_numerators(alg, e):
 
 def assert_canonical(alg, *elems):
     """Exact values in their one form only in the caches, under int codes:
-    nonzero ints, non-integral Fractions, or irrational Scalars of the
-    group's field whose terms are such rationals; and every element
+    nonzero ints, non-integral Fractions, or irrational Scalars whose
+    terms are such rationals; and every element
     in canonical form (``assert_numerators``)."""
     def rational(c):
         assert type(c) in (int, Fraction), type(c)
@@ -103,7 +101,7 @@ def assert_canonical(alg, *elems):
 
     def check(c):
         if type(c) is Scalar:
-            assert c.field is alg.field and c.terms.keys() - {1}
+            assert c.terms.keys() - {1}
             for v in c.terms.values():
                 rational(v)
         else:
@@ -128,7 +126,7 @@ def element(alg, nf):
 @PROPERTY
 @given(elements(CARTAN), elements(CARTAN))
 def test_product_is_composition_on_coordinates(a, b):
-    p = Polynomial.parse(CARTAN.field, 5, POLY)
+    p = Polynomial.parse(5, POLY)
     ab = a * b
     assert coordinate_apply(ab, p) \
         == coordinate_apply(a, coordinate_apply(b, p))
@@ -153,7 +151,7 @@ def prefix_elements(alg, max_terms=3):
         exps, terms = args
         out = EnvElement.zero(alg)
         for k, q, r in terms:
-            c = alg.field(q) + alg.field(r) * alg.field.sqrt(2)
+            c = exact(q) + exact(r) * sqrt(2)
             out = out + EnvElement.monomial(alg, exps[k % len(exps)], c)
         return out
     return st.tuples(
@@ -229,6 +227,17 @@ def test_irrational_bracket_normal_form():
     comm = x1 * x2 - x2 * x1
     assert comm * comm == EnvElement.parse(SKEW, "1/2*X3^2")
     assert_canonical(SKEW, comm * comm)
+
+
+def test_skew_group_round_trips_through_its_json():
+    """The sqrt(2) constants of SKEW need no declaration in its file:
+    from_json(to_json()) gives the same table and the same products."""
+    assert SKEW.to_json() == SKEW_SPEC
+    again = StratifiedLieAlgebra.from_json(SKEW.to_json())
+    assert again.brackets == SKEW.brackets
+    for word in ((2, 1), (3, 2, 1), (2, 2, 1, 1), (3, 1, 2)):
+        assert EnvElement.from_word(again, word).render() \
+            == EnvElement.from_word(SKEW, word).render()
 
 
 # -- the normal-form kernel -------------------------------------------------
@@ -340,26 +349,25 @@ def test_packed_storage_matches_scalar_reference(name, data):
     coprime with the integer content of the numerators, no zero
     numerator, and int terms in every Scalar numerator."""
     alg = STORAGE_GROUPS[name]
-    f = alg.field
 
     def draw():
         terms = data.draw(st.lists(st.tuples(exponents(alg.n), rationals,
                                              rationals), max_size=3))
         elem, ref = EnvElement.zero(alg), {}
         for exp, q, r in terms:
-            c = f(q) + f(r) * f.sqrt(2)
+            c = exact(q) + exact(r) * sqrt(2)
             elem = elem + EnvElement.monomial(alg, exp, c)
             ref = ref_sum(ref, {exp: c})
         return elem, ref
     (a, ra), (b, rb) = draw(), draw()
     q, r = data.draw(rationals), data.draw(rationals)
     cases = [(a, ra), (a + b, ref_sum(ra, rb)),
-             (a - b, ref_sum(ra, ref_scale(rb, f(-1)))),
-             (-a, ref_scale(ra, f(-1))),
+             (a - b, ref_sum(ra, ref_scale(rb, -1))),
+             (-a, ref_scale(ra, -1)),
              (a * b, ref_mul(alg, ra, rb)),
              (a.formal_adjoint(), ref_adjoint(alg, ra))]
-    for c in (0, 1, -1, Fraction(-2, 3), f(q) + f(r) * f.sqrt(2)):
-        cases.append((a.scale(c), ref_scale(ra, f(c))))
+    for c in (0, 1, -1, Fraction(-2, 3), exact(q) + exact(r) * sqrt(2)):
+        cases.append((a.scale(c), ref_scale(ra, exact(c))))
     for got, want in cases:
         assert got.terms == want
         twin = from_reference(alg, want)
@@ -400,11 +408,10 @@ def test_memoized_adjoint_matches_reversed_words(name):
     monomial of length at most 4, alone and summed with coefficients in
     Q(sqrt(2)), the sum taken first so the memo starts cold."""
     alg = KERNEL_GROUPS[name]()
-    f = alg.field
     exps = [tuple(gens.count(i) for i in range(alg.n))
             for k in range(5)
             for gens in combinations_with_replacement(range(alg.n), k)]
-    coeffs = [f(Fraction(k + 1, 3)) + f(k % 3) * f.sqrt(2)
+    coeffs = [exact(Fraction(k + 1, 3)) + (k % 3) * sqrt(2)
               for k in range(len(exps))]
     refs = []
     for exp in exps:
@@ -451,7 +458,7 @@ def operators(alg, max_terms=2):
     def build(terms):
         out = EnvElement.zero(alg)
         for exp, q, r in terms:
-            c = alg.field(q) + alg.field(r) * alg.field.sqrt(2)
+            c = exact(q) + exact(r) * sqrt(2)
             out = out + EnvElement.monomial(alg, exp, c)
         return out
     return st.lists(st.tuples(exps, rationals, rationals), min_size=1,
@@ -460,11 +467,10 @@ def operators(alg, max_terms=2):
 
 def scalars(alg):
     """0, +-1, rationals and q + r*sqrt(2)."""
-    return st.one_of(st.sampled_from([0, 1, -1]).map(alg.field),
-                     rationals.map(alg.field),
+    return st.one_of(st.sampled_from([0, 1, -1]),
+                     rationals.map(exact),
                      st.tuples(rationals, rationals).map(
-                         lambda qr: alg.field(qr[0])
-                         + alg.field(qr[1]) * alg.field.sqrt(2)))
+                         lambda qr: exact(qr[0]) + exact(qr[1]) * sqrt(2)))
 
 
 def draw_opform(data, alg, h, slots=2):
@@ -684,7 +690,7 @@ def test_conjugate_matches_entry_products(alg, data):
     left, right = matrix(scalars(alg), 2, 3), matrix(scalars(alg), 2, 4)
 
     def identity(k):
-        return [[alg.field(int(i == j)) for j in range(k)] for i in range(k)]
+        return [[int(i == j) for j in range(k)] for i in range(k)]
 
     def reference(left, right):
         out = []

@@ -11,8 +11,8 @@ from carnot.estimates import HorizontalTensor
 from carnot.exterior import Form, OperatorForm, covectors, d0_covector
 from carnot.liealg import StratifiedLieAlgebra, cartan_group, free_nilpotent
 from carnot.rumin import (OperatorMatrix, RuminComplex, SpanMismatch,
-                          StarAdjointMismatch)
-from carnot.scalars import Scalar
+                          StarAdjointMismatch, _covector_counts)
+from carnot.scalars import Scalar, sqrt
 from carnot.verify import star_listing
 
 
@@ -29,9 +29,18 @@ def test_dims(cx):
     assert cx.dims() == (1, 2, 3, 3, 2, 1)
 
 
+def test_covector_counts_are_the_weight_block_sizes():
+    """The capacity checks count each degree's covectors by weight, with
+    none enumerated: the counts are the sizes of the weight blocks."""
+    for alg in (cartan_group(), free_nilpotent(2, 4), free_nilpotent(4, 2)):
+        cx = RuminComplex(alg)
+        for h in range(alg.n + 1):
+            assert _covector_counts(alg.weights, h) == \
+                {w: len(b) for w, b in cx._weight_blocks(h).items()}
+
+
 def test_E0_bases_match_published(cx):
-    g = cx.algebra
-    inv_s2 = g.field.sqrt(2).inverse()
+    inv_s2 = sqrt(2).inverse()
     e0 = cx.orthonormal_basis
     assert list(e0(1)) == [th(cx, 1), th(cx, 2)]
     xi2 = (th(cx, 2, 4) + th(cx, 1, 5)).scale(inv_s2)
@@ -55,8 +64,7 @@ def test_E0_elements_are_intrinsic_and_orthonormal(cx):
             assert xi.d0().is_zero()
             assert xi.delta0().is_zero()
             for j, eta in enumerate(basis):
-                expected = cx.algebra.field(1 if i == j else 0)
-                assert xi.inner(eta) == expected
+                assert xi.inner(eta) == (1 if i == j else 0)
                 assert cx.E0(h)[i].inner(cx.E0(h)[j]) \
                     == (norms[i] if i == j else 0)
         weights = [xi.weight() for xi in basis]
@@ -411,16 +419,16 @@ def test_d0_algebra_runs_in_Q(make):
 
 
 # test_products' group with irrational and fractional structure constants
-SKEW_SPEC = {"layers": [2, 1, 2], "sqrt": [2],
+SKEW_SPEC = {"layers": [2, 1, 2],
              "brackets": {"1,2": {"3": "1/2*sqrt(2)"}, "1,3": {"4": "2/3"},
                           "2,3": {"5": "sqrt(2)"}}}
 
 
 def assert_one_form(x):
-    """x is an int, a Fraction that is not integral, or a Scalar with a
-    nonzero mask, whose coefficients are in the same one form."""
+    """x is an int, a Fraction that is not integral, or a Scalar with an
+    irrational term, whose coefficients are in the same one form."""
     if type(x) is Scalar:
-        assert x.terms.keys() - {0}, x.terms
+        assert x.terms.keys() - {1}, x.terms
         for c in x.terms.values():
             assert_one_form(c)
             assert c
@@ -455,7 +463,7 @@ def test_no_rational_scalar_exists(make):
         values += [c for m in matrices for row in m.entries for e in row
                    for c in e.terms.values()]
     if alg.realization is not None:
-        p = Polynomial.parse(alg.field, 5, "x1^3*x2 + 1/2*x2^2*x5 - x4")
+        p = Polynomial.parse(5, "x1^3*x2 + 1/2*x2^2*x5 - x4")
         polys = [u for row in alg.realization.fields for u in row]
         for word in ((1,), (2, 1), (2, 3, 2), (1, 2, 2, 1)):
             polys.append(alg.realization.apply_word(word, p))

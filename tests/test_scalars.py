@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
 import sympy
@@ -13,57 +14,62 @@ from carnot.liealg import StratifiedLieAlgebra, free_nilpotent
 from carnot.linalg import reciprocal
 from carnot.rumin import RuminComplex
 from carnot.scalars import (TRIAL_BOUND, Scalar, ScalarField,
-                            TowerInsufficient, _square_free_split)
+                            TowerInsufficient, _square_free_split, exact,
+                            parse, sqrt)
 
 
 def test_rational_arithmetic():
-    f = ScalarField()
-    a = f(Fraction(3, 2))
-    b = f(2)
+    a = exact(Fraction(3, 2))
+    b = exact(2)
     assert type(a) is Fraction and type(b) is int
     assert str(a + b) == "7/2"
-    assert str(a * b) == "3" and type(f(a * b)) is int
+    assert str(a * b) == "3" and type(exact(a * b)) is int
     assert a - a == 0
-    assert a / b == f(Fraction(3, 4))
+    assert a / b == exact(Fraction(3, 4))
+
+
+def test_a_scalar_is_its_terms():
+    """A Scalar holds its terms and nothing else, so a value does not
+    depend on what made it: built, parsed or written out, it is equal."""
+    assert Scalar.__slots__ == ("terms",)
+    x = 1 + sqrt(2)
+    assert x == parse("1 + sqrt(2)") == Scalar({1: 1, 2: 1})
+    assert hash(x) == hash(Scalar({2: 1, 1: 1}))
 
 
 def test_sqrt2_canonical_form():
-    f = ScalarField()
-    s2 = f.sqrt(2)
-    assert s2 * s2 == f(2)
+    s2 = sqrt(2)
+    assert s2 * s2 == exact(2)
     assert str(s2) == "sqrt(2)"
     assert str(s2.inverse()) == "1/2*sqrt(2)"
     # (1+sqrt2)(1-sqrt2) = -1
-    assert (f(1) + s2) * (f(1) - s2) == f(-1)
+    assert (exact(1) + s2) * (exact(1) - s2) == exact(-1)
     # canonical: equal values have equal representations
-    assert f.sqrt(8) == f(2) * s2
-    assert f.sqrt(Fraction(1, 2)) == s2 / f(2)
+    assert sqrt(8) == exact(2) * s2
+    assert sqrt(Fraction(1, 2)) == s2 / exact(2)
 
 
 def test_sqrt_of_square_is_rational():
-    f = ScalarField()
-    assert f.sqrt(Fraction(9, 4)) == f(Fraction(3, 2))
-    assert type(f.sqrt(Fraction(9, 4))) is Fraction
-    assert f.sqrt(0) == 0 and type(f.sqrt(0)) is int
+    assert sqrt(Fraction(9, 4)) == exact(Fraction(3, 2))
+    assert type(sqrt(Fraction(9, 4))) is Fraction
+    assert sqrt(0) == 0 and type(sqrt(0)) is int
 
 
 def test_tower_products_and_inverse():
-    f = ScalarField()
-    s2, s3 = f.sqrt(2), f.sqrt(3)
-    s6 = f.sqrt(6)
+    s2, s3 = sqrt(2), sqrt(3)
+    s6 = sqrt(6)
     assert s2 * s3 == s6
-    assert s6 * f.sqrt(10) == 2 * f.sqrt(15)
+    assert s6 * sqrt(10) == 2 * sqrt(15)
     assert s6.terms == {6: 1}
-    x = f(1) + s2 + s3
+    x = exact(1) + s2 + s3
     assert x * x.inverse() == 1
 
 
 def test_division_by_zero():
-    f = ScalarField()
     with pytest.raises(ZeroDivisionError):
-        f(1) / f(0)
+        exact(1) / exact(0)
     with pytest.raises(ZeroDivisionError):
-        f.sqrt(2) / f(0)
+        sqrt(2) / exact(0)
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
@@ -72,7 +78,8 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
 
 def test_sqrt_of_twenty_primes_and_nonrational_radicand():
     """Roots are keyed by their square-free radicand, so there is no cap:
-    twenty prime roots, their product and its inverse are exact."""
+    twenty prime roots, their product and its inverse are exact.  A
+    ScalarField records each radicand of a root taken through it once."""
     f = ScalarField()
     roots = [f.sqrt(p) for p in PRIMES]
     assert list(f.radicands) == list(PRIMES)
@@ -83,9 +90,8 @@ def test_sqrt_of_twenty_primes_and_nonrational_radicand():
     assert product.terms == {prod(PRIMES): 1}
     x = 1 + roots[-1] + product
     assert x * reciprocal(x) == 1
-    g = ScalarField()
     with pytest.raises(TowerInsufficient):
-        g.sqrt(g(1) + g.sqrt(2))
+        sqrt(1 + sqrt(2))
 
 
 def test_square_free_split_refuses_beyond_the_bound(monkeypatch):
@@ -116,19 +122,17 @@ def test_square_free_split_refuses_beyond_the_bound(monkeypatch):
 
 
 def test_parse_and_format_round_trip():
-    f = ScalarField()
     for text in ("3/2", "-1/2*sqrt(2)", "1 + sqrt(2)", "0",
                  "2 - 3/4*sqrt(2)"):
-        x = f.parse(text)
-        assert f.parse(str(x)) == x
-    assert f.parse("0.5") == f(Fraction(1, 2))
-    assert f.parse("1/sqrt(2)") == f.sqrt(2) / 2
+        x = parse(text)
+        assert parse(str(x)) == x
+    assert parse("0.5") == exact(Fraction(1, 2))
+    assert parse("1/sqrt(2)") == sqrt(2) / 2
 
 
 def test_negative_sqrt_rejected():
-    f = ScalarField()
     with pytest.raises(ValueError):
-        f.sqrt(-2)
+        sqrt(-2)
 
 
 # -- properties against a Fraction-only reference on the radicand terms ----
@@ -148,19 +152,15 @@ coefficient_lists = st.lists(st.one_of(st.just(Fraction(0)), rationals),
                              min_size=4, max_size=4)
 
 
-def field23():
-    return ScalarField(RADICANDS)
-
-
-def build(f, coeffs, as_fraction=False):
+def build(coeffs, as_fraction=False):
     """The scalar sum of coeffs[k] * sqrt(KEYS[k]), through the public
     API."""
-    basis = [1, f.sqrt(2), f.sqrt(3), f.sqrt(6)]
+    basis = [1, sqrt(2), sqrt(3), sqrt(6)]
     out = 0
     for c, b in zip(coeffs, basis):
         if c.denominator == 1 and not as_fraction:
             c = c.numerator
-        out = out + f(c) * b
+        out = out + exact(c) * b
     return out
 
 
@@ -219,8 +219,7 @@ def assert_canonical(x):
 @PROPERTY
 @given(coefficient_lists, coefficient_lists)
 def test_arithmetic_matches_fraction_reference(cx, cy):
-    f = field23()
-    x, y = build(f, cx), build(f, cy)
+    x, y = build(cx), build(cy)
     a, b = ref(x), ref(y)
     assert a == {r: c for r, c in zip(KEYS, cx) if c}
     for got, want in ((x + y, ref_add(a, b)),
@@ -242,15 +241,15 @@ def test_arithmetic_matches_fraction_reference(cx, cy):
 @PROPERTY
 @given(coefficient_lists)
 def test_int_and_fraction_paths_agree(coeffs):
-    f = field23()
-    x, y = build(f, coeffs), build(f, coeffs, as_fraction=True)
+    x, y = build(coeffs), build(coeffs, as_fraction=True)
     assert x == y and hash(x) == hash(y)
     assert_canonical(y)
     q = coeffs[0]
     if q.denominator == 1:
-        assert f(q.numerator) == f(q) and hash(f(q.numerator)) == hash(f(q))
-    assert type(f(q)) is (int if q.denominator == 1 else Fraction)
-    assert f(q) == q
+        assert exact(q.numerator) == exact(q)
+        assert hash(exact(q.numerator)) == hash(exact(q))
+    assert type(exact(q)) is (int if q.denominator == 1 else Fraction)
+    assert exact(q) == q
 
 
 # expressions over Q(sqrt(2), sqrt(3)) that divide, as (text, reference)
@@ -291,11 +290,9 @@ def test_parsing_and_division_never_give_a_float(expression):
     """The scalar, operator and polynomial parsers divide exactly: a
     quotient of two ints is an int or a Fraction, never a float."""
     text, want = expression
-    f = field23()
-    alg = StratifiedLieAlgebra.from_json({"layers": [2],
-                                          "sqrt": list(RADICANDS)})
-    for x in (f.parse(text), EnvElement.parse(alg, text).as_scalar(),
-              Polynomial.parse(f, 2, text).as_scalar()):
+    alg = StratifiedLieAlgebra.from_json({"layers": [2]})
+    for x in (parse(text), EnvElement.parse(alg, text).as_scalar(),
+              Polynomial.parse(2, text).as_scalar()):
         assert ref(x) == want
         assert_canonical(x)
 
@@ -321,37 +318,35 @@ several_terms = st.lists(st.one_of(st.just(Fraction(0)), rationals),
 @PROPERTY
 @given(data=st.data())
 def test_inverse_times_itself_is_one(terms, radicands, data):
-    f = ScalarField()
     x = 0
     for m, c in enumerate(data.draw(terms)):
         b = 1
         for i, r in enumerate(radicands):
             if m >> i & 1:
-                b = b * f.sqrt(r)
-        x = x + f(c) * b
-    inv = reciprocal(x)
+                b = b * sqrt(r)
+        x = x + exact(c) * b
+    # the inverse takes no root
+    with mock.patch.object(scalars, "sqrt", side_effect=AssertionError):
+        inv = reciprocal(x)
     assert x * inv == 1 and inv * x == 1
     assert_canonical(inv)
-    # the inverse takes no root
-    assert list(f.radicands) == list(radicands)
 
 
 def test_canonical_coefficients_and_rational_inverse():
-    f = ScalarField()
-    assert reciprocal(f(3)) == Fraction(1, 3)
-    assert type(reciprocal(f(3))) is Fraction
-    assert type(f(Fraction(6, 3))) is int
-    assert type(reciprocal(f(-1))) is int
-    assert type(f.sqrt(Fraction(9, 4))) is Fraction
-    assert type(f.sqrt(9)) is int
-    assert type(f.sqrt(8)) is Scalar and type(f.sqrt(8).terms[2]) is int
-    assert type(f.sqrt(2) * f.sqrt(2)) is int
-    assert type(f(1)) is int
-    for x in (f(0), f(5)):
+    assert reciprocal(exact(3)) == Fraction(1, 3)
+    assert type(reciprocal(exact(3))) is Fraction
+    assert type(exact(Fraction(6, 3))) is int
+    assert type(reciprocal(exact(-1))) is int
+    assert type(sqrt(Fraction(9, 4))) is Fraction
+    assert type(sqrt(9)) is int
+    assert type(sqrt(8)) is Scalar and type(sqrt(8).terms[2]) is int
+    assert type(sqrt(2) * sqrt(2)) is int
+    assert type(exact(1)) is int
+    for x in (exact(0), exact(5)):
         assert type(x) is int
-    assert type(f(Fraction(1, 2))) is Fraction
-    assert f.parse("0.5") == f(Fraction(1, 2))
-    assert_canonical(f.parse("4/2 + 2*sqrt(2)/2"))
+    assert type(exact(Fraction(1, 2))) is Fraction
+    assert parse("0.5") == exact(Fraction(1, 2))
+    assert_canonical(parse("4/2 + 2*sqrt(2)/2"))
 
 
 def test_scalar_operators_give_way_to_other_types():
@@ -359,10 +354,10 @@ def test_scalar_operators_give_way_to_other_types():
     an int, a Fraction or a Scalar, so the other type's reflected method
     runs: sqrt(2) * X1 is X1 * sqrt(2), and likewise for a Polynomial."""
     g = StratifiedLieAlgebra((2, 1), {(1, 2): {3: 1}})
-    r = g.field.sqrt(2)
+    r = sqrt(2)
     x1 = EnvElement.generator(g, 1)
     assert r * x1 == x1 * r == x1.scale(r)
-    p = Polynomial.parse(g.field, 3, "x1^2 + 1/2*x3")
+    p = Polynomial.parse(3, "x1^2 + 1/2*x3")
     assert r * p == p * r
     for other in (x1, p, "2", 2.0):
         for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
@@ -394,9 +389,8 @@ def _split_by_factorint(n):
 @PROPERTY
 @given(shared_terms, shared_terms)
 def test_arithmetic_agrees_with_sympy(a, b):
-    f = ScalarField()
-    x = sum((f(c) * f.sqrt(r) for r, c in a.items()), 0)
-    y = sum((f(c) * f.sqrt(r) for r, c in b.items()), 0)
+    x = sum((exact(c) * sqrt(r) for r, c in a.items()), 0)
+    y = sum((exact(c) * sqrt(r) for r, c in b.items()), 0)
     sx, sy = _sympy(x), _sympy(y)
     for got, want in ((x + y, sx + sy), (x * y, sx * sy), (y * x, sx * sy)):
         assert sympy.expand(_sympy(got) - want) == 0
@@ -429,8 +423,10 @@ def test_sqrt_and_square_free_split_agree_with_factorint(n, m):
     coeff = Fraction(s, q.denominator)
     f = ScalarField()
     root = f.sqrt(q)
+    assert root == sqrt(q)
     if r == 1:
-        assert root == coeff and type(root) is type(f(coeff))
+        assert root == coeff and type(root) is type(exact(coeff))
+        assert not f.radicands
     else:
-        assert root.terms == {r: f(coeff)}
+        assert root.terms == {r: exact(coeff)}
         assert list(f.radicands) == [r]

@@ -83,6 +83,8 @@ def test_traced_run_reports_every_layer(capsys):
                  "env.prod_cache_entries", "scalars.radicands",
                  "laplacians.laplacian_distinct", "linalg.mat_mul_products"):
         assert metrics[name] > 0, name
+    # the roots dc --degree 3 of free:2,4 takes: 2, 3, 6, 7, 10, 15 and 30
+    assert metrics["scalars.radicands"] == 7
     # uninstalled: carnot's own functions are back
     assert all(not getattr(fn, "__qualname__", "").startswith("Tracer.")
                for fn in vars(carnot.env.EnvElement).values())
@@ -135,3 +137,32 @@ def test_no_module_reads_private_names_of_another():
                     and node.value.id in modules and _private(node.attr)):
                 found.add((path.stem, modules[node.value.id], node.attr))
     assert found == PRIVATE_IMPORTS
+
+
+def _field_reads(node, module, function=None):
+    """(module, innermost function) of each read of an attribute named
+    ``field`` under node."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Attribute) and child.attr == "field"
+                and isinstance(child.ctx, ast.Load)):
+            yield module, function
+        yield from _field_reads(child, module, child.name if isinstance(
+            child, ast.FunctionDef) else function)
+
+
+def test_only_the_roots_read_the_radicand_record():
+    """An exact value needs no field: no module but ``scalars``, which
+    defines ScalarField, and ``liealg``, which gives each algebra one,
+    names it, and only ``RuminComplex.roots`` reads an algebra's
+    ``field``, to record the radicands of the roots it takes."""
+    root = pathlib.Path(carnot.__file__).parent
+    naming, reads = set(), []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if any(isinstance(node, ast.Name) and node.id == "ScalarField"
+               or isinstance(node, (ast.alias, ast.ClassDef))
+               and node.name == "ScalarField" for node in ast.walk(tree)):
+            naming.add(path.stem)
+        reads += _field_reads(tree, path.stem)
+    assert naming == {"scalars", "liealg"}
+    assert reads == [("rumin", "roots")]
