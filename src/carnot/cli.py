@@ -16,11 +16,11 @@ import sys
 from . import estimates, laplacians
 from .env import AlgebraMismatch
 from .exterior import OperatorForm
-from .liealg import ResourceLimit, cartan_group, load_group
+from .liealg import ResourceLimit, load_group
 from .linalg import reciprocal
-from .rumin import RuminComplex, StarAdjointMismatch
+from .rumin import RuminComplex, SpanMismatch, StarAdjointMismatch
 from .scalars import TowerInsufficient
-from .verify import regenerate_golden, run_verify
+from .verify import run_verify
 
 
 class UsageError(ValueError):
@@ -132,14 +132,6 @@ def cmd_tensors(cx, args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.update_golden:
-        data = regenerate_golden(RuminComplex(cartan_group()))
-        with open(args.update_golden, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-        print(f"wrote regenerated reference data to {args.update_golden}")
-        print("note: the committed file transcribes the published listings; "
-              "review any diff before adopting it")
-        return 0
     report = run_verify(args.group, golden_path=args.golden, seed=args.seed)
     if args.format == "json":
         print(json.dumps(report.to_json(), sort_keys=True, default=str))
@@ -201,9 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--golden", default=None,
                    help="override the committed reference file")
-    p.add_argument("--update-golden", metavar="PATH", default=None,
-                   help="write engine-regenerated reference data to PATH "
-                        "instead of running checks")
     return parser
 
 
@@ -225,7 +214,8 @@ def exit_code(exc: Exception) -> int:
     """3 for a capacity limit, 4 for an internal bug, 2 for bad input."""
     if isinstance(exc, (TowerInsufficient, ResourceLimit)):
         return 3
-    if isinstance(exc, (StarAdjointMismatch, AlgebraMismatch, AssertionError)):
+    if isinstance(exc, (StarAdjointMismatch, SpanMismatch, AlgebraMismatch,
+                        AssertionError)):
         return 4
     return 2
 

@@ -16,8 +16,9 @@ group H_m this makes R Rumin's Laplacian.  A group whose d_c mixes orders
 in some degree raises UnsupportedGroup.
 
 Each Laplacian is built once per complex and kept in the complex's memo
-by (family, h); the family and degree are checked on every call, cached or
-not.  The block powers go to the same memo and the families share them.
+by (h, recipe): families whose recipes agree at a degree share one matrix.
+The family and degree are checked on every call, cached or not.  The block
+powers go to the same memo and the families share them.
 A block P = outer @ inner passes through E0^mid, mid = h + 1 for delta d
 and h - 1 for d delta, and P^p is (P^(p-1) @ outer) @ inner: each product
 has a thin right factor, d_c or delta_c, not a square power.  A Laplacian
@@ -99,22 +100,19 @@ def laplacian(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
         raise ValueError(f"unknown family {family!r}")
     if not 0 <= h <= cx.algebra.n:
         raise ValueError(f"degree {h} out of range")
-    return _cached_build(cx, family, h)
+    return _build(cx, h, tuple(recipe(homogeneous_dc_orders(cx), family, h)))
 
 
 @cached
-def _cached_build(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
-    return _build(cx, family, h)
-
-
-def _build(cx: RuminComplex, family: str, h: int) -> OperatorMatrix:
+def _build(cx: RuminComplex, h: int, terms: tuple) -> OperatorMatrix:
+    """The sum of the recipe's terms at degree h."""
     # the recipe reads block powers of degree h only
     powers = cx.memo[_block_power.__qualname__]
     for key in [key for key in powers if key[0] != h]:
         del powers[key]
-    terms = [_block(cx, h, kind, k) if k else _block_power(cx, h, kind, p)
-             for kind, p, k in recipe(homogeneous_dc_orders(cx), family, h)]
-    return sum(terms[1:], terms[0])
+    blocks = [_block(cx, h, kind, k) if k else _block_power(cx, h, kind, p)
+              for kind, p, k in terms]
+    return sum(blocks[1:], blocks[0])
 
 
 @cached

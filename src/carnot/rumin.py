@@ -587,6 +587,7 @@ class RuminComplex:
                     add_into(accs[t, slot], u, c)
         return OperatorForm(alg, h, slots, terms_of(alg, accs))
 
+    @cached
     def dc_orders(self):
         """Order of d_c per degree h < n: an int, Mixed, or None if zero."""
         return tuple(None if m.is_zero() else m.homogeneous_order()

@@ -375,6 +375,21 @@ def test_tensors_json(capsys):
     assert "pierre-h2-tensor" in checks
 
 
+def test_tensors_convention(capsys):
+    """The convention orders each proof tensor's indices; the printed proof
+    rows it reproduces do not depend on it."""
+    payloads = {}
+    for convention in ("cvs", "pierre"):
+        code, out, _ = run(capsys, "tensors", "--convention", convention,
+                           "--format", "json")
+        assert code == 0
+        payloads[convention] = json.loads(out)
+        assert payloads[convention]["convention"] == convention
+    cvs, pierre = (payloads[c]["findings"] for c in ("cvs", "pierre"))
+    assert [f["paper_row"] for f in cvs] == [f["paper_row"] for f in pierre]
+    assert cvs[0]["proof_tensor"] != pierre[0]["proof_tensor"]
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
@@ -524,8 +539,26 @@ def _mix_product(monkeypatch):
             "error: operands live over different algebras")
 
 
+def _star_off_span(monkeypatch):
+    """The star of a 1-form gains theta1234, outside E0^4: the star matrix
+    cannot rebuild it."""
+    from carnot.exterior import Form
+
+    star = Form.star
+
+    def skewed(form):
+        out = star(form)
+        if form.degree == 1:
+            out = out + Form.basis(form.algebra, (1, 2, 3, 4))
+        return out
+    monkeypatch.setattr(Form, "star", skewed)
+    return (("deltac", "--degree", "1"),
+            "error: star of E0^1 leaves the span of E0^4")
+
+
 @pytest.mark.parametrize("fault", [_skew_dc_entry, _break_star_formula,
-                                   _mix_algebras, _mix_product])
+                                   _mix_algebras, _mix_product,
+                                   _star_off_span])
 def test_internal_errors_exit_4(capsys, monkeypatch, fault):
     """A failed consistency check of the engine is an internal bug: exit 4
     with the message on stderr, no traceback."""
@@ -555,7 +588,8 @@ def test_paper_basis_reproduces_the_listings(capsys, command, degrees):
 
 
 @pytest.mark.parametrize("argv", [("dc", "--degree", "0", "--paper-basis"),
-                                  ("build", "--seed", "1")])
+                                  ("build", "--seed", "1"),
+                                  ("verify", "--update-golden", "x")])
 def test_options_only_where_they_act(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

@@ -175,6 +175,11 @@ def test_h4_divergence_is_dc_row(cx):
 
 
 def test_h3_proof_tensor_certificate(cx):
+    # the cvs proof tensors divide to the proof rows in every degree, so
+    # verify certifies the proof tensors by the rows' certificates
+    for h in (1, 2, 4):
+        pt = est.proof_tensor(cx, h, "cvs")
+        assert est.generalized_divergence(pt, "cvs") == est.proof_row(cx, h)
     pt = est.proof_tensor(cx, 3, "cvs")
     row = est.generalized_divergence(pt, "cvs")
     assert row == est.proof_row(cx, 3)

@@ -250,6 +250,15 @@ def test_cached_matrix_is_returned_again(cx):
             assert laplacian(cx, fam, h) is laplacian(cx, fam, h)
 
 
+def test_families_with_one_recipe_share_one_matrix(cx, laps):
+    """A = R at h = 0, 1, 4, 5 and G = R at h = 2, 3 are one object each;
+    every other pair of families is two."""
+    shared = {("A", "R"): {0, 1, 4, 5}, ("G", "R"): {2, 3}, ("A", "G"): set()}
+    for (f, g), degrees in shared.items():
+        for h in range(6):
+            assert (laps[f][h] is laps[g][h]) == (h in degrees), (f, g, h)
+
+
 def test_cached_matrices_match_explicit_recipes():
     fresh = RuminComplex(cartan_group())
     d, dl = fresh.dc_matrix, fresh.deltac_matrix
@@ -274,7 +283,7 @@ def test_single_query_builds_one_matrix_and_one_degree():
     each power (P^(p-1) @ outer) @ inner, and R at degree 4 drops them."""
     fresh = RuminComplex(cartan_group())
     laplacian(fresh, "G", 1)
-    assert set(fresh.memo["_cached_build"]) == {("G", 1)}
+    assert set(fresh.memo["_build"]) == {(1, (("ddl", 6, 0), ("dd", 2, 0)))}
     assert set(fresh.memo["_block_power"]) \
         == {(1, "ddl", p) for p in range(1, 7)} \
         | {(1, "dd", 1), (1, "dd", 2)}
@@ -313,24 +322,26 @@ def test_laplacian_table_builds_no_fraction(monkeypatch):
     assert made == [(1, 3)]
 
 
-def test_verify_builds_each_laplacian_once(monkeypatch):
+def test_verify_builds_each_laplacian_once():
+    """Verify builds the 12 distinct Laplacians of the 18 (family, h)
+    pairs, each once, and the star duality builds none."""
     from collections import Counter
 
     from carnot.verify import Report, load_golden, verify_cartan
 
     builds = Counter()
-    build = laplacians._build
 
-    def counting(cx, family, h):
-        builds[(family, h)] += 1
-        return build(cx, family, h)
+    class Counting(dict):
+        def __setitem__(self, key, value):
+            builds[key] += 1
+            super().__setitem__(key, value)
 
-    monkeypatch.setattr(laplacians, "_build", counting)
     fresh = RuminComplex(cartan_group())
+    fresh.memo["_build"] = Counting()
     report = Report()
     verify_cartan(fresh, report, load_golden())
     assert report.ok
-    assert len(builds) == 18 and set(builds.values()) == {1}
+    assert len(builds) == 12 and set(builds.values()) == {1}
     before = Counter(builds)
     for fam in ("A", "R", "G"):
         for h in range(6):
@@ -355,19 +366,17 @@ def test_verify_checks_each_distinct_laplacian_once(monkeypatch, cx, laps):
 
     def flagging(cx, m, h):
         checked.append((h, m))
-        if m == flagged:
+        if m is flagged:
             return {"applicable": True, "self_adjoint": False}
         return real(cx, m, h)
 
     monkeypatch.setattr(laplacians, "verify_self_adjoint", flagging)
     report = Report()
     verify_cartan(cx, report, load_golden())
-    # 18 matrices, 12 distinct in their degree: G = R at h=2,3 and A = R
-    # at h=0,1,4,5; the 1x1 matrices of G and R at h=5 equal those at h=0
-    # but are checked again, because the check reads the degree's norms
-    assert len(checked) == 12
-    assert all(a != b for i, a in enumerate(checked)
-               for b in checked[:i])
+    # 18 (family, h) pairs, 12 members: G = R at h=2,3 and A = R at
+    # h=0,1,4,5; the 1x1 matrices of G and R at h=5 equal those at h=0
+    # but are other members, whose check reads the degree's norms
+    assert len({id(m) for _, m in checked}) == len(checked) == 12
     check = next(c for c in report.checks
                  if c["name"] == "laplacian-self-adjoint")
     # every family sharing the flagged matrix is reported, as if each

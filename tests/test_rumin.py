@@ -223,8 +223,7 @@ def test_star_outside_the_target_span_is_refused():
     """The star matrix rebuilds each star exactly or raises: with E0^4 cut
     to theta1345, the star of theta1 (theta2345) has no coefficients."""
     fresh = RuminComplex(cartan_group())
-    fresh.memo["RuminComplex._basis"][(4,)] = ((th(fresh, 1, 3, 4, 5),),
-                                               (1,), (1,))
+    fresh.memo["RuminComplex._basis"][(4,)] = ((th(fresh, 1, 3, 4, 5),), (1,))
     with pytest.raises(SpanMismatch,
                        match=r"star of E0\^1 leaves the span of E0\^4"):
         fresh.star_matrix(1)

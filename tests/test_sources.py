@@ -166,3 +166,26 @@ def test_only_the_roots_read_the_radicand_record():
         reads += _field_reads(tree, path.stem)
     assert naming == {"scalars", "liealg"}
     assert reads == [("rumin", "roots")]
+
+
+def _option_strings(parser):
+    """Every option string of a parser and of its subparsers."""
+    for action in parser._actions:
+        yield from action.option_strings
+        if isinstance(action.choices, dict):    # the subcommands
+            for sub in action.choices.values():
+                yield from _option_strings(sub)
+
+
+def test_every_option_is_tested():
+    """Each option the CLI defines, but the help, appears as a string
+    literal in some test file: no option goes untested."""
+    literals = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        literals |= {node.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant)
+                     and isinstance(node.value, str)}
+    options = set(_option_strings(carnot.cli.build_parser()))
+    assert "--golden" in options
+    assert options - {"-h", "--help"} - literals == set()

@@ -7,8 +7,7 @@ import pytest
 from carnot.exterior import OperatorForm
 from carnot.liealg import cartan_group, free_nilpotent, load_group
 from carnot.rumin import RuminComplex
-from carnot.verify import (Report, golden_form, golden_matrix, load_golden,
-                           regenerate_golden, run_verify, verify_cartan,
+from carnot.verify import (Report, load_golden, run_verify, verify_cartan,
                            verify_group)
 
 
@@ -38,32 +37,12 @@ def test_report_json_serializable(cx):
     assert json.loads(blob)["ok"] is True
 
 
-def test_regenerated_golden_parse_equals_committed(cx):
-    g = cx.algebra
-    committed = load_golden()
-    regen = regenerate_golden(cx)
-    assert regen["dims"] == committed["dims"]
-    assert regen["dc_orders"] == committed["dc_orders"]
-    assert regen["laplacian_orders"] == committed["laplacian_orders"]
-    assert regen["star"] == committed["star"]
-    assert regen["d0_range_weights"] == committed["d0_range_weights"]
-    for kind in ("dc", "deltac"):
-        for h in committed[kind]:
-            assert golden_matrix(g, regen[kind][h]) \
-                == golden_matrix(g, committed[kind][h])
-    for h in committed["bases"]:
-        a = [golden_form(g, s, int(h)) for s in committed["bases"][h]]
-        b = [golden_form(g, s, int(h)) for s in regen["bases"][h]]
-        assert a == b
-
-
 def _statuses(rep):
     return {c["name"]: c["status"] for c in rep.checks}
 
 
 def test_golden_star_compares_exact_entries(monkeypatch):
-    """A computed star entry 1/2 where the reference holds 0 is a failure,
-    and the reference file is never regenerated from it."""
+    """A computed star entry 1/2 where the reference holds 0 is a failure."""
     star = RuminComplex.star_matrix
 
     def halved(self, h):
@@ -80,8 +59,33 @@ def test_golden_star_compares_exact_entries(monkeypatch):
     report = Report()
     verify_cartan(fresh, report, load_golden())
     assert _statuses(report)["golden-star-matrices"] == "fail"
-    with pytest.raises(ValueError, match="star matrix 2 has a non-integral"):
-        regenerate_golden(fresh)
+
+
+def test_A_equals_R_fails_when_the_recipes_differ(monkeypatch):
+    """A's degree-0 target raised from 2 to 4 makes A^0 the square of R^0:
+    two members, and the check that says they agree fails."""
+    from carnot import laplacians
+
+    target = laplacians.target_order
+    monkeypatch.setattr(
+        laplacians, "target_order", lambda orders, family, h:
+        4 if (family, h) == ("A", 0) else target(orders, family, h))
+    report = Report()
+    verify_cartan(RuminComplex(cartan_group()), report, load_golden())
+    assert _statuses(report)["A-equals-R-away-from-middle-degrees"] == "fail"
+
+
+def test_proof_tensor_check_fails_on_a_corrupted_word(cx, monkeypatch):
+    """One coefficient of the h=3 proof words changed takes the proof row
+    out of the span of the d_c rows: the certification check fails."""
+    from carnot import estimates
+
+    words = [dict(w) for w in estimates._PROOF_WORDS[3]]
+    words[0][1, 2, 2] = "4"
+    monkeypatch.setitem(estimates._PROOF_WORDS, 3, words)
+    report = Report()
+    verify_cartan(cx, report, load_golden())
+    assert _statuses(report)["proof-tensors-h3-h4-certified"] == "fail"
 
 
 def test_structural_checks_report(cx):
@@ -222,7 +226,7 @@ def test_caches_live_in_the_memo():
     # verify builds the table up to degree 5 and then the star duality,
     # which asks for no new Laplacian
     assert {h for h, _, _ in memo["_block_power"]} == {5}
-    assert len(memo["_cached_build"]) == 18
+    assert len(memo["_build"]) == 12
 
 
 def test_report_helper():
