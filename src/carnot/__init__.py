@@ -16,7 +16,7 @@ from .scalars import Scalar, TowerInsufficient
 from .liealg import (DimensionMismatch, GradingViolation, JacobiViolation,
                      NotStratified, ResourceLimit, StratifiedLieAlgebra,
                      cartan_group, free_nilpotent)
-from .env import AlgebraMismatch, EnvElement, Mixed, ZeroElement
+from .env import AlgebraMismatch, EnvElement
 from .coords import (CoordinateRealization, NoRealization, Polynomial,
                      cartan_realization, coordinate_apply)
 from .exterior import (CovectorMap, DegreeOverflow, Form, OperatorForm,
@@ -43,7 +43,7 @@ __all__ = [
     "StratifiedLieAlgebra", "cartan_group", "free_nilpotent",
     "JacobiViolation", "GradingViolation", "NotStratified",
     "DimensionMismatch", "ResourceLimit",
-    "EnvElement", "Mixed", "ZeroElement", "AlgebraMismatch",
+    "EnvElement", "AlgebraMismatch",
     "Polynomial", "CoordinateRealization", "cartan_realization",
     "coordinate_apply", "NoRealization",
     "Form", "OperatorForm", "CovectorMap", "covectors",

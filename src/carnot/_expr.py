@@ -96,10 +96,14 @@ class _Parser:
                 rhs = self.factor()
                 if op == "*":
                     value = value * rhs
-                elif isinstance(rhs, (int, Fraction)):
-                    value = value * reciprocal(rhs)
-                else:
-                    value = value / rhs
+                    continue
+                try:
+                    if isinstance(rhs, (int, Fraction)):
+                        value = value * reciprocal(rhs)
+                    else:
+                        value = value / rhs
+                except ZeroDivisionError:
+                    raise ExprError("division by zero") from None
             elif kind in ("num", "name", "("):
                 value = value * self.factor()
             else:

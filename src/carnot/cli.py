@@ -70,7 +70,7 @@ def cmd_laplacian(cx, args) -> int:
         rep = laplacians.verify_self_adjoint(cx, m, h)
         print(json.dumps({
             "family": args.family, "degree": h,
-            "order": m.homogeneous_order(),
+            "order": m.order(),
             "self_adjoint": bool(rep.get("self_adjoint")),
             "matrix": view.to_json(),
         }, sort_keys=True))

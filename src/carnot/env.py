@@ -33,7 +33,7 @@ costs time in products of order up to 12.
   the read-only ``EnvElement.terms`` view, ``{exponent tuple: value}``,
   built on each call and never stored, and in ``render``; ``as_scalar``,
   the coordinate realization and the linear systems of the estimates read
-  the view.  ``homogeneity`` and ``render`` read the weight of each code
+  the view.  ``degrees`` and ``render`` read the weight of each code
   from the memo ``alg._weight_cache``.  ``render`` sorts the codes once, by
   weight and then exponent bytes, both descending, and formats each
   numerator over the denominator directly.
@@ -97,40 +97,6 @@ _MAX_EXPONENT = 255
 
 class AlgebraMismatch(ValueError):
     pass
-
-
-class ZeroElement(ValueError):
-    """Raised when asking for the homogeneity of the zero operator."""
-
-
-class Mixed:
-    """Marker for inhomogeneous operators; lists the degrees present."""
-
-    __slots__ = ("degrees",)
-
-    def __init__(self, degrees):
-        self.degrees = frozenset(degrees)
-
-    def __eq__(self, other):
-        if isinstance(other, Mixed):
-            return self.degrees == other.degrees
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.degrees)
-
-    def __repr__(self):
-        return f"Mixed{{{', '.join(map(str, sorted(self.degrees)))}}}"
-
-
-def homogeneity_degrees(elements) -> set:
-    """Set of homogeneity degrees over the nonzero elements."""
-    degs = set()
-    for e in elements:
-        if e:
-            d = e.homogeneity()
-            degs |= d.degrees if isinstance(d, Mixed) else {d}
-    return degs
 
 
 def _pack(exp) -> int:
@@ -569,14 +535,9 @@ class EnvElement:
 
     # -- grading ----------------------------------------------------------
 
-    def homogeneity(self):
-        """Common homogeneity degree d(I), or Mixed, or ZeroElement."""
-        if not self._packed:
-            raise ZeroElement("homogeneity of the zero operator is undefined")
-        degrees = set(_weights(self.algebra, self._packed))
-        if len(degrees) == 1:
-            return degrees.pop()
-        return Mixed(degrees)
+    def degrees(self) -> frozenset:
+        """The weighted degrees of the monomials; empty for zero."""
+        return frozenset(_weights(self.algebra, self._packed))
 
     def formal_adjoint(self) -> "EnvElement":
         """Anti-homomorphism with X_i -> -X_i and product reversal."""

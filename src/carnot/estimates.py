@@ -36,8 +36,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from . import linalg
-from .env import (Accumulator, EnvElement, add_into, collect,
-                  homogeneity_degrees, mul_into)
+from .env import Accumulator, EnvElement, add_into, collect, mul_into
 from .exterior import OperatorForm, multivector
 from .laplacians import UnsupportedGroup, homogeneous_dc_orders, target_order
 from .rumin import OperatorMatrix, RuminComplex, cached
@@ -424,7 +423,7 @@ def check_row_membership(row, dcm: OperatorMatrix):
     nrows, ncols = dcm.shape
     if len(row) != ncols:
         raise DegreeMismatch(f"row has {len(row)} slots, dc has {ncols}")
-    degs = homogeneity_degrees(row)
+    degs = set().union(*(u.degrees() for u in row))
     if not degs:
         zero = EnvElement.zero(alg)
         return [zero] * nrows
@@ -434,7 +433,7 @@ def check_row_membership(row, dcm: OperatorMatrix):
 
     unknowns = []   # (dc row index, exponent vector)
     for i in range(nrows):
-        rdegs = homogeneity_degrees(dcm.entries[i])
+        rdegs = set().union(*(u.degrees() for u in dcm.entries[i]))
         if not rdegs:
             continue
         if len(rdegs) > 1:

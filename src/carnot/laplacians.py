@@ -44,13 +44,12 @@ FAMILIES = ("G", "R", "A")
 
 def homogeneous_dc_orders(cx: RuminComplex) -> tuple:
     """The order a_h of d_c on E0^h for each h < n, if each is one order."""
-    orders = cx.dc_orders()
-    for h, a in enumerate(orders):
-        if not isinstance(a, int):    # Mixed, or None for a zero matrix
-            raise UnsupportedGroup(
-                f"d_c at degree {h} is not globally homogeneous: "
-                f"{sorted(getattr(a, 'degrees', ()))}")
-    return orders
+    degrees = cx.dc_orders()
+    for h, degs in enumerate(degrees):
+        if len(degs) != 1:
+            raise UnsupportedGroup(f"d_c at degree {h} is not globally "
+                                   f"homogeneous: {sorted(degs)}")
+    return tuple(min(degs) for degs in degrees)
 
 
 def _block_orders(orders, h: int) -> dict:
@@ -156,7 +155,7 @@ def laplacian_table(cx: RuminComplex) -> dict:
 
 
 def order_table(cx: RuminComplex, family: str):
-    return tuple(laplacian(cx, family, h).homogeneous_order()
+    return tuple(laplacian(cx, family, h).order()
                  for h in range(cx.algebra.n + 1))
 
 

@@ -59,9 +59,8 @@ import re
 from collections import Counter, defaultdict
 
 from . import linalg
-from .env import (Accumulator, AlgebraMismatch, EnvElement, Mixed,
-                  ZeroElement, add_into, collect, homogeneity_degrees,
-                  matrix_product)
+from .env import (Accumulator, AlgebraMismatch, EnvElement, add_into,
+                  collect, matrix_product)
 from .exterior import (CovectorMap, Form, OperatorForm, covectors,
                        d0_covector, d_terms, terms_of, tuple_weight)
 from .liealg import ResourceLimit
@@ -180,17 +179,17 @@ class OperatorMatrix:
     def is_zero(self):
         return all(not e for row in self.entries for e in row)
 
-    def orders(self):
-        """Set of homogeneity degrees over the nonzero entries."""
-        return homogeneity_degrees(e for row in self.entries for e in row)
+    def degrees(self) -> frozenset:
+        """The weighted degrees of the entries; empty for zero."""
+        return frozenset().union(*(e.degrees() for row in self.entries
+                                   for e in row))
 
-    def homogeneous_order(self):
-        degs = self.orders()
-        if len(degs) == 1:
-            return degs.pop()
-        if not degs:
-            raise ZeroElement("zero matrix has no order")
-        return Mixed(degs)
+    def order(self) -> int:
+        """The one degree of the entries, or ValueError naming them."""
+        degs = self.degrees()
+        if len(degs) != 1:
+            raise ValueError(f"matrix has degrees {sorted(degs)}, not one order")
+        return min(degs)
 
     def render(self, fmt: str = "text") -> str:
         if fmt == "text":
@@ -501,7 +500,7 @@ class RuminComplex:
                 if not e:
                     continue
                 expected = row_weights[i] - col_weights[j]
-                if e.homogeneity() != expected:
+                if e.degrees() != {expected}:
                     raise AssertionError(
                         f"entry ({i},{j}) not homogeneous of degree {expected}: {e}")
 
@@ -589,6 +588,7 @@ class RuminComplex:
 
     @cached
     def dc_orders(self):
-        """Order of d_c per degree h < n: an int, Mixed, or None if zero."""
-        return tuple(None if m.is_zero() else m.homogeneous_order()
+        """The degrees of d_c's entries per degree h < n, a frozenset each:
+        one degree where d_c is homogeneous, empty where it is zero."""
+        return tuple(m.degrees()
                      for m in map(self.dc_matrix, range(self.algebra.n)))

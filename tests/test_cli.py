@@ -60,6 +60,35 @@ def test_malformed_group_file_exit_2(capsys, tmp_path, spec, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("coeff", ["1/0", "0/0", "1/sqrt(0)"])
+def test_division_by_zero_in_group_file_exit_2(capsys, tmp_path, coeff):
+    """A zero divisor in a bracket coefficient is bad input: exit 2, one
+    error line, no traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"layers": [2, 1],
+                               "brackets": {"1,2": {"3": coeff}}}))
+    code, out, err = run(capsys, "build", "--group", str(bad))
+    assert (code, out, err) == (2, "", "error: division by zero\n")
+
+
+@pytest.mark.parametrize("golden, message", [
+    ([], "expected a JSON object, not a list"),
+    ({}, '"dims" must be a JSON list'),
+    ({"dims": [], "dc_orders": {}}, '"dc_orders" must be a JSON list'),
+    ({"dims": [], "dc_orders": [], "bases": {}, "dc": {}, "deltac": {},
+      "star": [], "laplacian_orders": {}, "d0_range_weights": {}},
+     '"star" must be a JSON object'),
+], ids=["list", "empty", "orders-object", "star-list"])
+def test_malformed_golden_file_exit_2(capsys, tmp_path, golden, message):
+    """A --golden file of the wrong shape is bad input: exit 2, the key
+    named, no traceback."""
+    bad = tmp_path / "golden.json"
+    bad.write_text(json.dumps(golden))
+    code, out, err = run(capsys, "verify", "--golden", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: golden file: {message}\n"
+
+
 def test_free_group_too_small_exit_2(capsys):
     code, _, err = run(capsys, "build", "--group", "free:1,2")
     assert code == 2
@@ -414,6 +443,24 @@ def test_verify_compares_every_cartan_table(capsys, tmp_path, source):
                  "golden-deltac-matrices", "pbw-coordinate-oracle",
                  "exponent-table-H2sum"):
         assert checks[name] == "pass"
+
+
+def test_verify_golden_division_by_zero_is_a_bad_entry(capsys, tmp_path):
+    """A reference entry dividing by zero fails the golden check that
+    names it, like any unparsable entry."""
+    from carnot.verify import load_golden
+
+    golden = load_golden()
+    golden["dc"]["4"] = [["1/0", "X1"]]
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden))
+    code, out, _ = run(capsys, "verify", "--golden", str(path),
+                       "--format", "json")
+    assert code == 1
+    failed = {c["name"]: c for c in json.loads(out)["checks"]
+              if c["status"] == "fail"}
+    assert failed["golden-dc-matrices"]["bad_entries"] == [
+        ["dc", 4, "error: division by zero"]]
 
 
 def test_verify_golden_tampering_exit_1(capsys, tmp_path):

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from carnot.env import AlgebraMismatch, EnvElement, Mixed, ZeroElement
+from carnot._expr import ExprError
+from carnot.coords import Polynomial
+from carnot.env import AlgebraMismatch, EnvElement
 from carnot.liealg import cartan_group, free_nilpotent
-from carnot.scalars import sqrt
+from carnot.scalars import parse, sqrt
 
 
 @pytest.fixture(scope="module")
@@ -39,13 +41,11 @@ def test_multiplication_associative(g):
         assert (a * b) * c == a * (b * c)
 
 
-def test_homogeneity(g):
-    assert EnvElement.parse(g, "X1X3").homogeneity() == 3
-    assert EnvElement.generator(g, 4).homogeneity() == 3
-    mixed = EnvElement.parse(g, "X1 + X3").homogeneity()
-    assert mixed == Mixed({1, 2})
-    with pytest.raises(ZeroElement):
-        EnvElement.zero(g).homogeneity()
+def test_degrees(g):
+    assert EnvElement.parse(g, "X1X3").degrees() == {3}
+    assert EnvElement.generator(g, 4).degrees() == {3}
+    assert EnvElement.parse(g, "X1 + X3").degrees() == {1, 2}
+    assert EnvElement.zero(g).degrees() == set()
 
 
 def test_homogeneity_multiplicative(g):
@@ -56,7 +56,8 @@ def test_homogeneity_multiplicative(g):
         a, b = EnvElement.from_word(g, wa), EnvElement.from_word(g, wb)
         if a.is_zero() or b.is_zero() or (a * b).is_zero():
             continue
-        assert (a * b).homogeneity() == a.homogeneity() + b.homogeneity()
+        (da,), (db,) = a.degrees(), b.degrees()
+        assert (a * b).degrees() == {da + db}
 
 
 def test_formal_adjoint_examples(g):
@@ -93,6 +94,16 @@ def test_render_parse_round_trip(g):
             word = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 4)))
             acc = acc + EnvElement.from_word(g, word, rng.randint(-3, 3))
         assert EnvElement.parse(g, acc.render()) == acc
+
+
+def test_division_by_zero_in_text_is_an_expr_error(g):
+    """Every parser refuses a zero divisor as bad text, with no
+    ZeroDivisionError escaping."""
+    for read in (lambda: parse("1/0"), lambda: parse("1/sqrt(0)"),
+                 lambda: Polynomial.parse(5, "x1/(x2-x2)"),
+                 lambda: EnvElement.parse(g, "X1/(X2-X2)")):
+        with pytest.raises(ExprError, match="^division by zero$"):
+            read()
 
 
 def test_render_matches_listing_style(g):

@@ -121,7 +121,7 @@ def test_table_H2sum_pairs(cx):
 def test_derived_exponents_recomputed_from_matrix_orders(cx):
     # every chain label of the form d_c^h / delta_c^h carries the
     # homogeneity of the corresponding computed matrix
-    orders = {h: cx.dc_matrix(h).homogeneous_order() for h in range(5)}
+    orders = {h: cx.dc_matrix(h).order() for h in range(5)}
     for tag in ("H2", "C2", "H2cor", "H2sum"):
         for r in est.theorem_table(cx, tag):
             for label, order in r.chain:
@@ -270,7 +270,7 @@ def test_tensor_findings_shape(cx):
 def test_tensor_order_matches_dc_order(cx):
     for h in (1, 2, 3, 4):
         t = est.paper_tensor(cx, h)
-        assert t.order == cx.dc_matrix(h).homogeneous_order()
+        assert t.order == cx.dc_matrix(h).order()
 
 
 # sha256 of the JSON output of the estimate queries, recorded while the

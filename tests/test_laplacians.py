@@ -55,18 +55,17 @@ def test_laplacian_entries_digest(cx, laps):
 
 def test_order_tables(cx, laps):
     for fam, mats in laps.items():
-        assert [m.homogeneous_order() for m in mats] \
-            == list(EXPECTED_ORDERS[fam])
+        assert [m.order() for m in mats] == list(EXPECTED_ORDERS[fam])
 
 
 def test_homogeneous_order_reports(cx, laps):
-    """Every nonzero entry has the published order, so the order of the
-    matrix is one int, not a ``Mixed`` marker."""
+    """Every nonzero entry has the published order, so the degrees of the
+    matrix are that one int."""
     for fam, mats in laps.items():
         for h, m in enumerate(mats):
-            order = m.homogeneous_order()
+            order = m.order()
             assert type(order) is int, (fam, h, order)
-            assert m.orders() == {EXPECTED_ORDERS[fam][h]}, (fam, h)
+            assert m.degrees() == {EXPECTED_ORDERS[fam][h]}, (fam, h)
 
 
 def test_self_adjointness(cx, laps):
@@ -84,7 +83,7 @@ def test_self_adjoint_not_applicable_for_rectangular(cx):
 def test_a_delta_shape_and_degree(cx):
     m = a_delta(cx, 2)
     assert m.shape == (3, 3)
-    assert m.homogeneous_order() == 2
+    assert m.order() == 2
     assert a_delta(cx, 1).shape == (2, 2)
     for h in (-1, 6):
         with pytest.raises(ValueError):

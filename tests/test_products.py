@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from carnot._expr import signed, signed_sum
 from carnot.coords import Polynomial, coordinate_apply
-from carnot.env import (Accumulator, EnvElement, Mixed, _normalize_word,
+from carnot.env import (Accumulator, EnvElement, _normalize_word,
                         _pack, _product, add_into, collect, word_of)
 from carnot.exterior import (OperatorForm, covectors, d0_covector, d_terms,
                              merge_wedge, tuple_weight)
@@ -341,9 +341,9 @@ STORAGE_GROUPS = {"cartan": CARTAN, "free-2-4": FREE24, "skew": SKEW}
 @settings(PROPERTY, max_examples=25)
 @given(st.data())
 def test_packed_storage_matches_scalar_reference(name, data):
-    """+, -, scale, *, formal_adjoint, homogeneity, render, hash and the
+    """+, -, scale, *, formal_adjoint, degrees, render, hash and the
     terms view of the stored numerators, against the same operations on
-    {exponent: Scalar} dicts written here.  homogeneity reads the weights
+    {exponent: Scalar} dicts written here.  degrees reads the weights
     off the packed codes; its reference reads them off the exponent
     tuples.  Every result is in canonical form: a positive denominator
     coprime with the integer content of the numerators, no zero
@@ -374,10 +374,7 @@ def test_packed_storage_matches_scalar_reference(name, data):
         assert got == twin and hash(got) == hash(twin)
         assert got.render() == ref_render(alg, want)
         assert bool(got) == bool(want)
-        if want:
-            degrees = {ref_degree(alg, exp) for exp in want}
-            assert got.homogeneity() == (
-                degrees.pop() if len(degrees) == 1 else Mixed(degrees))
+        assert got.degrees() == {ref_degree(alg, exp) for exp in want}
         assert_numerators(alg, got)
     assert_canonical(alg)
 

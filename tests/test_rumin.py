@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -198,7 +199,19 @@ def test_deltac_checked_once_whichever_is_asked_first(monkeypatch):
 def test_dc_squared_zero_and_orders(cx):
     for h in range(5):
         assert (cx.dc_matrix(h + 1) @ cx.dc_matrix(h)).is_zero()
-    assert cx.dc_orders() == (1, 3, 2, 3, 1)
+    assert cx.dc_orders() == ({1}, {3}, {2}, {3}, {1})
+
+
+def test_mixed_dc_orders_are_degree_sets():
+    """On free:3,2, d_c at degree 2 mixes orders 1 and 2: its entry is that
+    set, and the matrix has no one order."""
+    cx32 = RuminComplex(free_nilpotent(3, 2))
+    assert cx32.dc_orders()[2] == {1, 2}
+    with pytest.raises(ValueError,
+                       match=re.escape("matrix has degrees [1, 2], not one")):
+        cx32.dc_matrix(2).order()
+    with pytest.raises(ValueError, match=re.escape("degrees []")):
+        OperatorMatrix.zeros(cx32.algebra, 2, 2).order()
 
 
 def test_block_homogeneity(cx):
@@ -209,7 +222,7 @@ def test_block_homogeneity(cx):
         for i, row in enumerate(m.entries):
             for j, e in enumerate(row):
                 if e:
-                    assert e.homogeneity() == rows[i] - cols[j]
+                    assert e.degrees() == {rows[i] - cols[j]}
 
 
 def test_star_matrices_match_published(cx):
@@ -247,7 +260,7 @@ def test_abelian_complex_is_de_rham():
     # Pi_E is the identity and d_c is the first-layer differential
     sym = cx3.symbolic_basis_form(1)
     assert cx3.pi_E(sym) == sym
-    assert cx3.dc_orders() == (1, 1, 1)
+    assert cx3.dc_orders() == ({1}, {1}, {1})
 
 
 def test_operator_matrix_render_round_trip(cx):

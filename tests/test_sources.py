@@ -2,6 +2,8 @@ import ast
 import importlib.util
 import json
 import pathlib
+import pkgutil
+import re
 import warnings
 
 import carnot
@@ -189,3 +191,32 @@ def test_every_option_is_tested():
     options = set(_option_strings(carnot.cli.build_parser()))
     assert "--golden" in options
     assert options - {"-h", "--help"} - literals == set()
+
+
+def test_readme_exit_codes_match_the_cli():
+    """The exception names the README's "Exit codes" paragraph lists under
+    `3` and under `4` are exactly the classes ``cli.exit_code`` maps to 3
+    and to 4; the README calls ``AssertionError`` a failed homogeneity
+    check."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    para = text[text.index("Exit codes:"):]
+    para = " ".join(para[:para.index("each prints")].split())
+
+    def listed(part):
+        names = set(re.findall(r"`([A-Z]\w*)`", part))
+        if "failed homogeneity check" in part:
+            names.add("AssertionError")
+        return names
+
+    classes = {AssertionError}
+    for info in pkgutil.iter_modules(carnot.__path__):
+        module = importlib.import_module(f"carnot.{info.name}")
+        classes |= {obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__ == module.__name__}
+    mapped = {code: {cls.__name__ for cls in classes
+                     if carnot.cli.exit_code(cls.__new__(cls)) == code}
+              for code in (3, 4)}
+    assert mapped[3] and mapped[4]
+    assert listed(para[para.index("`3`"):para.index("`4`")]) == mapped[3]
+    assert listed(para[para.index("`4`"):]) == mapped[4]
