@@ -150,7 +150,8 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--group", default="builtin:cartan",
-                        help="builtin:cartan | free:m,k | path to a JSON file")
+                        help="builtin:cartan | free:m,k | heisenberg:n | "
+                        "filiform:n | path to a JSON file")
     common.add_argument("--format", default="text",
                         choices=("text", "latex", "json"))
 

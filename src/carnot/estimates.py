@@ -31,7 +31,7 @@ and a corrected tensor instead of silently patching the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -53,14 +53,8 @@ class DegreeMismatch(ValueError):
 # -- kernel calculus ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelType:
-    mu: int
-    Q: int
-
-    @property
-    def is_l1loc(self) -> bool:
-        return self.mu > 0
+class KernelType(namedtuple("KernelType", "mu Q")):
+    __slots__ = ()
 
     @property
     def log_regime(self) -> bool:
@@ -106,27 +100,20 @@ def sobolev_dual_exponent(a: int, c: int, Q: int) -> Fraction:
 # -- exponent tables -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentRecord:
-    theorem: str
-    h: int
-    term: str                      # 'f' or 'g'
-    part: str | None               # 'closed'/'coclosed' for the corollary table
-    rhs: str                       # operator applied to the datum in the norm
-    norm: str                      # 'H1' on the 'hardy' rows, else 'L1'
-    family: str
-    laplacian_order: int
-    chain: tuple                   # ((label, order), ...), gradient included
-    method: str                    # 'cvs' | 'hardy' | 'folland'
-    chain_order: int               # excluding the gradient
-    kernel: KernelType
-    derived: Fraction
-    paper: Fraction
-    paper_display: str
-    agree: bool
-    window_ok: bool
-    folland_cited: bool
-    discrepancy: dict | None = None
+class ExponentRecord(namedtuple("ExponentRecord", [
+        "theorem", "h",
+        "term",             # 'f' or 'g'
+        "part",             # 'closed'/'coclosed' for the corollary table
+        "rhs",              # operator applied to the datum in the norm
+        "norm",             # 'H1' on the 'hardy' rows, else 'L1'
+        "family", "laplacian_order",
+        "chain",            # ((label, order), ...), gradient included
+        "method",           # 'cvs' | 'hardy' | 'folland'
+        "chain_order",      # excluding the gradient
+        "kernel",           # a KernelType
+        "derived", "paper", "paper_display", "agree", "window_ok",
+        "folland_cited", "discrepancy"], defaults=(None,))):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out = {
@@ -267,7 +254,7 @@ def _record(theorem, family, d_ord, Q, h, term, rhs, chain, paper_k,
         paper_display=f"Q/(Q-{paper_k})", agree=derived == paper,
         window_ok=kernel.in_folland_window, folland_cited=folland_cited)
     if discrepancy:
-        record = replace(record, discrepancy=_discrepancy(record))
+        record = record._replace(discrepancy=_discrepancy(record))
     return record
 
 

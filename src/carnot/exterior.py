@@ -19,7 +19,7 @@ theta_i ^ theta_j, weight preserving) and d_l adds one derivative along
 the l-th layer, raising the weight by l.
 
 ``d_terms`` computes a derivative only on the output covectors it is
-given: ``d0``, ``d_layer`` and ``d_full`` give it every covector, and the
+given: ``d0`` and ``d_full`` give it every covector, and the
 Rumin layer only those it reads.  The OperatorForm builders (``d_terms``,
 ``pair_multivectors`` and ``CovectorMap.apply_into``) hand
 EnvElements and exact values to the accumulators of :mod:`carnot.env`, one per
@@ -129,10 +129,6 @@ class Form:
     def basis(cls, alg, j, coeff=1):
         j = tuple(j)
         return cls(alg, len(j), {j: exact(coeff)})
-
-    @classmethod
-    def volume(cls, alg):
-        return cls.basis(alg, tuple(range(1, alg.n + 1)))
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -356,12 +352,6 @@ class OperatorForm:
     def d0(self) -> "OperatorForm":
         return self._d((0,))
 
-    def d_layer(self, layer: int) -> "OperatorForm":
-        """sum over X_m in V_layer of (X_m . U alpha) theta_m ^ theta_J."""
-        if not 1 <= layer <= self.algebra.kappa:
-            raise ValueError(f"layer {layer} out of range")
-        return self._d((layer,))
-
     def d_full(self) -> "OperatorForm":
         return self._d(range(self.algebra.kappa + 1))
 
@@ -422,12 +412,6 @@ class CovectorMap:
         self.degree_out = degree_out
         self.columns = columns  # {J_in: {J_out: value}}
 
-    def apply_form(self, form: Form) -> Form:
-        out: dict = {}
-        for t, c in form.terms.items():
-            add_scaled(out, c, self.columns.get(t, {}))
-        return Form(self.algebra, self.degree_out, out)
-
     def apply_into(self, accs: defaultdict, terms: dict):
         """Add the image of the OperatorForm terms ``terms`` into accs, a
         defaultdict of accumulators."""
@@ -440,11 +424,6 @@ class CovectorMap:
         self.apply_into(accs, form.terms)
         return OperatorForm(self.algebra, self.degree_out, form.slots,
                             terms_of(self.algebra, accs))
-
-    def apply(self, form):
-        if isinstance(form, OperatorForm):
-            return self.apply_opform(form)
-        return self.apply_form(form)
 
 
 def multivector(indices_with_coeffs) -> dict:

@@ -157,16 +157,8 @@ class StratifiedLieAlgebra:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_structure_constants(cls, layer_dims, brackets):
-        table = {}
-        for (i, j), vec in brackets.items():
-            table[(int(i), int(j))] = {int(k): c for k, c in vec.items()}
-        return cls(layer_dims, table)
-
-    @classmethod
-    def from_json(cls, text_or_dict):
-        data = json.loads(text_or_dict) if isinstance(text_or_dict, str) \
-            else text_or_dict
+    def from_json(cls, data):
+        """The algebra of a decoded group file."""
         _check_group_json(data)
         brackets = {tuple(int(t) for t in key.split(",")):
                     {int(k): str(c) for k, c in vec.items()}
@@ -350,18 +342,51 @@ def free_nilpotent(m1: int, step: int) -> StratifiedLieAlgebra:
     return StratifiedLieAlgebra(layer_dims, brackets)
 
 
+def _heisenberg(n: int) -> StratifiedLieAlgebra:
+    """H_n: [X_i, X_{i+n}] = X_{2n+1} for i = 1..n, layers (2n, 1)."""
+    if n < 1:
+        raise ValueError(f"heisenberg:n needs n >= 1, not heisenberg:{n}")
+    if 2 * n + 1 > MAX_DIM:
+        raise ResourceLimit(2 * n + 1, MAX_DIM)
+    return StratifiedLieAlgebra((2 * n, 1), {(i, i + n): {2 * n + 1: 1}
+                                             for i in range(1, n + 1)})
+
+
+def _filiform(n: int) -> StratifiedLieAlgebra:
+    """The model filiform algebra of dimension n: [X_1, X_i] = X_{i+1} for
+    2 <= i < n, layers (2, 1, ..., 1)."""
+    if n < 3:
+        raise ValueError(f"filiform:n needs n >= 3, not filiform:{n}")
+    if n > MAX_DIM:
+        raise ResourceLimit(n, MAX_DIM)
+    return StratifiedLieAlgebra((2,) + (1,) * (n - 2),
+                                {(1, i): {i + 1: 1} for i in range(2, n)})
+
+
+# the parametrized group specs: kind -> (constructor, usage)
+_SPECS = {"free": (free_nilpotent, "free:m,k"),
+          "heisenberg": (_heisenberg, "heisenberg:n"),
+          "filiform": (_filiform, "filiform:n")}
+
+
 def load_group(spec: str) -> StratifiedLieAlgebra:
-    """A group from its spec: builtin:cartan, free:m,k or a JSON file path."""
+    """A group from its spec: builtin:cartan, free:m,k, heisenberg:n,
+    filiform:n or a JSON file path, parsed here alone; a spec's dimension
+    is held to MAX_DIM before its table is built."""
     if spec == "builtin:cartan":
         return cartan_group()
-    if spec.startswith("free:"):
+    kind, colon, args = spec.partition(":")
+    if colon and kind in _SPECS:
+        make, usage = _SPECS[kind]
         try:
-            m1, step = (int(x) for x in spec.split(":", 1)[1].split(","))
+            params = [int(x) for x in args.split(",")]
         except ValueError:
-            raise ValueError(f"bad free group spec {spec!r}; use free:m,k")
-        return free_nilpotent(m1, step)
+            params = []
+        if len(params) != usage.count(",") + 1:
+            raise ValueError(f"bad {kind} group spec {spec!r}; use {usage}")
+        return make(*params)
     try:
         with open(spec) as fh:
-            return StratifiedLieAlgebra.from_json(fh.read())
+            return StratifiedLieAlgebra.from_json(json.load(fh))
     except FileNotFoundError:
         raise ValueError(f"no such group file: {spec}")

@@ -18,11 +18,12 @@ entry is an exact value in its one form (:mod:`carnot.scalars`): an
 ``Scalar`` only when irrational.  Plain ``+ - *`` serve every form, but a
 rational result needs ``canonical`` (``Fraction(1, 2) * 2`` is an integral
 ``Fraction``) and a quotient needs ``reciprocal`` (``1 / 2`` is a float).
-``solve`` takes ``{key: value}`` columns and target over any keys.  Every
-result is unique (the reduced row-echelon form, the canonical nullspace,
-the orthogonal Gram-Schmidt vectors of an ordered input, the Moore-Penrose
-inverse) and values are canonical, so the elimination order does not show
-in the output.
+``solve`` takes ``{key: value}`` columns and target over any keys.  The
+reduced row-echelon form, ``_rref``, is private: ``rank``, ``nullspace``,
+``solve`` and ``pseudoinverse`` read it.  It is unique, as is every result
+(the canonical nullspace, the orthogonal Gram-Schmidt vectors of an ordered
+input, the Moore-Penrose inverse), and values are canonical, so the
+elimination order does not show in the output.
 The one square inverse, ``_inverse``, is private: it forms the two middle
 factors of ``pseudoinverse``.
 
@@ -151,15 +152,6 @@ def _inverse(rows, n):
 
 
 # -- public routines ---------------------------------------------------------
-
-def rref(rows):
-    """Reduced row-echelon form; returns (rows, pivot_columns).
-
-    The zero rows come last, as empty dicts, so the row count is kept.
-    """
-    red, pivots = _rref(rows)
-    return red + [{} for _ in range(len(rows) - len(red))], pivots
-
 
 def rank(rows):
     return len(_rref(rows)[1])

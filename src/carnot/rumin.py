@@ -398,10 +398,6 @@ class RuminComplex:
                     columns[j_in] = {dom[r]: x for r, x in col.items()}
         return CovectorMap(self.algebra, h + 1, h, columns)
 
-    def d0_pinv(self, form):
-        """Apply d0^{-1}; the input degree selects the block (h+1 -> h)."""
-        return self.d0_pinv_map(form.degree - 1).apply(form)
-
     # -- projections ---------------------------------------------------------
 
     def pi_E(self, form: OperatorForm) -> OperatorForm:

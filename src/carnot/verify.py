@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from importlib import resources
 from itertools import zip_longest
 
 from . import estimates, laplacians, linalg
@@ -40,12 +39,21 @@ from .scalars import parse
 _GOLDEN_SHAPE = {"dims": list, "dc_orders": list, "bases": dict, "dc": dict,
                  "deltac": dict, "star": dict, "laplacian_orders": dict,
                  "d0_range_weights": dict}
+# the entries the Cartan checks read and the JSON type of each; None
+# stands for every key of a listing, and each must be a degree
+_GOLDEN_ENTRIES = {"laplacian_orders": (laplacians.FAMILIES, list),
+                   "d0_range_weights": (("1", "2", "3"), dict),
+                   **dict.fromkeys(("bases", "dc", "deltac", "star"),
+                                   (None, list))}
 
 
 def load_golden(path=None) -> dict:
     """The reference listings of ``path``, or the committed ones; a file
-    whose top level has the wrong shape is refused, naming the key."""
+    whose keys or entries have the wrong shape is refused, naming the key."""
     if path is None:
+        # imported here: its import chain costs every command start-up
+        from importlib import resources
+
         data = json.loads(resources.files("carnot").joinpath(
             "golden/section4.json").read_text())
     else:
@@ -54,10 +62,20 @@ def load_golden(path=None) -> dict:
     if not isinstance(data, dict):
         raise ValueError("golden file: expected a JSON object, not a "
                          f"{type(data).__name__}")
-    for key, kind in _GOLDEN_SHAPE.items():
-        if not isinstance(data.get(key), kind):
-            raise ValueError(f'golden file: "{key}" must be a JSON '
+
+    def need(value, kind, where):
+        if not isinstance(value, kind):
+            raise ValueError(f'golden file: {where} must be a JSON '
                              f'{"list" if kind is list else "object"}')
+
+    for key, kind in _GOLDEN_SHAPE.items():
+        need(data.get(key), kind, f'"{key}"')
+    for key, (entries, kind) in _GOLDEN_ENTRIES.items():
+        for e in entries or data[key]:
+            if not (entries or e.isdecimal()):
+                raise ValueError(f'golden file: "{key}" key "{e}" must be '
+                                 'a degree')
+            need(data[key].get(e), kind, f'"{key}" entry "{e}"')
     return data
 
 
@@ -299,14 +317,11 @@ def verify_cartan(cx: RuminComplex, report: Report, golden: dict,
     # Laplacian families
     laps = laplacians.laplacian_table(cx)
 
-    ok = True
-    got = {}
-    for fam, mats in laps.items():
-        orders = [m.order() for m in mats]
-        got[fam] = orders
-        if orders != golden["laplacian_orders"][fam]:
-            ok = False
-    report.add("laplacian-order-tables", ok, computed=got)
+    got = {fam: list(laplacians.order_table(cx, fam))
+           for fam in laplacians.FAMILIES}
+    report.add("laplacian-order-tables",
+               all(got[fam] == golden["laplacian_orders"][fam] for fam in got),
+               computed=got)
 
     # families whose recipes agree share one matrix: each is checked once
     verdicts = {}

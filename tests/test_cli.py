@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import json
+import pathlib
 import re
 import time
 from math import isqrt
@@ -93,6 +95,84 @@ def test_free_group_too_small_exit_2(capsys):
     code, _, err = run(capsys, "build", "--group", "free:1,2")
     assert code == 2
     assert err == "error: free:m,k needs m >= 2 and k >= 1, not free:1,2\n"
+
+
+@pytest.mark.parametrize("golden_key, entry, value, message", [
+    ("laplacian_orders", "G", None,
+     '"laplacian_orders" entry "G" must be a JSON list'),
+    ("d0_range_weights", "1", None,
+     '"d0_range_weights" entry "1" must be a JSON object'),
+    ("d0_range_weights", "2", [],
+     '"d0_range_weights" entry "2" must be a JSON object'),
+    ("bases", "2", {}, '"bases" entry "2" must be a JSON list'),
+    ("dc", "x", [], '"dc" key "x" must be a degree'),
+], ids=["no-G", "no-weight-1", "weight-list", "basis-object", "dc-key"])
+def test_golden_file_entries_exit_2(capsys, tmp_path, golden_key, entry,
+                                    value, message):
+    """The entries the Cartan checks read are checked as the file loads:
+    a missing or malformed one is bad input, named, with no traceback."""
+    from carnot.verify import load_golden
+
+    golden = load_golden()
+    if value is None:
+        del golden[golden_key][entry]
+    else:
+        golden[golden_key][entry] = value
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden))
+    code, out, err = run(capsys, "verify", "--golden", str(path))
+    assert (code, out, err) == (2, "", f"error: golden file: {message}\n")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("heisenberg:0", "heisenberg:n needs n >= 1, not heisenberg:0"),
+    ("heisenberg:x", "bad heisenberg group spec 'heisenberg:x'; "
+                     "use heisenberg:n"),
+    ("heisenberg:1,2", "bad heisenberg group spec 'heisenberg:1,2'; "
+                       "use heisenberg:n"),
+    ("filiform:2", "filiform:n needs n >= 3, not filiform:2"),
+])
+def test_bad_group_spec_exit_2(capsys, spec, message):
+    assert run(capsys, "build", "--group", spec) == \
+        (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec", ["heisenberg:32", "filiform:65"])
+def test_group_spec_obeys_the_dimension_cap(capsys, spec):
+    assert run(capsys, "build", "--group", spec) == \
+        (3, "", "error: ResourceLimit(65,64)\n")
+
+
+@pytest.mark.parametrize("spec, line", [
+    ("heisenberg:2", "n = 5; layers = 4,1; weights = 1,1,1,1,2"),
+    ("filiform:5", "n = 5; layers = 2,1,1,1; weights = 1,1,2,3,4"),
+])
+def test_group_specs_build(capsys, spec, line):
+    code, out, err = run(capsys, "build", "--group", spec)
+    assert (code, out.splitlines()[0], err) == (0, line, "")
+
+
+def test_verify_on_heisenberg_spec(capsys):
+    code, out, _ = run(capsys, "verify", "--group", "heisenberg:2")
+    assert code == 0
+    assert out.endswith("result: ok\n")
+
+
+def test_heisenberg_spec_is_the_benchmark_group_file(capsys, tmp_path):
+    """``heisenberg:3`` prints the bytes of the H3 file the benchmark
+    writes, at every degree of d_c."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+        "references.py"
+    spec = importlib.util.spec_from_file_location("perfbench_refs", path)
+    refs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(refs)
+    h3 = tmp_path / "H3.json"
+    h3.write_text(json.dumps(refs.heisenberg_json(3), sort_keys=True))
+    for h in range(7):
+        argv = ("dc", "--degree", str(h), "--format", "json", "--group")
+        from_spec = run(capsys, *argv, "heisenberg:3")
+        assert from_spec[0] == 0
+        assert from_spec == run(capsys, *argv, str(h3)), h
 
 
 def test_dc_matrix_text(capsys):

@@ -18,7 +18,7 @@ def cx():
 
 def test_kernel_type_basics():
     kt = est.kernel_type_of_inverse(6, 10)
-    assert kt.mu == 6 and kt.is_l1loc and not kt.log_regime
+    assert kt.mu == 6 and not kt.log_regime
     assert est.kernel_type_of_inverse(12, 10).log_regime
     assert est.kernel_type_of_inverse(2, 10).mu == 2
     with pytest.raises(est.OutOfRange):

@@ -4,7 +4,7 @@ import pytest
 
 from carnot.env import EnvElement
 from carnot.exterior import (DegreeOverflow, Form, OperatorForm, covectors,
-                             multivector)
+                             d_terms, multivector)
 from carnot.liealg import cartan_group
 
 
@@ -53,7 +53,7 @@ def test_hodge_star_examples(g):
     # columns of the published star matrices
     assert th(g, 1).star() == th(g, 2, 3, 4, 5)
     assert th(g, 2).star() == -th(g, 1, 3, 4, 5)
-    assert Form.volume(g).star() == Form.basis(g, ())
+    assert Form.basis(g, range(1, 6)).star() == Form.basis(g, ())
     assert th(g, 1, 4).star().star() == th(g, 1, 4)
 
 
@@ -77,7 +77,8 @@ def test_weight_split(g):
     assert set(parts) == {4, 5}
     assert parts[4] == th(g, 1, 4)
     assert parts[5] == th(g, 3, 4)
-    assert Form.volume(g).weight_split() == {10: Form.volume(g)}
+    volume = Form.basis(g, range(1, 6))
+    assert volume.weight_split() == {10: volume}
     assert th(g, 1).weight_split() == {1: th(g, 1)}
 
 
@@ -117,17 +118,22 @@ def test_delta0_examples_and_adjointness(g):
 
 
 def test_d_layer_examples(g):
+    """d_l, the sum over X_m in V_l of (X_m . U alpha) theta_m ^ theta_J,
+    as the layer sums of Pi_E compute it."""
+    def d_layer(form, layer):
+        every = set(covectors(g, form.degree + 1))
+        return d_terms(g, [(form, (layer,))], every)
+
     a = OperatorForm.from_form(th(g, 1))
-    d1 = a.d_layer(1)
+    d1 = d_layer(a, 1)
     # only theta2 ^ theta1 survives, normalized to -theta1 ^ theta2
-    assert set(d1.terms) == {((1, 2), 0)}
-    assert d1.terms[((1, 2), 0)] == -EnvElement.generator(g, 2)
-    d2 = a.d_layer(2)
-    assert set(d2.terms) == {((1, 3), 0)}
-    assert d2.terms[((1, 3), 0)] == -EnvElement.generator(g, 3)
+    assert set(d1) == {((1, 2), 0)}
+    assert d1[((1, 2), 0)] == -EnvElement.generator(g, 2)
+    d2 = d_layer(a, 2)
+    assert set(d2) == {((1, 3), 0)}
+    assert d2[((1, 3), 0)] == -EnvElement.generator(g, 3)
     # constant coefficients in the top layer with repeated covectors die
-    c = OperatorForm.from_form(th(g, 4, 5))
-    assert c.d_layer(3).is_zero()
+    assert not d_layer(OperatorForm.from_form(th(g, 4, 5)), 3)
 
 
 def test_d_full_on_function_and_one_form(g):

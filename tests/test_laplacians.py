@@ -10,7 +10,7 @@ from carnot.laplacians import (FAMILIES, UnsupportedGroup, a_delta, hodge_conjug
                                homogeneous_dc_orders, laplacian, order_table,
                                recipe, star_duality_sign, target_order,
                                verify_self_adjoint)
-from carnot.liealg import StratifiedLieAlgebra, cartan_group, free_nilpotent
+from carnot.liealg import cartan_group, free_nilpotent, load_group
 from carnot.rumin import OperatorMatrix, RuminComplex
 
 # the orders of the three families on the Cartan group, as published
@@ -149,11 +149,8 @@ def test_derived_orders(cx):
 # -- Heisenberg groups -----------------------------------------------------
 
 def heisenberg(m):
-    """H_m from a group file: [X_i, X_{i+m}] = X_{2m+1} for i = 1..m."""
-    top = str(2 * m + 1)
-    return StratifiedLieAlgebra.from_json(json.dumps({
-        "layers": [2 * m, 1],
-        "brackets": {f"{i},{i + m}": {top: "1"} for i in range(1, m + 1)}}))
+    """H_m from its spec: [X_i, X_{i+m}] = X_{2m+1} for i = 1..m."""
+    return load_group(f"heisenberg:{m}")
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -39,20 +39,19 @@ def test_abelian_table():
 
 def test_grading_violation():
     with pytest.raises(GradingViolation):
-        StratifiedLieAlgebra.from_structure_constants(
-            (2, 2), {(1, 2): {3: 1}, (1, 3): {4: 1}})
+        StratifiedLieAlgebra((2, 2), {(1, 2): {3: 1}, (1, 3): {4: 1}})
 
 
 def test_not_stratified():
     with pytest.raises(NotStratified):
-        StratifiedLieAlgebra.from_structure_constants((2, 1), {})
+        StratifiedLieAlgebra((2, 1), {})
 
 
 def test_jacobi_violation():
     table = {(1, 2): {4: 1}, (1, 3): {4: 1}, (2, 3): {4: 1},
              (1, 4): {5: 1}, (2, 4): {5: 1}, (3, 4): {5: 1}}
     with pytest.raises(JacobiViolation) as err:
-        StratifiedLieAlgebra.from_structure_constants((3, 1, 1), table)
+        StratifiedLieAlgebra((3, 1, 1), table)
     assert str(err.value) == "JacobiViolation(1,2,3)"
 
 
@@ -134,7 +133,7 @@ def test_witt_formula_counts_the_hall_trees():
 def test_json_round_trip():
     g = cartan_group()
     blob = json.dumps(g.to_json())
-    g2 = StratifiedLieAlgebra.from_json(blob)
+    g2 = StratifiedLieAlgebra.from_json(json.loads(blob))
     assert g2.layer_dims == g.layer_dims
     assert set(g2.brackets) == set(g.brackets)
     for key, vec in g.brackets.items():

@@ -31,7 +31,7 @@ def _identity(n):
 
 def test_rref_and_rank():
     a = _sparse(_mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]]))
-    rows, pivots = linalg.rref(a)
+    rows, pivots = linalg._rref(a)
     assert pivots == [0, 1]
     assert linalg.rank(a) == 2
 
@@ -100,7 +100,7 @@ def test_gram_schmidt_orthonormal_with_tower_extension():
 
 
 def test_empty_row_list_keeps_its_column_count():
-    assert linalg.rref([]) == ([], [])
+    assert linalg._rref([]) == ([], [])
     assert linalg.rank([]) == 0
     assert linalg.nullspace([], 3) == _identity(3)
     assert linalg.pseudoinverse([], 3) == [{}, {}, {}]  # 3 x 0
@@ -111,7 +111,7 @@ def test_empty_row_list_keeps_its_column_count():
 def test_zero_block_pseudoinverse_keeps_its_shape():
     zero = [{}, {}]  # 2 x 3
     assert linalg.pseudoinverse(zero, 3) == [{}, {}, {}]  # 3 x 2
-    assert linalg.rref(zero) == ([{}, {}], [])
+    assert linalg.rank(zero) == 0
     assert linalg.nullspace(zero, 3) == _identity(3)
 
 
@@ -292,10 +292,10 @@ def _terms(rows):
 def test_sparse_routines_match_dense_reference(kind, data):
     spec, n = data.draw(_specs(kind))
     a, b = _sparse(_materialize(spec)), _materialize(spec)
-    rows, pivots = linalg.rref(a)
+    rows, pivots = linalg._rref(a)
     ref_rows, ref_pivots = _ref_rref(b)
     assert (_terms(_dense(rows, n)), pivots) == \
-        (_terms(ref_rows), ref_pivots)
+        (_terms(ref_rows[:len(ref_pivots)]), ref_pivots)
     assert linalg.rank(a) == len(ref_pivots)
     assert _terms(_dense(linalg.nullspace(a, n), n)) == \
         _terms(_ref_nullspace(b, n))

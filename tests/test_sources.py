@@ -220,3 +220,18 @@ def test_readme_exit_codes_match_the_cli():
     assert mapped[3] and mapped[4]
     assert listed(para[para.index("`3`"):para.index("`4`")]) == mapped[3]
     assert listed(para[para.index("`4`"):]) == mapped[4]
+
+
+def test_import_loads_no_heavy_stdlib_chain():
+    """``import carnot, carnot.cli`` in a clean interpreter (no site)
+    loads none of ``dataclasses``, ``inspect`` and ``importlib.resources``,
+    whose import chains would cost every command its start-up."""
+    import subprocess
+    import sys
+
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import carnot, carnot.cli; print(sorted({'dataclasses', "
+            "'inspect', 'importlib.resources'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
